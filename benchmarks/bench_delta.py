@@ -139,7 +139,7 @@ def _child_measure(mode: str, store_path: str, batch_path: str) -> dict[str, obj
         from repro.api import pack
         from repro.data.dataset import Dataset
 
-        base = BatchQueryEngine(store_path, use_frame=False)
+        base = BatchQueryEngine(store_path)
         records = {record.id: record.values for record in base.dataset.records}
         base.close()
         started = time.perf_counter()

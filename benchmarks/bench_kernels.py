@@ -3,16 +3,8 @@
 Times the kernel operations that sit on every skyline hot path — block
 dominance sweeps, Pareto-front masks and batched t-dominance — on a
 dominance-heavy workload (candidates drawn near the Pareto front, so scans
-cannot early-exit), across every available backend (purepython, numpy and —
-with numba installed — jit), and writes the measurements to
-``benchmarks/results/BENCH_kernels.json``.
-
-A second sweep targets the JIT tier specifically: dominance-bound merge
-(``block_dominated_columns``) and BBS-window workloads at 100k rows, numpy
-vs jit, recorded to ``benchmarks/results/BENCH_jit.json``.  Pure Python is
-excluded there (it would take minutes at that scale) and the jit-over-numpy
-speedup target is asserted only when numba is importable — without numba the
-payload still records the numpy baseline plus ``numba_available: false``.
+cannot early-exit), across every available backend (purepython and numpy),
+and writes the measurements to ``benchmarks/results/BENCH_kernels.json``.
 
 Run under pytest (``pytest benchmarks/bench_kernels.py``) or standalone::
 
@@ -20,7 +12,7 @@ Run under pytest (``pytest benchmarks/bench_kernels.py``) or standalone::
 
 The standalone form is what the CI bench-smoke job executes; both forms
 assert the NumPy backend's speedup target on the block-dominance sweep when
-NumPy is available, and the JIT target when numba is available.
+NumPy is available.
 """
 
 from __future__ import annotations
@@ -34,35 +26,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.core.mapping import TSSMapping
 from repro.core.tdominance import TDominanceChecker
-from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import WorkloadSpec
-from repro.kernels import RecordTables, available_kernels, get_kernel
-from repro.order.dag import PartialOrderDAG
+from repro.kernels import available_kernels, get_kernel
 
 #: Acceptance target: NumPy must beat pure Python by at least this factor on
 #: the 50k-tuple block-dominance sweep.
 SPEEDUP_TARGET = 3.0
 
-#: Acceptance target: the JIT tier must beat NumPy by at least this factor on
-#: the dominance-bound 100k-row workloads (asserted only when numba imports).
-JIT_SPEEDUP_TARGET = 2.0
-
 FULL_CARDINALITY = 50_000
 QUICK_CARDINALITY = 10_000
-#: Row count for the JIT-tier merge/BBS workloads (pure Python excluded).
-JIT_FULL_ROWS = 100_000
-JIT_QUICK_ROWS = 20_000
 DIMENSIONS = 4
 NUM_CANDIDATES = 200
 REPEATS = 3
-
-
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def _build_vectors(cardinality: int, seed: int = 11) -> tuple[list, list]:
@@ -196,168 +171,10 @@ def run_benchmark(cardinality: int) -> dict[str, object]:
     }
 
 
-# --------------------------------------------------------------------- #
-# JIT-tier sweep: dominance-bound merge + BBS-window workloads, numpy vs
-# jit at 100k rows (pure Python would take minutes there and is excluded).
-# --------------------------------------------------------------------- #
-
-
-def _jit_backends() -> list[str]:
-    return [name for name in ("numpy", "jit") if name in available_kernels()]
-
-
-def _build_merge_workload(rows: int, seed: int = 23):
-    """A confirmed-skyline window plus a key-ordered target stream.
-
-    The window members hug the origin so they dominate almost nothing in the
-    stream — every backend scans the full window per target (dominance-bound,
-    exactly the sort-merge cross-shard merge's worst case).
-    """
-    rng = random.Random(seed)
-    chain = [f"v{i}" for i in range(8)]
-    dag = PartialOrderDAG(chain, list(zip(chain, chain[1:])))
-    schema = Schema(
-        [
-            TotalOrderAttribute("a"),
-            TotalOrderAttribute("b"),
-            PartialOrderAttribute("p", dag),
-            PartialOrderAttribute("q", dag),
-        ]
-    )
-    tables = RecordTables.from_schema(schema)
-    window_to = [
-        (rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05)) for _ in range(2_000)
-    ]
-    window_codes = [
-        (rng.randrange(2), rng.randrange(2)) for _ in range(len(window_to))
-    ]
-    stream_to = [(rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0)) for _ in range(rows)]
-    stream_codes = [
-        (rng.randrange(2, 8), rng.randrange(2, 8)) for _ in range(rows)
-    ]
-    return tables, window_to, window_codes, stream_to, stream_codes
-
-
-def _build_bbs_window_workload(rows: int, seed: int = 29):
-    """A BBS dominance window plus MBB best-corner blocks to prune against."""
-    rng = random.Random(seed)
-    members = [
-        tuple(rng.uniform(0.0, 0.08) for _ in range(DIMENSIONS)) for _ in range(2_000)
-    ]
-    corners = [
-        tuple(rng.uniform(0.3, 1.0) for _ in range(DIMENSIONS)) for _ in range(rows)
-    ]
-    return members, corners
-
-
-def time_merge_block(kernel_name: str, workload) -> float:
-    tables, window_to, window_codes, stream_to, stream_codes = workload
-    kernel = get_kernel(kernel_name)
-    kernel.warmup()
-    store = kernel.load_record_store(tables, window_to, window_codes)
-    chunk = 4_096
-
-    def sweep():
-        hits = 0
-        for begin in range(0, len(stream_to), chunk):
-            mask = store.block_dominated_columns(
-                stream_to[begin : begin + chunk], stream_codes[begin : begin + chunk]
-            )
-            hits += sum(mask)
-        return hits
-
-    sweep()  # untimed run: first-call conversion/compile costs stay out
-    return _best_of(REPEATS, sweep)
-
-
-def time_bbs_window(kernel_name: str, workload) -> float:
-    members, corners = workload
-    kernel = get_kernel(kernel_name)
-    kernel.warmup()
-    store = kernel.load_vector_store(DIMENSIONS, members)
-    chunk = 256  # one popped node's children per call, roughly
-
-    def sweep():
-        pruned = 0
-        for begin in range(0, len(corners), chunk):
-            mask = store.mbr_block_dominated(corners[begin : begin + chunk])
-            pruned += sum(mask)
-        return pruned
-
-    sweep()
-    return _best_of(REPEATS, sweep)
-
-
-def run_jit_benchmark(rows: int) -> dict[str, object]:
-    """Time the dominance-bound workloads on numpy (and jit when compiled)."""
-    backends = _jit_backends()
-    merge = _build_merge_workload(rows)
-    bbs = _build_bbs_window_workload(rows)
-    scenarios: dict[str, dict[str, float]] = {
-        "merge_block_dominated": {},
-        "bbs_window_sweep": {},
-    }
-    for name in backends:
-        scenarios["merge_block_dominated"][name] = time_merge_block(name, merge)
-        scenarios["bbs_window_sweep"][name] = time_bbs_window(name, bbs)
-
-    speedups: dict[str, float] = {}
-    if "jit" in backends:
-        for scenario, timings in scenarios.items():
-            if timings.get("jit"):
-                speedups[scenario] = timings["numpy"] / timings["jit"]
-
-    return {
-        "workload": {
-            "rows": rows,
-            "dimensions": DIMENSIONS,
-            "window": 2_000,
-            "repeats": REPEATS,
-            "excluded": ["purepython"],
-        },
-        "numba_available": _numba_available(),
-        "backends": backends,
-        "seconds": scenarios,
-        "speedup_jit_over_numpy": speedups,
-        "jit_speedup_target": JIT_SPEEDUP_TARGET,
-    }
-
-
-def _report_jit(payload: dict[str, object]) -> None:
-    print(f"jit workload: {payload['workload']}")
-    if not payload["backends"]:
-        print("no vectorized backend available: jit sweep skipped")
-        return
-    for scenario, timings in payload["seconds"].items():
-        rendered = ", ".join(f"{k}={v * 1000:.1f}ms" for k, v in timings.items())
-        speedup = payload["speedup_jit_over_numpy"].get(scenario)
-        extra = f"  (jit speedup {speedup:.1f}x)" if speedup else ""
-        print(f"{scenario:>24}: {rendered}{extra}")
-    if not payload["numba_available"]:
-        print("numba unavailable: jit speedup target not checked")
-
-
-def _assert_jit_target(payload: dict[str, object]) -> None:
-    if not payload["numba_available"]:
-        return
-    for scenario, achieved in payload["speedup_jit_over_numpy"].items():
-        assert achieved >= JIT_SPEEDUP_TARGET, (
-            f"jit kernel only {achieved:.2f}x faster than numpy on {scenario} "
-            f"(target {JIT_SPEEDUP_TARGET}x)"
-        )
-
-
 def _save(payload: dict[str, object]) -> None:
     from conftest import save_bench_json
 
     path = save_bench_json("kernels", payload)
-    print(f"wrote {path}")
-
-
-def _save_jit(payload: dict[str, object]) -> None:
-    from conftest import save_bench_json
-
-    path = save_bench_json("jit", payload)
     print(f"wrote {path}")
 
 
@@ -390,14 +207,6 @@ def test_kernel_speedup():
     _assert_target(payload)
 
 
-def test_jit_sweep():
-    """Pytest entry point for the JIT-tier sweep (quick row count)."""
-    payload = run_jit_benchmark(JIT_QUICK_ROWS)
-    _save_jit(payload)
-    _report_jit(payload)
-    _assert_jit_target(payload)
-
-
 def main(argv: list[str] | None = None) -> int:
     arguments = list(sys.argv[1:] if argv is None else argv)
     quick = "--quick" in arguments
@@ -405,10 +214,6 @@ def main(argv: list[str] | None = None) -> int:
     _save(payload)
     _report(payload)
     _assert_target(payload)
-    jit_payload = run_jit_benchmark(JIT_QUICK_ROWS if quick else JIT_FULL_ROWS)
-    _save_jit(jit_payload)
-    _report_jit(jit_payload)
-    _assert_jit_target(jit_payload)
     return 0
 
 

@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from repro.core.stss import stss_skyline
 from repro.data.workloads import WorkloadSpec
 from repro.kernels import get_kernel
-from repro.parallel import MERGE_STRATEGIES, ShardedExecutor
+from repro.parallel import ShardedExecutor
 
 #: Acceptance target: >=2x wall-clock speedup at 4 workers vs 1 worker on the
 #: 100k-tuple workload — asserted only on hosts with >= 4 CPUs.
@@ -74,41 +74,22 @@ def _sweep_cardinality(cardinality: int) -> dict[str, object]:
         startup_seconds = time.perf_counter() - startup_started
         try:
             result = executor.query()
-            # A/B the cross-shard merge over the same local skylines: the
-            # local phase reruns once, then each strategy merges it.
-            local_ids = executor.local_phase({})
-            merge_strategies: dict[str, dict[str, object]] = {}
-            for strategy in MERGE_STRATEGIES:
-                merge_started = time.perf_counter()
-                merged, batches = executor.merge_phase(local_ids, {}, strategy=strategy)
-                merge_strategies[strategy] = {
-                    "seconds_merge": time.perf_counter() - merge_started,
-                    "batches": batches,
-                    "matches_single_process": merged == reference_ids,
-                }
         finally:
             executor.close()
         by_workers[str(workers)] = {
             "seconds": result.seconds,
             "seconds_local": result.seconds_local,
             "seconds_merge": result.seconds_merge,
-            "merge_strategy": result.merge_strategy,
-            "merge_strategies": merge_strategies,
             "startup_seconds": startup_seconds,
             "skyline_size": len(result.skyline_ids),
             "local_skyline_sizes": result.local_skyline_sizes,
             "merge_batches": result.merge_batches,
             "matches_single_process": result.skyline_ids == reference_ids,
         }
-        ab = " / ".join(
-            f"{strategy} {timings['seconds_merge']:.2f}s"
-            for strategy, timings in merge_strategies.items()
-        )
         print(
             f"  N={cardinality} workers={workers}: {result.seconds:7.2f}s "
             f"(local {result.seconds_local:.2f}s, merge {result.seconds_merge:.2f}s, "
-            f"startup {startup_seconds:.2f}s) skyline={len(result.skyline_ids)} "
-            f"[merge A/B: {ab}]",
+            f"startup {startup_seconds:.2f}s) skyline={len(result.skyline_ids)}",
             flush=True,
         )
 
@@ -162,11 +143,6 @@ def _assert_targets(payload: dict[str, object]) -> None:
                 f"sharded skyline diverged from single-process sTSS at "
                 f"N={sweep['cardinality']}, workers={workers}"
             )
-            for strategy, merge in timings["merge_strategies"].items():
-                assert merge["matches_single_process"], (
-                    f"{strategy} merge diverged from single-process sTSS at "
-                    f"N={sweep['cardinality']}, workers={workers}"
-                )
     cpu_count = os.cpu_count() or 1
     if cpu_count < TARGET_WORKERS:
         print(

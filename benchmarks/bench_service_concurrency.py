@@ -8,10 +8,7 @@ CLI uses) is driven by 1/2/4/8 concurrent clients, each issuing queries over
 per-``dag_signature`` lock.  Every response is checked against a serial
 :class:`~repro.engine.batch.BatchQueryEngine` run over the same workload.
 
-The sweep also records the cross-shard merge A/B — ``sort-merge`` vs
-``all-pairs`` wall clock and dominance-check counts over the same local
-skylines — and everything lands in
-``benchmarks/results/BENCH_service_concurrency.json``.
+Everything lands in ``benchmarks/results/BENCH_service_concurrency.json``.
 
 Run under pytest (``pytest benchmarks/bench_service_concurrency.py``) or
 standalone::
@@ -38,17 +35,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from repro.data.workloads import WorkloadSpec
 from repro.engine.batch import BatchQuery, BatchQueryEngine, random_query_preferences
 from repro.kernels import get_kernel
-from repro.parallel import MERGE_STRATEGIES, ShardedExecutor
 from repro.service import QueryService, ServiceClient
-
-class _CheckCounter:
-    """Minimal dominance-check counter accepted by the kernel layer."""
-
-    __slots__ = ("dominance_checks",)
-
-    def __init__(self) -> None:
-        self.dominance_checks = 0
-
 
 CLIENT_COUNTS = (1, 2, 4, 8)
 QUERIES_PER_CLIENT = 4
@@ -190,45 +177,6 @@ def _sweep_clients(dataset, reference: dict[int, list[int]]) -> list[dict[str, o
     return sweeps
 
 
-def _merge_ab(dataset, seeds) -> list[dict[str, object]]:
-    """A/B the cross-shard merge strategies over the same local skylines."""
-    executor = ShardedExecutor(dataset, num_shards=NUM_SHARDS, workers=0)
-    rows: list[dict[str, object]] = []
-    for seed in list(seeds)[:2]:
-        overrides = random_query_preferences(dataset.schema, seed)
-        local_ids = executor.local_phase(overrides)
-        point: dict[str, object] = {
-            "seed": seed,
-            "local_skyline_total": sum(len(ids) for ids in local_ids),
-        }
-        outcomes = {}
-        for strategy in MERGE_STRATEGIES:
-            counter = _CheckCounter()
-            started = time.perf_counter()
-            merged, batches = executor.merge_phase(
-                local_ids, overrides, counter, strategy=strategy
-            )
-            seconds = time.perf_counter() - started
-            outcomes[strategy] = merged
-            point[strategy] = {
-                "seconds": seconds,
-                "batches": batches,
-                "dominance_checks": counter.dominance_checks,
-                "skyline_size": len(merged),
-            }
-        point["strategies_agree"] = outcomes["sort-merge"] == outcomes["all-pairs"]
-        rows.append(point)
-        print(
-            f"  merge A/B seed={seed}: sort-merge "
-            f"{point['sort-merge']['seconds'] * 1000:7.1f} ms "
-            f"({point['sort-merge']['dominance_checks']} checks) vs all-pairs "
-            f"{point['all-pairs']['seconds'] * 1000:7.1f} ms "
-            f"({point['all-pairs']['dominance_checks']} checks)",
-            flush=True,
-        )
-    return rows
-
-
 def run_benchmark(cardinality: int) -> dict[str, object]:
     _, dataset = _build_workload(cardinality)
     seeds = list(range(100, 100 + max(CLIENT_COUNTS) * QUERIES_PER_CLIENT))
@@ -246,7 +194,6 @@ def run_benchmark(cardinality: int) -> dict[str, object]:
             "kernel": get_kernel().name,
         },
         "sweeps": _sweep_clients(dataset, reference),
-        "merge_ab": _merge_ab(dataset, seeds),
     }
 
 
@@ -266,8 +213,6 @@ def _assert_targets(payload: dict[str, object]) -> None:
         # Distinct topologies and a fresh cache per point: every query is a
         # real evaluation, so the concurrency is not a cache artifact.
         assert sweep["queries_evaluated"] == sweep["queries"], sweep
-    for point in payload["merge_ab"]:
-        assert point["strategies_agree"], f"merge strategies disagree: {point}"
 
 
 def test_service_concurrency():

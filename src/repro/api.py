@@ -53,9 +53,8 @@ def open_dataset(
     environment variable when not set explicitly).  ``config`` carries the
     runtime knobs; keyword overrides (the :meth:`RuntimeConfig.resolve
     <repro.config.RuntimeConfig.resolve>` fields — ``kernel``, ``index``,
-    ``frame``, ``workers``, ``shards``, ``partitioner``, ``merge``,
-    ``prefilter``, ``cache_size``, ``max_entries``, ``store``, ``mmap``,
-    ``faults``) win over both.
+    ``workers``, ``shards``, ``partitioner``, ``prefilter``, ``cache_size``,
+    ``max_entries``, ``store``, ``mmap``, ``faults``) win over both.
     """
     config = _resolve_config(config, overrides)
     # Arm fault injection (``faults=`` / REPRO_FAULTS) before the engine

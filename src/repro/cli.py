@@ -104,9 +104,8 @@ def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
         default=None,
-        help="dominance kernel backend (purepython/numpy/jit; default: "
-        "REPRO_KERNEL env var, else numpy when available; jit needs the "
-        "[jit] extra and falls back to numpy with a warning without it)",
+        help="dominance kernel backend (purepython/numpy; default: "
+        "REPRO_KERNEL env var, else numpy when available)",
     )
     parser.add_argument(
         "--index",
@@ -135,20 +134,6 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
         choices=("round-robin", "po-group"),
         default="round-robin",
         help="dataset sharding strategy",
-    )
-    parser.add_argument(
-        "--merge-strategy",
-        choices=("sort-merge", "all-pairs"),
-        default=None,
-        help="cross-shard merge strategy (default: REPRO_MERGE env var, else "
-        "sort-merge; all-pairs is the legacy batched sweep kept for A/B runs)",
-    )
-    parser.add_argument(
-        "--frame",
-        choices=("on", "off"),
-        default=None,
-        help="columnar frame data plane (default: REPRO_FRAME env var, else "
-        "on when NumPy is available; off falls back to record-at-a-time)",
     )
     parser.add_argument(
         "--store",
@@ -250,11 +235,9 @@ def _runtime_config(args) -> RuntimeConfig:
     deliberately left unset here.
     """
     return RuntimeConfig.resolve(
-        frame=args.frame,
         workers=args.workers,
         shards=args.shards,
         partitioner=args.partitioner,
-        merge=args.merge_strategy,
         prefilter=not args.no_prefilter,
         cache_size=args.cache_size,
         store=args.store,
@@ -381,14 +364,7 @@ def batch_query_main(argv: Sequence[str] | None = None) -> int:
         total = sum(phases.values())
         rendered = " | ".join(
             f"{name} {phases[name] * 1000:.1f} ms"
-            for name in (
-                "kernel_warmup",
-                "encode",
-                "build",
-                "index_build",
-                "query",
-                "merge",
-            )
+            for name in ("encode", "build", "index_build", "query", "merge")
         )
         print(f"phases: {rendered} | total {total * 1000:.1f} ms")
     if args.json:

@@ -1,25 +1,23 @@
 """Runtime configuration: every ``REPRO_*`` knob resolved in one place.
 
-Historically each subsystem consulted its own environment variable at its own
-call site — ``REPRO_KERNEL`` in :mod:`repro.kernels`, ``REPRO_INDEX`` in
-:mod:`repro.index.registry`, ``REPRO_FRAME`` in :mod:`repro.data.columns`,
-``REPRO_WORKERS``/``REPRO_MERGE`` in :mod:`repro.parallel.executor` and
-``REPRO_BENCH_PROFILE`` in :mod:`repro.bench.runner`.  The resolvers now live
-here, all following the same precedence:
+The resolvers for every environment knob — ``REPRO_KERNEL``, ``REPRO_INDEX``,
+``REPRO_WORKERS``, ``REPRO_STORE``, ``REPRO_MMAP``, ``REPRO_CRC``,
+``REPRO_COMPACT_THRESHOLD``, ``REPRO_FAULTS`` and ``REPRO_BENCH_PROFILE`` —
+live here, all following the same precedence:
 
     explicit argument  >  CLI flag  >  ``REPRO_*`` environment variable  >  default
 
-The old import paths (``repro.data.columns.resolve_frame_mode``,
-``repro.parallel.executor.resolve_workers`` / ``resolve_merge_strategy``)
-remain as thin deprecation shims delegating to this module, and the env-var
-name constants are re-exported from their historical homes.
-
 :class:`RuntimeConfig` bundles one resolved choice of every knob — kernel,
-spatial index, frame mode, workers, shards, partitioner, merge strategy, and
-the storage-plane knobs (store path + mmap mode) — as a frozen dataclass, so
-a whole engine/service construction can be described, logged and forwarded as
-a single value.  The public facade (:mod:`repro.api`) and the CLI build their
-engines through it.
+spatial index, workers, shards, partitioner, prefilter, cache sizes and the
+storage-plane knobs (store path, mmap mode, checksum mode, compaction
+threshold, fault spec) — as a frozen dataclass, so a whole engine/service
+construction can be described, logged and forwarded as a single value.  The
+public facade (:mod:`repro.api`) and the CLI build their engines through it.
+
+The data path itself has no knobs: the engine and the sharded executor always
+run on an :class:`~repro.data.columns.EncodedFrame` (NumPy-backed when NumPy
+imports, tuple-backed otherwise) and merge shards with the columnar
+sort-merge.
 """
 
 from __future__ import annotations
@@ -37,11 +35,8 @@ __all__ = [
     "CRC_MODES",
     "DEFAULT_COMPACT_THRESHOLD",
     "FAULTS_ENV_VAR",
-    "FRAME_ENV_VAR",
     "INDEX_ENV_VAR",
     "KERNEL_ENV_VAR",
-    "MERGE_ENV_VAR",
-    "MERGE_STRATEGIES",
     "MMAP_ENV_VAR",
     "STORE_ENV_VAR",
     "WORKERS_ENV_VAR",
@@ -50,8 +45,6 @@ __all__ = [
     "resolve_compact_threshold",
     "resolve_crc_mode",
     "resolve_faults",
-    "resolve_frame_mode",
-    "resolve_merge_strategy",
     "resolve_mmap_mode",
     "resolve_workers",
 ]
@@ -62,14 +55,8 @@ KERNEL_ENV_VAR = "REPRO_KERNEL"
 #: Environment variable selecting the spatial index backend.
 INDEX_ENV_VAR = "REPRO_INDEX"
 
-#: Environment variable selecting the columnar frame data plane.
-FRAME_ENV_VAR = "REPRO_FRAME"
-
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Environment variable selecting the cross-shard merge strategy.
-MERGE_ENV_VAR = "REPRO_MERGE"
 
 #: Environment variable selecting the benchmark parameter grid.
 BENCH_PROFILE_ENV_VAR = "REPRO_BENCH_PROFILE"
@@ -88,9 +75,6 @@ CRC_ENV_VAR = "REPRO_CRC"
 
 #: Environment variable carrying a fault-injection spec (see :mod:`repro.faults`).
 FAULTS_ENV_VAR = "REPRO_FAULTS"
-
-#: The recognized cross-shard merge strategies.
-MERGE_STRATEGIES = ("sort-merge", "all-pairs")
 
 #: The recognized store checksum-verification modes.
 CRC_MODES = ("eager", "lazy")
@@ -147,29 +131,6 @@ def resolve_workers(workers: int | str | None = None) -> int:
     return count
 
 
-def resolve_merge_strategy(strategy: str | None = None) -> str:
-    """Coerce a merge-strategy argument (``None`` falls back to the env).
-
-    Mirrors :func:`resolve_workers`: an explicit value wins, ``None``
-    consults the ``REPRO_MERGE`` environment variable, and the default is
-    ``"sort-merge"``.
-    """
-    source = ""
-    if strategy is None:
-        raw = env_text(MERGE_ENV_VAR)
-        if raw is None:
-            return MERGE_STRATEGIES[0]
-        strategy = raw
-        source = f" (from the {MERGE_ENV_VAR} environment variable)"
-    strategy = str(strategy).strip().lower()
-    if strategy not in MERGE_STRATEGIES:
-        raise ExperimentError(
-            f"merge strategy must be one of {', '.join(MERGE_STRATEGIES)}; "
-            f"got {strategy!r}{source}"
-        )
-    return strategy
-
-
 def _resolve_switch(
     mode: bool | str | None, variable: str, *, default: bool, what: str
 ) -> bool:
@@ -191,19 +152,6 @@ def _resolve_switch(
     raise ExperimentError(
         f"{what} must be one of {sorted(_TRUE_WORDS | _FALSE_WORDS)}; "
         f"got {mode!r}{source}"
-    )
-
-
-def resolve_frame_mode(mode: bool | str | None = None) -> bool:
-    """Coerce a frame-mode argument (``None`` falls back to the env).
-
-    An explicit boolean wins; ``None`` consults the ``REPRO_FRAME``
-    environment variable (``1/true/on/yes`` or ``0/false/off/no``); unset,
-    the columnar path is on exactly when NumPy is importable (forcing it on
-    without NumPy uses the tuple-backed fallback columns).
-    """
-    return _resolve_switch(
-        mode, FRAME_ENV_VAR, default=_numpy_available(), what="frame mode"
     )
 
 
@@ -326,11 +274,9 @@ class RuntimeConfig:
 
     kernel: str | None = None
     index: str | None = None
-    frame: bool = True
     workers: int = 0
     shards: int | None = None
     partitioner: str = "round-robin"
-    merge: str = "sort-merge"
     prefilter: bool = True
     cache_size: int | None = None
     max_entries: int = 32
@@ -346,11 +292,9 @@ class RuntimeConfig:
         *,
         kernel: str | None = None,
         index: str | None = None,
-        frame: bool | str | None = None,
         workers: int | str | None = None,
         shards: int | None = None,
         partitioner: str = "round-robin",
-        merge: str | None = None,
         prefilter: bool = True,
         cache_size: int | None = None,
         max_entries: int = 32,
@@ -368,11 +312,9 @@ class RuntimeConfig:
         return cls(
             kernel=kernel if kernel is not None else env_kernel_name(),
             index=index if index is not None else env_index_name(),
-            frame=resolve_frame_mode(frame),
             workers=resolve_workers(workers),
             shards=shards,
             partitioner=partitioner,
-            merge=resolve_merge_strategy(merge),
             prefilter=prefilter,
             cache_size=cache_size,
             max_entries=max_entries,
@@ -404,11 +346,9 @@ class RuntimeConfig:
         options: dict[str, Any] = {
             "kernel": self.kernel,
             "index": self.index,
-            "use_frame": self.frame,
             "workers": self.workers,
             "num_shards": self.shards,
             "partitioner": self.partitioner,
-            "merge_strategy": self.merge,
             "prefilter": self.prefilter,
             "max_entries": self.max_entries,
             "mmap": self.mmap,

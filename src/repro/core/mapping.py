@@ -31,7 +31,7 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.data.columns import EncodedFrame, group_rows, resolve_frame_mode
+from repro.data.columns import EncodedFrame, group_rows, numpy_available
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.exceptions import SchemaError
@@ -89,7 +89,6 @@ class TSSMapping:
         schema: Schema | None = None,
         frame: EncodedFrame | None = None,
         rows: Sequence[int] | None = None,
-        use_frame: bool | None = None,
         toposort_strategy: str = "kahn",
         parent_choice: str = "first",
     ) -> None:
@@ -109,7 +108,7 @@ class TSSMapping:
         if len(encodings) != schema.num_partial_order:
             raise SchemaError("one DomainEncoding per PO attribute is required")
         self.encodings: tuple[DomainEncoding, ...] = tuple(encodings)
-        if frame is None and dataset is not None and resolve_frame_mode(use_frame):
+        if frame is None and dataset is not None and numpy_available():
             frame = EncodedFrame.from_dataset(dataset)
         self.frame = frame
         # Mapped-coordinate matrix of the distinct points (row g = coords of

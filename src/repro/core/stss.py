@@ -41,7 +41,6 @@ def stss_skyline(
     tree: RTree | None = None,
     frame=None,
     schema=None,
-    use_frame: bool | None = None,
     use_virtual_rtree: bool = False,
     use_dyadic_cache: bool = True,
     max_entries: int = 32,
@@ -62,12 +61,10 @@ def stss_skyline(
         Pre-built artefacts may be supplied to amortize their construction
         across runs (the benchmark harness does this); by default everything
         is derived from the dataset.
-    frame / schema / use_frame:
+    frame / schema:
         Columnar inputs: an :class:`~repro.data.columns.EncodedFrame` to map
         (``schema`` supplies the effective preference DAGs when it differs
-        from the frame's own), and the frame-path toggle forwarded to
-        :class:`~repro.core.mapping.TSSMapping` (``None`` consults
-        ``REPRO_FRAME``).
+        from the frame's own); see :class:`~repro.core.mapping.TSSMapping`.
     use_virtual_rtree:
         Enable the main-memory R-tree of virtual points for t-dominance
         checks (Section IV-B, second optimization).  It cuts the number of
@@ -99,9 +96,7 @@ def stss_skyline(
         groups), work counters and the progressiveness log.
     """
     if mapping is None:
-        mapping = TSSMapping(
-            dataset, encodings, schema=schema, frame=frame, use_frame=use_frame
-        )
+        mapping = TSSMapping(dataset, encodings, schema=schema, frame=frame)
     if tree is None:
         tree = mapping.build_rtree(max_entries=max_entries, disk=disk, index=index)
 

@@ -16,7 +16,7 @@
   expressed as named, reproducible workload specifications.
 """
 
-from repro.data.columns import EncodedFrame, resolve_frame_mode
+from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset, Record
 from repro.data.generator import generate_dataset
 from repro.data.io import (
@@ -32,7 +32,6 @@ __all__ = [
     "Dataset",
     "EncodedFrame",
     "Record",
-    "resolve_frame_mode",
     "Schema",
     "TotalOrderAttribute",
     "PartialOrderAttribute",

@@ -18,12 +18,10 @@ uses — so ground-truth dominance needs no translation.  Other code spaces
 :meth:`EncodedFrame.remap_codes`, an O(domain) permutation build plus one
 vectorized gather, rather than re-encoding every record.
 
-The frame path is selected like the kernel backend: an explicit argument
-wins, then the ``REPRO_FRAME`` environment variable (mirroring
-``REPRO_KERNEL``), then the default — on when NumPy is importable, off
-otherwise.  Without NumPy the frame falls back to tuple-backed columns so a
-forced ``REPRO_FRAME=1`` still works everywhere (the reference
-representation the vectorized one must agree with).
+The columns are NumPy arrays when NumPy is importable; without NumPy the
+frame falls back to tuple-backed columns, so the engine, the sharded executor
+and the delta plane run the same frame path everywhere (the tuple columns are
+the reference representation the vectorized one must agree with).
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ from __future__ import annotations
 from collections.abc import Hashable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
-from repro.config import FRAME_ENV_VAR  # noqa: F401  (historical home)
-from repro.config import resolve_frame_mode as _resolve_frame_mode
 from repro.data.schema import Schema
 from repro.exceptions import DatasetError
 
@@ -50,13 +46,10 @@ def _numpy_or_none():
     return numpy
 
 
-def resolve_frame_mode(mode: bool | str | None = None) -> bool:
-    """Deprecated shim: delegates to :func:`repro.config.resolve_frame_mode`.
-
-    Kept so existing imports stay green; the resolver (and the
-    ``REPRO_FRAME`` read) now lives in :mod:`repro.config`.
-    """
-    return _resolve_frame_mode(mode)
+def numpy_available() -> bool:
+    """Whether NumPy imports: the default of the bare-dataset paper
+    algorithms, which encode a frame first exactly when it is vectorized."""
+    return _numpy_or_none() is not None
 
 
 def group_rows(matrix) -> tuple[object, list]:

@@ -15,7 +15,9 @@ Stable ids are the contract with callers: base row ``r`` answers to id
 ``base_ids[r]`` (identity when ``base_ids`` is ``None``), inserts are
 numbered from :attr:`next_id` upward, and ids are never reused.  Compaction
 (:meth:`live_frame_and_ids`) folds the live rows into a fresh base frame
-whose ``row -> id`` mapping keeps every surviving id.
+whose ``row -> id`` mapping keeps every surviving id; the delta over that new
+base must be handed the old :attr:`next_id` (the allocation high-water mark),
+since the highest ids may have been deleted and folded away.
 """
 
 from __future__ import annotations
@@ -105,13 +107,12 @@ class DeltaFrame:
             if self.base_ids is None
             else {id_: row for row, id_ in enumerate(self.base_ids)}
         )
-        if next_id is None:
-            next_id = (
-                len(base)
-                if self.base_ids is None
-                else (max(self.base_ids) + 1 if self.base_ids else 0)
-            )
-        self.next_id = int(next_id)
+        first_free = (
+            len(base)
+            if self.base_ids is None
+            else (max(self.base_ids) + 1 if self.base_ids else 0)
+        )
+        self.next_id = first_free if next_id is None else max(int(next_id), first_free)
         self._insert_to: list[tuple[float, ...]] = []
         self._insert_codes: list[tuple[int, ...]] = []
         self._insert_ids: list[int] = []
@@ -253,7 +254,8 @@ class DeltaFrame:
         """Tombstone stable ids; returns ``(newly deleted ids, base rows freed)``.
 
         Already-dead ids are ignored (idempotent, which keeps delta-log
-        replay simple); ids that were never allocated raise
+        replay simple) — including ids below :attr:`next_id` that a
+        compaction folded away; ids that were never allocated raise
         :class:`~repro.exceptions.QueryError`.
         """
         removed: list[int] = []
@@ -268,6 +270,8 @@ class DeltaFrame:
                 continue
             row = self._resolve_base_row(record_id)
             if row is None:
+                if 0 <= record_id < self.next_id:
+                    continue  # allocated once, deleted before a compaction
                 raise QueryError(f"cannot delete unknown record id {record_id}")
             if row not in self._dead_base_rows:
                 self._dead_base_rows.add(row)

@@ -3,7 +3,7 @@
 Skylines distribute over set union: ``SKY(B ∪ D) = survivors of SKY(B) x
 SKY(D)`` — a row of one side's skyline belongs to the merged skyline iff no
 row of the *other* side's skyline strictly dominates it (the same
-divide-and-conquer identity the sharded executor's all-pairs merge uses).
+divide-and-conquer identity the sharded executor's merge rests on).
 Strict dominance makes equal rows across the two sides harmless: neither
 dominates the other, both survive, exactly as in a from-scratch run over the
 union.  Both directions are decided columnar through

@@ -65,10 +65,10 @@ if TYPE_CHECKING:
     from repro.parallel.executor import ShardedQueryResult
     from repro.store.reader import DatasetStore
 
-from repro.config import resolve_compact_threshold, resolve_crc_mode
+from repro.config import resolve_compact_threshold, resolve_crc_mode, resolve_workers
 from repro.core.mapping import TSSMapping
 from repro.core.stss import stss_skyline
-from repro.data.columns import EncodedFrame, resolve_frame_mode
+from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.delta.candidates import BaseCandidateTracker
 from repro.delta.frame import DeltaFrame, dataset_from_frame
@@ -212,9 +212,7 @@ class BatchQueryEngine:
         cache_size: int = DEFAULT_CACHE_SIZE,
         workers: int | str | None = None,
         num_shards: int | None = None,
-        partitioner="round-robin",
-        merge_strategy: str | None = None,
-        use_frame: bool | None = None,
+        partitioner: str = "round-robin",
         index=None,
         mmap: bool | None = None,
         crc: str | None = None,
@@ -273,63 +271,43 @@ class BatchQueryEngine:
         self._query_locks: LRUDict[TopologyKey, threading.Lock] = LRUDict(
             max(cache_size, 64)
         )
-        # Cumulative wall clock per pipeline phase (warm the kernel's compiled
-        # functions, encode the frame, build per-query mappings + the shared
-        # prefilter, bulk-load the per-query data R-trees, run the skyline
-        # scans, merge across shards); read via :meth:`summary`.  Sharded runs
-        # fold tree construction into their workers' local phase, so
-        # ``index_build`` tracks the in-process path.
+        # Cumulative wall clock per pipeline phase (encode the frame, build
+        # per-query mappings + the shared prefilter, bulk-load the per-query
+        # data R-trees, run the skyline scans, merge across shards); read via
+        # :meth:`summary`.  Sharded runs fold tree construction into their
+        # workers' local phase, so ``index_build`` tracks the in-process path.
         self._phase_seconds = {
-            "kernel_warmup": 0.0,
             "encode": 0.0,
             "build": 0.0,
             "index_build": 0.0,
             "query": 0.0,
             "merge": 0.0,
         }
-        # JIT backends compile their dominance loops on first call; trigger
-        # that here so the cost lands in its own phase instead of inflating
-        # the first query's timing.  Non-compiled backends return immediately.
+        # The columnar data plane: the dataset encoded once (NumPy-backed, or
+        # tuple-backed without NumPy); queries then read it through row-index
+        # views (never a materialized survivor copy).  With a store the frame
+        # is the packed one (mapped or loaded, never re-encoded).
         started = time.perf_counter()
-        if self.kernel.warmup():
-            self._phase_seconds["kernel_warmup"] += time.perf_counter() - started
-        # The columnar data plane: the dataset encoded once; queries then
-        # read it through row-index views (never a materialized survivor
-        # copy).  ``None`` keeps the record path.  With a store the frame is
-        # the packed one (mapped or loaded, never re-encoded); disabling the
-        # frame on a store instead materializes records from the same file
-        # (the pure-Python fallback).
-        self._use_frame = resolve_frame_mode(use_frame)
-        started = time.perf_counter()
-        if store is not None:
-            if self._use_frame:
-                self._frame = store.frame()
-            else:
-                self._frame = None
-                self._dataset = dataset = store.dataset()
-        else:
-            self._frame = (
-                EncodedFrame.from_dataset(dataset) if self._use_frame else None
-            )
+        self._frame: EncodedFrame = (
+            store.frame() if store is not None else EncodedFrame.from_dataset(dataset)
+        )
         self._phase_seconds["encode"] += time.perf_counter() - started
-        # Stable ``base row -> record id`` mapping (None = identity).  A
-        # store packed by compaction carries one; fresh data starts identity.
+        # Stable ``base row -> record id`` mapping (None = identity) and the
+        # id allocation high-water mark (None = one past the largest base
+        # id).  A store packed by compaction carries both; fresh data starts
+        # identity.
         self._row_ids = store.row_ids() if store is not None else None
+        self._next_id = store.next_id if store is not None else None
         # Mirrors the kernel registry: an explicit ``workers`` wins, ``None``
         # consults REPRO_WORKERS, and 0 means single-process evaluation.
-        # The merge strategy resolves the same way (REPRO_MERGE) and is
-        # validated even when no executor is built, so typos fail fast.
-        from repro.parallel.executor import resolve_merge_strategy, resolve_workers
-
         self._workers_resolved = resolve_workers(workers)
-        self._merge_strategy = resolve_merge_strategy(merge_strategy)
         self._num_shards_config = num_shards
         self._partitioner = partitioner
         self._sharded = self._workers_resolved >= 1 or (
             num_shards is not None and num_shards > 1
         )
         started = time.perf_counter()
-        if store is not None and self._frame is not None:
+        if store is not None:
             # The packed prefilter pass (validated at pack time against both
             # backends); skipping it costs nothing since the survivor list
             # is one mmap'd section.
@@ -348,10 +326,7 @@ class BatchQueryEngine:
         # this engine's reduced order only while the prefilter is on and no
         # base row has been deleted.
         self._store_base_usable = (
-            store is not None
-            and self._frame is not None
-            and prefilter
-            and store.has_base_mapping
+            store is not None and prefilter and store.has_base_mapping
         )
         self._base_artifacts = None
         # The delta plane: built lazily on the first mutation (or delta-log
@@ -362,7 +337,6 @@ class BatchQueryEngine:
         # Set when the sidecar log needed quarantine at open (see
         # :meth:`DeltaLog.recover <repro.store.delta.DeltaLog.recover>`).
         self._delta_recovery: dict | None = None
-        self._mutation_frame: EncodedFrame | None = None
         self._executor = None
         if store is not None:
             self._replay_delta_log()
@@ -378,13 +352,10 @@ class BatchQueryEngine:
 
     @property
     def dataset(self) -> Dataset:
-        """The engine's record view (frame/store-backed engines materialize
-        lazily)."""
+        """The engine's base rows as records (decoded from the frame on
+        first access when the engine was not built from a dataset)."""
         if self._dataset is None:
-            if self._store is not None:
-                self._dataset = self._store.dataset()
-            elif self._frame is not None:
-                self._dataset = dataset_from_frame(self._frame)
+            self._dataset = dataset_from_frame(self._frame)
         return self._dataset
 
     @property
@@ -417,7 +388,7 @@ class BatchQueryEngine:
         can never drift from a fresh engine's.
         """
         return prefilter_survivors(
-            self.schema, self._dataset, self._frame, self.kernel
+            self.schema, None, self._frame, self.kernel
         )
 
     @property
@@ -471,36 +442,14 @@ class BatchQueryEngine:
 
         Called at construction and again whenever the live base row set
         changes (base delete that dirtied a Pareto front, compaction).  The
-        in-process frame path keeps only a row-index view
-        (:attr:`_reduced_rows`); a materialized row-subset frame is built
-        solely for the sharded executor, which partitions rows across
-        shards/processes and therefore needs its own copy anyway.
+        in-process path keeps only a row-index view (:attr:`_reduced_rows`);
+        a materialized row-subset frame is built solely for the sharded
+        executor, which partitions rows across shards/processes and
+        therefore needs its own copy anyway.  Store-backed executors ship
+        ``(path, rows)`` specs to their workers instead of frame slices.
         """
         full = len(self._candidate_rows) == self._num_rows
         self._reduced_rows = None if full else list(self._candidate_rows)
-        started = time.perf_counter()
-        # The reduced record view backs the record fallback and the sharded
-        # partitioners; the frame path reads row views of the shared frame,
-        # so no per-record subset is materialized there (store-backed
-        # engines never materialize it — sharding partitions the frame).
-        if self._store is not None and self._frame is not None:
-            self._reduced = None
-        elif self._frame is not None and not self._sharded:
-            self._reduced = None
-        else:
-            records = self.dataset
-            self._reduced = (
-                records if full else records.subset(self._candidate_rows)
-            )
-        self._phase_seconds["build"] += time.perf_counter() - started
-        started = time.perf_counter()
-        if self._frame is not None and self._sharded and not full:
-            self._executor_frame = self._frame.take(self._candidate_rows)
-        elif self._frame is not None and full:
-            self._executor_frame = self._frame
-        else:
-            self._executor_frame = None
-        self._phase_seconds["encode"] += time.perf_counter() - started
         old = self._executor
         self._executor = None
         if old is not None:
@@ -509,25 +458,20 @@ class BatchQueryEngine:
             from repro.parallel.executor import ShardedExecutor
 
             started = time.perf_counter()
-            ship_store = (
-                self._store
-                if self._reduced is None and self._store is not None
-                else None
-            )
+            frame = self._frame if full else self._frame.take(self._candidate_rows)
+            self._phase_seconds["encode"] += time.perf_counter() - started
+            started = time.perf_counter()
             self._executor = ShardedExecutor(
-                self._reduced,
                 workers=self._workers_resolved,
                 num_shards=self._num_shards_config,
                 partitioner=self._partitioner,
                 kernel=self.kernel,
                 max_entries=self.max_entries,
-                merge_strategy=self._merge_strategy,
                 encoding_cache_size=self.cache_size,
-                frame=self._executor_frame,
-                use_frame=self._use_frame,
+                frame=frame,
                 index=self.index,
-                store=ship_store,
-                store_rows=self._candidate_rows if ship_store is not None else None,
+                store=self._store,
+                store_rows=self._candidate_rows if self._store is not None else None,
             )
             self._phase_seconds["build"] += time.perf_counter() - started
 
@@ -606,8 +550,8 @@ class BatchQueryEngine:
             if query.dag_overrides:
                 # Domain coverage is checked up front (the shared cheap
                 # equivalent of full row validation, same as the sharded
-                # path) so the frame/dataset swap can skip re-walking every
-                # row on each topology miss.
+                # path) so the schema swap can skip re-walking every row on
+                # each topology miss.
                 validate_override_domains(
                     self.schema.partial_order_attributes, query.dag_overrides
                 )
@@ -619,27 +563,15 @@ class BatchQueryEngine:
                     # mapping (and tree, when compatible) instead of
                     # re-mapping / re-bulk-loading.
                     mapping, tree = self._stored_base_artifacts(query, key)
-                elif self._frame is not None:
-                    # Columnar path: map a row view of the shared frame under
-                    # the effective schema — no survivor copy, no per-record
-                    # re-walk.
+                else:
+                    # Map a row view of the shared frame under the effective
+                    # schema — no survivor copy, no per-record re-walk.
                     mapping = TSSMapping(
                         None,
                         self._encodings_for(query, key),
                         schema=self._effective_schema(query),
                         frame=self._frame,
                         rows=self._reduced_rows,
-                    )
-                else:
-                    if query.dag_overrides:
-                        schema = self.schema.replace_partial_order(
-                            dict(query.dag_overrides)
-                        )
-                        data = self._reduced.with_schema(schema, validate=False)
-                    else:
-                        data = self._reduced
-                    mapping = TSSMapping(
-                        data, self._encodings_for(query, key), use_frame=False
                     )
                 index_started = time.perf_counter()
                 build_seconds = index_started - phase_started
@@ -655,17 +587,9 @@ class BatchQueryEngine:
                 query_seconds = time.perf_counter() - query_started
             else:
                 query_started = time.perf_counter()
-                if self._frame is not None:
-                    result = sfs_skyline(
-                        None,
-                        frame=self._frame,
-                        rows=self._reduced_rows,
-                        kernel=self.kernel,
-                    )
-                else:
-                    result = sfs_skyline(
-                        self._reduced, kernel=self.kernel, use_frame=False
-                    )
+                result = sfs_skyline(
+                    None, frame=self._frame, rows=self._reduced_rows, kernel=self.kernel
+                )
                 query_seconds = time.perf_counter() - query_started
             reduced_ids = result.skyline_ids
             stats = result.stats
@@ -709,7 +633,7 @@ class BatchQueryEngine:
         keep_base, keep_delta = cross_examine(
             self.kernel,
             tables,
-            tables_blocks(self._mutation_base_frame(), list(base_rows), tables),
+            tables_blocks(self._frame, list(base_rows), tables),
             tables_blocks(insert_frame, delta_rows, tables),
         )
         ids = [
@@ -812,23 +736,10 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------ #
     # Live mutations (the delta plane)
     # ------------------------------------------------------------------ #
-    def _mutation_base_frame(self) -> EncodedFrame:
-        """The encoded base the delta plane layers over.
-
-        The engine's own frame when the columnar path is on; otherwise a
-        one-time encode of the record dataset (bitwise-pinned to the frame a
-        columnar engine would hold, so both paths merge identically).
-        """
-        if self._frame is not None:
-            return self._frame
-        if self._mutation_frame is None:
-            self._mutation_frame = EncodedFrame.from_dataset(self.dataset)
-        return self._mutation_frame
-
     def _ensure_delta(self) -> DeltaFrame:
         if self._delta is None:
             self._delta = DeltaFrame(
-                self._mutation_base_frame(), base_ids=self._row_ids
+                self._frame, base_ids=self._row_ids, next_id=self._next_id
             )
             if self._store is not None and self._log is None:
                 from repro.store.delta import DeltaLog, delta_log_path
@@ -841,7 +752,7 @@ class BatchQueryEngine:
     def _ensure_tracker(self) -> BaseCandidateTracker:
         if self._tracker is None:
             self._tracker = BaseCandidateTracker(
-                self._mutation_base_frame(),
+                self._frame,
                 self.kernel,
                 prefilter=self._prefilter,
                 initial_rows=self._candidate_rows,
@@ -913,11 +824,13 @@ class BatchQueryEngine:
     def delete(self, record_ids: Sequence[int]) -> list[int]:
         """Tombstone stable record ids; returns the ids actually deleted.
 
-        Idempotent for already-deleted ids; unknown ids raise
-        :class:`~repro.exceptions.QueryError`.  Deleting a base row that sat
-        on its PO group's Pareto front resurrects the prefilter-dropped
-        siblings it was masking (the candidate tracker recomputes exactly
-        the dirty fronts).  May trigger automatic compaction.
+        Idempotent for already-deleted ids (also across compactions: any id
+        below the allocation high-water mark that is not live is a no-op);
+        ids never allocated raise :class:`~repro.exceptions.QueryError`.
+        Deleting a base row that sat on its PO group's Pareto front
+        resurrects the prefilter-dropped siblings it was masking (the
+        candidate tracker recomputes exactly the dirty fronts).  May trigger
+        automatic compaction.
         """
         record_ids = [int(record_id) for record_id in record_ids]
         if not record_ids:
@@ -1006,6 +919,7 @@ class BatchQueryEngine:
                 max_entries=self.max_entries,
                 row_ids=row_ids,
                 generation=generation,
+                next_id=delta.next_id,
             )
             # The commit point: readers see either the old store (+ the old
             # log, still at the old generation) or the new one.  A crash
@@ -1027,43 +941,29 @@ class BatchQueryEngine:
             self._store = reopened
             self._num_rows = reopened.num_rows
             self._row_ids = reopened.row_ids()
-            if self._use_frame:
-                self._frame = reopened.frame()
-                self._dataset = None
-            else:
-                self._frame = None
-                self._dataset = reopened.dataset()
-            self._mutation_frame = None
+            self._next_id = reopened.next_id
+            self._frame = reopened.frame()
             self._candidate_rows = (
                 reopened.survivors()
                 if self._prefilter
                 else list(range(self._num_rows))
             )
-            self._store_base_usable = (
-                self._frame is not None
-                and self._prefilter
-                and reopened.has_base_mapping
-            )
+            self._store_base_usable = self._prefilter and reopened.has_base_mapping
             summary["generation"] = generation
             summary["path"] = reopened.path
         else:
             identity = row_ids == list(range(len(row_ids)))
             self._row_ids = None if identity else row_ids
+            self._next_id = delta.next_id
             self._num_rows = len(row_ids)
-            if self._use_frame:
-                self._frame = live_frame
-                self._dataset = None
-                self._mutation_frame = None
-            else:
-                self._frame = None
-                self._dataset = dataset_from_frame(live_frame)
-                self._mutation_frame = live_frame
+            self._frame = live_frame
             self._candidate_rows = (
                 self._prefilter_survivors()
                 if self._prefilter
                 else list(range(self._num_rows))
             )
             self._store_base_usable = False
+        self._dataset = None
         self._delta = None
         self._tracker = None
         self._base_artifacts = None
@@ -1092,7 +992,6 @@ class BatchQueryEngine:
         summary: dict[str, object] = {
             "dataset_size": self._num_rows,
             "candidates_after_prefilter": self.candidate_count,
-            "frame": self._frame is not None,
             "store": (
                 {
                     "path": self._store.path,

@@ -84,5 +84,5 @@ class StoreError(ReproError):
 
     Messages name the offending file and, for format mismatches, the format
     version this build expects — the store analogue of the env-var resolver
-    errors (REPRO_WORKERS/REPRO_MERGE) that name their source.
+    errors (REPRO_WORKERS/REPRO_CRC) that name their source.
     """

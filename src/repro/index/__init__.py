@@ -20,7 +20,6 @@
 from repro.index.geometry import Rect, point_mindist
 from repro.index.pager import BufferPool, DiskSimulator, IOStats
 from repro.index.registry import (
-    INDEX_ENV_VAR,
     available_indexes,
     resolve_index,
     set_default_index,
@@ -37,7 +36,6 @@ __all__ = [
     "RTreeEntry",
     "NodeRef",
     "BestFirstTraversal",
-    "INDEX_ENV_VAR",
     "available_indexes",
     "resolve_index",
     "set_default_index",

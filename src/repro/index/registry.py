@@ -20,12 +20,10 @@ STR and traversed without per-entry Python objects; it requires NumPy.
 
 from __future__ import annotations
 
-from repro.config import INDEX_ENV_VAR  # noqa: F401  (historical home)
 from repro.config import env_index_name
 from repro.exceptions import ExperimentError
 
 __all__ = [
-    "INDEX_ENV_VAR",
     "available_indexes",
     "resolve_index",
     "set_default_index",

@@ -1,4 +1,4 @@
-"""Pluggable dominance kernels (pure-Python reference, NumPy, numba JIT).
+"""Pluggable dominance kernels (pure-Python reference and NumPy).
 
 Every hot dominance path in the library — tuple dominance in the scan
 algorithms, t-dominance in sTSS/dTSS, m-dominance and cross-examination in
@@ -14,19 +14,12 @@ Backend selection, in decreasing priority:
 3. the ``REPRO_KERNEL`` environment variable,
 4. automatic: ``numpy`` when NumPy is importable, else ``purepython``.
 
-NumPy and numba are optional dependencies; the pure-Python backend is always
-available and defines the semantics every other backend must reproduce.
-Requesting ``jit`` without numba installed degrades gracefully: a warning
-names the ``[jit]`` extra and the best available backend (numpy, else
-purepython) is returned, so ``REPRO_KERNEL=jit`` is safe to bake into
-configs that run on heterogeneous machines.
+NumPy is an optional dependency; the pure-Python backend is always
+available and defines the semantics the NumPy backend must reproduce.
 """
 
 from __future__ import annotations
 
-import warnings
-
-from repro.config import KERNEL_ENV_VAR  # noqa: F401  (historical home)
 from repro.config import env_kernel_name
 from repro.exceptions import ExperimentError
 from repro.kernels.base import (
@@ -59,8 +52,6 @@ _ALIASES = {
     "pure": "purepython",
     "numpy": "numpy",
     "np": "numpy",
-    "jit": "jit",
-    "numba": "jit",
 }
 
 _instances: dict[str, DominanceKernel] = {}
@@ -75,27 +66,11 @@ def _numpy_available() -> bool:
     return True
 
 
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 def available_kernels() -> tuple[str, ...]:
-    """Canonical names of the backends usable in this environment.
-
-    ``jit`` is listed only when it can actually compile (numba + NumPy
-    importable); requesting it anyway falls back with a warning, see
-    :func:`get_kernel`.
-    """
-    names = ["purepython"]
+    """Canonical names of the backends usable in this environment."""
     if _numpy_available():
-        names.append("numpy")
-        if _numba_available():
-            names.append("jit")
-    return tuple(names)
+        return ("purepython", "numpy")
+    return ("purepython",)
 
 
 def _canonical(name: str) -> str:
@@ -119,19 +94,6 @@ def _build(name: str) -> DominanceKernel:
         from repro.kernels.numpy_kernel import NumpyKernel
 
         return NumpyKernel()
-    if name == "jit":
-        if _numpy_available() and _numba_available():
-            from repro.kernels.jit_kernel import JitKernel
-
-            return JitKernel()
-        fallback = "numpy" if _numpy_available() else "purepython"
-        warnings.warn(
-            "the 'jit' dominance kernel requires numba (pip install "
-            f"'repro[jit]'); falling back to the {fallback!r} kernel",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return get_kernel(fallback)
     raise ExperimentError(f"unknown dominance kernel {name!r}")  # pragma: no cover
 
 

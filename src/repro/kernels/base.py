@@ -14,11 +14,10 @@ every skyline algorithm in this library:
 Kernels expose *stores* — growing collections queried against one candidate
 at a time (the universal access pattern of skyline loops: a skyline/window
 list grows while candidates stream past it) — plus a few stateless batch
-operations.  Three backends implement the interface:
+operations.  Two backends implement the interface:
 :class:`~repro.kernels.purepython.PurePythonKernel` (reference, always
-available), :class:`~repro.kernels.numpy_kernel.NumpyKernel` (vectorized)
-and :class:`~repro.kernels.jit_kernel.JitKernel` (numba-compiled fused
-loops, falls back to numpy when numba is absent).
+available) and :class:`~repro.kernels.numpy_kernel.NumpyKernel`
+(vectorized).
 
 Every query takes an optional ``counter`` (any object with a
 ``dominance_checks`` attribute, usually a
@@ -383,17 +382,6 @@ class DominanceKernel(ABC):
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #
-    def warmup(self) -> bool:
-        """Prime backend machinery ahead of the first query.
-
-        Compiled tiers override this to trigger JIT compilation (or load a
-        compile cache) so first-query latency is not charged to the query
-        itself; the engine times the call into
-        ``phase_seconds["kernel_warmup"]``.  Returns whether any work was
-        done.  Interpreted backends have nothing to warm.
-        """
-        return False
-
     def bounding_intervals(
         self, sets: Sequence[IntervalSet]
     ) -> list[Interval]:

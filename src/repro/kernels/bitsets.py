@@ -6,9 +6,8 @@ kernel hot loops the same relation packs into ``uint64`` *bitset rows*: row
 ``i`` holds ``cardinality`` bits, bit ``j`` set iff ``i`` is
 preferred-or-equal to ``j``.  A t-dominance test over ``d`` PO attributes is
 then ``d`` shift-AND-compare word operations on a structure 8x smaller than
-the boolean matrix (cache-resident even for large domains), and the packed
-rows feed the JIT kernels as one contiguous ``(attribute, code, word)``
-array.
+the boolean matrix (cache-resident even for large domains); the NumPy
+kernel gathers them as one ``uint64`` word array per attribute.
 
 Bitsets are built once per table from the DAG-reachability closure the
 table already carries (``pref_or_equal`` rows) and cached on the tables'
@@ -100,29 +99,4 @@ def attribute_word_arrays(
             for bitset in dominance_bitsets(tables)
         ]
         tables.scratch["numpy_bitset_rows"] = cached
-    return cached
-
-
-def packed_word_cube(tables: RecordTables | TDominanceTables) -> "np.ndarray":
-    """All attributes' bitsets as one ``(num_po, max_card, max_words)`` cube.
-
-    Shorter domains are zero-padded (a zero word never reports preference),
-    giving the JIT kernels a single contiguous uint64 array to close over.
-    """
-    cached = tables.scratch.get("numpy_bitset_cube")
-    if cached is None:
-        import numpy as np
-
-        bitsets = dominance_bitsets(tables)
-        max_card = max((b.cardinality for b in bitsets), default=0)
-        max_words = max((b.num_words for b in bitsets), default=1)
-        cube = np.zeros(
-            (len(bitsets), max(1, max_card), max(1, max_words)), dtype=np.uint64
-        )
-        for attribute, bitset in enumerate(bitsets):
-            for code, row in enumerate(bitset.rows):
-                for word, value in enumerate(row):
-                    cube[attribute, code, word] = value
-        cached = cube
-        tables.scratch["numpy_bitset_cube"] = cached
     return cached

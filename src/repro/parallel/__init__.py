@@ -1,43 +1,20 @@
 """Sharded parallel execution of skyline queries.
 
 Classic divide-and-conquer skyline decomposition on top of the library's
-kernel layer: partition the dataset into shards once
+kernel layer: partition an encoded frame into shards once
 (:mod:`repro.parallel.partition`), compute per-shard local skylines — in
 process or on a persistent :mod:`multiprocessing` worker pool with
-process-local shard state — and merge the local skylines, by default with a
-k-way sort-merge over the monotone SFS key (``"all-pairs"``, the original
-one-batched-kernel-call-per-shard-pair sweep, stays available for A/B
-benchmarking; see :mod:`repro.parallel.executor`).
+process-local shard state — and merge the local skylines with a sort-merge
+over the monotone SFS key (see :mod:`repro.parallel.executor`).
 """
 
-from repro.parallel.executor import (
-    MERGE_ENV_VAR,
-    MERGE_STRATEGIES,
-    WORKERS_ENV_VAR,
-    ShardedExecutor,
-    ShardedQueryResult,
-    resolve_merge_strategy,
-    resolve_workers,
-)
-from repro.parallel.partition import (
-    PARTITIONERS,
-    Shard,
-    po_group_partition,
-    resolve_partitioner,
-    round_robin_partition,
-)
+from repro.parallel.executor import ShardedExecutor, ShardedQueryResult
+from repro.parallel.partition import PARTITIONERS, Shard, partition_frame
 
 __all__ = [
-    "MERGE_ENV_VAR",
-    "MERGE_STRATEGIES",
     "PARTITIONERS",
-    "WORKERS_ENV_VAR",
     "Shard",
     "ShardedExecutor",
     "ShardedQueryResult",
-    "po_group_partition",
-    "resolve_merge_strategy",
-    "resolve_partitioner",
-    "resolve_workers",
-    "round_robin_partition",
+    "partition_frame",
 ]

@@ -17,22 +17,20 @@ synchronize only around the merge:
   state: shards are shipped once at pool startup, and per query only the
   preference-DAG overrides travel.  Each worker keeps a per-topology interval
   encoding cache, mirroring the batch engine's.
-* **Merge phase** — two strategies, selected per executor (or through the
-  ``REPRO_MERGE`` environment variable):
+* **Merge phase** — a sort-merge of the local skylines over the monotone SFS
+  sort key, run columnar over the executor's frame.  Dominance implies a
+  smaller (under float rounding: never larger) key, so a record can only be
+  killed by stream predecessors or key-ties, and (with transitivity) it
+  suffices to test each record against the *surviving* prefix plus its own
+  key-tie run.  The stream is consumed in chunks, each resolved with one
+  batched window test (:meth:`~repro.kernels.base.RecordStore.
+  block_dominated_columns`) plus one intra-chunk block test — total work is
+  proportional to (stream length) x (global skyline), instead of the
+  (sum of local skylines)^2 of a shard-pair sweep.
 
-  - ``"sort-merge"`` (default): a k-way heap merge of the local skylines
-    over the monotone SFS sort key.  Dominance implies a smaller (under
-    float rounding: never larger) key, so a record can only be killed by
-    stream predecessors or key-ties, and (with transitivity) it suffices to
-    test each record against the *surviving* prefix plus its own key-tie
-    run.  The stream is consumed in chunks, each resolved with one
-    batched window test (:meth:`~repro.kernels.base.RecordStore.
-    block_dominated_mask`) plus one intra-chunk block test — total work is
-    proportional to (stream length) x (global skyline), instead of the
-    all-pairs (sum of local skylines)^2.
-  - ``"all-pairs"``: the original batched kernel sweep, one
-    :meth:`~repro.kernels.base.DominanceKernel.record_block_dominated_mask`
-    call per shard pair, kept for A/B benchmarking.
+Every shard is a row slice of one :class:`~repro.data.columns.EncodedFrame`
+(NumPy-backed when NumPy imports, tuple-backed otherwise): it is what travels
+to the workers and what the merge reads.
 
 ``workers = 0`` runs both phases in-process — same partition and merge, no
 pool — which is the deterministic baseline the property tests compare
@@ -48,18 +46,15 @@ in-flight counter before engine shutdown.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import threading
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
-from repro.config import MERGE_ENV_VAR, MERGE_STRATEGIES, WORKERS_ENV_VAR  # noqa: F401
-from repro.config import resolve_merge_strategy as _resolve_merge_strategy
-from repro.config import resolve_workers as _resolve_workers
+from repro.config import resolve_workers
 from repro.core.stss import stss_skyline
-from repro.data.columns import EncodedFrame, ordered_rows, resolve_frame_mode
+from repro.data.columns import EncodedFrame, ordered_rows
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.engine.encodings import (
@@ -69,31 +64,17 @@ from repro.engine.encodings import (
     validate_override_domains,
 )
 from repro.engine.lru import LRUDict
-from repro.exceptions import DeadlineExceededError, ExperimentError, QueryError
+from repro.exceptions import DeadlineExceededError, QueryError
 from repro.faults.registry import trip as _fault_trip
 from repro.index.registry import resolve_index
 from repro.kernels import resolve_kernel
 from repro.kernels.tables import RecordTables
 from repro.order.dag import PartialOrderDAG
-from repro.parallel.partition import Shard, partition_frame, resolve_partitioner
-from repro.skyline.dominance import RecordEncoder
-from repro.skyline.sfs import depth_columns, monotone_sort_key, sfs_skyline
+from repro.parallel.partition import Shard, partition_frame
+from repro.skyline.sfs import depth_columns, sfs_skyline
 
-#: Historical homes of the env-var names and strategy list (now in
-#: :mod:`repro.config`; re-exported so old imports stay green).
 #: Stream records resolved per batched window test of the sort-merge.
 MERGE_CHUNK = 256
-
-
-def resolve_workers(workers: int | str | None = None) -> int:
-    """Deprecated shim: delegates to :func:`repro.config.resolve_workers`."""
-    return _resolve_workers(workers)
-
-
-def resolve_merge_strategy(strategy: str | None = None) -> str:
-    """Deprecated shim: delegates to
-    :func:`repro.config.resolve_merge_strategy`."""
-    return _resolve_merge_strategy(strategy)
 
 
 # ---------------------------------------------------------------------- #
@@ -121,20 +102,19 @@ class _WorkerState:
 
     Holds only the shards *owned* by this worker (shipped once at pool
     startup, keyed by shard index) plus a per-DAG interval encoding cache,
-    so repeated queries against the same topology re-derive nothing.  With
-    the frame path on, each shard arrives as an
-    :class:`~repro.data.columns.EncodedFrame` of column blocks — no
-    ``Record`` objects ever cross the process boundary.
+    so repeated queries against the same topology re-derive nothing.  Each
+    shard arrives as an :class:`~repro.data.columns.EncodedFrame` of column
+    blocks (or a store spec it slices one from) — no ``Record`` objects ever
+    cross the process boundary.
     """
 
     def __init__(
         self,
         schema: Schema,
-        shard_data: dict[int, "Dataset | EncodedFrame"],
+        shard_data: dict[int, "EncodedFrame | _StoreShardSpec"],
         kernel_name: str | None,
         max_entries: int,
         encoding_cache_size: int,
-        use_frame: bool = False,
         index_name: str | None = None,
     ) -> None:
         self.schema = schema
@@ -142,7 +122,7 @@ class _WorkerState:
             from repro.store.reader import DatasetStore
 
             stores: dict[str, DatasetStore] = {}
-            resolved: dict[int, "Dataset | EncodedFrame"] = {}
+            resolved: dict[int, "EncodedFrame | _StoreShardSpec"] = {}
             for index, data in shard_data.items():
                 if isinstance(data, _StoreShardSpec):
                     store = stores.get(data.path)
@@ -157,7 +137,6 @@ class _WorkerState:
         self.shard_data = shard_data
         self.kernel = resolve_kernel(kernel_name)
         self.max_entries = max_entries
-        self.use_frame = use_frame
         self.index = resolve_index(index_name)
         self._encoding_cache = EncodingCache(encoding_cache_size)
 
@@ -165,47 +144,28 @@ class _WorkerState:
         self, shard_index: int, overrides: Mapping[str, PartialOrderDAG]
     ) -> list[int]:
         """Local skyline ids (shard-local positions) of one shard."""
-        data = self.shard_data[shard_index]
-        if not len(data):
+        frame = self.shard_data[shard_index]
+        if not len(frame):
             return []
-        if isinstance(data, EncodedFrame):
-            if self.schema.num_partial_order:
-                schema = (
-                    self.schema.replace_partial_order(dict(overrides))
-                    if overrides
-                    else self.schema
-                )
-                result = stss_skyline(
-                    None,
-                    encodings=self._encoding_cache.encodings_for(
-                        self.schema.partial_order_attributes, overrides
-                    ),
-                    schema=schema,
-                    frame=data,
-                    max_entries=self.max_entries,
-                    kernel=self.kernel,
-                    index=self.index,
-                )
-            else:
-                result = sfs_skyline(None, frame=data, kernel=self.kernel)
-            return result.skyline_ids
-        dataset = data
-        if overrides:
-            schema = self.schema.replace_partial_order(dict(overrides))
-            dataset = dataset.with_schema(schema, validate=False)
         if self.schema.num_partial_order:
+            schema = (
+                self.schema.replace_partial_order(dict(overrides))
+                if overrides
+                else self.schema
+            )
             result = stss_skyline(
-                dataset,
+                None,
                 encodings=self._encoding_cache.encodings_for(
                     self.schema.partial_order_attributes, overrides
                 ),
+                schema=schema,
+                frame=frame,
                 max_entries=self.max_entries,
                 kernel=self.kernel,
-                use_frame=self.use_frame,
                 index=self.index,
             )
         else:
-            result = sfs_skyline(dataset, kernel=self.kernel, use_frame=self.use_frame)
+            result = sfs_skyline(None, frame=frame, kernel=self.kernel)
         return result.skyline_ids
 
 
@@ -214,22 +174,15 @@ _WORKER_STATE: _WorkerState | None = None
 
 def _init_worker(
     schema: Schema,
-    shard_data: dict[int, "Dataset | EncodedFrame"],
+    shard_data: dict[int, "EncodedFrame | _StoreShardSpec"],
     kernel_name: str | None,
     max_entries: int,
     encoding_cache_size: int,
-    use_frame: bool = False,
     index_name: str | None = None,
 ) -> None:
     global _WORKER_STATE
     _WORKER_STATE = _WorkerState(
-        schema,
-        shard_data,
-        kernel_name,
-        max_entries,
-        encoding_cache_size,
-        use_frame,
-        index_name,
+        schema, shard_data, kernel_name, max_entries, encoding_cache_size, index_name
     )
 
 
@@ -259,8 +212,8 @@ class ShardedQueryResult:
     ``local_window`` is the ``(start, end)`` of the local phase on the
     :func:`time.monotonic` clock — concurrency tests use it to prove that
     two queries' local phases actually overlapped in wall-clock time.
-    ``merge_batches`` counts batched kernel calls: shard-pair sweeps under
-    ``all-pairs``, window/intra-chunk tests under ``sort-merge``.
+    ``merge_batches`` counts the batched kernel calls of the sort-merge
+    (window and intra-chunk tests).
     """
 
     name: str
@@ -271,13 +224,7 @@ class ShardedQueryResult:
     local_skyline_sizes: list[int] = field(default_factory=list)
     merge_batches: int = 0
     merge_checks: int = 0
-    merge_strategy: str = "sort-merge"
     local_window: tuple[float, float] = (0.0, 0.0)
-
-    @property
-    def merge_pairs(self) -> int:
-        """Pre-sort-merge name of :attr:`merge_batches` (kept for callers)."""
-        return self.merge_batches
 
     @property
     def skyline_set(self) -> frozenset[int]:
@@ -295,21 +242,18 @@ class _MergeCounter:
 
 @dataclass(frozen=True)
 class _MergeArtifacts:
-    """Per-topology ground truth shared by both merge strategies.
+    """Per-topology ground truth of the sort-merge.
 
-    ``sort_key`` is the monotone SFS preference function under the query's
-    effective schema: dominance implies a (mathematically) strictly smaller
-    key, which is the invariant the sort-merge strategy leans on.  With the
-    frame path on, ``code_maps``/``depths`` carry the columnar equivalents:
-    the per-attribute target code spaces of ``tables`` and the DAG depths of
-    every frame-canonical code (the key vector's gather tables).
+    ``code_maps`` are the per-attribute target code spaces of ``tables``
+    under the query's effective schema; ``depths`` the DAG depth of every
+    frame-canonical code — the gather tables of the monotone SFS key vector,
+    whose (mathematically) strict decrease along dominance is the invariant
+    the sort-merge leans on.
     """
 
     tables: RecordTables
-    encoder: RecordEncoder
-    sort_key: object  # Callable[[Record], float]
-    code_maps: tuple[dict, ...] | None = None
-    depths: tuple[tuple[int, ...], ...] | None = None
+    code_maps: tuple[dict, ...]
+    depths: tuple[tuple[int, ...], ...]
 
 
 # ---------------------------------------------------------------------- #
@@ -320,8 +264,10 @@ class ShardedExecutor:
 
     Parameters
     ----------
-    dataset:
-        The relation to shard.  Shards are derived once at construction.
+    dataset / frame:
+        The relation to shard, as an :class:`~repro.data.columns.EncodedFrame`
+        (a bare ``dataset`` is encoded into one).  Shards are row slices of
+        the frame, cut once at construction.
     num_shards:
         Number of shards; defaults to ``max(1, workers)``.
     workers:
@@ -330,14 +276,11 @@ class ShardedExecutor:
         uses a persistent pool started lazily on the first query (or
         explicitly with :meth:`start`).
     partitioner:
-        ``"round-robin"``, ``"po-group"``, or a callable (see
+        ``"round-robin"`` or ``"po-group"`` (see
         :mod:`repro.parallel.partition`).
     kernel / max_entries:
         Dominance kernel backend and R-tree fanout, forwarded to the local
         sTSS runs and the merge phase.
-    merge_strategy:
-        ``"sort-merge"`` (default) or ``"all-pairs"``; ``None`` consults the
-        ``REPRO_MERGE`` environment variable (see the module docstring).
     encoding_cache_size:
         LRU bound of each worker's per-DAG interval-encoding cache (the
         batch engine forwards its ``cache_size`` here).
@@ -352,8 +295,7 @@ class ShardedExecutor:
         workers receive only ``(path, rows)`` specs, reopen the packed file
         themselves and slice their shards from the mapped frame — sharing
         the parent's bytes through the OS page cache instead of holding
-        pickled copies.  ``dataset`` may then be ``None``; shards are cut
-        from the frame directly (named strategies only).
+        pickled copies.
     """
 
     def __init__(
@@ -362,27 +304,26 @@ class ShardedExecutor:
         *,
         num_shards: int | None = None,
         workers: int | str | None = None,
-        partitioner="round-robin",
+        partitioner: str = "round-robin",
         kernel=None,
         max_entries: int = 32,
-        merge_strategy: str | None = None,
         encoding_cache_size: int = 256,
         task_timeout: float | None = 600.0,
         frame: EncodedFrame | None = None,
-        use_frame: bool | None = None,
         index=None,
         store=None,
         store_rows=None,
     ) -> None:
-        if dataset is None and frame is None:
+        if frame is None:
+            if dataset is None:
+                raise QueryError("a sharded executor needs a dataset or an encoded frame")
+            frame = EncodedFrame.from_dataset(dataset)
+        elif dataset is not None and len(frame) != len(dataset):
             raise QueryError(
-                "a dataset-free executor needs an encoded frame (pass the "
-                "store's frame, or a dataset)"
+                f"encoded frame has {len(frame)} rows but the dataset has "
+                f"{len(dataset)}"
             )
-        if store is not None and frame is None:
-            raise QueryError("store-backed executors require the frame path")
-        self.dataset = dataset
-        self.schema = dataset.schema if dataset is not None else frame.schema
+        self.schema = frame.schema
         self.index = resolve_index(index)
         self.workers = resolve_workers(workers)
         self.num_shards = max(1, self.workers) if num_shards is None else num_shards
@@ -390,21 +331,11 @@ class ShardedExecutor:
             raise QueryError(f"num_shards must be >= 1, got {self.num_shards}")
         self.kernel = resolve_kernel(kernel)
         self.max_entries = max_entries
-        self.merge_strategy = resolve_merge_strategy(merge_strategy)
         self.encoding_cache_size = encoding_cache_size
         self.task_timeout = task_timeout
-        # The columnar data plane: one encoded frame over the whole dataset,
-        # sliced per shard — what travels to workers and feeds the merges.
-        if dataset is not None:
-            if frame is not None and len(frame) != len(dataset):
-                raise QueryError(
-                    f"encoded frame has {len(frame)} rows but the dataset has "
-                    f"{len(dataset)}"
-                )
-            if frame is None and resolve_frame_mode(use_frame):
-                frame = EncodedFrame.from_dataset(dataset)
+        # One encoded frame over the whole dataset, sliced per shard — what
+        # travels to workers and feeds the merge.
         self._frame = frame
-        self._size = len(dataset) if dataset is not None else len(frame)
         # Store shipping: workers reopen the packed file (sharing the OS page
         # cache) and slice their shards by these store-global row positions
         # instead of receiving pickled frame slices.
@@ -419,19 +350,9 @@ class ShardedExecutor:
                     f"has {len(frame)}"
                 )
         self._store_rows = store_rows
-        if dataset is not None:
-            self.partitioner_name, partition = resolve_partitioner(partitioner)
-            self.shards: list[Shard] = partition(dataset, self.num_shards)
-        else:
-            self.shards = partition_frame(frame, self.num_shards, partitioner)
-            self.partitioner_name = (
-                partitioner if isinstance(partitioner, str) else "custom"
-            )
-        self._shard_frames: tuple[EncodedFrame, ...] | None = (
-            tuple(frame.take(shard.record_ids) for shard in self.shards)
-            if frame is not None
-            else None
-        )
+        self.partitioner_name = partitioner
+        self.shards: list[Shard] = partition_frame(frame, self.num_shards, partitioner)
+        self._shard_frames = tuple(frame.take(shard.record_ids) for shard in self.shards)
         self.queries_answered = 0
         # Guards lifecycle transitions (pool start/close, lazy inline state)
         # and the counters; the phases themselves run without it, so
@@ -461,11 +382,10 @@ class ShardedExecutor:
 
     def _shard_payload(
         self, shard_index: int, *, ship_store: bool = False
-    ) -> "Dataset | EncodedFrame | _StoreShardSpec":
+    ) -> "EncodedFrame | _StoreShardSpec":
         """What ships to workers for one shard: a store spec (path + rows)
         when the executor is store-backed and the payload crosses a process
-        boundary, column blocks otherwise, records only when the frame path
-        is disabled."""
+        boundary, column blocks otherwise."""
         if ship_store and self._store is not None:
             shard = self.shards[shard_index]
             return _StoreShardSpec(
@@ -475,9 +395,7 @@ class ShardedExecutor:
                     self._store_rows[position] for position in shard.record_ids
                 ),
             )
-        if self._shard_frames is not None:
-            return self._shard_frames[shard_index]
-        return self.shards[shard_index].dataset
+        return self._shard_frames[shard_index]
 
     def _worker_initargs(self, shard_indices, *, ship_store: bool = False) -> tuple:
         """The pool-initializer payload holding the given shards."""
@@ -490,7 +408,6 @@ class ShardedExecutor:
             self.kernel.name,
             self.max_entries,
             self.encoding_cache_size,
-            self._frame is not None,
             self.index,
         )
 
@@ -720,7 +637,7 @@ class ShardedExecutor:
     def _merge_artifacts(
         self, overrides: dict[str, PartialOrderDAG]
     ) -> _MergeArtifacts:
-        """Per-topology ground-truth tables/encoder/sort key for the merge."""
+        """Per-topology ground-truth tables and key gathers for the merge."""
         key = tuple(
             dag_signature(overrides.get(attribute.name, attribute.dag))
             for attribute in self.schema.partial_order_attributes
@@ -731,19 +648,10 @@ class ShardedExecutor:
                 self.schema.replace_partial_order(overrides) if overrides else self.schema
             )
             tables = RecordTables.from_schema(schema)
-            code_maps = None
-            depths = None
-            if self._frame is not None:
-                code_maps = tuple(table.code_of for table in tables.attributes)
-                depths = tuple(
-                    tuple(column) for column in depth_columns(schema, self._frame)
-                )
             cached = _MergeArtifacts(
                 tables,
-                RecordEncoder(schema, tables),
-                monotone_sort_key(schema),
-                code_maps,
-                depths,
+                tuple(table.code_of for table in tables.attributes),
+                tuple(tuple(column) for column in depth_columns(schema, self._frame)),
             )
             self._merge_tables[key] = cached
         return cached
@@ -753,188 +661,28 @@ class ShardedExecutor:
         local_ids: list[list[int]],
         overrides: dict[str, PartialOrderDAG],
         counter=None,
-        *,
-        strategy: str | None = None,
     ) -> tuple[list[int], int]:
         """Cross-examine local skylines; returns (survivor ids, batch count).
 
-        ``strategy`` overrides the executor's configured merge strategy for
-        this call (A/B benchmarking); the batch count is the number of
-        batched kernel calls issued.
+        A sort-merge: one key vector, one stable sort, chunked block tests;
+        the batch count is the number of batched kernel calls issued.  The
+        stream is the local skylines ordered by ``(monotone key, record
+        id)``.  Correctness: dominance implies a *mathematically* strictly
+        smaller sort key, which floating-point summation can weaken to
+        equality (``1e16 + 1.0 == 1e16``) — but never invert.  So every
+        dominator of a record precedes it in the stream or ties its key, and
+        it suffices to test against the *surviving* prefix plus the record's
+        own key-tie run: chunks are extended to the end of a tie run, so an
+        equal-key dominator is always resolved by the intra-chunk pass.  If
+        a record's dominator was itself eliminated, transitivity hands the
+        verdict to the eliminator.
         """
-        strategy = (
-            self.merge_strategy if strategy is None else resolve_merge_strategy(strategy)
-        )
         if counter is None:
             counter = _MergeCounter()
         # With at most one non-empty local skyline there is nothing to
         # cross-examine: its members are the global skyline verbatim.
         if sum(1 for ids in local_ids if ids) <= 1:
             return sorted(record_id for ids in local_ids for record_id in ids), 0
-        if strategy == "all-pairs":
-            return self._merge_all_pairs(local_ids, overrides, counter)
-        return self._merge_sort_merge(local_ids, overrides, counter)
-
-    def _merge_all_pairs(
-        self,
-        local_ids: list[list[int]],
-        overrides: dict[str, PartialOrderDAG],
-        counter,
-    ) -> tuple[list[int], int]:
-        """The original batched sweep: one kernel call per shard pair."""
-        if self._frame is not None:
-            return self._merge_all_pairs_frame(local_ids, overrides, counter)
-        artifacts = self._merge_artifacts(overrides)
-        encoder = artifacts.encoder
-        encoded = [
-            [encoder.encode(self.dataset[record_id]) for record_id in ids]
-            for ids in local_ids
-        ]
-        survivors: list[int] = []
-        pairs = 0
-        for i, ids in enumerate(local_ids):
-            # Indices of shard i members still alive; shrink after each pair so
-            # later pairs cross-examine only the remaining contenders.
-            alive = list(range(len(ids)))
-            for j, dominators in enumerate(encoded):
-                if i == j or not alive or not dominators:
-                    continue
-                pairs += 1
-                targets = [encoded[i][index] for index in alive]
-                mask = self.kernel.record_block_dominated_mask(
-                    artifacts.tables, dominators, targets, counter=counter
-                )
-                alive = [index for index, dead in zip(alive, mask) if not dead]
-            survivors.extend(ids[index] for index in alive)
-        return sorted(survivors), pairs
-
-    @staticmethod
-    def _gather(block, indices):
-        """Rows of a column block by position (fancy index or list gather)."""
-        if isinstance(block, tuple):
-            return [block[index] for index in indices]
-        return block[indices]
-
-    def _merge_all_pairs_frame(
-        self,
-        local_ids: list[list[int]],
-        overrides: dict[str, PartialOrderDAG],
-        counter,
-    ) -> tuple[list[int], int]:
-        """Columnar all-pairs sweep: shard blocks gathered from the frame."""
-        artifacts = self._merge_artifacts(overrides)
-        blocks = []
-        for ids in local_ids:
-            sub = self._frame.take(ids)
-            blocks.append((sub.to, sub.remap_codes(artifacts.code_maps)))
-        survivors: list[int] = []
-        pairs = 0
-        for i, ids in enumerate(local_ids):
-            alive = list(range(len(ids)))
-            to_block, code_block = blocks[i]
-            for j, (dom_to, dom_codes) in enumerate(blocks):
-                if i == j or not alive or not len(dom_to):
-                    continue
-                pairs += 1
-                mask = self.kernel.record_block_dominated_columns(
-                    artifacts.tables,
-                    dom_to,
-                    dom_codes,
-                    self._gather(to_block, alive),
-                    self._gather(code_block, alive),
-                    counter=counter,
-                )
-                alive = [index for index, dead in zip(alive, mask) if not dead]
-            survivors.extend(ids[index] for index in alive)
-        return sorted(survivors), pairs
-
-    def _merge_sort_merge(
-        self,
-        local_ids: list[list[int]],
-        overrides: dict[str, PartialOrderDAG],
-        counter,
-    ) -> tuple[list[int], int]:
-        """K-way heap merge over the monotone SFS key with incremental windows.
-
-        Correctness: dominance implies a *mathematically* strictly smaller
-        sort key, which floating-point summation can weaken to equality
-        (``1e16 + 1.0 == 1e16``) — but never invert.  So every dominator of
-        a record precedes it in the merged stream or ties its key, and it
-        suffices to test against the *surviving* prefix plus the record's
-        own key-tie run: chunks are extended to the end of a tie run, so an
-        equal-key dominator is always resolved by the intra-chunk pass.  If
-        a record's dominator was itself eliminated, transitivity hands the
-        verdict to the eliminator.
-        """
-        if self._frame is not None:
-            return self._merge_sort_merge_frame(local_ids, overrides, counter)
-        artifacts = self._merge_artifacts(overrides)
-        encoder, sort_key = artifacts.encoder, artifacts.sort_key
-        # One (key, record_id, encoded) run per shard, sorted by key; local
-        # skylines come out of SFS/sTSS roughly in this order already, so the
-        # per-shard sorts are near-linear and the heap merge does the rest.
-        runs = []
-        for ids in local_ids:
-            if not ids:
-                continue
-            records = [self.dataset[record_id] for record_id in ids]
-            run = sorted(
-                (sort_key(record), record.id, encoder.encode(record))
-                for record in records
-            )
-            runs.append(run)
-        stream = list(heapq.merge(*runs)) if runs else []
-        window = self.kernel.record_store(artifacts.tables)
-        survivors: list[int] = []
-        batches = 0
-        start = 0
-        while start < len(stream):
-            end = min(start + MERGE_CHUNK, len(stream))
-            # Never split a key-tie run: a dominator whose float key ties its
-            # victim's must share the victim's chunk to be cross-examined.
-            while end < len(stream) and stream[end][0] == stream[end - 1][0]:
-                end += 1
-            chunk = stream[start:end]
-            start = end
-            if len(window):
-                batches += 1
-                mask = window.block_dominated_mask(
-                    [encoded for _, _, encoded in chunk], counter=counter
-                )
-                alive = [entry for entry, dead in zip(chunk, mask) if not dead]
-            else:
-                alive = chunk
-            if len(alive) > 1:
-                # Resolve the chunk against itself: only stream predecessors
-                # (smaller-or-equal keys) can dominate, and strictness makes
-                # the self-comparison harmless.
-                batches += 1
-                mask = self.kernel.record_block_dominated_mask(
-                    artifacts.tables,
-                    [encoded for _, _, encoded in alive],
-                    [encoded for _, _, encoded in alive],
-                    counter=counter,
-                )
-                alive = [entry for entry, dead in zip(alive, mask) if not dead]
-            for _, record_id, encoded in alive:
-                window.append(*encoded)
-                survivors.append(record_id)
-        return sorted(survivors), batches
-
-    def _merge_sort_merge_frame(
-        self,
-        local_ids: list[list[int]],
-        overrides: dict[str, PartialOrderDAG],
-        counter,
-    ) -> tuple[list[int], int]:
-        """Columnar sort-merge: one key vector, one stable sort, block tests.
-
-        Equivalent to the heap-merge record path — the stream is ordered by
-        ``(key, record id)`` with bitwise-identical keys, so chunk
-        boundaries, tie runs, kernel calls and check counts all match; the
-        rows just stream out of the executor's frame instead of being
-        encoded record by record.
-        """
         artifacts = self._merge_artifacts(overrides)
         frame = self._frame
         stream_ids = [record_id for ids in local_ids for record_id in ids]
@@ -949,7 +697,8 @@ class ShardedExecutor:
         total = len(order)
         while start < total:
             end = min(start + MERGE_CHUNK, total)
-            # Never split a key-tie run (see the record path above).
+            # Never split a key-tie run: a dominator whose float key ties its
+            # victim's must share the victim's chunk to be cross-examined.
             while end < total and keys[order[end]] == keys[order[end - 1]]:
                 end += 1
             chunk = order[start:end]
@@ -964,6 +713,9 @@ class ShardedExecutor:
                 )
                 alive = [row for row, dead in zip(chunk, mask) if not dead]
             if len(alive) > 1:
+                # Resolve the chunk against itself: only stream predecessors
+                # (smaller-or-equal keys) can dominate, and strictness makes
+                # the self-comparison harmless.
                 batches += 1
                 alive_to = self._gather(sub.to, alive)
                 alive_codes = self._gather(codes, alive)
@@ -981,12 +733,18 @@ class ShardedExecutor:
                 survivors.extend(stream_ids[row] for row in alive)
         return sorted(survivors), batches
 
+    @staticmethod
+    def _gather(block, indices):
+        """Rows of a column block by position (fancy index or list gather)."""
+        if isinstance(block, tuple):
+            return [block[index] for index in indices]
+        return block[indices]
+
     def query(
         self,
         dag_overrides: Mapping[str, PartialOrderDAG] | None = None,
         *,
         name: str = "query",
-        merge_strategy: str | None = None,
         deadline: float | None = None,
     ) -> ShardedQueryResult:
         """Compute the skyline under (possibly overridden) preferences.
@@ -1008,14 +766,7 @@ class ShardedExecutor:
                 "query deadline exceeded before the cross-shard merge phase"
             )
         counter = _MergeCounter()
-        strategy = (
-            self.merge_strategy
-            if merge_strategy is None
-            else resolve_merge_strategy(merge_strategy)
-        )
-        skyline_ids, batches = self.merge_phase(
-            local_ids, overrides, counter, strategy=strategy
-        )
+        skyline_ids, batches = self.merge_phase(local_ids, overrides, counter)
         finished = time.perf_counter()
         with self._lock:
             self.queries_answered += 1
@@ -1028,7 +779,6 @@ class ShardedExecutor:
             local_skyline_sizes=[len(ids) for ids in local_ids],
             merge_batches=batches,
             merge_checks=counter.dominance_checks,
-            merge_strategy=strategy,
             local_window=local_window,
         )
 
@@ -1037,7 +787,7 @@ class ShardedExecutor:
     # ------------------------------------------------------------------ #
     def summary(self) -> dict[str, object]:
         return {
-            "dataset_size": self._size,
+            "dataset_size": len(self._frame),
             "store": self._store.path if self._store is not None else None,
             "num_shards": self.num_shards,
             "shard_sizes": [len(shard) for shard in self.shards],
@@ -1045,8 +795,6 @@ class ShardedExecutor:
             "partitioner": self.partitioner_name,
             "kernel": self.kernel.name,
             "index": self.index,
-            "merge_strategy": self.merge_strategy,
-            "frame": self._frame is not None,
             "queries_answered": self.queries_answered,
             "pool_running": self._pools is not None,
             "pool_respawns": self.pool_respawns,

@@ -1,130 +1,48 @@
-"""Dataset sharding strategies for the parallel executor.
+"""Sharding strategies for the parallel executor.
 
-A *partitioner* splits a :class:`~repro.data.dataset.Dataset` into a fixed
-number of :class:`Shard` objects.  Correctness of the divide-and-conquer
-skyline (local skylines + cross-shard merge) does not depend on the strategy —
-any partition works — but the strategy shapes the constants:
+:func:`partition_frame` splits an :class:`~repro.data.columns.EncodedFrame`
+into a fixed number of :class:`Shard` objects; a frame row's position plays
+the record id.  Correctness of the divide-and-conquer skyline (local
+skylines + cross-shard merge) does not depend on the strategy — any
+partition works — but the strategy shapes the constants:
 
-* :func:`round_robin_partition` — deal records out cyclically.  Shard sizes
-  differ by at most one, and records that are adjacent in generation order
-  (often correlated) land on different shards.
-* :func:`po_group_partition` — keep all records that share one PO value
-  combination on the same shard (largest groups first, each assigned to the
-  currently smallest shard).  Records of a group tie on every PO attribute
+* ``"round-robin"`` — deal rows out cyclically.  Shard sizes differ by at
+  most one, and rows that are adjacent in generation order (often
+  correlated) land on different shards.
+* ``"po-group"`` — keep all rows that share one PO value combination (one
+  PO-code row) on the same shard (largest groups first, each assigned to the
+  currently smallest shard).  Rows of a group tie on every PO attribute
   under every preference DAG, so their mutual dominance is decided by the TO
   attributes alone; co-locating them lets the per-shard skyline pass resolve
   those fights locally instead of deferring them to the merge phase.
-
-Both strategies also run directly over an :class:`~repro.data.columns.
-EncodedFrame` (see :func:`partition_frame`): a frame row's position plays the
-record id, and the PO-code rows are bijective with the PO value combinations,
-so the frame path yields the identical shard assignment — which is what lets
-a store-backed executor partition without ever materializing records.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from repro.data.columns import EncodedFrame
-from repro.data.dataset import Dataset
 from repro.exceptions import QueryError
 
-Value = Hashable
-
-#: A partitioner maps ``(dataset, num_shards)`` to exactly ``num_shards`` shards.
-Partitioner = Callable[[Dataset, int], list["Shard"]]
+#: The recognized partitioning strategies.
+PARTITIONERS = ("round-robin", "po-group")
 
 
 @dataclass(frozen=True)
 class Shard:
-    """One horizontal slice of a dataset.
+    """One horizontal slice of a frame.
 
-    ``record_ids[i]`` is the parent-dataset id of the shard record with local
-    id ``i`` (subsets re-assign ids positionally), so local skyline ids map
-    back to parent ids by indexing.  The record view is materialized lazily:
-    the columnar executor ships :class:`~repro.data.columns.EncodedFrame`
-    slices instead and never pays for per-shard ``Record`` copies.  Shards cut
-    from a frame (store-backed executors) carry no parent dataset at all;
-    touching :attr:`dataset` on one raises a clean error.
+    ``record_ids[i]`` is the parent-frame row of the shard row with local id
+    ``i``, so local skyline ids map back to parent rows by indexing.
     """
 
     shard_id: int
     record_ids: tuple[int, ...]
-    parent: Dataset | None = field(repr=False, default=None)
 
     def __len__(self) -> int:
         return len(self.record_ids)
 
-    @cached_property
-    def dataset(self) -> Dataset:
-        """The shard as a record Dataset (built on first access, then cached)."""
-        if self.parent is None:
-            raise QueryError(
-                f"shard {self.shard_id} was cut from an encoded frame and has "
-                f"no parent dataset to materialize records from"
-            )
-        return self.parent.subset(self.record_ids)
 
-
-def _check_num_shards(num_shards: int) -> None:
-    if num_shards < 1:
-        raise QueryError(f"num_shards must be >= 1, got {num_shards}")
-
-
-def _build_shards(
-    dataset: Dataset | None, assignments: list[list[int]]
-) -> list[Shard]:
-    return [
-        Shard(
-            shard_id=shard_id,
-            record_ids=tuple(ids),
-            parent=dataset,
-        )
-        for shard_id, ids in enumerate(assignments)
-    ]
-
-
-def round_robin_partition(dataset: Dataset, num_shards: int) -> list[Shard]:
-    """Deal records out cyclically; shard sizes differ by at most one."""
-    _check_num_shards(num_shards)
-    assignments: list[list[int]] = [[] for _ in range(num_shards)]
-    for record in dataset.records:
-        assignments[record.id % num_shards].append(record.id)
-    return _build_shards(dataset, assignments)
-
-
-def po_group_partition(dataset: Dataset, num_shards: int) -> list[Shard]:
-    """Keep each PO-combination group whole; balance group sizes greedily.
-
-    Groups are placed largest-first onto the currently smallest shard (ties
-    broken by shard id), the classic longest-processing-time heuristic.  For
-    TO-only schemas every record is its own group, which degenerates to a
-    balanced — but order-scrambled — assignment, so round-robin is used
-    instead.
-    """
-    _check_num_shards(num_shards)
-    schema = dataset.schema
-    if not schema.num_partial_order:
-        return round_robin_partition(dataset, num_shards)
-    groups: dict[tuple[Value, ...], list[int]] = {}
-    for record in dataset.records:
-        groups.setdefault(schema.partial_values(record.values), []).append(record.id)
-    assignments: list[list[int]] = [[] for _ in range(num_shards)]
-    # Sort by (size desc, first id) so the assignment is deterministic.
-    for member_ids in sorted(groups.values(), key=lambda ids: (-len(ids), ids[0])):
-        smallest = min(range(num_shards), key=lambda i: len(assignments[i]))
-        assignments[smallest].extend(member_ids)
-    for ids in assignments:
-        ids.sort()
-    return _build_shards(dataset, assignments)
-
-
-# --------------------------------------------------------------------- #
-# Frame-based partitioning (dataset-free, used by store-backed executors)
-# --------------------------------------------------------------------- #
 def _round_robin_rows(length: int, num_shards: int) -> list[list[int]]:
     assignments: list[list[int]] = [[] for _ in range(num_shards)]
     for row in range(length):
@@ -133,6 +51,12 @@ def _round_robin_rows(length: int, num_shards: int) -> list[list[int]]:
 
 
 def _po_group_rows(frame: EncodedFrame, num_shards: int) -> list[list[int]]:
+    """Longest-processing-time placement of the PO-code groups.
+
+    For TO-only schemas every row is its own group, which degenerates to a
+    balanced — but order-scrambled — assignment, so round-robin is used
+    instead.
+    """
     if not frame.schema.num_partial_order:
         return _round_robin_rows(len(frame), num_shards)
     groups: dict[tuple, list[int]] = {}
@@ -143,6 +67,7 @@ def _po_group_rows(frame: EncodedFrame, num_shards: int) -> list[list[int]]:
         for row, code_row in enumerate(frame.codes):
             groups.setdefault(tuple(code_row), []).append(row)
     assignments: list[list[int]] = [[] for _ in range(num_shards)]
+    # Sort by (size desc, first row) so the assignment is deterministic.
     for member_ids in sorted(groups.values(), key=lambda ids: (-len(ids), ids[0])):
         smallest = min(range(num_shards), key=lambda i: len(assignments[i]))
         assignments[smallest].extend(member_ids)
@@ -154,45 +79,16 @@ def _po_group_rows(frame: EncodedFrame, num_shards: int) -> list[list[int]]:
 def partition_frame(
     frame: EncodedFrame, num_shards: int, strategy: str = "round-robin"
 ) -> list[Shard]:
-    """Cut an encoded frame into shards without a record dataset.
-
-    Row positions stand in for record ids.  ``po-group`` groups by PO-code
-    rows — bijective with the PO value combinations and iterated in the same
-    row order, so the shard assignment is identical to the record path's for
-    a frame encoded from that dataset.  Custom partitioner callables need
-    records and are rejected here.
-    """
-    _check_num_shards(num_shards)
-    if callable(strategy):
-        raise QueryError(
-            "custom partitioner callables need a record dataset; "
-            "frame/store-backed executors support the named strategies "
-            f"{sorted(PARTITIONERS)} only"
-        )
+    """Cut an encoded frame into exactly ``num_shards`` shards."""
+    if num_shards < 1:
+        raise QueryError(f"num_shards must be >= 1, got {num_shards}")
     if strategy == "round-robin":
         assignments = _round_robin_rows(len(frame), num_shards)
     elif strategy == "po-group":
         assignments = _po_group_rows(frame, num_shards)
     else:
-        raise QueryError(
-            f"unknown partitioner {strategy!r}; known: {sorted(PARTITIONERS)}"
-        )
-    return _build_shards(None, assignments)
-
-
-PARTITIONERS: dict[str, Partitioner] = {
-    "round-robin": round_robin_partition,
-    "po-group": po_group_partition,
-}
-
-
-def resolve_partitioner(partitioner: str | Partitioner) -> tuple[str, Partitioner]:
-    """Coerce a partitioner argument (name or callable) to ``(name, callable)``."""
-    if callable(partitioner):
-        return getattr(partitioner, "__name__", "custom"), partitioner
-    try:
-        return partitioner, PARTITIONERS[partitioner]
-    except KeyError:
-        raise QueryError(
-            f"unknown partitioner {partitioner!r}; known: {sorted(PARTITIONERS)}"
-        ) from None
+        raise QueryError(f"unknown partitioner {strategy!r}; known: {sorted(PARTITIONERS)}")
+    return [
+        Shard(shard_id=shard_id, record_ids=tuple(ids))
+        for shard_id, ids in enumerate(assignments)
+    ]

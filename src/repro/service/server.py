@@ -57,12 +57,10 @@ class QueryService:
         kernel=None,
         workers: int | str | None = None,
         num_shards: int | None = None,
-        partitioner="round-robin",
-        merge_strategy: str | None = None,
+        partitioner: str = "round-robin",
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_entries: int = 32,
         prefilter: bool = True,
-        use_frame: bool | None = None,
         index=None,
         mmap: bool | None = None,
     ) -> None:
@@ -79,11 +77,9 @@ class QueryService:
                 workers=workers,
                 num_shards=num_shards,
                 partitioner=partitioner,
-                merge_strategy=merge_strategy,
                 cache_size=cache_size,
                 max_entries=max_entries,
                 prefilter=prefilter,
-                use_frame=use_frame,
                 index=index,
                 mmap=mmap,
             )

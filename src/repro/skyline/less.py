@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.data.columns import EncodedFrame, resolve_frame_mode
+from repro.data.columns import EncodedFrame, numpy_available
 from repro.data.dataset import Dataset, Record
 from repro.exceptions import DatasetError
 from repro.kernels import resolve_kernel
@@ -44,7 +44,6 @@ def less_skyline(
     key: Callable[[Record], float] | None = None,
     kernel=None,
     frame: EncodedFrame | None = None,
-    use_frame: bool | None = None,
 ) -> SkylineResult:
     """Compute the skyline of ``dataset`` with LESS.
 
@@ -64,17 +63,16 @@ def less_skyline(
     kernel:
         Dominance kernel backend (instance, name or ``None`` for the process
         default) used for both the elimination filter and the SFS filter.
-    frame / use_frame:
-        Columnar inputs: an :class:`~repro.data.columns.EncodedFrame` to scan
-        instead of the record tuples, and the frame-path toggle (``None``
-        consults ``REPRO_FRAME``).  ``dataset`` may be ``None`` when a frame
-        is supplied.
+    frame:
+        An :class:`~repro.data.columns.EncodedFrame` to scan instead of the
+        record tuples (a bare dataset is encoded first while NumPy imports).
+        ``dataset`` may be ``None`` when a frame is supplied.
     """
     if dataset is None and frame is None:
         raise DatasetError("less_skyline needs a dataset or an encoded frame")
     schema = dataset.schema if dataset is not None else frame.schema
     if dominates is None and key is None:
-        if frame is None and resolve_frame_mode(use_frame):
+        if frame is None and numpy_available():
             frame = EncodedFrame.from_dataset(dataset)
         if frame is not None:
             return _less_skyline_frame(schema, frame, filter_window, kernel)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Hashable
 
-from repro.data.columns import EncodedFrame, ordered_rows, resolve_frame_mode
+from repro.data.columns import EncodedFrame, numpy_available, ordered_rows
 from repro.data.dataset import Dataset, Record
 from repro.data.schema import Schema
 from repro.exceptions import DatasetError
@@ -114,23 +114,22 @@ def sfs_skyline(
     kernel=None,
     frame: EncodedFrame | None = None,
     rows=None,
-    use_frame: bool | None = None,
 ) -> SkylineResult:
     """Compute the skyline of ``dataset`` with Sort-Filter-Skyline.
 
     The skyline-list scan runs through the block-dominance kernel (see
     :mod:`repro.kernels`); passing an explicit ``dominates`` predicate
-    falls back to the record-at-a-time reference path.  With the frame path
-    enabled (``frame`` given, or ``use_frame``/``REPRO_FRAME``, on by
-    default when NumPy is available) the presort and scan run columnar over
-    an :class:`~repro.data.columns.EncodedFrame`; ``dataset`` may then be
+    falls back to the record-at-a-time reference path.  Given a ``frame``
+    (or a bare dataset while NumPy imports, which is then encoded first) the
+    presort and scan run columnar over an
+    :class:`~repro.data.columns.EncodedFrame`; ``dataset`` may then be
     ``None``.
     """
     if dataset is None and frame is None:
         raise DatasetError("sfs_skyline needs a dataset or an encoded frame")
     schema = dataset.schema if dataset is not None else frame.schema
     if dominates is None and key is None:
-        if frame is None and resolve_frame_mode(use_frame):
+        if frame is None and numpy_available():
             frame = EncodedFrame.from_dataset(dataset)
         if frame is not None:
             return _sfs_frame(schema, frame, kernel, rows)

@@ -248,6 +248,21 @@ class DatasetStore:
         return int(self._header.get("generation", 0))
 
     @property
+    def next_id(self) -> int:
+        """The first never-allocated record id.
+
+        Compaction persists it, since the highest ids may have been deleted
+        and folded away; stores written without it default to one past the
+        largest row id.
+        """
+        if "next_id" in self._header:
+            return int(self._header["next_id"])
+        row_ids = self.row_ids()
+        if row_ids is None:
+            return self.num_rows
+        return max(row_ids) + 1 if row_ids else 0
+
+    @property
     def crc_mode(self) -> str:
         return self._crc_mode
 

@@ -105,15 +105,17 @@ def pack_frame(
     max_entries: int = 32,
     row_ids=None,
     generation: int = 0,
+    next_id: int | None = None,
 ) -> dict:
     """Prefilter, map, bulk-load and write an encoded frame to ``path``.
 
     The frame-first entry point :func:`pack_dataset` delegates to — and the
     one delta-plane compaction uses, since a compacted live frame has no
     record dataset behind it.  ``row_ids`` optionally persists a stable
-    ``row -> record id`` mapping (omitted = identity) and ``generation`` a
-    monotone compaction counter; both are backward-compatible additions
-    readers may ignore.
+    ``row -> record id`` mapping (omitted = identity), ``generation`` a
+    monotone compaction counter and ``next_id`` the id allocation high-water
+    mark (omitted = one past the largest row id); all three are
+    backward-compatible additions readers may ignore.
     """
     schema = frame.schema
     schema_spec = encode_schema(schema)
@@ -235,6 +237,7 @@ def pack_frame(
         header = {
             "format_version": FORMAT_VERSION,
             "generation": int(generation),
+            **({} if next_id is None else {"next_id": int(next_id)}),
             "schema": schema_spec,
             "counts": {
                 "rows": n,

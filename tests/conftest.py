@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
@@ -99,6 +101,64 @@ def small_anticorrelated_workload():
         seed=5,
     )
     return spec.build()
+
+
+# --------------------------------------------------------------------- #
+# Record-path reference
+# --------------------------------------------------------------------- #
+@contextlib.contextmanager
+def record_path():
+    """Run bare-dataset sTSS/SFS/LESS calls through their record walk.
+
+    With NumPy importable those calls encode the dataset into a frame first;
+    without it they walk the records.  Hiding NumPy from that probe lets one
+    process compare the columnar path against the record reference.
+    """
+    import repro.core.mapping
+    import repro.skyline.less
+    import repro.skyline.sfs
+
+    with contextlib.ExitStack() as stack:
+        for module in (repro.core.mapping, repro.skyline.sfs, repro.skyline.less):
+            stack.enter_context(mock.patch.object(module, "numpy_available", lambda: False))
+        yield
+
+
+# --------------------------------------------------------------------- #
+# Frame backings
+# --------------------------------------------------------------------- #
+FRAME_BACKINGS = ("numpy", "tuple")
+
+
+@contextlib.contextmanager
+def frame_backing_of(name: str):
+    """Encode frames with the named backing inside the block.
+
+    The engine and executor run on one data path, an :class:`EncodedFrame`
+    held in NumPy arrays when NumPy imports and in tuples otherwise.
+    ``"tuple"`` hides NumPy from the frame plane, so one process covers the
+    fallback backing too; ``"numpy"`` skips when NumPy is missing.
+    """
+    import repro.data.columns as columns
+
+    if name == "numpy":
+        if not columns.numpy_available():
+            pytest.skip("NumPy-backed frames need NumPy")
+        yield
+        return
+    with mock.patch.object(columns, "_numpy_or_none", lambda: None):
+        yield
+
+
+@pytest.fixture(params=FRAME_BACKINGS)
+def frame_backing(request):
+    """Run the test once per frame backing (see :func:`frame_backing_of`)."""
+    with frame_backing_of(request.param):
+        yield request.param
+
+
+def assert_backing(frame, backing: str) -> None:
+    assert frame.uses_numpy == (backing == "numpy"), repr(frame)
 
 
 # --------------------------------------------------------------------- #

@@ -2,52 +2,17 @@
 
 import pytest
 
-from repro.data.columns import (
-    FRAME_ENV_VAR,
-    ColumnCodec,
-    EncodedFrame,
-    resolve_frame_mode,
-)
-from repro.exceptions import DatasetError, ExperimentError
+from repro.data.columns import ColumnCodec, EncodedFrame
+from repro.exceptions import DatasetError
 from repro.kernels.tables import RecordTables
-
-
-class TestResolveFrameMode:
-    def test_explicit_boolean_wins(self, monkeypatch):
-        monkeypatch.setenv(FRAME_ENV_VAR, "0")
-        assert resolve_frame_mode(True) is True
-        monkeypatch.setenv(FRAME_ENV_VAR, "1")
-        assert resolve_frame_mode(False) is False
-
-    @pytest.mark.parametrize("word,expected", [("1", True), ("on", True), ("YES", True), ("0", False), ("off", False), ("False", False)])
-    def test_env_words(self, monkeypatch, word, expected):
-        monkeypatch.setenv(FRAME_ENV_VAR, word)
-        assert resolve_frame_mode() is expected
-
-    def test_unset_defaults_to_numpy_availability(self, monkeypatch):
-        monkeypatch.delenv(FRAME_ENV_VAR, raising=False)
-        try:
-            import numpy  # noqa: F401
-
-            expected = True
-        except ImportError:
-            expected = False
-        assert resolve_frame_mode() is expected
-
-    def test_invalid_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(FRAME_ENV_VAR, "sideways")
-        with pytest.raises(ExperimentError, match=FRAME_ENV_VAR):
-            resolve_frame_mode()
-
-    def test_invalid_explicit_value_is_clean(self):
-        with pytest.raises(ExperimentError, match="frame mode"):
-            resolve_frame_mode("sideways")
+from tests.conftest import assert_backing
 
 
 class TestEncodedFrame:
-    def test_columns_match_record_encoding(self, flight_dataset):
+    def test_columns_match_record_encoding(self, flight_dataset, frame_backing):
         schema = flight_dataset.schema
         frame = EncodedFrame.from_dataset(flight_dataset)
+        assert_backing(frame, frame_backing)
         tables = RecordTables.from_schema(schema)
         assert len(frame) == len(flight_dataset)
         assert frame.num_total_order == 2 and frame.num_partial_order == 1
@@ -65,6 +30,7 @@ class TestEncodedFrame:
         assert frame.to is flight_dataset.to_numeric_matrix()
         assert not frame.codes.flags.writeable
 
+    @pytest.mark.usefixtures("frame_backing")
     def test_take_renumbers_rows(self, flight_dataset):
         frame = EncodedFrame.from_dataset(flight_dataset)
         sub = frame.take([5, 8, 2])
@@ -72,12 +38,14 @@ class TestEncodedFrame:
         assert tuple(sub.row(0)[0]) == tuple(frame.row(5)[0])
         assert tuple(sub.row(1)[1]) == tuple(frame.row(8)[1])
 
+    @pytest.mark.usefixtures("frame_backing")
     def test_identity_remap_is_zero_copy(self, flight_dataset):
         frame = EncodedFrame.from_dataset(flight_dataset)
         tables = RecordTables.from_schema(flight_dataset.schema)
         remapped = frame.remap_codes([table.code_of for table in tables.attributes])
         assert remapped is frame.codes
 
+    @pytest.mark.usefixtures("frame_backing")
     def test_remap_translates_codes(self, flight_dataset):
         frame = EncodedFrame.from_dataset(flight_dataset)
         domain = frame.codec.domains[0]
@@ -86,6 +54,7 @@ class TestEncodedFrame:
         for row in range(len(frame)):
             assert remapped[row][0] == reversed_map[domain[frame.codes[row][0]]]
 
+    @pytest.mark.usefixtures("frame_backing")
     def test_remap_missing_value_names_the_attribute(self, flight_dataset):
         frame = EncodedFrame.from_dataset(flight_dataset)
         domain = frame.codec.domains[0]
@@ -93,6 +62,7 @@ class TestEncodedFrame:
         with pytest.raises(DatasetError, match="'airline'"):
             frame.remap_codes([shrunk])
 
+    @pytest.mark.usefixtures("frame_backing")
     def test_remap_needs_one_map_per_attribute(self, flight_dataset):
         frame = EncodedFrame.from_dataset(flight_dataset)
         with pytest.raises(DatasetError, match="one code map per PO attribute"):
@@ -116,6 +86,7 @@ class TestEncodedFrame:
         sub = fallback.take([3, 1])
         assert tuple(sub.row(0)[0]) == tuple(reference.row(3)[0])
 
+    @pytest.mark.usefixtures("frame_backing")
     def test_monotone_keys_match_record_key(self, small_workload):
         from repro.skyline.sfs import depth_columns, monotone_sort_key
 

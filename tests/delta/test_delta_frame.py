@@ -10,6 +10,7 @@ from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.delta.frame import DeltaFrame, as_record_dataset, dataset_from_frame
 from repro.exceptions import QueryError
 from repro.order.builders import chain
+from tests.conftest import assert_backing
 
 
 @pytest.fixture
@@ -24,9 +25,11 @@ def schema():
 
 
 @pytest.fixture
-def base(schema):
+def base(schema, frame_backing):
     rows = [(10.0, 1, "a"), (20.0, 2, "b"), (30.0, 0, "c"), (15.0, 3, "a")]
-    return EncodedFrame.from_dataset(Dataset(schema, rows))
+    frame = EncodedFrame.from_dataset(Dataset(schema, rows))
+    assert_backing(frame, frame_backing)
+    return frame
 
 
 class TestIdStability:
@@ -85,6 +88,7 @@ class TestLiveViews:
         frame, ids = delta.live_frame_and_ids()
         assert ids == [1, 2, 3, 4]
         assert len(frame) == 4
+        assert frame.uses_numpy == base.uses_numpy
         dataset, dataset_ids = delta.live_dataset_and_ids()
         assert dataset_ids == ids
         assert dataset.records[-1].values == (5.0, 4, "b")

@@ -8,6 +8,7 @@ from repro.api import pack
 from repro.data.workloads import WorkloadSpec
 from repro.engine.batch import BatchQuery, BatchQueryEngine, random_query_preferences
 from repro.exceptions import QueryError
+from tests.conftest import assert_backing
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +34,11 @@ def _dominant_row(dataset):
     return tuple(row)
 
 
-@pytest.mark.parametrize("use_frame", [True, False])
+@pytest.mark.usefixtures("frame_backing")
 class TestMutationSemantics:
-    def test_insert_allocates_fresh_ids_and_changes_results(self, workload, use_frame):
+    def test_insert_allocates_fresh_ids_and_changes_results(self, workload):
         _, dataset = workload
-        with BatchQueryEngine(dataset, use_frame=use_frame) as engine:
+        with BatchQueryEngine(dataset) as engine:
             before = engine.run_query(BatchQuery("base")).skyline_ids
             ids = engine.insert([_dominant_row(dataset)])
             assert ids == [len(dataset)]
@@ -45,9 +46,9 @@ class TestMutationSemantics:
             assert ids[0] in after and after != before
             assert engine.mutations_applied == 1
 
-    def test_delete_removes_and_reports_only_live_ids(self, workload, use_frame):
+    def test_delete_removes_and_reports_only_live_ids(self, workload):
         _, dataset = workload
-        with BatchQueryEngine(dataset, use_frame=use_frame) as engine:
+        with BatchQueryEngine(dataset) as engine:
             base = engine.run_query(BatchQuery("base")).skyline_ids
             victim = base[0]
             assert engine.delete([victim, victim]) == [victim]
@@ -55,9 +56,9 @@ class TestMutationSemantics:
             with pytest.raises(QueryError, match="unknown record id"):
                 engine.delete([10**6])
 
-    def test_result_cache_invalidated_on_mutation(self, workload, use_frame):
+    def test_result_cache_invalidated_on_mutation(self, workload):
         schema, dataset = workload
-        with BatchQueryEngine(dataset, use_frame=use_frame) as engine:
+        with BatchQueryEngine(dataset) as engine:
             query = BatchQuery("q", dag_overrides=random_query_preferences(schema, 3))
             engine.run_query(query)
             assert engine.run_query(query).from_cache
@@ -67,6 +68,7 @@ class TestMutationSemantics:
             assert len(dataset) in refreshed.skyline_ids
 
 
+@pytest.mark.usefixtures("frame_backing")
 class TestCompaction:
     def test_compact_is_noop_without_mutations(self, workload):
         _, dataset = workload
@@ -75,9 +77,10 @@ class TestCompaction:
             assert summary["compacted"] is False
             assert engine.compactions == 0
 
-    def test_explicit_compact_preserves_results_and_ids(self, workload):
+    def test_explicit_compact_preserves_results_and_ids(self, workload, frame_backing):
         schema, dataset = workload
         with BatchQueryEngine(dataset) as engine:
+            assert_backing(engine._frame, frame_backing)
             new_id = engine.insert([_dominant_row(dataset)])[0]
             engine.delete([0, 1])
             before = engine.run_query(BatchQuery("base")).skyline_ids
@@ -86,6 +89,7 @@ class TestCompaction:
             assert summary["rows"] == len(dataset) - 1  # +1 insert, -2 deletes
             assert engine.run_query(BatchQuery("base")).skyline_ids == before
             assert engine.summary()["delta"] is None
+            assert_backing(engine._frame, frame_backing)
             # Stable ids survive the fold: the insert keeps its id, and
             # further mutations see it.
             assert engine.delete([new_id]) == [new_id]
@@ -107,14 +111,6 @@ class TestCompaction:
                 engine.delete([record_id])
             assert engine.compactions == 0
             assert engine.summary()["delta"]["pending_mutations"] == 10
-
-    def test_record_path_engine_compacts_too(self, workload):
-        _, dataset = workload
-        with BatchQueryEngine(dataset, use_frame=False) as engine:
-            engine.insert([_dominant_row(dataset)])
-            before = engine.run_query(BatchQuery("base")).skyline_ids
-            assert engine.compact()["compacted"] is True
-            assert engine.run_query(BatchQuery("base")).skyline_ids == before
 
 
 class TestStoreBackedMutations:
@@ -157,3 +153,49 @@ class TestStoreBackedMutations:
             assert delta["inserts"] == 1 and delta["live_inserts"] == 1
             assert delta["pending_mutations"] == 1
             assert delta["live_rows"] == len(dataset) + 1
+
+
+def _open(source, tmp_path, store_backed):
+    """An engine over ``source`` in memory, or over a packed copy of it."""
+    if not store_backed:
+        return BatchQueryEngine(source, compact_threshold=0)
+    path = str(tmp_path / "catalog.rpro")
+    pack(source, path)
+    return BatchQueryEngine(path, compact_threshold=0)
+
+
+@pytest.mark.parametrize("store_backed", [False, True], ids=["in-memory", "store"])
+class TestIdsAcrossCompaction:
+    """Compaction folds deleted ids away; they stay deleted, never reused."""
+
+    def test_redeleting_folded_ids_is_a_noop(self, workload, tmp_path, store_backed):
+        _, dataset = workload
+        with _open(dataset, tmp_path, store_backed) as engine:
+            (inserted,) = engine.insert([_dominant_row(dataset)])
+            assert inserted == len(dataset)
+            assert engine.delete([inserted, 5]) == [inserted, 5]
+            engine.compact()
+            assert engine.delete([inserted]) == []
+            assert engine.delete([5]) == []
+            # Ids at or above the allocation high-water mark were never handed out.
+            with pytest.raises(QueryError, match="unknown record id"):
+                engine.delete([inserted + 1])
+            with pytest.raises(QueryError, match="unknown record id"):
+                engine.delete([-1])
+
+    def test_highest_id_is_not_reused(self, workload, tmp_path, store_backed):
+        _, dataset = workload
+        with _open(dataset, tmp_path, store_backed) as engine:
+            (first,) = engine.insert([_dominant_row(dataset)])
+            engine.delete([first])
+            engine.compact()
+            assert engine.insert([_dominant_row(dataset)]) == [first + 1]
+            engine.delete([first + 1])
+            engine.compact()
+            store_path = engine.store.path if store_backed else None
+        if store_backed:
+            # The high-water mark is persisted in the compacted store.
+            with BatchQueryEngine(store_path, compact_threshold=0) as reopened:
+                assert reopened.store.next_id == first + 2
+                assert reopened.delete([first + 1]) == []
+                assert reopened.insert([_dominant_row(dataset)]) == [first + 2]

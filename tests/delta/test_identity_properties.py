@@ -3,8 +3,8 @@
 The delta plane's contract: after ANY interleaving of inserts and deletes,
 a query through the mutated engine returns exactly — same ids, same order —
 what a fresh engine built from scratch over the live rows returns.  Pinned
-here across random mutation sequences, 1-4 shards, both kernels, the frame
-and record paths, and (in the store matrix) packed stores with mmap on/off,
+here across random mutation sequences, both frame backings, 1-4 shards,
+both kernels and (in the store matrix) packed stores with mmap on/off,
 including sequences that cross the auto-compaction threshold.
 """
 
@@ -21,7 +21,7 @@ from repro.data.dataset import Dataset
 from repro.data.workloads import WorkloadSpec
 from repro.engine.batch import BatchQuery, BatchQueryEngine, random_query_preferences
 from repro.kernels import available_kernels
-from tests.conftest import mixed_dataset_strategy
+from tests.conftest import FRAME_BACKINGS, frame_backing_of, mixed_dataset_strategy
 
 KERNELS = available_kernels()
 
@@ -59,19 +59,18 @@ def _mutate_and_check(engine, schema, live, rng, steps, queries, rebuild_options
 
 
 class TestDeltaEqualsRebuild:
+    @pytest.mark.parametrize("backing", FRAME_BACKINGS)
     @given(
         dataset=mixed_dataset_strategy(max_rows=20),
         kernel=st.sampled_from(KERNELS),
-        use_frame=st.booleans(),
         num_shards=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=25, deadline=None)
-    def test_in_memory(self, dataset, kernel, use_frame, num_shards, seed):
+    def test_in_memory(self, backing, dataset, kernel, num_shards, seed):
         rng = random.Random(seed)
         options = dict(
             kernel=kernel,
-            use_frame=use_frame,
             workers=0,
             num_shards=num_shards if num_shards > 1 else None,
             compact_threshold=0,
@@ -83,7 +82,7 @@ class TestDeltaEqualsRebuild:
             ),
         ]
         live = {record.id: tuple(record.values) for record in dataset.records}
-        with BatchQueryEngine(dataset, **options) as engine:
+        with frame_backing_of(backing), BatchQueryEngine(dataset, **options) as engine:
             _mutate_and_check(engine, dataset.schema, live, rng, 6, queries, options)
 
     @given(

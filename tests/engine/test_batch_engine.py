@@ -19,6 +19,7 @@ from repro.exceptions import QueryError
 from repro.kernels import available_kernels
 from repro.order.builders import chain, paper_example_dag
 from repro.skyline.bruteforce import brute_force_skyline
+from tests.conftest import assert_backing
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,7 @@ def workload():
     return spec.build()
 
 
+@pytest.mark.usefixtures("frame_backing")
 class TestAgainstPerQuerySTSS:
     @pytest.mark.parametrize("kernel_name", available_kernels())
     def test_matches_per_query_stss_on_full_dataset(self, workload, kernel_name):
@@ -60,14 +62,16 @@ class TestAgainstPerQuerySTSS:
         for a, b in zip(with_filter.run(queries), without_filter.run(queries)):
             assert a.skyline_set == b.skyline_set
 
-    def test_base_query_matches_brute_force(self, workload):
+    def test_base_query_matches_brute_force(self, workload, frame_backing):
         _, dataset = workload
         engine = BatchQueryEngine(dataset)
+        assert_backing(engine._frame, frame_backing)
         result = engine.run_query(BatchQuery("base"))
         truth = frozenset(brute_force_skyline(dataset).skyline_ids)
         assert result.skyline_set == truth
 
 
+@pytest.mark.usefixtures("frame_backing")
 class TestCaching:
     def test_identical_topology_is_cached(self, workload):
         schema, dataset = workload
@@ -146,6 +150,7 @@ class TestValidation:
         assert 0 < summary["candidates_after_prefilter"] <= len(dataset)
 
 
+@pytest.mark.usefixtures("frame_backing")
 class TestBoundedCaches:
     def test_result_cache_is_lru_bounded(self, workload):
         schema, dataset = workload
@@ -180,6 +185,7 @@ class TestBoundedCaches:
 
 
 class TestShardedEngine:
+    @pytest.mark.usefixtures("frame_backing")
     @pytest.mark.parametrize("workers,num_shards", [(0, 3), (2, 4)])
     def test_sharded_engine_matches_single_process(self, workload, workers, num_shards):
         schema, dataset = workload
@@ -200,26 +206,6 @@ class TestShardedEngine:
         assert BatchQueryEngine(dataset).executor is None
         with BatchQueryEngine(dataset, workers=0, num_shards=2) as engine:
             assert engine.executor is not None and engine.executor.workers == 0
-
-    @pytest.mark.parametrize("merge_strategy", ["sort-merge", "all-pairs"])
-    def test_merge_strategy_plumbed_through(self, workload, merge_strategy):
-        schema, dataset = workload
-        plain = BatchQueryEngine(dataset)
-        engine = BatchQueryEngine(
-            dataset, workers=0, num_shards=3, merge_strategy=merge_strategy
-        )
-        assert engine.executor.merge_strategy == merge_strategy
-        assert engine.summary()["sharding"]["merge_strategy"] == merge_strategy
-        query = queries_from_seeds(schema, [21])[0]
-        assert engine.run_query(query).skyline_set == plain.run_query(query).skyline_set
-
-    def test_merge_env_var_validated_even_without_executor(self, workload, monkeypatch):
-        from repro.exceptions import ExperimentError
-
-        _, dataset = workload
-        monkeypatch.setenv("REPRO_MERGE", "bogus")
-        with pytest.raises(ExperimentError, match="REPRO_MERGE"):
-            BatchQueryEngine(dataset)
 
 
 class TestConcurrentFacade:
@@ -295,20 +281,7 @@ class TestConcurrentFacade:
 
 
 class TestColumnarEngine:
-    """The frame data plane: identical results, phases accounted."""
-
-    def test_frame_and_record_engines_agree(self, workload):
-        schema, dataset = workload
-        queries = [BatchQuery("base")] + queries_from_seeds(schema, range(4))
-        record = BatchQueryEngine(dataset, use_frame=False).run(queries)
-        columnar = BatchQueryEngine(dataset, use_frame=True).run(queries)
-        for record_result, frame_result in zip(record, columnar):
-            assert frame_result.skyline_set == record_result.skyline_set
-
-    def test_frame_flag_reported_in_summary(self, workload):
-        _, dataset = workload
-        assert BatchQueryEngine(dataset, use_frame=True).summary()["frame"] is True
-        assert BatchQueryEngine(dataset, use_frame=False).summary()["frame"] is False
+    """The frame data plane: phases accounted."""
 
     def test_phase_seconds_track_evaluated_queries(self, workload):
         schema, dataset = workload
@@ -317,7 +290,6 @@ class TestColumnarEngine:
         engine = BatchQueryEngine(dataset, workers=0)
         phases = engine.summary()["phase_seconds"]
         assert set(phases) == {
-            "kernel_warmup",
             "encode",
             "build",
             "index_build",
@@ -358,15 +330,3 @@ class TestColumnarEngine:
             phases = engine.summary()["phase_seconds"]
         assert phases["query"] > 0.0
         assert phases["merge"] >= 0.0
-
-    def test_frame_engine_sharded_matches_record_engine(self, workload):
-        schema, dataset = workload
-        queries = [BatchQuery("base")] + queries_from_seeds(schema, range(3))
-        with (
-            BatchQueryEngine(dataset, num_shards=3, use_frame=True) as columnar,
-            BatchQueryEngine(dataset, num_shards=3, use_frame=False) as record,
-        ):
-            for frame_result, record_result in zip(
-                columnar.run(queries), record.run(queries)
-            ):
-                assert frame_result.skyline_set == record_result.skyline_set

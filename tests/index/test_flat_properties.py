@@ -2,8 +2,9 @@
 tree (hypothesis).
 
 For random datasets across 2-4 dimensions, every available dominance kernel
-and the frame path on/off, a BBS-style traversal of the flat tree must
-report the *identical* skyline id-set in the *identical* discovery order,
+and both sTSS mapping builds (columnar and the record reference), a
+BBS-style traversal of the flat tree must report the *identical* skyline
+id-set in the *identical* discovery order,
 expand the same nodes (equal node reads), and spend equal dominance checks
 under the early-exiting reference kernel — the columnar loop's cached block
 verdicts may only ever *save* checks, never add any, so under the batched
@@ -14,6 +15,8 @@ early exit, so a cached prune saves the pop-time re-scan on every backend.)
 
 from __future__ import annotations
 
+import contextlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,12 +25,13 @@ from repro.baselines.bbs_plus import bbs_plus_skyline
 from repro.baselines.sdc import sdc_skyline
 from repro.baselines.sdc_plus import sdc_plus_skyline
 from repro.core.stss import stss_skyline
+from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema, TotalOrderAttribute
 from repro.index.pager import DiskSimulator
 from repro.kernels import available_kernels
 from repro.skyline.bbs import bbs_skyline
-from tests.conftest import mixed_dataset_strategy
+from tests.conftest import mixed_dataset_strategy, record_path
 
 pytest.importorskip("numpy")
 
@@ -74,17 +78,19 @@ class TestFlatEqualsPointerBBS:
     @given(
         dataset=mixed_dataset_strategy(max_rows=40),
         kernel=st.sampled_from(KERNELS),
-        use_frame=st.booleans(),
+        columnar=st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_stss(self, dataset, kernel, use_frame):
+    def test_stss(self, dataset, kernel, columnar):
         disk_pointer, disk_flat = DiskSimulator(), DiskSimulator()
-        pointer = stss_skyline(
-            dataset, kernel=kernel, index="pointer", use_frame=use_frame, disk=disk_pointer
-        )
-        flat = stss_skyline(
-            dataset, kernel=kernel, index="flat", use_frame=use_frame, disk=disk_flat
-        )
+        frame = EncodedFrame.from_dataset(dataset) if columnar else None
+        with contextlib.nullcontext() if columnar else record_path():
+            pointer = stss_skyline(
+                dataset, kernel=kernel, index="pointer", frame=frame, disk=disk_pointer
+            )
+            flat = stss_skyline(
+                dataset, kernel=kernel, index="flat", frame=frame, disk=disk_flat
+            )
         assert flat.skyline_ids == pointer.skyline_ids
         assert flat.stats.nodes_expanded == pointer.stats.nodes_expanded
         assert flat.stats.points_examined == pointer.stats.points_examined

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.config import INDEX_ENV_VAR
 from repro.exceptions import ExperimentError
 from repro.index.registry import (
-    INDEX_ENV_VAR,
     _numpy_available,
     available_indexes,
     resolve_index,

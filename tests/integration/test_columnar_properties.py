@@ -1,9 +1,11 @@
-"""Property suite: the columnar frame path is indistinguishable from the
-record path.
+"""Property suite: the columnar frame path of the paper algorithms is
+indistinguishable from their record walk.
 
-For random mixed TO/PO datasets, both kernel backends and shard counts 1-4,
-the frame path must produce the identical skyline id-set and spend
-equal-or-fewer dominance checks than the record-at-a-time reference.  (The
+For random mixed TO/PO datasets and both kernel backends, sTSS, SFS and LESS
+over an encoded frame must produce the identical skyline id-set and spend
+equal-or-fewer dominance checks than the record-at-a-time reference (the
+engine and the sharded executor run only the frame path; their oracle check
+lives in ``tests/engine/test_oracle_differential.py``).  (The
 implementation is stronger than the contract — identical discovery order and
 identical check counts — but the asserted property is what future
 optimizations must preserve.)
@@ -18,10 +20,9 @@ from hypothesis import strategies as st
 from repro.core.stss import stss_skyline
 from repro.data.columns import EncodedFrame
 from repro.kernels import available_kernels
-from repro.parallel import ShardedExecutor
 from repro.skyline.less import less_skyline
 from repro.skyline.sfs import sfs_skyline
-from tests.conftest import mixed_dataset_strategy
+from tests.conftest import mixed_dataset_strategy, record_path
 
 KERNELS = available_kernels()
 
@@ -35,7 +36,8 @@ class TestColumnarEqualsRecordPath:
     def test_scan_algorithms(self, dataset, kernel):
         frame = EncodedFrame.from_dataset(dataset)
         for algorithm in (sfs_skyline, less_skyline):
-            record = algorithm(dataset, kernel=kernel, use_frame=False)
+            with record_path():
+                record = algorithm(dataset, kernel=kernel)
             columnar = algorithm(dataset, kernel=kernel, frame=frame)
             assert frozenset(columnar.skyline_ids) == frozenset(record.skyline_ids), (
                 algorithm.__name__
@@ -51,41 +53,11 @@ class TestColumnarEqualsRecordPath:
     @settings(max_examples=25, deadline=None)
     def test_stss(self, dataset, kernel):
         frame = EncodedFrame.from_dataset(dataset)
-        record = stss_skyline(dataset, kernel=kernel, use_frame=False)
+        with record_path():
+            record = stss_skyline(dataset, kernel=kernel)
         columnar = stss_skyline(dataset, kernel=kernel, frame=frame)
         assert frozenset(columnar.skyline_ids) == frozenset(record.skyline_ids)
         assert columnar.stats.dominance_checks <= record.stats.dominance_checks
-
-    @given(
-        dataset=mixed_dataset_strategy(max_rows=30, min_to=0),
-        kernel=st.sampled_from(KERNELS),
-        num_shards=st.integers(min_value=1, max_value=4),
-        merge_strategy=st.sampled_from(["sort-merge", "all-pairs"]),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_sharded_executor(self, dataset, kernel, num_shards, merge_strategy):
-        record_executor = ShardedExecutor(
-            dataset,
-            num_shards=num_shards,
-            workers=0,
-            kernel=kernel,
-            merge_strategy=merge_strategy,
-            use_frame=False,
-        )
-        frame_executor = ShardedExecutor(
-            dataset,
-            num_shards=num_shards,
-            workers=0,
-            kernel=kernel,
-            merge_strategy=merge_strategy,
-            use_frame=True,
-        )
-        record = record_executor.query()
-        columnar = frame_executor.query()
-        assert columnar.skyline_set == record.skyline_set
-        assert columnar.merge_checks <= record.merge_checks
-        assert record_executor.summary()["frame"] is False
-        assert frame_executor.summary()["frame"] is True
 
 
 @pytest.mark.skipif(

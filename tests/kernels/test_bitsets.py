@@ -124,27 +124,3 @@ class TestNumpyWordArrays:
             assert words.shape == (bitset.cardinality, bitset.num_words)
             assert [tuple(int(w) for w in row) for row in words] == list(bitset.rows)
         assert attribute_word_arrays(tables) is arrays
-
-    def test_packed_cube_pads_to_common_shape(self):
-        numpy = pytest.importorskip("numpy")
-        from repro.kernels.bitsets import packed_word_cube
-
-        schema = Schema(
-            [
-                TotalOrderAttribute("price"),
-                PartialOrderAttribute("big", _chain(70)),
-                PartialOrderAttribute("small", _diamond()),
-            ]
-        )
-        tables = RecordTables.from_schema(schema)
-        cube = packed_word_cube(tables)
-        bitsets = dominance_bitsets(tables)
-        assert cube.dtype == numpy.uint64
-        assert cube.shape == (2, 70, 2)
-        for attribute, bitset in enumerate(bitsets):
-            for code, row in enumerate(bitset.rows):
-                padded = tuple(row) + (0,) * (cube.shape[2] - len(row))
-                assert tuple(int(w) for w in cube[attribute, code]) == padded
-            # Padding rows beyond the domain stay all-zero.
-            assert not cube[attribute, bitset.cardinality :].any()
-        assert packed_word_cube(tables) is cube

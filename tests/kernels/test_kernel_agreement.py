@@ -1,9 +1,8 @@
 """Property tests: every kernel backend agrees with the pure-Python reference.
 
 The reference backend defines the semantics; these tests drive every backend
-available in the environment (purepython + numpy, plus jit when numba is
-installed — the full three-way matrix) with random datasets and random DAG
-topologies (hypothesis) and assert they return identical verdicts for every
+available in the environment (purepython + numpy) with random datasets and
+random DAG topologies (hypothesis) and assert they return identical verdicts for every
 operation of the kernel interface.  Skipped entirely when NumPy is
 unavailable (there is only one backend then).
 """
@@ -32,8 +31,7 @@ from tests.conftest import mixed_dataset_strategy, random_dag_strategy
 numpy = pytest.importorskip("numpy")
 
 PURE = get_kernel("purepython")
-#: Every backend usable here, reference first ("jit" joins when numba is
-#: importable, widening every test below to the three-way matrix).
+#: Every backend usable here, reference first.
 KERNELS = tuple(get_kernel(name) for name in available_kernels())
 OTHERS = KERNELS[1:]
 
@@ -391,13 +389,6 @@ class TestAlgorithmLevelAgreement:
         results = [stss_skyline(dataset, kernel=kernel) for kernel in KERNELS]
         # Identical ids *in identical discovery order*, not just as sets.
         _assert_all_match([result.skyline_ids for result in results])
-        # The compiled backend early-exits exactly like the reference, so its
-        # dominance-check count can never exceed purepython's.  (The NumPy
-        # backend is exempt: it charges whole blocks by design.)
-        reference_checks = results[0].stats.dominance_checks
-        for kernel, result in zip(KERNELS, results):
-            if kernel.name == "jit":
-                assert result.stats.dominance_checks <= reference_checks
 
     @given(dataset=mixed_dataset_strategy(max_rows=25))
     @settings(max_examples=15, deadline=None)
@@ -411,10 +402,6 @@ class TestAlgorithmLevelAgreement:
             _assert_all_match(
                 [result.skyline_ids for result in results], context=algorithm.__name__
             )
-            reference_checks = results[0].stats.dominance_checks
-            for kernel, result in zip(KERNELS, results):
-                if kernel.name == "jit":
-                    assert result.stats.dominance_checks <= reference_checks
 
 
 def test_tdominance_tables_match_encoding():

@@ -51,68 +51,20 @@ class TestRegistry:
         assert get_kernel("purepython") is get_kernel("purepython")
 
 
-class TestJitRegistration:
-    def test_jit_listed_only_with_numba(self):
-        try:
-            import numba  # noqa: F401
-
-            have_numba = True
-        except ImportError:
-            have_numba = False
+class TestBackends:
+    def test_only_purepython_and_numpy_exist(self):
         try:
             import numpy  # noqa: F401
 
-            have_numpy = True
+            expected = ("purepython", "numpy")
         except ImportError:
-            have_numpy = False
-        assert ("jit" in available_kernels()) == (have_numba and have_numpy)
+            expected = ("purepython",)
+        assert available_kernels() == expected
 
-    def test_numba_alias(self):
-        import warnings
-
-        import repro.kernels as kernels
-
-        kernels._instances.pop("jit", None)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                assert get_kernel("numba") is get_kernel("jit")
-        finally:
-            kernels._instances.pop("jit", None)
-
-    def test_missing_numba_falls_back_with_warning(self):
-        """Requesting jit without numba degrades gracefully — once."""
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba installed: the real backend is returned instead")
-        except ImportError:
-            pass
-        import repro.kernels as kernels
-
-        kernels._instances.pop("jit", None)
-        try:
-            with pytest.warns(RuntimeWarning, match=r"repro\[jit\]"):
-                kernel = get_kernel("jit")
-            # Best remaining backend, fully functional.
-            assert kernel.name in ("numpy", "purepython")
-            assert kernel.pareto_mask([(0.0, 1.0), (1.0, 0.0), (2.0, 2.0)]) == [
-                True,
-                True,
-                False,
-            ]
-            # Cached under the canonical name: no second warning.
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                assert get_kernel("jit") is kernel
-        finally:
-            kernels._instances.pop("jit", None)
-
-    def test_warmup_default_is_noop(self):
-        # Non-compiled backends report "nothing to warm".
-        assert get_kernel("purepython").warmup() is False
+    @pytest.mark.parametrize("name", ["jit", "numba"])
+    def test_removed_backend_names_are_unknown(self, name):
+        with pytest.raises(ExperimentError, match="unknown dominance kernel"):
+            get_kernel(name)
 
 
 class TestRecordTables:

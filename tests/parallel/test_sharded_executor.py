@@ -2,7 +2,8 @@
 
 The load-bearing property: for *any* dataset, *any* preference DAG topology,
 *any* shard count and *either* partitioner, the partition → local skyline →
-cross-shard merge pipeline returns exactly the single-process sTSS skyline.
+cross-shard sort-merge pipeline returns exactly the single-process sTSS
+skyline.
 """
 
 from __future__ import annotations
@@ -11,18 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import resolve_workers
 from repro.core.stss import stss_skyline
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema, TotalOrderAttribute
 from repro.engine.batch import random_query_preferences
 from repro.exceptions import ExperimentError, QueryError
 from repro.kernels import available_kernels
-from repro.parallel import (
-    MERGE_STRATEGIES,
-    ShardedExecutor,
-    resolve_merge_strategy,
-    resolve_workers,
-)
+from repro.parallel import ShardedExecutor
 from repro.skyline.sfs import sfs_skyline
 from tests.conftest import mixed_dataset_strategy
 
@@ -34,17 +31,15 @@ class TestShardedMatchesSingleProcess:
         dataset=mixed_dataset_strategy(max_rows=40),
         num_shards=st.integers(min_value=1, max_value=8),
         partitioner=st.sampled_from(["round-robin", "po-group"]),
-        merge_strategy=st.sampled_from(MERGE_STRATEGIES),
     )
     @settings(max_examples=60, deadline=None)
-    def test_base_preferences(self, dataset, num_shards, partitioner, merge_strategy):
+    def test_base_preferences(self, dataset, num_shards, partitioner):
         reference = sorted(stss_skyline(dataset).skyline_ids)
         executor = ShardedExecutor(
             dataset,
             num_shards=num_shards,
             workers=0,
             partitioner=partitioner,
-            merge_strategy=merge_strategy,
         )
         assert executor.query().skyline_ids == reference
 
@@ -53,12 +48,9 @@ class TestShardedMatchesSingleProcess:
         query_seed=st.integers(min_value=0, max_value=10_000),
         num_shards=st.integers(min_value=1, max_value=8),
         partitioner=st.sampled_from(["round-robin", "po-group"]),
-        merge_strategy=st.sampled_from(MERGE_STRATEGIES),
     )
     @settings(max_examples=40, deadline=None)
-    def test_dynamic_preference_overrides(
-        self, dataset, query_seed, num_shards, partitioner, merge_strategy
-    ):
+    def test_dynamic_preference_overrides(self, dataset, query_seed, num_shards, partitioner):
         schema = dataset.schema
         # Random preferences re-drawn over each attribute's own domain
         # (dynamic queries re-rank a domain, they do not change it).
@@ -73,7 +65,6 @@ class TestShardedMatchesSingleProcess:
             num_shards=num_shards,
             workers=0,
             partitioner=partitioner,
-            merge_strategy=merge_strategy,
         )
         assert executor.query(overrides).skyline_ids == reference
 
@@ -164,30 +155,14 @@ class TestValidationAndAccounting:
 
     def test_result_accounting(self, small_workload):
         _, dataset = small_workload
-        executor = ShardedExecutor(
-            dataset, num_shards=3, workers=0, merge_strategy="all-pairs"
-        )
+        executor = ShardedExecutor(dataset, num_shards=3, workers=0)
         result = executor.query()
         assert result.seconds >= result.seconds_local >= 0
         assert result.seconds >= result.seconds_merge >= 0
         assert len(result.local_skyline_sizes) == 3
-        # With 3 non-empty local skylines, every ordered pair cross-examines
-        # (minus targets eliminated early) — at most n*(n-1) calls.
-        assert 0 < result.merge_batches <= 6
-        assert result.merge_pairs == result.merge_batches  # legacy alias
-        assert result.merge_checks > 0
-        assert result.merge_strategy == "all-pairs"
-        assert result.local_window[1] >= result.local_window[0]
-
-    def test_sort_merge_accounting(self, small_workload):
-        _, dataset = small_workload
-        executor = ShardedExecutor(
-            dataset, num_shards=3, workers=0, merge_strategy="sort-merge"
-        )
-        result = executor.query()
-        assert result.merge_strategy == "sort-merge"
         assert result.merge_batches > 0
         assert result.merge_checks > 0
+        assert result.local_window[1] >= result.local_window[0]
 
     def test_summary_shape(self, small_workload):
         _, dataset = small_workload
@@ -200,20 +175,12 @@ class TestValidationAndAccounting:
         assert sum(summary["shard_sizes"]) == len(dataset)
 
 
-class TestMergeStrategies:
-    def test_strategies_agree(self, small_anticorrelated_workload):
-        _, dataset = small_anticorrelated_workload
-        executor = ShardedExecutor(dataset, num_shards=5, workers=0)
-        sort_merge = executor.query(merge_strategy="sort-merge")
-        all_pairs = executor.query(merge_strategy="all-pairs")
-        assert sort_merge.skyline_ids == all_pairs.skyline_ids
-        assert sort_merge.merge_strategy == "sort-merge"
-        assert all_pairs.merge_strategy == "all-pairs"
-
-    def test_sort_merge_does_less_work_on_dominance_heavy_workloads(self):
-        # The asymptotic win (stream x skyline instead of all-pairs squared)
-        # needs local skylines well past one merge chunk; a 6k-tuple
-        # anticorrelated workload gets there while staying fast.
+class TestSortMerge:
+    def test_work_below_a_shard_pair_sweep(self):
+        # The asymptotic win (stream x skyline instead of the shard-pair
+        # sweep's local-skyline products) needs local skylines well past one
+        # merge chunk; a 6k-tuple anticorrelated workload gets there while
+        # staying fast.
         from repro.data.workloads import WorkloadSpec
 
         _, dataset = WorkloadSpec(
@@ -227,10 +194,11 @@ class TestMergeStrategies:
             seed=3,
         ).build()
         executor = ShardedExecutor(dataset, num_shards=4, workers=0)
-        sort_merge = executor.query(merge_strategy="sort-merge")
-        all_pairs = executor.query(merge_strategy="all-pairs")
-        assert sort_merge.skyline_ids == all_pairs.skyline_ids
-        assert sort_merge.merge_checks < all_pairs.merge_checks
+        result = executor.query()
+        assert result.skyline_ids == sorted(stss_skyline(dataset).skyline_ids)
+        sizes = result.local_skyline_sizes
+        pair_sweep = sum(a * b for i, a in enumerate(sizes) for j, b in enumerate(sizes) if i != j)
+        assert result.merge_checks < pair_sweep
 
     def test_phase_split_composes_to_query(self, small_workload):
         """local_phase + merge_phase is exactly what query() computes."""
@@ -239,23 +207,19 @@ class TestMergeStrategies:
         overrides = random_query_preferences(schema, 13)
         local_ids = executor.local_phase(overrides)
         assert len(local_ids) == 4
-        for strategy in MERGE_STRATEGIES:
-            merged, batches = executor.merge_phase(
-                local_ids, overrides, strategy=strategy
-            )
-            assert merged == executor.query(overrides, merge_strategy=strategy).skyline_ids
-            assert batches >= 0
+        merged, batches = executor.merge_phase(local_ids, overrides)
+        assert merged == executor.query(overrides).skyline_ids
+        assert batches >= 0
 
     def test_sort_merge_survives_float_key_ties(self):
         """Regression: float summation can tie a dominator's sort key with
         its victim's (1e16 + 1.0 == 1e16), so the strictly-smaller-key
         invariant degrades to smaller-or-equal.  A key-tie run must never be
         split across merge chunks, or an equal-key dominator in the next
-        chunk silently lets its victim survive and the two merge strategies
-        diverge.  (Ground truth comes from brute force: SFS's precedence
-        property rests on the same strict-key assumption, so in this corner
-        the cross-examining merges are *more* correct than a single SFS
-        pass.)
+        chunk silently lets its victim survive.  (Ground truth comes from
+        brute force: SFS's precedence property rests on the same strict-key
+        assumption, so in this corner the cross-examining merge is *more*
+        correct than a single SFS pass.)
         """
         from repro.skyline.bruteforce import brute_force_skyline
 
@@ -271,13 +235,11 @@ class TestMergeStrategies:
         assert 0 not in truth  # the dominator kills the victim
         executor = ShardedExecutor(dataset, num_shards=3, workers=0)
         # The victim's shard does not hold its dominator, so the victim
-        # reaches the merge phase and must be killed there by both
-        # strategies.
+        # reaches the merge phase and must be killed there.
         local_ids = executor.local_phase({})
         assert any(0 in ids for ids in local_ids)
-        for strategy in MERGE_STRATEGIES:
-            merged, _ = executor.merge_phase(local_ids, {}, strategy=strategy)
-            assert merged == truth, strategy
+        merged, _ = executor.merge_phase(local_ids, {})
+        assert merged == truth
 
     def test_concurrent_queries_agree_with_serial(self, small_workload):
         import threading
@@ -302,27 +264,6 @@ class TestMergeStrategies:
             thread.join()
         assert not errors
         assert executor.queries_answered == 2 * len(seeds)
-
-
-class TestResolveMergeStrategy:
-    def test_explicit_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MERGE", "all-pairs")
-        assert resolve_merge_strategy("sort-merge") == "sort-merge"
-
-    def test_env_fallback_and_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MERGE", "all-pairs")
-        assert resolve_merge_strategy(None) == "all-pairs"
-        monkeypatch.delenv("REPRO_MERGE")
-        assert resolve_merge_strategy(None) == "sort-merge"
-
-    def test_invalid_value_rejected(self):
-        with pytest.raises(ExperimentError, match="merge strategy"):
-            resolve_merge_strategy("zipper")
-
-    def test_invalid_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MERGE", "zipper")
-        with pytest.raises(ExperimentError, match="REPRO_MERGE"):
-            resolve_merge_strategy(None)
 
 
 class TestResolveWorkers:
@@ -350,7 +291,7 @@ class TestResolveWorkers:
 
 
 class TestColumnarShardShipping:
-    """The frame path ships column blocks — never ``Record`` objects."""
+    """Workers receive column blocks — never ``Record`` objects."""
 
     @staticmethod
     def _assert_no_records(payload) -> bytes:
@@ -372,9 +313,7 @@ class TestColumnarShardShipping:
 
     def test_worker_payload_contains_no_record_objects(self, small_workload):
         _, dataset = small_workload
-        executor = ShardedExecutor(
-            dataset, num_shards=4, workers=2, use_frame=True
-        )
+        executor = ShardedExecutor(dataset, num_shards=4, workers=2)
         for worker in range(executor.workers):
             owned = [
                 index
@@ -382,23 +321,6 @@ class TestColumnarShardShipping:
                 if index % executor.workers == worker
             ]
             self._assert_no_records(executor._worker_initargs(owned))
-
-    def test_record_path_still_ships_datasets(self, small_workload):
-        _, dataset = small_workload
-        executor = ShardedExecutor(dataset, num_shards=2, workers=1, use_frame=False)
-        payload = executor._worker_initargs([0, 1])
-        with pytest.raises(AssertionError):
-            self._assert_no_records(payload)
-
-    def test_frame_pool_matches_record_pool(self, small_workload):
-        schema, dataset = small_workload
-        overrides = random_query_preferences(schema, 3)
-        with ShardedExecutor(
-            dataset, num_shards=2, workers=2, use_frame=True
-        ) as pooled:
-            frame_result = pooled.query(overrides)
-        inline = ShardedExecutor(dataset, num_shards=2, workers=0, use_frame=False)
-        assert frame_result.skyline_ids == inline.query(overrides).skyline_ids
 
     def test_mismatched_frame_rejected(self, small_workload):
         from repro.data.columns import EncodedFrame

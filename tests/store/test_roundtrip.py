@@ -4,7 +4,7 @@ The contract under test: ``pack_dataset`` followed by ``DatasetStore.open``
 (mmap or load) reconstructs *exactly* the artifacts the engine would have
 built from the records — same encoded columns, same prefilter survivors, and
 query results that are identical to the in-memory path down to the discovery
-order and the dominance-check counts, across both kernels, frame on/off and
+order and the dominance-check counts, across both kernels, mmap on/off and
 1–4 shards.
 """
 
@@ -96,16 +96,6 @@ class TestBitwiseRoundTrip:
             BatchQueryEngine(path, kernel=kernel_name, mmap=mmap), schema
         )
         assert via_store == reference  # ids, discovery order AND check counts
-
-    @pytest.mark.parametrize("use_frame", [True, False])
-    def test_frame_toggle_preserves_results(self, workload, packed, use_frame):
-        schema, dataset = workload
-        path, _ = packed
-        reference = _run(BatchQueryEngine(dataset, use_frame=use_frame), schema)
-        via_store = _run(BatchQueryEngine(path, use_frame=use_frame), schema)
-        assert [(n, sorted(ids)) for n, ids, _ in via_store] == [
-            (n, sorted(ids)) for n, ids, _ in reference
-        ]
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
     def test_sharded_store_engine_matches_in_memory(self, workload, packed, num_shards):

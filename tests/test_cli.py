@@ -80,34 +80,28 @@ class TestBatchQueryCommand:
         assert code == 0
         out = capsys.readouterr().out
         match = re.search(
-            r"phases: kernel_warmup (\S+) ms \| encode (\S+) ms \| build (\S+) ms "
+            r"phases: encode (\S+) ms \| build (\S+) ms "
             r"\| index_build (\S+) ms \| query (\S+) ms \| merge (\S+) ms "
             r"\| total (\S+) ms",
             out,
         )
         assert match, out
-        warmup, encode, build, index_build, query, merge, total = (
+        encode, build, index_build, query, merge, total = (
             float(g) for g in match.groups()
         )
-        assert all(
-            value >= 0.0
-            for value in (warmup, encode, build, index_build, query, merge)
-        )
-        # The phases sum to the printed total (each of the seven numbers
+        assert all(value >= 0.0 for value in (encode, build, index_build, query, merge))
+        # The phases sum to the printed total (each of the six numbers
         # carries up to 0.05 ms of :.1f print rounding).
-        assert (
-            abs((warmup + encode + build + index_build + query + merge) - total) <= 0.4
-        )
+        assert abs((encode + build + index_build + query + merge) - total) <= 0.35
 
-    def test_frame_flag_parses_and_runs(self, capsys):
-        args = build_batch_query_parser().parse_args(["--frame", "off"])
-        assert args.frame == "off"
-        for mode in ("on", "off"):
-            code = main(
-                ["batch-query", "--cardinality", "200", "--queries", "1", "--frame", mode]
-            )
-            assert code == 0
-        assert "cached topologies" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "flag", [["--frame", "off"], ["--merge-strategy", "sort-merge"]]
+    )
+    def test_removed_data_path_flags_are_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_batch_query_parser().parse_args(flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_workers_value_is_reported(self, capsys):
         code = main(["batch-query", "--cardinality", "100", "--workers", "lots"])
@@ -129,27 +123,6 @@ class TestBatchQueryCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "REPRO_WORKERS" in err
         assert "Traceback" not in err
-
-    def test_merge_strategy_flag_parsed_and_run(self, capsys):
-        code = main(
-            [
-                "batch-query",
-                "--cardinality", "300",
-                "--queries", "1",
-                "--workers", "0",
-                "--shards", "2",
-                "--merge-strategy", "all-pairs",
-            ]
-        )
-        assert code == 0
-        assert "cached topologies" in capsys.readouterr().out
-
-    def test_bad_merge_env_var_named_in_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_MERGE", "zipper")
-        code = main(["batch-query", "--cardinality", "100"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "REPRO_MERGE" in err
 
     def test_index_flag_parses_and_runs(self, capsys):
         from repro.index.registry import set_default_index

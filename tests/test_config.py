@@ -1,19 +1,21 @@
-"""RuntimeConfig resolution: precedence, env errors and deprecation shims."""
+"""RuntimeConfig resolution: precedence, env errors and the env gateway."""
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import pytest
 
 from repro.config import (
-    FRAME_ENV_VAR,
+    CRC_ENV_VAR,
+    INDEX_ENV_VAR,
     KERNEL_ENV_VAR,
-    MERGE_ENV_VAR,
     MMAP_ENV_VAR,
     STORE_ENV_VAR,
     WORKERS_ENV_VAR,
     RuntimeConfig,
     env_text,
-    resolve_merge_strategy,
+    resolve_crc_mode,
     resolve_mmap_mode,
     resolve_workers,
 )
@@ -24,9 +26,9 @@ from repro.exceptions import ExperimentError
 def clean_env(monkeypatch):
     for variable in (
         KERNEL_ENV_VAR,
-        FRAME_ENV_VAR,
+        INDEX_ENV_VAR,
         WORKERS_ENV_VAR,
-        MERGE_ENV_VAR,
+        CRC_ENV_VAR,
         STORE_ENV_VAR,
         MMAP_ENV_VAR,
     ):
@@ -38,32 +40,30 @@ class TestPrecedence:
         config = RuntimeConfig.resolve()
         assert config.kernel is None and config.index is None
         assert config.workers == 0
-        assert config.merge == "sort-merge"
+        assert config.crc == "eager"
         assert config.store is None
         assert config.prefilter is True
 
     def test_env_fills_unset_fields(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "purepython")
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(MERGE_ENV_VAR, "all-pairs")
+        monkeypatch.setenv(CRC_ENV_VAR, "lazy")
         monkeypatch.setenv(STORE_ENV_VAR, "/tmp/env.rpro")
         monkeypatch.setenv(MMAP_ENV_VAR, "off")
         config = RuntimeConfig.resolve()
         assert config.kernel == "purepython"
         assert config.workers == 3
-        assert config.merge == "all-pairs"
+        assert config.crc == "lazy"
         assert config.store == "/tmp/env.rpro"
         assert config.mmap is False
 
     def test_explicit_arguments_beat_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(MERGE_ENV_VAR, "all-pairs")
+        monkeypatch.setenv(CRC_ENV_VAR, "lazy")
         monkeypatch.setenv(STORE_ENV_VAR, "/tmp/env.rpro")
-        config = RuntimeConfig.resolve(
-            workers=1, merge="sort-merge", store="/tmp/flag.rpro"
-        )
+        config = RuntimeConfig.resolve(workers=1, crc="eager", store="/tmp/flag.rpro")
         assert config.workers == 1
-        assert config.merge == "sort-merge"
+        assert config.crc == "eager"
         assert config.store == "/tmp/flag.rpro"
 
     def test_with_overrides_replaces_fields(self):
@@ -74,15 +74,21 @@ class TestPrecedence:
 
     def test_engine_options_round_trip(self):
         config = RuntimeConfig.resolve(
-            workers=2, shards=4, merge="all-pairs", prefilter=False, cache_size=7
+            workers=2, shards=4, crc="lazy", prefilter=False, cache_size=7
         )
         options = config.engine_options()
         assert options["workers"] == 2
         assert options["num_shards"] == 4
-        assert options["merge_strategy"] == "all-pairs"
+        assert options["crc"] == "lazy"
         assert options["prefilter"] is False
         assert options["cache_size"] == 7
         assert "mmap" in options
+
+    def test_data_path_has_no_knobs(self):
+        """The frame and the sort-merge are the only data path: no toggles."""
+        names = {field.name for field in fields(RuntimeConfig)}
+        assert not names & {"frame", "merge"}
+        assert len(names) == 13
 
     def test_blank_env_values_are_ignored(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "   ")
@@ -97,10 +103,10 @@ class TestErrors:
         with pytest.raises(ExperimentError, match=WORKERS_ENV_VAR):
             resolve_workers()
 
-    def test_bad_merge_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(MERGE_ENV_VAR, "zipper")
-        with pytest.raises(ExperimentError, match=MERGE_ENV_VAR):
-            resolve_merge_strategy()
+    def test_bad_crc_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(CRC_ENV_VAR, "zipper")
+        with pytest.raises(ExperimentError, match=CRC_ENV_VAR):
+            resolve_crc_mode()
 
     def test_bad_mmap_env_names_the_variable(self, monkeypatch):
         monkeypatch.setenv(MMAP_ENV_VAR, "sideways")
@@ -113,26 +119,7 @@ class TestErrors:
         assert WORKERS_ENV_VAR not in str(excinfo.value)
 
 
-class TestDeprecationShims:
-    """The historical import paths keep working and agree with repro.config."""
-
-    def test_executor_shims(self, monkeypatch):
-        from repro.parallel import executor
-
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        assert executor.resolve_workers() == resolve_workers() == 4
-        assert executor.resolve_merge_strategy("all-pairs") == "all-pairs"
-        assert executor.WORKERS_ENV_VAR == WORKERS_ENV_VAR
-        assert executor.MERGE_ENV_VAR == MERGE_ENV_VAR
-
-    def test_columns_shim(self, monkeypatch):
-        from repro.config import resolve_frame_mode
-        from repro.data import columns
-
-        monkeypatch.setenv(FRAME_ENV_VAR, "off")
-        assert columns.resolve_frame_mode() is resolve_frame_mode() is False
-        assert columns.FRAME_ENV_VAR == FRAME_ENV_VAR
-
+class TestEnvGateway:
     def test_env_reads_live_only_in_config(self):
         """The library funnels every REPRO_* read through repro.config.
 

@@ -11,14 +11,10 @@ every suite without NumPy), so:
   (``try: ... except ImportError`` or ``if TYPE_CHECKING``) so importing the
   module never fails on a NumPy-less checkout.  Function-scope imports are
   fine: they only run on NumPy-enabled code paths.
-* :data:`NUMPY_REQUIRED` modules (the NumPy kernel, the JIT kernel, the flat
-  R-tree) may import NumPy unguarded at module scope — but then *nothing
-  outside that set may import them at module scope* either; they are loaded
-  lazily behind the kernel/index registries' availability probes.
-* ``numba`` is held to the same discipline as ``numpy``: it is an optional
-  accelerator, so only allowlisted planes may import it, guarded — except in
-  :data:`NUMPY_REQUIRED` modules (the JIT kernel imports it unguarded and is
-  itself loaded lazily).
+* :data:`NUMPY_REQUIRED` modules (the NumPy kernel, the flat R-tree) may
+  import NumPy unguarded at module scope — but then *nothing outside that
+  set may import them at module scope* either; they are loaded lazily behind
+  the kernel/index registries' availability probes.
 """
 
 from __future__ import annotations
@@ -29,18 +25,8 @@ from collections.abc import Iterable
 from reprolint.engine import Finding, Module, Rule
 
 #: Modules that exist only on the NumPy path and are imported lazily behind a
-#: registry availability probe; unguarded module-scope `import numpy` (and,
-#: for the JIT kernel, `import numba`) is fine.
-NUMPY_REQUIRED = frozenset(
-    {
-        "repro.kernels.numpy_kernel",
-        "repro.kernels.jit_kernel",
-        "repro.index.flat",
-    }
-)
-
-#: Optional accelerator roots held to the containment discipline.
-_ACCELERATOR_ROOTS = frozenset({"numpy", "numba"})
+#: registry availability probe; unguarded module-scope `import numpy` is fine.
+NUMPY_REQUIRED = frozenset({"repro.kernels.numpy_kernel", "repro.index.flat"})
 
 #: Plane prefixes allowed to import numpy (guarded at module scope).
 ALLOWED_PREFIXES = (
@@ -134,13 +120,12 @@ def check(module: Module) -> Iterable[Finding]:
     ):
         targets = _imports(stmt)
         for target in targets:
-            root = target.split(".", 1)[0]
-            if root in _ACCELERATOR_ROOTS:
+            if target.split(".", 1)[0] == "numpy":
                 if not allowed:
                     yield module.finding(
                         RULE.name,
                         stmt,
-                        f"{root} import in {module.name} — outside the "
+                        f"numpy import in {module.name} — outside the "
                         "kernel/frame/index/store allowlist; route array work "
                         "through those planes",
                     )
@@ -148,7 +133,7 @@ def check(module: Module) -> Iterable[Finding]:
                     yield module.finding(
                         RULE.name,
                         stmt,
-                        f"unguarded module-scope {root} import — wrap in "
+                        "unguarded module-scope numpy import — wrap in "
                         "try/except ImportError so pure-Python checkouts "
                         "import cleanly",
                     )
