@@ -7,24 +7,25 @@ IV-B, first optimization).  Recomputing that union per MBB touches up to
 space.  The paper's compromise is to pre-compute the interval sets of the
 *dyadic ranges* of the domain — the nodes of a binary tree built over
 ``A_TO`` — so that any range decomposes into ``O(log |range|)`` pre-computed
-pieces at linear storage cost.
+pieces at linear storage cost.  Interval sets are held as bitmasks (see
+:attr:`DomainEncoding.reach_masks
+<repro.order.encoding.DomainEncoding.reach_masks>`), so merging pieces is OR.
 """
 
 from __future__ import annotations
 
 from repro.exceptions import PartialOrderError
 from repro.order.encoding import DomainEncoding
-from repro.order.intervals import Interval, IntervalSet
 
 
 class DyadicIntervalCache:
-    """Pre-computed interval sets for the dyadic ranges of one ``A_TO`` domain.
+    """Pre-computed interval-set masks for the dyadic ranges of one ``A_TO`` domain.
 
     The domain ``[1, n]`` is padded to the next power of two ``m``; the cache
-    stores one :class:`~repro.order.intervals.IntervalSet` per node of a
-    complete binary tree over ``[1, m]`` (only nodes that intersect the real
-    domain are materialized).  :meth:`range_interval_set` answers any ordinal
-    range by merging at most ``2 log m`` cached sets.
+    stores one mask per node of a complete binary tree over ``[1, m]`` (only
+    nodes that intersect the real domain are materialized).
+    :meth:`range_mask` answers any ordinal range by OR-ing at most
+    ``2 log m`` cached masks.
     """
 
     def __init__(self, encoding: DomainEncoding) -> None:
@@ -36,9 +37,9 @@ class DyadicIntervalCache:
         while size < self.domain_size:
             size *= 2
         self._padded_size = size
-        # _cache[(level_size, start)] = merged interval set of ordinals
+        # _cache[(level_size, start)] = merged mask of ordinals
         # [start, start + level_size - 1] intersected with the real domain.
-        self._cache: dict[tuple[int, int], IntervalSet] = {}
+        self._cache: dict[tuple[int, int], int] = {}
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -46,26 +47,18 @@ class DyadicIntervalCache:
     # ------------------------------------------------------------------ #
     def _build(self) -> None:
         # Leaves: single ordinals.
-        for ordinal in range(1, self.domain_size + 1):
-            value = self.encoding.value_at(ordinal)
-            self._cache[(1, ordinal)] = self.encoding.interval_set(value)
-        # Internal dyadic nodes, bottom-up.
+        masks = self.encoding.reach_masks
+        for ordinal, value in enumerate(self.encoding.order, start=1):
+            self._cache[(1, ordinal)] = masks[value]
+        # Internal dyadic nodes, bottom-up; a node is materialized iff its
+        # left half is (its start lies inside the real domain).
         size = 2
         while size <= self._padded_size:
-            for start in range(1, self._padded_size + 1, size):
-                if start > self.domain_size:
-                    continue
-                left = self._cache.get((size // 2, start))
-                right = self._cache.get((size // 2, start + size // 2))
-                if left is None and right is None:
-                    continue
-                if left is None:
-                    merged = right
-                elif right is None:
-                    merged = left
-                else:
-                    merged = left.union(right)
-                self._cache[(size, start)] = merged  # type: ignore[assignment]
+            half = size // 2
+            for start in range(1, self.domain_size + 1, size):
+                self._cache[(size, start)] = self._cache[(half, start)] | self._cache.get(
+                    (half, start + half), 0
+                )
             size *= 2
 
     @property
@@ -75,18 +68,16 @@ class DyadicIntervalCache:
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
-    def range_interval_set(self, low_ordinal: int, high_ordinal: int) -> IntervalSet:
-        """Merged interval set of all values with ordinal in ``[low, high]``."""
+    def range_mask(self, low_ordinal: int, high_ordinal: int) -> int:
+        """Merged interval-set mask of all values with ordinal in ``[low, high]``."""
         low = max(1, int(low_ordinal))
         high = min(self.domain_size, int(high_ordinal))
-        if low > high:
-            return IntervalSet()
-        pieces: list[Interval] = []
-        for size, start in self._decompose(low, high):
-            cached = self._cache.get((size, start))
-            if cached is not None:
-                pieces.extend(cached.intervals)
-        return IntervalSet(pieces)
+        mask = 0
+        if low <= high:
+            cache = self._cache
+            for piece in self._decompose(low, high):
+                mask |= cache[piece]
+        return mask
 
     def _decompose(self, low: int, high: int) -> list[tuple[int, int]]:
         """Cover ``[low, high]`` with maximal dyadic ranges (canonical decomposition)."""

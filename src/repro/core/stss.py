@@ -29,6 +29,7 @@ from repro.data.dataset import Dataset
 from repro.index.pager import DiskSimulator
 from repro.index.rtree import RTree
 from repro.order.encoding import DomainEncoding
+from repro.order.intervals import IntervalSet
 from repro.skyline.base import RunClock, SkylineResult, SkylineStats
 from repro.skyline.bbs import run_bbs
 
@@ -125,8 +126,10 @@ def stss_skyline(
     def dominated_rect(low, high) -> bool:
         if virtual_index is not None:
             range_sets = [
-                checker.range_interval_set(
-                    po_index, int(low[offset + po_index]), int(high[offset + po_index])
+                IntervalSet.from_mask(
+                    checker.range_interval_set(
+                        po_index, int(low[offset + po_index]), int(high[offset + po_index])
+                    )
                 )
                 for po_index in range(mapping.num_partial_order)
             ]

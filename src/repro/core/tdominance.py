@@ -18,6 +18,11 @@ on the PO dimensions.
 The same checker also decides t-dominance of an MBB (a point t-dominates an
 MBB when it would t-dominate every possible point inside it), using the
 merged interval set of the MBB's ``A_TO`` range per PO attribute.
+
+Every interval set here is held as its bitmask over postorder numbers (see
+:attr:`DomainEncoding.reach_masks
+<repro.order.encoding.DomainEncoding.reach_masks>`): containment is
+``a & b == b``, membership of one postorder number is one shift-AND.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.core.dyadic import DyadicIntervalCache
 from repro.core.mapping import MappedPoint, TSSMapping
 from repro.kernels import TDominanceTables, resolve_kernel
 from repro.order.encoding import DomainEncoding
-from repro.order.intervals import IntervalSet, covers_many
+from repro.order.intervals import mask_bounds
 
 Value = Hashable
 
@@ -63,12 +68,12 @@ class TDominanceChecker:
         self._dyadic: list[DyadicIntervalCache] | None = None
         if use_dyadic_cache:
             self._dyadic = [DyadicIntervalCache(encoding) for encoding in self.encodings]
-        # Hot-path caches: postorder number and interval set per PO value.
+        # Hot-path caches: postorder number and interval-set mask per PO value.
         self._posts: tuple[dict[Value, int], ...] = tuple(
-            dict(encoding.tree.post) for encoding in self.encodings
+            encoding.tree.post for encoding in self.encodings
         )
-        self._interval_sets: tuple[dict[Value, IntervalSet], ...] = tuple(
-            dict(encoding.intervals) for encoding in self.encodings
+        self._masks: tuple[dict[Value, int], ...] = tuple(
+            encoding.reach_masks for encoding in self.encodings
         )
 
     # ------------------------------------------------------------------ #
@@ -77,11 +82,17 @@ class TDominanceChecker:
     def t_prefers_or_equal(self, po_index: int, better: Value, worse: Value) -> bool:
         return self.encodings[po_index].t_prefers_or_equal(better, worse)
 
-    def range_interval_set(self, po_index: int, low_ordinal: int, high_ordinal: int) -> IntervalSet:
-        """Merged interval set of an ``A_TO`` ordinal range (dyadic cache when enabled)."""
+    def range_interval_set(self, po_index: int, low_ordinal: int, high_ordinal: int) -> int:
+        """Merged interval set of an ``A_TO`` ordinal range, as a mask.
+
+        Served by the dyadic cache when enabled; decode with
+        :meth:`IntervalSet.from_mask
+        <repro.order.intervals.IntervalSet.from_mask>` where an interval set
+        is needed.
+        """
         if self._dyadic is not None:
-            return self._dyadic[po_index].range_interval_set(low_ordinal, high_ordinal)
-        return self.encodings[po_index].range_interval_set(low_ordinal, high_ordinal)
+            return self._dyadic[po_index].range_mask(low_ordinal, high_ordinal)
+        return self.encodings[po_index].range_mask(low_ordinal, high_ordinal)
 
     # ------------------------------------------------------------------ #
     # Point-level checks
@@ -108,7 +119,7 @@ class TDominanceChecker:
 
         The PO test uses the membership form of t-preference: ``p``'s interval
         set must cover ``q``'s own postorder number, which is equivalent to
-        covering ``q``'s whole interval set but needs a single binary search.
+        covering ``q``'s whole interval set but needs a single bit test.
         """
         for a, b in zip(p.to_values, q.to_values):
             if a > b:
@@ -116,9 +127,7 @@ class TDominanceChecker:
         for po_index, (value_p, value_q) in enumerate(zip(p.po_values, q.po_values)):
             if value_p == value_q:
                 continue
-            if not self._interval_sets[po_index][value_p].contains_point(
-                self._posts[po_index][value_q]
-            ):
+            if not self._masks[po_index][value_p] >> self._posts[po_index][value_q] & 1:
                 return False
         return True
 
@@ -147,9 +156,8 @@ class TDominanceChecker:
         for po_index in range(self.mapping.num_partial_order):
             low_ordinal = int(low[offset + po_index])
             high_ordinal = int(high[offset + po_index])
-            range_set = self.range_interval_set(po_index, low_ordinal, high_ordinal)
-            point_set = self._interval_sets[po_index][p.po_values[po_index]]
-            if not point_set.covers(range_set):
+            range_mask = self.range_interval_set(po_index, low_ordinal, high_ordinal)
+            if self._masks[po_index][p.po_values[po_index]] & range_mask != range_mask:
                 return False
         return True
 
@@ -203,46 +211,43 @@ class TDominanceChecker:
             q.to_values, store.codes_of(q), counter, start=start
         )
 
-    def _range_sets_and_mbis(
+    def _range_masks_and_mbis(
         self, low: Sequence[float], high: Sequence[float]
-    ) -> tuple[list[IntervalSet], list[tuple[float, float]]]:
-        """Merged range interval sets + their MBIs for one MBB's PO ranges."""
+    ) -> tuple[list[int], list[tuple[float, float]]]:
+        """Merged range masks + their MBIs for one MBB's PO ranges."""
         offset = self.mapping.to_offset
-        range_sets = [
+        range_masks = [
             self.range_interval_set(
                 po_index, int(low[offset + po_index]), int(high[offset + po_index])
             )
             for po_index in range(self.mapping.num_partial_order)
         ]
-        range_mbis = [
-            (rs.intervals[0].low, rs.intervals[-1].high)
-            if rs
-            else (float("inf"), float("-inf"))
-            for rs in range_sets
+        range_mbis: list[tuple[float, float]] = [
+            mask_bounds(mask) if mask else (float("inf"), float("-inf"))
+            for mask in range_masks
         ]
-        return range_sets, range_mbis
+        return range_masks, range_mbis
 
     def _any_candidate_covers(
         self,
         store: "TDominanceSkylineStore",
         alive: list[int],
-        range_sets: list[IntervalSet],
+        range_masks: list[int],
     ) -> bool:
-        """Exact phase: does any surviving member cover every range set?"""
-        if not alive:
-            return False
-        tables = store.tables
-        for po_index, range_set in enumerate(range_sets):
-            if not len(range_set):
-                continue  # an empty range set is covered trivially
-            cover_sets = [
-                tables.interval_sets[po_index][store.codes[i][po_index]] for i in alive
-            ]
-            covered = covers_many(cover_sets, range_set, self.kernel)
-            alive = [i for i, flag in zip(alive, covered) if flag]
-            if not alive:
-                return False
-        return True
+        """Exact phase: does any surviving member cover every range mask?
+
+        An empty range mask is covered trivially.
+        """
+        codes = store.codes
+        tests = [
+            (po_index, mask, store.tables.masks[po_index])
+            for po_index, mask in enumerate(range_masks)
+            if mask
+        ]
+        return any(
+            all(masks[codes[i][po_index]] & mask == mask for po_index, mask, masks in tests)
+            for i in alive
+        )
 
     def store_dominates_mbb(
         self,
@@ -257,25 +262,23 @@ class TDominanceChecker:
 
         Necessary conditions (TO corner, ordinal bound, minimum-bounding-
         interval containment) are evaluated vectorized over the whole store;
-        only the survivors go through the exact interval-containment matrix
-        of :meth:`DominanceKernel.covers_many
-        <repro.kernels.base.DominanceKernel.covers_many>`.  ``start``
-        restricts the scan to members appended at or after that index (the
-        windowed sTSS suffix re-check).
+        only the survivors go through the exact mask containment test.
+        ``start`` restricts the scan to members appended at or after that
+        index (the windowed sTSS suffix re-check).
         """
         offset = self.mapping.to_offset
-        range_sets, range_mbis = self._range_sets_and_mbis(low, high)
+        range_masks, range_mbis = self._range_masks_and_mbis(low, high)
         alive = store.kernel_store.mbb_candidates(
             low[:offset], low[offset:], range_mbis, counter, start=start
         )
-        return self._any_candidate_covers(store, alive, range_sets)
+        return self._any_candidate_covers(store, alive, range_masks)
 
 
 class TDominanceSkylineStore:
     """The skyline found so far, mirrored into a kernel store.
 
     Keeps the members' PO codes on the Python side as well, because the exact
-    MBB phase needs each survivor's interval set.
+    MBB phase needs each survivor's interval-set mask.
     """
 
     __slots__ = ("checker", "tables", "kernel_store", "codes")
@@ -320,16 +323,16 @@ class TDominanceWindow:
     PO codes are recovered from the mapped coordinates themselves: the
     ordinal coordinate of a mapped point is its topological position + 1,
     i.e. ``code + 1`` (see :class:`~repro.kernels.tables.TDominanceTables`),
-    so the window needs no payload lookups.
+    so the window needs no payload lookups: a block of mapped rows reaches
+    the kernel as two column slices, with no per-row conversion.
     """
 
-    __slots__ = ("checker", "store", "_offset", "_num_po")
+    __slots__ = ("checker", "store", "_offset")
 
     def __init__(self, checker: TDominanceChecker, store: TDominanceSkylineStore) -> None:
         self.checker = checker
         self.store = store
         self._offset = checker.mapping.to_offset
-        self._num_po = checker.mapping.num_partial_order
 
     def size(self) -> int:
         return len(self.store)
@@ -337,42 +340,36 @@ class TDominanceWindow:
     def block_points(self, rows, counter) -> list[bool]:
         """Per leaf point: weakly t-dominated by any current member?"""
         offset = self._offset
-        to_rows = [row[:offset] for row in rows]
-        code_rows = [tuple(int(v) - 1 for v in row[offset:]) for row in rows]
         return self.store.kernel_store.block_weakly_dominated(
-            to_rows, code_rows, counter
+            rows[:, :offset], rows[:, offset:].astype("int64") - 1, counter
         )
 
     def block_rects(self, lows, highs, counter) -> list[bool]:
         """Per child MBB: t-dominated by any current member?
 
         Necessary conditions run batched over (members, children); the exact
-        interval-containment phase runs per child on its survivors only.
+        mask containment phase runs per child on its survivors only.
         """
         checker = self.checker
         offset = self._offset
-        to_lows = []
-        ordinal_lows = []
+        masks_list = []
         mbis_list = []
-        range_sets_list = []
         for low, high in zip(lows, highs):
-            range_sets, range_mbis = checker._range_sets_and_mbis(low, high)
-            range_sets_list.append(range_sets)
+            range_masks, range_mbis = checker._range_masks_and_mbis(low, high)
+            masks_list.append(range_masks)
             mbis_list.append(range_mbis)
-            to_lows.append(low[:offset])
-            ordinal_lows.append(low[offset:])
         candidate_lists = self.store.kernel_store.mbb_block_candidates(
-            to_lows, ordinal_lows, mbis_list, counter
+            lows[:, :offset], lows[:, offset:], mbis_list, counter
         )
         return [
-            checker._any_candidate_covers(self.store, alive, range_sets)
-            for alive, range_sets in zip(candidate_lists, range_sets_list)
+            checker._any_candidate_covers(self.store, alive, range_masks)
+            for alive, range_masks in zip(candidate_lists, masks_list)
         ]
 
     def point_suffix(self, point, start: int, counter) -> bool:
-        codes = tuple(int(v) - 1 for v in point[self._offset :])
+        offset = self._offset
         return self.store.kernel_store.any_weakly_dominates(
-            point[: self._offset], codes, counter, start=start
+            point[:offset], point[offset:].astype("int64") - 1, counter, start=start
         )
 
     def rect_suffix(self, low, high, start: int, counter) -> bool:

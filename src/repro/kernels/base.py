@@ -8,8 +8,9 @@ every skyline algorithm in this library:
 * **record dominance** — ground-truth dominance over mixed TO/PO schemas via
   precomputed preference matrices (BNL, SFS, LESS, cross-examination);
 * **t-dominance** — the paper's exact relation over TSS mapped points via
-  t-preference matrices, interval-containment tests and minimum-bounding-
-  interval prefilters (sTSS, dTSS).
+  t-preference matrices and minimum-bounding-interval prefilters (sTSS,
+  dTSS); the exact interval-set containment of the survivors is a mask test
+  left to :class:`~repro.core.tdominance.TDominanceChecker`.
 
 Kernels expose *stores* — growing collections queried against one candidate
 at a time (the universal access pattern of skyline loops: a skyline/window
@@ -35,7 +36,6 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 
 from repro.kernels.tables import RecordTables, TDominanceTables
-from repro.order.intervals import Interval, IntervalSet
 
 
 def charge(counter, checks: int) -> None:
@@ -249,9 +249,8 @@ class TDominanceStore(ABC):
         PO attribute (``range_mbis`` holds one ``(low, high)`` pair per
         attribute; pass ``(inf, -inf)`` to disable the MBI condition for an
         attribute).  Returned indices are absolute store positions.  The
-        exact interval-containment verdict is left to
-        :meth:`DominanceKernel.covers_many` on the survivors.  See
-        :meth:`any_weakly_dominates` for ``start``.
+        exact interval-set containment verdict on the survivors is left to
+        the caller.  See :meth:`any_weakly_dominates` for ``start``.
         """
 
     def mbb_block_candidates(
@@ -367,28 +366,6 @@ class DominanceKernel(ABC):
             list(zip(target_to, target_codes)),
             counter=counter,
         )
-
-    @abstractmethod
-    def covers_many(
-        self, cover_sets: Sequence[IntervalSet], target: IntervalSet
-    ) -> list[bool]:
-        """Per cover set: does it contain every interval of ``target``?
-
-        The batched form of :meth:`IntervalSet.covers
-        <repro.order.intervals.IntervalSet.covers>` — one interval-containment
-        matrix between all member intervals and the target's intervals.
-        """
-
-    # ------------------------------------------------------------------ #
-    # Shared helpers
-    # ------------------------------------------------------------------ #
-    def bounding_intervals(
-        self, sets: Sequence[IntervalSet]
-    ) -> list[Interval]:
-        """Minimum bounding interval of each (non-empty, normalized) set."""
-        return [
-            Interval(s.intervals[0].low, s.intervals[-1].high) for s in sets
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

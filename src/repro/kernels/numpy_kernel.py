@@ -26,7 +26,6 @@ from repro.kernels.base import (
 )
 from repro.kernels.bitsets import attribute_word_arrays
 from repro.kernels.tables import RecordTables, TDominanceTables
-from repro.order.intervals import IntervalSet
 
 _INITIAL_CAPACITY = 16
 
@@ -629,32 +628,3 @@ class NumpyKernel(DominanceKernel):
             _as_code_block(target_codes, num_po, len(tgt_to)),
         )
         return out.tolist()
-
-    def covers_many(
-        self, cover_sets: Sequence[IntervalSet], target: IntervalSet
-    ) -> list[bool]:
-        if not cover_sets:
-            return []
-        target_lows = np.array([iv.low for iv in target.intervals], dtype=np.int64)
-        target_highs = np.array([iv.high for iv in target.intervals], dtype=np.int64)
-        if not len(target_lows):
-            return [True] * len(cover_sets)
-        lows: list[int] = []
-        highs: list[int] = []
-        owners: list[int] = []
-        for owner, cover in enumerate(cover_sets):
-            for interval in cover.intervals:
-                lows.append(interval.low)
-                highs.append(interval.high)
-                owners.append(owner)
-        if not lows:
-            return [False] * len(cover_sets)
-        low_arr = np.array(lows, dtype=np.int64)[:, None]
-        high_arr = np.array(highs, dtype=np.int64)[:, None]
-        owner_arr = np.array(owners, dtype=np.int64)
-        contains = (low_arr <= target_lows[None, :]) & (
-            target_highs[None, :] <= high_arr
-        )
-        covered = np.zeros((len(cover_sets), len(target_lows)), dtype=bool)
-        np.logical_or.at(covered, owner_arr, contains)
-        return covered.all(axis=1).tolist()

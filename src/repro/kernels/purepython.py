@@ -18,7 +18,6 @@ from repro.kernels.base import (
     charge,
 )
 from repro.kernels.tables import RecordTables, TDominanceTables
-from repro.order.intervals import IntervalSet
 
 
 def _dominates(p: Sequence[float], q: Sequence[float]) -> bool:
@@ -269,8 +268,3 @@ class PurePythonKernel(DominanceKernel):
             mask.append(dominated)
         charge(counter, checks)
         return mask
-
-    def covers_many(
-        self, cover_sets: Sequence[IntervalSet], target: IntervalSet
-    ) -> list[bool]:
-        return [cover.covers(target) for cover in cover_sets]

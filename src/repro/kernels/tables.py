@@ -11,8 +11,8 @@ preference matrices.  This module bridges the gap once per dataset/query:
   baselines' cross-examination).
 * :class:`TDominanceTables` — everything needed for batched *t-dominance*
   over mapped points: t-preference matrices, postorder numbers, per-value
-  interval sets and their minimum bounding intervals (MBIs), which serve as a
-  cheap vectorizable necessary condition for interval-set containment.
+  interval-set masks and their minimum bounding intervals (MBIs), which
+  serve as a cheap vectorizable necessary condition for mask containment.
 
 Tables carry a ``scratch`` dict so a backend can stash converted
 representations (e.g. NumPy arrays) and share them across stores built from
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from repro.data.schema import Schema
 from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import DomainEncoding
-from repro.order.intervals import IntervalSet
+from repro.order.intervals import mask_bounds
 
 Value = Hashable
 
@@ -58,24 +58,19 @@ class PreferenceTable:
         )
 
     @classmethod
-    def from_encoding(cls, encoding: DomainEncoding) -> "PreferenceTable":
-        """Exact t-preference matrix (interval containment; coincides with
-        reachability because the interval sets are exact)."""
-        values = encoding.order
-        posts = [encoding.post_of(value) for value in values]
-        rows = []
-        for i, value in enumerate(values):
-            interval_set = encoding.interval_set(value)
-            rows.append(
-                tuple(
-                    i == j or interval_set.contains_point(posts[j])
-                    for j in range(len(values))
-                )
-            )
+    def from_masks(
+        cls, values: tuple[Value, ...], masks: Sequence[int], posts: Sequence[int]
+    ) -> "PreferenceTable":
+        """Exact t-preference matrix of one encoded domain: row ``i`` holds,
+        per value ``j``, bit ``posts[j]`` of ``masks[i]`` (mask containment
+        coincides with reachability because the interval sets are exact;
+        every value reaches itself, so the diagonal is set)."""
         return cls(
             values=values,
             code_of={value: i for i, value in enumerate(values)},
-            pref_or_equal=tuple(rows),
+            pref_or_equal=tuple(
+                tuple(mask >> post & 1 == 1 for post in posts) for mask in masks
+            ),
         )
 
     @property
@@ -135,8 +130,8 @@ class TDominanceTables:
     attributes: tuple[PreferenceTable, ...]
     #: Per attribute, per code: the value's spanning-tree postorder number.
     posts: tuple[tuple[int, ...], ...]
-    #: Per attribute, per code: the value's exact interval set.
-    interval_sets: tuple[tuple[IntervalSet, ...], ...]
+    #: Per attribute, per code: the value's exact interval set as a mask.
+    masks: tuple[tuple[int, ...], ...]
     #: Per attribute, per code: low/high ends of the minimum bounding interval.
     mbi_low: tuple[tuple[int, ...], ...]
     mbi_high: tuple[tuple[int, ...], ...]
@@ -146,25 +141,20 @@ class TDominanceTables:
     def from_encodings(
         cls, num_total_order: int, encodings: Sequence[DomainEncoding]
     ) -> "TDominanceTables":
-        attributes = []
-        posts = []
-        interval_sets = []
-        mbi_low = []
-        mbi_high = []
+        attributes, posts, masks = [], [], []
         for encoding in encodings:
-            attributes.append(PreferenceTable.from_encoding(encoding))
-            posts.append(tuple(encoding.post_of(value) for value in encoding.order))
-            sets = tuple(encoding.interval_set(value) for value in encoding.order)
-            interval_sets.append(sets)
-            mbi_low.append(tuple(s.intervals[0].low for s in sets))
-            mbi_high.append(tuple(s.intervals[-1].high for s in sets))
+            order = encoding.order
+            posts.append(tuple(encoding.post_of(value) for value in order))
+            masks.append(tuple(encoding.reach_masks[value] for value in order))
+            attributes.append(PreferenceTable.from_masks(order, masks[-1], posts[-1]))
+        bounds = [[mask_bounds(mask) for mask in row] for row in masks]
         return cls(
             num_total_order=num_total_order,
             attributes=tuple(attributes),
             posts=tuple(posts),
-            interval_sets=tuple(interval_sets),
-            mbi_low=tuple(mbi_low),
-            mbi_high=tuple(mbi_high),
+            masks=tuple(masks),
+            mbi_low=tuple(tuple(low for low, _ in pairs) for pairs in bounds),
+            mbi_high=tuple(tuple(high for _, high in pairs) for pairs in bounds),
         )
 
     @property

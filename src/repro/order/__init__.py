@@ -11,12 +11,12 @@ partially ordered (PO) domains:
 * :mod:`~repro.order.spanning_tree` — spanning-tree extraction and the
   ``[minpost, post]`` postorder interval labelling of Agrawal et al.
 * :mod:`~repro.order.intervals` — closed integer intervals and interval sets
-  with merging / subsumption.
+  with merging / subsumption, and their bitmask form.
 * :mod:`~repro.order.propagation` — propagation of intervals along non-tree
   edges so that the final encoding captures *all* preferences (exactness).
 * :mod:`~repro.order.encoding` — :class:`DomainEncoding`, the per-domain
-  artefact used by TSS (ordinal in a topological sort + interval set per
-  value).
+  artefact used by TSS (ordinal in a topological sort + interval-set mask
+  per value).
 * :mod:`~repro.order.uncovered` — uncovered levels used by the SDC/SDC+
   baselines to stratify data.
 * :mod:`~repro.order.lattice` — the subset-containment lattice generator with

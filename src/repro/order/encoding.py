@@ -7,9 +7,11 @@ attaches to a partially ordered domain:
   sorting the DAG; a value's ``ordinal`` is its 1-based position.  Because the
   sort respects every DAG edge, visiting points in ``A_TO`` order guarantees
   the *precedence* property.
-* ``intervals`` — the exact interval set of every value (spanning tree
-  ``[minpost, post]`` labels plus propagation along non-tree edges), which
-  makes the t-preference check *exact*: no false hits, no false misses.
+* ``reach_masks`` — the exact interval set of every value (spanning tree
+  ``[minpost, post]`` labels plus propagation along non-tree edges) as one
+  bitmask over postorder numbers, which makes the t-preference check
+  *exact*: no false hits, no false misses.  ``intervals`` decodes the masks
+  into :class:`~repro.order.intervals.IntervalSet` objects.
 
 The same object also exposes the pieces needed by the Chan et al. baselines:
 the single spanning-tree interval of each value (their incomplete mapping to
@@ -26,7 +28,7 @@ from functools import cached_property
 from repro.exceptions import UnknownValueError
 from repro.order.dag import PartialOrderDAG
 from repro.order.intervals import Interval, IntervalSet
-from repro.order.propagation import propagate_intervals
+from repro.order.propagation import propagate_masks
 from repro.order.spanning_tree import SpanningTree, extract_spanning_tree
 from repro.order.toposort import ordinal_map, topological_sort
 from repro.order.uncovered import uncovered_levels
@@ -71,9 +73,27 @@ class DomainEncoding:
     # Interval (I1 x I2) side — exactness
     # ------------------------------------------------------------------ #
     @cached_property
+    def reach_masks(self) -> dict[Value, int]:
+        """Exact interval set of every value as a bitmask over postorder numbers.
+
+        Bit ``p`` is set iff the value reaches the node whose postorder number
+        is ``p`` (tree intervals + propagation, see
+        :func:`~repro.order.propagation.propagate_masks`).
+        """
+        return propagate_masks(self.tree)
+
+    def reach_mask(self, value: Value) -> int:
+        try:
+            return self.reach_masks[value]
+        except KeyError as exc:
+            raise UnknownValueError(value) from exc
+
+    @cached_property
     def intervals(self) -> dict[Value, IntervalSet]:
-        """Exact interval set of every value (tree intervals + propagation)."""
-        return propagate_intervals(self.tree)
+        """Exact interval set of every value, decoded from :attr:`reach_masks`."""
+        return {
+            value: IntervalSet.from_mask(mask) for value, mask in self.reach_masks.items()
+        }
 
     def interval_set(self, value: Value) -> IntervalSet:
         try:
@@ -88,9 +108,9 @@ class DomainEncoding:
     def post_of(self, value: Value) -> int:
         """The value's postorder number in the spanning tree.
 
-        ``x`` is t-preferred over (or equal to) ``y`` exactly when
-        ``post_of(y)`` is covered by ``interval_set(x)`` — the cheap membership
-        form of the t-preference check used on the algorithms' hot paths.
+        ``x`` is t-preferred over (or equal to) ``y`` exactly when bit
+        ``post_of(y)`` of ``reach_mask(x)`` is set — the cheap membership form
+        of the t-preference check used on the algorithms' hot paths.
         """
         try:
             return self.tree.post[value]
@@ -105,11 +125,13 @@ class DomainEncoding:
 
         Equivalent to DAG reachability: ``better`` is t-preferred over
         ``worse`` iff every interval of ``worse`` is contained in some
-        interval of ``better`` (and the values differ).
+        interval of ``better`` (and the values differ) — in mask form, iff
+        ``worse``'s mask is a subset of ``better``'s.
         """
         if better == worse:
             return False
-        return self.interval_set(better).covers(self.interval_set(worse))
+        worse_mask = self.reach_mask(worse)
+        return self.reach_mask(better) & worse_mask == worse_mask
 
     def t_prefers_or_equal(self, better: Value, worse: Value) -> bool:
         return better == worse or self.t_prefers(better, worse)
@@ -127,17 +149,21 @@ class DomainEncoding:
         high = min(self.cardinality, high_ordinal)
         return [self.order[i - 1] for i in range(low, high + 1)]
 
-    def range_interval_set(self, low_ordinal: int, high_ordinal: int) -> IntervalSet:
-        """Merged interval set of all values in an ``A_TO`` ordinal range.
+    def range_mask(self, low_ordinal: int, high_ordinal: int) -> int:
+        """Merged interval set (as a mask) of all values in an ``A_TO`` ordinal range.
 
         A point t-dominates an MBB on the PO dimension only if its interval
         set covers this merged set (i.e. it is preferred over *every* value
         the MBB may contain).
         """
-        pieces: list[Interval] = []
+        mask = 0
         for value in self.values_in_range(low_ordinal, high_ordinal):
-            pieces.extend(self.interval_set(value).intervals)
-        return IntervalSet(pieces)
+            mask |= self.reach_masks[value]
+        return mask
+
+    def range_interval_set(self, low_ordinal: int, high_ordinal: int) -> IntervalSet:
+        """:meth:`range_mask` decoded into an interval set."""
+        return IntervalSet.from_mask(self.range_mask(low_ordinal, high_ordinal))
 
     # ------------------------------------------------------------------ #
     # Strata information for the SDC / SDC+ baselines

@@ -11,11 +11,17 @@ Intervals here are closed ranges over positive integers (postorder numbers).
 non-adjacent, which makes containment checks and merging cheap and gives a
 canonical representation (two interval sets cover the same integers iff they
 are equal).
+
+A normalized interval set is the run-length form of one integer bitmask over
+postorder numbers (bit ``p`` set iff ``p`` is covered):
+:meth:`IntervalSet.to_mask` / :meth:`IntervalSet.from_mask` convert between
+the two.  In mask form, ``A.covers(B)`` is ``a & b == b`` and a union is
+``a | b`` — the representation the t-dominance hot path works on.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.exceptions import PartialOrderError
@@ -56,6 +62,10 @@ class Interval:
     def width(self) -> int:
         """Number of integers covered."""
         return self.high - self.low + 1
+
+    def mask(self) -> int:
+        """The interval as a bitmask: bits ``low`` through ``high`` set."""
+        return ((1 << self.width()) - 1) << self.low
 
     def __str__(self) -> str:
         return f"[{self.low},{self.high}]"
@@ -157,6 +167,27 @@ class IntervalSet:
             raise PartialOrderError("an empty interval set has no bounding interval")
         return Interval(self._intervals[0].low, self._intervals[-1].high)
 
+    def to_mask(self) -> int:
+        """The covered integers as one bitmask (bit ``p`` set iff ``p`` is covered)."""
+        mask = 0
+        for interval in self._intervals:
+            mask |= interval.mask()
+        return mask
+
+    @classmethod
+    def from_mask(cls, mask: int) -> "IntervalSet":
+        """Decode a bitmask into its runs of set bits (inverse of :meth:`to_mask`)."""
+        intervals: list[Interval] = []
+        while mask:
+            lowest = mask & -mask
+            # Adding the lowest set bit clears its run and carries into the
+            # first zero above it, which becomes the lowest set bit.
+            mask += lowest
+            carry = mask & -mask
+            intervals.append(Interval(lowest.bit_length() - 1, carry.bit_length() - 2))
+            mask -= carry
+        return cls(intervals)
+
     def points(self) -> list[int]:
         """Materialize every covered integer (small domains only; used in tests)."""
         return [p for iv in self._intervals for p in range(iv.low, iv.high + 1)]
@@ -184,18 +215,9 @@ class IntervalSet:
         return cls(intervals)
 
 
-def covers_many(
-    cover_sets: Sequence["IntervalSet"], target: "IntervalSet", kernel=None
-) -> list[bool]:
-    """Batched :meth:`IntervalSet.covers`: one verdict per cover set.
-
-    Dispatches through the dominance kernel layer (one interval-containment
-    matrix between all member intervals and the target's intervals when the
-    NumPy backend is active).
-    """
-    from repro.kernels import resolve_kernel  # local import: kernels import this module
-
-    return resolve_kernel(kernel).covers_many(cover_sets, target)
+def mask_bounds(mask: int) -> tuple[int, int]:
+    """Lowest and highest set bit of a non-empty mask — its MBI's ends."""
+    return (mask & -mask).bit_length() - 1, mask.bit_length() - 1
 
 
 def _normalize(intervals: list[Interval]) -> list[Interval]:

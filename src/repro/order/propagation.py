@@ -9,9 +9,10 @@ intervals.
 The net effect of propagation is that the final interval set of a value ``x``
 covers exactly the postorder numbers of all values reachable from ``x``
 (including ``x`` itself).  This module provides both the paper's propagation
-procedure (:func:`propagate_intervals`) and the direct reachability-based
-construction (:func:`reachability_intervals`), which is used as a correctness
-oracle in the test suite.
+procedure (:func:`propagate_masks`, decoded by :func:`propagate_intervals`)
+and the direct reachability-based construction
+(:func:`reachability_intervals`), which is used as a correctness oracle in
+the test suite.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from repro.order.toposort import topological_sort
 Value = Hashable
 
 
-def propagate_intervals(tree: SpanningTree) -> dict[Value, IntervalSet]:
-    """Compute the exact interval set of every value by propagation.
+def propagate_masks(tree: SpanningTree) -> dict[Value, int]:
+    """Compute the exact interval set of every value by propagation, as bitmasks.
 
     The computation processes values in reverse topological order (worst
     values first).  Each value starts with its own ``[minpost, post]`` tree
@@ -36,24 +37,34 @@ def propagate_intervals(tree: SpanningTree) -> dict[Value, IntervalSet]:
     reachable set stays inside the parent's subtree, but they contribute the
     intervals the child itself acquired through non-tree edges, which is what
     the paper's "copied to f and subsequently to c, b and a" step achieves.
-    The :class:`~repro.order.intervals.IntervalSet` constructor performs the
-    merging/subsumption of the paper's final column (Figure 2(d)).
+    Each set is held as the bitmask of the postorder numbers it covers (see
+    :meth:`IntervalSet.to_mask <repro.order.intervals.IntervalSet.to_mask>`),
+    so adding a child's intervals is one OR, and the merging/subsumption of
+    the paper's final column (Figure 2(d)) comes for free.
 
     Returns
     -------
     dict
-        ``{value: IntervalSet}`` such that ``intervals[x].covers(intervals[y])``
-        holds iff ``x`` is preferred over (or equal to) ``y`` in the DAG.
+        ``{value: mask}`` such that ``masks[x] & masks[y] == masks[y]`` holds
+        iff ``x`` is preferred over (or equal to) ``y`` in the DAG.
     """
     dag = tree.dag
     order = topological_sort(dag, strategy="kahn")
-    result: dict[Value, IntervalSet] = {}
+    result: dict[Value, int] = {}
     for value in reversed(order):
-        pieces = [tree.interval(value)]
+        mask = tree.interval(value).mask()
         for child in dag.successors(value):
-            pieces.extend(result[child].intervals)
-        result[value] = IntervalSet(pieces)
+            mask |= result[child]
+        result[value] = mask
     return result
+
+
+def propagate_intervals(tree: SpanningTree) -> dict[Value, IntervalSet]:
+    """:func:`propagate_masks` decoded into canonical interval sets."""
+    return {
+        value: IntervalSet.from_mask(mask)
+        for value, mask in propagate_masks(tree).items()
+    }
 
 
 def reachability_intervals(tree: SpanningTree) -> dict[Value, IntervalSet]:

@@ -1,11 +1,10 @@
-"""Unit tests for the dyadic-range interval cache."""
+"""Unit tests for the dyadic-range interval-set mask cache."""
 
 import pytest
 
 from repro.core.dyadic import DyadicIntervalCache
 from repro.order.builders import chain, random_dag
 from repro.order.encoding import encode_domain
-from repro.order.intervals import IntervalSet
 
 
 @pytest.fixture
@@ -15,27 +14,28 @@ def cache(example_encoding):
 
 class TestDecomposition:
     def test_full_domain_range(self, cache, example_encoding):
-        merged = cache.range_interval_set(1, example_encoding.cardinality)
+        merged = cache.range_mask(1, example_encoding.cardinality)
         for value in example_encoding.order:
-            assert merged.covers(example_encoding.interval_set(value))
+            mask = example_encoding.reach_mask(value)
+            assert merged & mask == mask
 
     def test_matches_direct_union_for_every_range(self, cache, example_encoding):
         n = example_encoding.cardinality
         for low in range(1, n + 1):
             for high in range(low, n + 1):
-                assert cache.range_interval_set(low, high) == example_encoding.range_interval_set(low, high)
+                assert cache.range_mask(low, high) == example_encoding.range_mask(low, high)
 
     def test_single_ordinal_range(self, cache, example_encoding):
         for ordinal in range(1, example_encoding.cardinality + 1):
             value = example_encoding.value_at(ordinal)
-            assert cache.range_interval_set(ordinal, ordinal) == example_encoding.interval_set(value)
+            assert cache.range_mask(ordinal, ordinal) == example_encoding.reach_mask(value)
 
     def test_out_of_bounds_ranges_are_clamped(self, cache, example_encoding):
-        full = cache.range_interval_set(1, example_encoding.cardinality)
-        assert cache.range_interval_set(-5, 999) == full
+        full = cache.range_mask(1, example_encoding.cardinality)
+        assert cache.range_mask(-5, 999) == full
 
     def test_empty_range(self, cache):
-        assert cache.range_interval_set(5, 3) == IntervalSet()
+        assert cache.range_mask(5, 3) == 0
 
     def test_decompose_uses_logarithmically_many_pieces(self, cache):
         pieces = cache._decompose(2, 9)
@@ -55,7 +55,7 @@ class TestOtherDomains:
         cache = DyadicIntervalCache(encoding)
         for low in range(1, 11):
             for high in range(low, 11):
-                assert cache.range_interval_set(low, high) == encoding.range_interval_set(low, high)
+                assert cache.range_mask(low, high) == encoding.range_mask(low, high)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_domains(self, seed):
@@ -64,4 +64,4 @@ class TestOtherDomains:
         n = encoding.cardinality
         for low in range(1, n + 1, 3):
             for high in range(low, n + 1, 2):
-                assert cache.range_interval_set(low, high) == encoding.range_interval_set(low, high)
+                assert cache.range_mask(low, high) == encoding.range_mask(low, high)

@@ -7,6 +7,7 @@ from repro.core.tdominance import TDominanceChecker
 from repro.core.virtual_rtree import VirtualPointIndex
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
+from repro.order.intervals import IntervalSet
 
 
 @pytest.fixture
@@ -85,7 +86,9 @@ class TestMBBQueries:
             for high_ord in range(low_ord, 10):
                 low = (2.0, float(low_ord))
                 high = (6.0, float(high_ord))
-                range_set = checker.range_interval_set(0, low_ord, high_ord)
+                range_set = IntervalSet.from_mask(
+                    checker.range_interval_set(0, low_ord, high_ord)
+                )
                 expected = checker.dominates_mbb(p1, low, high)
                 got = index.dominates_candidate_mbb(low, high, [range_set])
                 assert got == expected, (low_ord, high_ord)
@@ -107,7 +110,7 @@ class TestMBBQueries:
         low_ord = min(encoding.ordinal("h"), encoding.ordinal("i"))
         high_ord = max(encoding.ordinal("h"), encoding.ordinal("i"))
         low, high = (1.0, float(low_ord)), (5.0, float(high_ord))
-        range_set = checker.range_interval_set(0, low_ord, high_ord)
+        range_set = IntervalSet.from_mask(checker.range_interval_set(0, low_ord, high_ord))
         assert not checker.dominates_mbb(p_h, low, high)
         assert not checker.dominates_mbb(p_i, low, high)
         assert index.dominates_candidate_mbb(low, high, [range_set])
@@ -116,8 +119,6 @@ class TestMBBQueries:
         _, mapping, encoding = paper_setup
         index = VirtualPointIndex(1, [encoding])
         index.insert_mapped_point(mapping.points[0])
-        from repro.order.intervals import IntervalSet
-
         assert not index.dominates_candidate_mbb((0.0, 1.0), (9.0, 9.0), [IntervalSet()])
 
     def test_combination_cap_falls_back_to_not_dominated(self, paper_setup):
@@ -125,5 +126,5 @@ class TestMBBQueries:
         index = VirtualPointIndex(1, [encoding], max_combinations=0)
         index.insert_mapped_point(mapping.points[0])
         checker = TDominanceChecker(mapping)
-        range_set = checker.range_interval_set(0, 1, 9)
+        range_set = IntervalSet.from_mask(checker.range_interval_set(0, 1, 9))
         assert not index.dominates_candidate_mbb((0.0, 1.0), (9.0, 9.0), [range_set])

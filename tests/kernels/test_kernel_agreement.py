@@ -25,7 +25,6 @@ from repro.kernels import (
     get_kernel,
 )
 from repro.order.encoding import encode_domain
-from repro.order.intervals import IntervalSet
 from tests.conftest import mixed_dataset_strategy, random_dag_strategy
 
 numpy = pytest.importorskip("numpy")
@@ -41,20 +40,6 @@ def _assert_all_match(values, context=""):
     reference = values[0]
     for kernel, value in zip(KERNELS[1:], values[1:]):
         assert value == reference, (context, kernel.name)
-
-
-def _interval_set_strategy(max_point: int = 30) -> st.SearchStrategy[IntervalSet]:
-    @st.composite
-    def build(draw):
-        count = draw(st.integers(min_value=0, max_value=4))
-        intervals = []
-        for _ in range(count):
-            low = draw(st.integers(min_value=1, max_value=max_point))
-            high = draw(st.integers(min_value=low, max_value=max_point))
-            intervals.append((low, high))
-        return IntervalSet(intervals)
-
-    return build()
 
 
 class TestVectorStoreAgreement:
@@ -366,16 +351,6 @@ class TestStatelessOpsAgreement:
             _assert_all_match(
                 [kernel.pareto_mask(block) for kernel in KERNELS], context=dims
             )
-
-    @given(
-        cover_sets=st.lists(_interval_set_strategy(), min_size=0, max_size=8),
-        target=_interval_set_strategy(),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_covers_many_matches(self, cover_sets, target):
-        expected = [cover.covers(target) for cover in cover_sets]
-        for kernel in KERNELS:
-            assert kernel.covers_many(cover_sets, target) == expected, kernel.name
 
 
 class TestAlgorithmLevelAgreement:

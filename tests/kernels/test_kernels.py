@@ -92,8 +92,9 @@ class TestTDominanceTables:
     def test_mbi_bounds_cover_interval_sets(self):
         encoding = encode_domain(paper_example_dag())
         tables = TDominanceTables.from_encodings(1, [encoding])
-        for code, interval_set in enumerate(tables.interval_sets[0]):
-            mbi = interval_set.bounding_interval()
+        for code, mask in enumerate(tables.masks[0]):
+            assert mask == encoding.reach_mask(encoding.order[code])
+            mbi = IntervalSet.from_mask(mask).bounding_interval()
             assert tables.mbi_low[0][code] == mbi.low
             assert tables.mbi_high[0][code] == mbi.high
 
@@ -132,8 +133,3 @@ class TestBoundingIntervals:
             interval_set.bounding_interval().low,
             interval_set.bounding_interval().high,
         ) == (1, 9)
-
-    def test_kernel_helper_matches(self):
-        sets = [IntervalSet([(1, 2), (4, 6)]), IntervalSet([(3, 3)])]
-        intervals = get_kernel("purepython").bounding_intervals(sets)
-        assert [(iv.low, iv.high) for iv in intervals] == [(1, 6), (3, 3)]
