@@ -52,9 +52,10 @@ def open_dataset(
     ``None`` — which uses the config's ``store`` (the ``REPRO_STORE``
     environment variable when not set explicitly).  ``config`` carries the
     runtime knobs; keyword overrides (the :meth:`RuntimeConfig.resolve
-    <repro.config.RuntimeConfig.resolve>` fields — ``kernel``, ``index``,
-    ``workers``, ``shards``, ``partitioner``, ``prefilter``, ``cache_size``,
-    ``max_entries``, ``store``, ``mmap``, ``faults``) win over both.
+    <repro.config.RuntimeConfig.resolve>` fields — ``kernel``, ``workers``,
+    ``shards``, ``partitioner``, ``prefilter``, ``cache_size``,
+    ``max_entries``, ``store``, ``compact_threshold``, ``faults``) win over
+    both.
     """
     config = _resolve_config(config, overrides)
     # Arm fault injection (``faults=`` / REPRO_FAULTS) before the engine

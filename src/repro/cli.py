@@ -68,7 +68,6 @@ from repro.bench.reporting import render_tables
 from repro.bench.runner import BenchProfile
 from repro.config import RuntimeConfig
 from repro.exceptions import ExperimentError, ReproError
-from repro.index.registry import available_indexes, resolve_index, set_default_index
 from repro.kernels import available_kernels, get_kernel, set_default_kernel
 
 
@@ -85,33 +84,12 @@ def _select_kernel(name: str | None) -> int:
     return 0
 
 
-def _select_index(name: str | None) -> int:
-    """Install the CLI spatial-index override; returns an exit code (0 = ok)."""
-    if not name:
-        return 0
-    try:
-        set_default_index(name)
-        resolve_index(None)  # fail fast on e.g. 'flat' without NumPy
-    except ExperimentError as error:
-        set_default_index(None)
-        print(f"error: {error}", file=sys.stderr)
-        print(f"available indexes: {', '.join(available_indexes())}", file=sys.stderr)
-        return 2
-    return 0
-
-
 def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
         default=None,
         help="dominance kernel backend (purepython/numpy; default: "
         "REPRO_KERNEL env var, else numpy when available)",
-    )
-    parser.add_argument(
-        "--index",
-        default=None,
-        help="spatial index backend (flat/pointer; default: REPRO_INDEX env "
-        "var, else flat when NumPy is available)",
     )
 
 
@@ -141,22 +119,6 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="open this packed dataset store (written by 'repro pack') instead "
         "of generating a synthetic workload (default: REPRO_STORE env var)",
-    )
-    parser.add_argument(
-        "--mmap",
-        choices=("on", "off"),
-        default=None,
-        help="memory-map packed store arrays zero-copy instead of loading "
-        "them into process memory (default: REPRO_MMAP env var, else on "
-        "when NumPy is available)",
-    )
-    parser.add_argument(
-        "--crc",
-        choices=("eager", "lazy"),
-        default=None,
-        help="store checksum mode: verify every section at open (eager) or "
-        "each section on first touch (lazy; default: REPRO_CRC env var, "
-        "else eager)",
     )
     parser.add_argument(
         "--compact-threshold",
@@ -230,9 +192,8 @@ def _runtime_config(args) -> RuntimeConfig:
     """One resolved :class:`RuntimeConfig` from the CLI flags.
 
     Unset flags fall through to their ``REPRO_*`` environment variables.
-    Kernel and index are process-wide overrides (``_select_kernel`` /
-    ``_select_index`` install them before any engine is built), so they are
-    deliberately left unset here.
+    The kernel is a process-wide override (``_select_kernel`` installs it
+    before any engine is built), so it is deliberately left unset here.
     """
     return RuntimeConfig.resolve(
         workers=args.workers,
@@ -241,8 +202,6 @@ def _runtime_config(args) -> RuntimeConfig:
         prefilter=not args.no_prefilter,
         cache_size=args.cache_size,
         store=args.store,
-        mmap=args.mmap,
-        crc=args.crc,
         compact_threshold=args.compact_threshold,
         faults=args.faults,
     )
@@ -261,7 +220,7 @@ def _open_engine(args, name: str):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tss-bench",
+        prog="repro",
         description="Reproduce the tables and figures of 'Topologically Sorted Skylines "
         "for Partially Ordered Domains' (ICDE 2009).",
     )
@@ -297,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def build_batch_query_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tss-bench batch-query",
+        prog="repro batch-query",
         description="Evaluate a batch of dynamic-preference skyline queries over one "
         "synthetic workload with shared dominance work and per-topology caching.",
     )
@@ -322,8 +281,6 @@ def batch_query_main(argv: Sequence[str] | None = None) -> int:
 
     args = build_batch_query_parser().parse_args(argv)
     if (code := _select_kernel(args.kernel)) != 0:
-        return code
-    if (code := _select_index(args.index)) != 0:
         return code
 
     try:
@@ -376,7 +333,7 @@ def batch_query_main(argv: Sequence[str] | None = None) -> int:
 
 def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tss-bench serve",
+        prog="repro serve",
         description="Serve dynamic-preference skyline queries over one synthetic "
         "workload: JSON over TCP, shared result cache, optional sharded "
         "parallel execution.",
@@ -402,8 +359,6 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
 
     args = build_serve_parser().parse_args(argv)
     if (code := _select_kernel(args.kernel)) != 0:
-        return code
-    if (code := _select_index(args.index)) != 0:
         return code
 
     async def _serve() -> None:
@@ -444,7 +399,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
 
 def build_query_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tss-bench query",
+        prog="repro query",
         description="Send one request to a running 'repro serve' instance.",
     )
     parser.add_argument("--host", default=None, help="service address (default 127.0.0.1)")
@@ -571,7 +526,7 @@ def query_main(argv: Sequence[str] | None = None) -> int:
 
 def build_mutate_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tss-bench mutate",
+        prog="repro mutate",
         description="Apply live mutations (insert / delete / compact) to a "
         "running 'repro serve' instance's delta plane.",
     )
@@ -681,7 +636,7 @@ def mutate_main(argv: Sequence[str] | None = None) -> int:
 
 def build_pack_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="tss-bench pack",
+        prog="repro pack",
         description="Pack one synthetic workload into a single mmap-able "
         "dataset store file: encoded columns, prefiltered survivors, the "
         "base-topology mapping and its bulk-loaded spatial index.",
@@ -706,8 +661,6 @@ def pack_main(argv: Sequence[str] | None = None) -> int:
 
     args = build_pack_parser().parse_args(argv)
     if (code := _select_kernel(args.kernel)) != 0:
-        return code
-    if (code := _select_index(args.index)) != 0:
         return code
 
     _, dataset = _build_workload(args, "pack")
@@ -762,7 +715,7 @@ def lint_main(argv: Sequence[str] | None = None) -> int:
 def kernels_main(argv: Sequence[str] | None = None) -> int:
     """Entry point of the ``kernels`` subcommand."""
     argparse.ArgumentParser(
-        prog="tss-bench kernels",
+        prog="repro kernels",
         description="List the available dominance kernel backends.",
     ).parse_args(argv)
     try:
@@ -797,8 +750,6 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     args = build_parser().parse_args(arguments)
     if (code := _select_kernel(args.kernel)) != 0:
-        return code
-    if (code := _select_index(args.index)) != 0:
         return code
     if args.profile is None:
         profile = BenchProfile.from_env()

@@ -1,23 +1,24 @@
 """Runtime configuration: every ``REPRO_*`` knob resolved in one place.
 
-The resolvers for every environment knob — ``REPRO_KERNEL``, ``REPRO_INDEX``,
-``REPRO_WORKERS``, ``REPRO_STORE``, ``REPRO_MMAP``, ``REPRO_CRC``,
-``REPRO_COMPACT_THRESHOLD``, ``REPRO_FAULTS`` and ``REPRO_BENCH_PROFILE`` —
-live here, all following the same precedence:
+The resolvers for every environment knob — ``REPRO_KERNEL``,
+``REPRO_WORKERS``, ``REPRO_STORE``, ``REPRO_COMPACT_THRESHOLD``,
+``REPRO_FAULTS`` and ``REPRO_BENCH_PROFILE`` — live here, all following the
+same precedence:
 
     explicit argument  >  CLI flag  >  ``REPRO_*`` environment variable  >  default
 
 :class:`RuntimeConfig` bundles one resolved choice of every knob — kernel,
-spatial index, workers, shards, partitioner, prefilter, cache sizes and the
-storage-plane knobs (store path, mmap mode, checksum mode, compaction
-threshold, fault spec) — as a frozen dataclass, so a whole engine/service
-construction can be described, logged and forwarded as a single value.  The
-public facade (:mod:`repro.api`) and the CLI build their engines through it.
+workers, shards, partitioner, prefilter, cache sizes and the storage-plane
+knobs (store path, compaction threshold, fault spec) — as a frozen
+dataclass, so a whole engine/service construction can be described, logged
+and forwarded as a single value.  The public facade (:mod:`repro.api`) and the CLI build their engines through it.
 
-The data path itself has no knobs: the engine and the sharded executor always
-run on an :class:`~repro.data.columns.EncodedFrame` (NumPy-backed when NumPy
-imports, tuple-backed otherwise) and merge shards with the columnar
-sort-merge.
+The data path itself has no knobs; it follows whether NumPy imports.  With
+NumPy the engine and the sharded executor run on a NumPy-backed
+:class:`~repro.data.columns.EncodedFrame`, build ``flat`` R-trees and
+memory-map packed store sections; without it they run on tuple-backed frames,
+``pointer`` R-trees and struct-unpacked sections.  Shards always merge with
+the columnar sort-merge, and store checksums are always verified at open.
 """
 
 from __future__ import annotations
@@ -31,29 +32,20 @@ from repro.exceptions import ExperimentError
 __all__ = [
     "BENCH_PROFILE_ENV_VAR",
     "COMPACT_THRESHOLD_ENV_VAR",
-    "CRC_ENV_VAR",
-    "CRC_MODES",
     "DEFAULT_COMPACT_THRESHOLD",
     "FAULTS_ENV_VAR",
-    "INDEX_ENV_VAR",
     "KERNEL_ENV_VAR",
-    "MMAP_ENV_VAR",
     "STORE_ENV_VAR",
     "WORKERS_ENV_VAR",
     "RuntimeConfig",
     "env_text",
     "resolve_compact_threshold",
-    "resolve_crc_mode",
     "resolve_faults",
-    "resolve_mmap_mode",
     "resolve_workers",
 ]
 
 #: Environment variable selecting the dominance kernel backend.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
-
-#: Environment variable selecting the spatial index backend.
-INDEX_ENV_VAR = "REPRO_INDEX"
 
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
@@ -64,36 +56,15 @@ BENCH_PROFILE_ENV_VAR = "REPRO_BENCH_PROFILE"
 #: Environment variable naming a packed dataset store to open.
 STORE_ENV_VAR = "REPRO_STORE"
 
-#: Environment variable selecting mmap vs. load for packed stores.
-MMAP_ENV_VAR = "REPRO_MMAP"
-
 #: Environment variable setting the delta-plane auto-compaction threshold.
 COMPACT_THRESHOLD_ENV_VAR = "REPRO_COMPACT_THRESHOLD"
-
-#: Environment variable selecting eager vs. lazy store checksum verification.
-CRC_ENV_VAR = "REPRO_CRC"
 
 #: Environment variable carrying a fault-injection spec (see :mod:`repro.faults`).
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
-#: The recognized store checksum-verification modes.
-CRC_MODES = ("eager", "lazy")
-
 #: Pending mutations (inserts + tombstoned deletes) that trigger an automatic
 #: delta-plane compaction; ``0`` (or any value ``<= 0``) disables auto-compaction.
 DEFAULT_COMPACT_THRESHOLD = 8192
-
-_TRUE_WORDS = frozenset({"1", "true", "on", "yes"})
-_FALSE_WORDS = frozenset({"0", "false", "off", "no"})
-
-
-def _numpy_available() -> bool:
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
 
 def env_text(variable: str) -> str | None:
     """The raw value of one environment knob, or ``None`` when unset/blank.
@@ -131,42 +102,6 @@ def resolve_workers(workers: int | str | None = None) -> int:
     return count
 
 
-def _resolve_switch(
-    mode: bool | str | None, variable: str, *, default: bool, what: str
-) -> bool:
-    """Shared on/off resolver: explicit bool > env words > ``default``."""
-    source = ""
-    if mode is None:
-        raw = env_text(variable)
-        if raw is None:
-            return default
-        mode = raw
-        source = f" (from the {variable} environment variable)"
-    if isinstance(mode, bool):
-        return mode
-    word = str(mode).strip().lower()
-    if word in _TRUE_WORDS:
-        return True
-    if word in _FALSE_WORDS:
-        return False
-    raise ExperimentError(
-        f"{what} must be one of {sorted(_TRUE_WORDS | _FALSE_WORDS)}; "
-        f"got {mode!r}{source}"
-    )
-
-
-def resolve_mmap_mode(mode: bool | str | None = None) -> bool:
-    """Coerce the store mmap/load switch (``None`` falls back to the env).
-
-    ``True`` memory-maps a packed store's arrays zero-copy (requires NumPy);
-    ``False`` loads them into process memory.  Default: mmap exactly when
-    NumPy is importable — the tuple backend always loads.
-    """
-    return _resolve_switch(
-        mode, MMAP_ENV_VAR, default=_numpy_available(), what="store mmap mode"
-    )
-
-
 def resolve_compact_threshold(threshold: int | str | None = None) -> int:
     """Coerce the delta-plane auto-compaction threshold.
 
@@ -189,29 +124,6 @@ def resolve_compact_threshold(threshold: int | str | None = None) -> int:
             f"compaction threshold must be an integer, got {threshold!r}{source}"
         ) from None
     return max(0, value)
-
-
-def resolve_crc_mode(mode: str | None = None) -> str:
-    """Coerce the store checksum-verification mode.
-
-    ``"eager"`` verifies every section checksum at :meth:`DatasetStore.open`;
-    ``"lazy"`` defers each section's checksum to its first touch, pushing
-    replica cold start below the CRC pass.  ``None`` consults ``REPRO_CRC``,
-    else the default is ``"eager"``.
-    """
-    source = ""
-    if mode is None:
-        raw = env_text(CRC_ENV_VAR)
-        if raw is None:
-            return CRC_MODES[0]
-        mode = raw
-        source = f" (from the {CRC_ENV_VAR} environment variable)"
-    mode = str(mode).strip().lower()
-    if mode not in CRC_MODES:
-        raise ExperimentError(
-            f"crc mode must be one of {', '.join(CRC_MODES)}; got {mode!r}{source}"
-        )
-    return mode
 
 
 def resolve_faults(spec: str | None = None) -> str | None:
@@ -246,11 +158,6 @@ def env_kernel_name() -> str | None:
     return env_text(KERNEL_ENV_VAR)
 
 
-def env_index_name() -> str | None:
-    """The ``REPRO_INDEX`` override, or ``None`` (index registry hook)."""
-    return env_text(INDEX_ENV_VAR)
-
-
 def env_store_path() -> str | None:
     """The ``REPRO_STORE`` default store path, or ``None``."""
     return env_text(STORE_ENV_VAR)
@@ -267,13 +174,12 @@ class RuntimeConfig:
 
     Built with :meth:`resolve`, which applies the library-wide precedence
     (explicit argument > env var > default) to each field in one shot.
-    ``kernel`` and ``index`` stay as *requested names* (``None`` = process
-    default) because their availability checks live in the kernel/index
-    registries; everything else is resolved to its final value.
+    ``kernel`` stays a *requested name* (``None`` = process default) because
+    its availability check lives in the kernel registry; everything else is
+    resolved to its final value.
     """
 
     kernel: str | None = None
-    index: str | None = None
     workers: int = 0
     shards: int | None = None
     partitioner: str = "round-robin"
@@ -281,8 +187,6 @@ class RuntimeConfig:
     cache_size: int | None = None
     max_entries: int = 32
     store: str | None = None
-    mmap: bool = True
-    crc: str = "eager"
     compact_threshold: int = DEFAULT_COMPACT_THRESHOLD
     faults: str | None = None
 
@@ -291,7 +195,6 @@ class RuntimeConfig:
         cls,
         *,
         kernel: str | None = None,
-        index: str | None = None,
         workers: int | str | None = None,
         shards: int | None = None,
         partitioner: str = "round-robin",
@@ -299,8 +202,6 @@ class RuntimeConfig:
         cache_size: int | None = None,
         max_entries: int = 32,
         store: str | os.PathLike[str] | None = None,
-        mmap: bool | str | None = None,
-        crc: str | None = None,
         compact_threshold: int | str | None = None,
         faults: str | None = None,
     ) -> "RuntimeConfig":
@@ -311,7 +212,6 @@ class RuntimeConfig:
             store = env_store_path()
         return cls(
             kernel=kernel if kernel is not None else env_kernel_name(),
-            index=index if index is not None else env_index_name(),
             workers=resolve_workers(workers),
             shards=shards,
             partitioner=partitioner,
@@ -319,8 +219,6 @@ class RuntimeConfig:
             cache_size=cache_size,
             max_entries=max_entries,
             store=None if store is None else os.fspath(store),
-            mmap=resolve_mmap_mode(mmap),
-            crc=resolve_crc_mode(crc),
             compact_threshold=resolve_compact_threshold(compact_threshold),
             faults=resolve_faults(faults),
         )
@@ -345,14 +243,11 @@ class RuntimeConfig:
         """Keyword arguments for :class:`~repro.engine.batch.BatchQueryEngine`."""
         options: dict[str, Any] = {
             "kernel": self.kernel,
-            "index": self.index,
             "workers": self.workers,
             "num_shards": self.shards,
             "partitioner": self.partitioner,
             "prefilter": self.prefilter,
             "max_entries": self.max_entries,
-            "mmap": self.mmap,
-            "crc": self.crc,
             "compact_threshold": self.compact_threshold,
         }
         if self.cache_size is not None:

@@ -65,7 +65,7 @@ if TYPE_CHECKING:
     from repro.parallel.executor import ShardedQueryResult
     from repro.store.reader import DatasetStore
 
-from repro.config import resolve_compact_threshold, resolve_crc_mode, resolve_workers
+from repro.config import resolve_compact_threshold, resolve_workers
 from repro.core.mapping import TSSMapping
 from repro.core.stss import stss_skyline
 from repro.data.columns import EncodedFrame
@@ -195,11 +195,9 @@ class BatchQueryEngine:
     query through a sharded executor built over the reduced rows
     (``workers=0`` with ``num_shards>1`` shards in-process; ``workers>=1``
     uses a persistent worker pool — close the engine, e.g. as a context
-    manager, to release it).  ``crc`` selects the store checksum mode
-    (``"eager"``/``"lazy"``, see :meth:`DatasetStore.open
-    <repro.store.reader.DatasetStore.open>`) and ``compact_threshold`` the
-    number of pending delta mutations that triggers automatic compaction
-    (0 disables; both fall back to ``REPRO_CRC`` / ``REPRO_COMPACT_THRESHOLD``).
+    manager, to release it).  ``compact_threshold`` is the number of pending
+    delta mutations that triggers automatic compaction (0 disables; falls
+    back to ``REPRO_COMPACT_THRESHOLD``).
     """
 
     def __init__(
@@ -213,9 +211,6 @@ class BatchQueryEngine:
         workers: int | str | None = None,
         num_shards: int | None = None,
         partitioner: str = "round-robin",
-        index=None,
-        mmap: bool | None = None,
-        crc: str | None = None,
         compact_threshold: int | str | None = None,
     ) -> None:
         # A path or an open DatasetStore selects the persisted plane: the
@@ -224,11 +219,10 @@ class BatchQueryEngine:
         # nothing is re-encoded, re-filtered or re-bulk-loaded.
         from repro.store.reader import DatasetStore
 
-        self._crc_mode = resolve_crc_mode(crc)
         self._compact_threshold = resolve_compact_threshold(compact_threshold)
         store: DatasetStore | None = None
         if isinstance(dataset, (str, os.PathLike)):
-            store = DatasetStore.open(dataset, mmap=mmap, crc=self._crc_mode)
+            store = DatasetStore.open(dataset)
         elif isinstance(dataset, DatasetStore):
             store = dataset
         self._store = store
@@ -241,11 +235,11 @@ class BatchQueryEngine:
             self._num_rows = len(dataset)
         self._dataset = dataset
         self.kernel = resolve_kernel(kernel)
-        # Spatial index backend for the per-query data R-trees (resolved once
-        # so typos fail fast and sharded workers receive the same choice).
+        # Spatial index backend of the per-query data R-trees: flat with
+        # NumPy, pointer without (reported by summary()).
         from repro.index.registry import resolve_index
 
-        self.index = resolve_index(index)
+        self.index = resolve_index()
         self.max_entries = max_entries
         self.cache_size = cache_size
         self._prefilter = bool(prefilter)
@@ -407,11 +401,12 @@ class BatchQueryEngine:
     def _stored_base_artifacts(self, query: BatchQuery, key: TopologyKey):
         """The store's packed base mapping (+ tree, when compatible), cached.
 
-        The packed flat tree is adopted only when this engine actually
-        queries through the flat backend with the packed fanout; otherwise
-        the tree is rebuilt over the packed mapping's points (still no
-        re-mapping).  Guarded by :attr:`_store_base_usable` — the packed
-        record ids index the packed survivor order.
+        The packed flat tree is adopted when the store maps its sections
+        (NumPy imports, so the engine queries through the flat backend) and
+        the fanout matches; otherwise the tree is rebuilt over the packed
+        mapping's points (still no re-mapping).  Guarded by
+        :attr:`_store_base_usable` — the packed record ids index the packed
+        survivor order.
         """
         with self._state_lock:
             cached = self._base_artifacts
@@ -420,15 +415,13 @@ class BatchQueryEngine:
         store = self._store
         mapping = store.base_mapping(encodings=self._encodings_for(query, key))
         if (
-            self.index == "flat"
+            store.uses_mmap
             and store.has_base_index
             and self.max_entries == store.base_max_entries
         ):
             tree = store.base_tree()
         else:
-            tree = mapping.build_rtree(
-                max_entries=self.max_entries, index=self.index
-            )
+            tree = mapping.build_rtree(max_entries=self.max_entries)
         with self._state_lock:
             if self._base_artifacts is None:
                 self._base_artifacts = (mapping, tree)
@@ -469,7 +462,6 @@ class BatchQueryEngine:
                 max_entries=self.max_entries,
                 encoding_cache_size=self.cache_size,
                 frame=frame,
-                index=self.index,
                 store=self._store,
                 store_rows=self._candidate_rows if self._store is not None else None,
             )
@@ -576,14 +568,10 @@ class BatchQueryEngine:
                 index_started = time.perf_counter()
                 build_seconds = index_started - phase_started
                 if tree is None:
-                    tree = mapping.build_rtree(
-                        max_entries=self.max_entries, index=self.index
-                    )
+                    tree = mapping.build_rtree(max_entries=self.max_entries)
                 query_started = time.perf_counter()
                 index_build_seconds = query_started - index_started
-                result = stss_skyline(
-                    mapping=mapping, tree=tree, kernel=self.kernel, index=self.index
-                )
+                result = stss_skyline(mapping=mapping, tree=tree, kernel=self.kernel)
                 query_seconds = time.perf_counter() - query_started
             else:
                 query_started = time.perf_counter()
@@ -620,10 +608,8 @@ class BatchQueryEngine:
                 frame=insert_frame,
                 rows=live_positions,
             )
-            tree = mapping.build_rtree(max_entries=self.max_entries, index=self.index)
-            result = stss_skyline(
-                mapping=mapping, tree=tree, kernel=self.kernel, index=self.index
-            )
+            tree = mapping.build_rtree(max_entries=self.max_entries)
+            result = stss_skyline(mapping=mapping, tree=tree, kernel=self.kernel)
         else:
             result = sfs_skyline(
                 None, frame=insert_frame, rows=live_positions, kernel=self.kernel
@@ -935,9 +921,7 @@ class BatchQueryEngine:
                 self._log = DeltaLog.ensure(
                     delta_log_path(store.path), generation
                 )
-            reopened = DatasetStore.open(
-                store.path, mmap=store.uses_mmap, crc=self._crc_mode
-            )
+            reopened = DatasetStore.open(store.path)
             self._store = reopened
             self._num_rows = reopened.num_rows
             self._row_ids = reopened.row_ids()
@@ -998,8 +982,6 @@ class BatchQueryEngine:
                     "format_version": self._store.format_version,
                     "generation": self._store.generation,
                     "mmap": self._store.uses_mmap,
-                    "crc": self._store.crc_mode,
-                    "degraded_sections": list(self._store.degraded_sections),
                 }
                 if self._store is not None
                 else None
@@ -1017,7 +999,6 @@ class BatchQueryEngine:
             "kernel": self.kernel.name,
             "index": self.index,
             "workers": self._executor.workers if self._executor is not None else 0,
-            "crc": self._crc_mode,
             "compact_threshold": self._compact_threshold,
             "mutations_applied": mutations_applied,
             "compactions": compactions,

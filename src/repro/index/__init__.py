@@ -13,17 +13,13 @@
   the same STR layout bulk-loaded with vectorized ``np.argsort`` partitioning
   and level-at-a-time MBR reductions, traversed without per-entry Python
   objects (requires NumPy; static consumers only).
-* :mod:`~repro.index.registry` — backend selection (``--index`` /
-  ``REPRO_INDEX`` / automatic), mirroring the dominance-kernel registry.
+* :mod:`~repro.index.registry` — backend names: ``flat`` when NumPy imports,
+  else ``pointer``, unless a caller names one explicitly.
 """
 
 from repro.index.geometry import Rect, point_mindist
 from repro.index.pager import BufferPool, DiskSimulator, IOStats
-from repro.index.registry import (
-    available_indexes,
-    resolve_index,
-    set_default_index,
-)
+from repro.index.registry import available_indexes, resolve_index
 from repro.index.rtree import BestFirstTraversal, NodeRef, RTree, RTreeEntry
 
 __all__ = [
@@ -38,5 +34,4 @@ __all__ = [
     "BestFirstTraversal",
     "available_indexes",
     "resolve_index",
-    "set_default_index",
 ]

@@ -66,7 +66,6 @@ from repro.engine.encodings import (
 from repro.engine.lru import LRUDict
 from repro.exceptions import DeadlineExceededError, QueryError
 from repro.faults.registry import trip as _fault_trip
-from repro.index.registry import resolve_index
 from repro.kernels import resolve_kernel
 from repro.kernels.tables import RecordTables
 from repro.order.dag import PartialOrderDAG
@@ -93,7 +92,6 @@ class _StoreShardSpec:
     """
 
     path: str
-    mmap: bool
     rows: tuple[int, ...]
 
 
@@ -115,7 +113,6 @@ class _WorkerState:
         kernel_name: str | None,
         max_entries: int,
         encoding_cache_size: int,
-        index_name: str | None = None,
     ) -> None:
         self.schema = schema
         if any(isinstance(data, _StoreShardSpec) for data in shard_data.values()):
@@ -128,7 +125,7 @@ class _WorkerState:
                     store = stores.get(data.path)
                     if store is None:
                         store = stores[data.path] = DatasetStore.open(
-                            data.path, mmap=data.mmap, verify=False
+                            data.path, verify=False
                         )
                     resolved[index] = store.frame().take(list(data.rows))
                 else:
@@ -137,7 +134,6 @@ class _WorkerState:
         self.shard_data = shard_data
         self.kernel = resolve_kernel(kernel_name)
         self.max_entries = max_entries
-        self.index = resolve_index(index_name)
         self._encoding_cache = EncodingCache(encoding_cache_size)
 
     def local_skyline(
@@ -162,7 +158,6 @@ class _WorkerState:
                 frame=frame,
                 max_entries=self.max_entries,
                 kernel=self.kernel,
-                index=self.index,
             )
         else:
             result = sfs_skyline(None, frame=frame, kernel=self.kernel)
@@ -178,11 +173,10 @@ def _init_worker(
     kernel_name: str | None,
     max_entries: int,
     encoding_cache_size: int,
-    index_name: str | None = None,
 ) -> None:
     global _WORKER_STATE
     _WORKER_STATE = _WorkerState(
-        schema, shard_data, kernel_name, max_entries, encoding_cache_size, index_name
+        schema, shard_data, kernel_name, max_entries, encoding_cache_size
     )
 
 
@@ -310,7 +304,6 @@ class ShardedExecutor:
         encoding_cache_size: int = 256,
         task_timeout: float | None = 600.0,
         frame: EncodedFrame | None = None,
-        index=None,
         store=None,
         store_rows=None,
     ) -> None:
@@ -324,7 +317,6 @@ class ShardedExecutor:
                 f"{len(dataset)}"
             )
         self.schema = frame.schema
-        self.index = resolve_index(index)
         self.workers = resolve_workers(workers)
         self.num_shards = max(1, self.workers) if num_shards is None else num_shards
         if self.num_shards < 1:
@@ -390,7 +382,6 @@ class ShardedExecutor:
             shard = self.shards[shard_index]
             return _StoreShardSpec(
                 path=self._store.path,
-                mmap=self._store.uses_mmap,
                 rows=tuple(
                     self._store_rows[position] for position in shard.record_ids
                 ),
@@ -408,7 +399,6 @@ class ShardedExecutor:
             self.kernel.name,
             self.max_entries,
             self.encoding_cache_size,
-            self.index,
         )
 
     def start(self) -> "ShardedExecutor":
@@ -794,7 +784,6 @@ class ShardedExecutor:
             "workers": self.workers,
             "partitioner": self.partitioner_name,
             "kernel": self.kernel.name,
-            "index": self.index,
             "queries_answered": self.queries_answered,
             "pool_running": self._pools is not None,
             "pool_respawns": self.pool_respawns,

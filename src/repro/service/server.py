@@ -61,8 +61,6 @@ class QueryService:
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_entries: int = 32,
         prefilter: bool = True,
-        index=None,
-        mmap: bool | None = None,
     ) -> None:
         # The first argument is anything the engine can open: a Dataset, a
         # DatasetStore, a packed-store path — or a ready-made engine (the
@@ -80,8 +78,6 @@ class QueryService:
                 cache_size=cache_size,
                 max_entries=max_entries,
                 prefilter=prefilter,
-                index=index,
-                mmap=mmap,
             )
         # Start the worker pool (if any) now, while the process is still
         # single-threaded — the event loop and executor threads come later,

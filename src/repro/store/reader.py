@@ -7,12 +7,11 @@ prefilter survivor list, the base-preference :class:`~repro.core.mapping.
 TSSMapping` and the bulk-loaded :class:`~repro.index.flat.FlatRTree` —
 without re-encoding, re-filtering, re-mapping or re-bulk-loading anything.
 
-With NumPy the sections become read-only ``np.memmap`` views (the default),
-so several processes opening the same file share one copy of the bytes
-through the OS page cache; ``mmap=False`` (or ``REPRO_MMAP=off``) reads them
-into private in-memory arrays instead.  Without NumPy the same bytes are
-unpacked into the tuple-backed column layout, so the pure-Python backend
-answers queries from the identical file.
+With NumPy the sections become read-only ``np.memmap`` views, so several
+processes opening the same file share one copy of the bytes through the OS
+page cache.  Without NumPy the same bytes are read, checked against their
+section checksum and unpacked into the tuple-backed column layout, so the
+pure-Python backend answers queries from the identical file.
 
 Every failure mode — missing file, truncation, bad magic, wrong format
 version, malformed header, checksum mismatch — raises a typed
@@ -28,7 +27,6 @@ import struct
 import threading
 import zlib
 
-from repro.config import resolve_crc_mode, resolve_mmap_mode
 from repro.data.columns import ColumnCodec, EncodedFrame
 from repro.data.dataset import Dataset
 from repro.exceptions import StoreError
@@ -58,28 +56,17 @@ def _numpy_or_none():
 class DatasetStore:
     """A read-only view over one packed store file."""
 
-    def __init__(
-        self, path: str, header: dict, *, mmap: bool, crc: str = "eager"
-    ) -> None:
+    def __init__(self, path: str, header: dict) -> None:
         self.path = path
         self.format_version: int = header["format_version"]
         self._header = header
         self._np = _numpy_or_none()
-        self._mmap = bool(mmap) and self._np is not None
-        self._crc_mode = crc
-        # Sections whose checksum has been confirmed; in lazy mode each is
-        # verified on its first touch and remembered here.
-        self._verified: set[str] = set()
-        self._lazy_verify = False
         self._sections = {
             name: SectionSpec.from_json(name, payload, path=path)
             for name, payload in header["sections"].items()
         }
         self.schema = decode_schema(header["schema"], path=path)
         self._lock = threading.RLock()  # dataset() -> frame() re-enters
-        # Sections served from a copying re-read after a first-touch mmap
-        # checksum failure (degradation ladder: mmap -> load before raising).
-        self._degraded_sections: set[str] = set()
         self._frame = None
         self._survivors = None
         self._row_ids = _UNSET
@@ -89,29 +76,16 @@ class DatasetStore:
     # Opening
     # ------------------------------------------------------------------ #
     @classmethod
-    def open(
-        cls,
-        path,
-        *,
-        mmap: bool | str | None = None,
-        verify: bool = True,
-        crc: str | None = None,
-    ) -> "DatasetStore":
+    def open(cls, path, *, verify: bool = True) -> "DatasetStore":
         """Open ``path``, validate magic/version/checksums, return a store.
 
-        ``mmap`` follows :func:`repro.config.resolve_mmap_mode` (explicit
-        argument > ``REPRO_MMAP`` > on when NumPy is available).  ``crc``
-        follows :func:`repro.config.resolve_crc_mode`: ``"eager"`` (default)
-        verifies every section checksum here — reading each section once,
-        which doubles as a page-cache warm-up for the mmap path — while
-        ``"lazy"`` only bounds-checks the layout at open and defers each
-        section's checksum to its first touch (replica cold start below the
-        CRC pass).  ``verify=False`` skips checksums entirely (pool workers
-        re-opening a file the parent already verified).
+        Every section checksum is verified here, reading each section once —
+        which doubles as a page-cache warm-up for the mmap path.
+        ``verify=False`` skips that pass (pool workers re-opening a file the
+        parent already verified).  Sections read into process memory later
+        (no NumPy, or zero-byte sections) are checked again as they are read.
         """
         path = os.fspath(path)
-        use_mmap = resolve_mmap_mode(mmap)
-        crc_mode = resolve_crc_mode(crc)
         try:
             handle = open(path, "rb")  # noqa: SIM115 -- entered via `with handle:` below
         except OSError as exc:
@@ -161,25 +135,10 @@ class DatasetStore:
                         f"store '{path}' header is missing its {key!r} entry "
                         f"(expected format version {FORMAT_VERSION})"
                     )
-            store = cls(path, header, mmap=use_mmap, crc=crc_mode)
-            if verify and crc_mode == "eager":
+            store = cls(path, header)
+            if verify:
                 store._verify_checksums(handle, file_size)
-            elif verify:
-                store._check_bounds(file_size)
-                store._lazy_verify = True
         return store
-
-    def _check_bounds(self, file_size: int) -> None:
-        """Cheap layout validation (no section reads): every section fits."""
-        for spec in self._sections.values():
-            if spec.offset + spec.nbytes > file_size:
-                raise StoreError(
-                    f"store '{self.path}' is truncated: section "
-                    f"{spec.name!r} needs bytes "
-                    f"[{spec.offset}, {spec.offset + spec.nbytes}) but the "
-                    f"file has {file_size} "
-                    f"(expected format version {FORMAT_VERSION})"
-                )
 
     def _verify_checksums(self, handle, file_size: int) -> None:
         for spec in self._sections.values():
@@ -192,7 +151,6 @@ class DatasetStore:
                     f"(expected format version {FORMAT_VERSION})"
                 )
             self._stream_verify(handle, spec)
-            self._verified.add(spec.name)
 
     def _stream_verify(self, handle, spec: SectionSpec) -> None:
         handle.seek(spec.offset)
@@ -205,42 +163,23 @@ class DatasetStore:
             crc = zlib.crc32(chunk, crc)
             remaining -= len(chunk)
         if remaining or (crc & 0xFFFFFFFF) != spec.crc32:
-            raise StoreError(
-                f"store '{self.path}' failed its checksum for section "
-                f"{spec.name!r}: the file is corrupt — re-pack the "
-                f"dataset with 'repro pack'"
-            )
+            raise self._checksum_error(spec)
 
-    def _touch(self, spec: SectionSpec, data: bytes | None = None) -> None:
-        """Lazy-mode first-touch checksum of one section (no-op otherwise).
-
-        ``data`` passes the bytes a caller already read, so the load path
-        verifies with zero extra IO; the mmap path streams the section from
-        the file once (warming exactly the pages about to be mapped).
-        """
-        if not self._lazy_verify:
-            return
-        with self._lock:
-            if spec.name in self._verified:
-                return
-            if data is not None:
-                if (zlib.crc32(data) & 0xFFFFFFFF) != spec.crc32:
-                    raise StoreError(
-                        f"store '{self.path}' failed its checksum for section "
-                        f"{spec.name!r}: the file is corrupt — re-pack the "
-                        f"dataset with 'repro pack'"
-                    )
-            else:
-                with open(self.path, "rb") as handle:
-                    self._stream_verify(handle, spec)
-            self._verified.add(spec.name)
+    def _checksum_error(self, spec: SectionSpec) -> StoreError:
+        return StoreError(
+            f"store '{self.path}' failed its checksum for section "
+            f"{spec.name!r}: the file is corrupt — re-pack the "
+            f"dataset with 'repro pack'"
+        )
 
     # ------------------------------------------------------------------ #
     # Header facts
     # ------------------------------------------------------------------ #
     @property
     def uses_mmap(self) -> bool:
-        return self._mmap
+        """Whether array sections are ``np.memmap`` views (exactly when NumPy
+        imports); without NumPy they are read and struct-unpacked."""
+        return self._np is not None
 
     @property
     def generation(self) -> int:
@@ -261,10 +200,6 @@ class DatasetStore:
         if row_ids is None:
             return self.num_rows
         return max(row_ids) + 1 if row_ids else 0
-
-    @property
-    def crc_mode(self) -> str:
-        return self._crc_mode
 
     @property
     def num_rows(self) -> int:
@@ -289,25 +224,17 @@ class DatasetStore:
     def __len__(self) -> int:
         return self.num_rows
 
-    @property
-    def degraded_sections(self) -> tuple[str, ...]:
-        """Sections served by copying re-read after an mmap-path failure."""
-        with self._lock:
-            return tuple(sorted(self._degraded_sections))
-
     def describe(self) -> dict:
         """A JSON-safe summary for the CLI / service stats."""
         return {
             "path": self.path,
             "format_version": self.format_version,
             "generation": self.generation,
-            "mmap": self._mmap,
-            "crc": self._crc_mode,
+            "mmap": self.uses_mmap,
             "rows": self.num_rows,
             "survivors": self.num_survivors,
             "base_mapping": self.has_base_mapping,
             "base_index": self.has_base_index and self._np is not None,
-            "degraded_sections": list(self.degraded_sections),
             "sections": {
                 name: spec.nbytes for name, spec in self._sections.items()
             },
@@ -332,44 +259,16 @@ class DatasetStore:
         )
 
     def _array(self, name: str):
-        """The section as a read-only NumPy array (memmap or loaded copy)."""
+        """The section as a read-only ``np.memmap`` view."""
         spec = self._spec(name)
         np = self._np
         dtype = np.dtype(spec.dtype)
-        if self._mmap and spec.nbytes:
-            try:
-                _fault_trip("store.section_read", exc=self._injected)
-                self._touch(spec)
-            except StoreError:
-                if not self._lazy_verify:
-                    raise
-                # Degradation ladder: the mmap first-touch checksum failed —
-                # before giving up, re-read the section into process memory
-                # and verify the copy; a transient read fault stays an mmap
-                # store, a genuinely corrupt section still raises below.
-                return self._copy_fallback(spec, np, dtype)
-            return np.memmap(
-                self.path, dtype=dtype, mode="r", offset=spec.offset, shape=spec.shape
-            )
-        data = self._read_bytes(spec)
-        array = np.frombuffer(data, dtype=dtype).reshape(spec.shape)
-        return array
-
-    def _copy_fallback(self, spec: SectionSpec, np, dtype):
-        """Copying re-read of one section after an mmap checksum failure."""
-        with open(self.path, "rb") as handle:
-            handle.seek(spec.offset)
-            data = handle.read(spec.nbytes)
-        if len(data) != spec.nbytes or (zlib.crc32(data) & 0xFFFFFFFF) != spec.crc32:
-            raise StoreError(
-                f"store '{self.path}' failed its checksum for section "
-                f"{spec.name!r}: the file is corrupt — re-pack the "
-                f"dataset with 'repro pack'"
-            )
-        with self._lock:
-            self._verified.add(spec.name)
-            self._degraded_sections.add(spec.name)
-        return np.frombuffer(data, dtype=dtype).reshape(spec.shape)
+        if not spec.nbytes:  # np.memmap cannot map zero bytes
+            return np.frombuffer(self._read_bytes(spec), dtype=dtype).reshape(spec.shape)
+        _fault_trip("store.section_read", exc=self._injected)
+        return np.memmap(
+            self.path, dtype=dtype, mode="r", offset=spec.offset, shape=spec.shape
+        )
 
     def _read_bytes(self, spec: SectionSpec) -> bytes:
         with open(self.path, "rb") as handle:
@@ -381,7 +280,10 @@ class DatasetStore:
                 f"ended early (expected format version {FORMAT_VERSION})"
             )
         data = _fault_trip("store.section_read", exc=self._injected, data=data)
-        self._touch(spec, data)
+        # Checked on every read, not only at open: bytes that changed since
+        # the open's pass must never reach a frame.
+        if (zlib.crc32(data) & 0xFFFFFFFF) != spec.crc32:
+            raise self._checksum_error(spec)
         return data
 
     def _unpack(self, name: str):
@@ -403,7 +305,7 @@ class DatasetStore:
     def frame(self) -> EncodedFrame:
         """The full encoded frame over the store's bytes (cached).
 
-        NumPy builds it on zero-copy (or loaded) arrays; without NumPy the
+        NumPy builds it on zero-copy mapped arrays; without NumPy the
         same bytes become the tuple-backed layout, so both backends answer
         queries from one file.
         """
@@ -498,8 +400,8 @@ class DatasetStore:
         if self._np is None:
             raise StoreError(
                 f"store '{self.path}' has a flat-tree section but this "
-                f"environment lacks NumPy; rebuild the tree with the "
-                f"'pointer' backend instead"
+                f"environment lacks NumPy to map it; build a tree from "
+                f"base_mapping() instead"
             )
         base = self._header["base"]
         return FlatRTree.from_arrays(

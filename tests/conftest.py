@@ -136,17 +136,23 @@ def frame_backing_of(name: str):
 
     The engine and executor run on one data path, an :class:`EncodedFrame`
     held in NumPy arrays when NumPy imports and in tuples otherwise.
-    ``"tuple"`` hides NumPy from the frame plane, so one process covers the
-    fallback backing too; ``"numpy"`` skips when NumPy is missing.
+    ``"tuple"`` hides NumPy from the frame plane and from the store reader
+    (stores opened in the block struct-unpack their sections instead of
+    mapping them), so one process covers the fallback backing too;
+    ``"numpy"`` skips when NumPy is missing.
     """
     import repro.data.columns as columns
+    import repro.store.reader as reader
 
     if name == "numpy":
         if not columns.numpy_available():
             pytest.skip("NumPy-backed frames need NumPy")
         yield
         return
-    with mock.patch.object(columns, "_numpy_or_none", lambda: None):
+    with (
+        mock.patch.object(columns, "_numpy_or_none", lambda: None),
+        mock.patch.object(reader, "_numpy_or_none", lambda: None),
+    ):
         yield
 
 

@@ -4,8 +4,8 @@ The delta plane's contract: after ANY interleaving of inserts and deletes,
 a query through the mutated engine returns exactly — same ids, same order —
 what a fresh engine built from scratch over the live rows returns.  Pinned
 here across random mutation sequences, both frame backings, 1-4 shards,
-both kernels and (in the store matrix) packed stores with mmap on/off,
-including sequences that cross the auto-compaction threshold.
+both kernels and (in the store matrix) packed stores read through either
+backing, including sequences that cross the auto-compaction threshold.
 """
 
 from __future__ import annotations
@@ -21,7 +21,12 @@ from repro.data.dataset import Dataset
 from repro.data.workloads import WorkloadSpec
 from repro.engine.batch import BatchQuery, BatchQueryEngine, random_query_preferences
 from repro.kernels import available_kernels
-from tests.conftest import FRAME_BACKINGS, frame_backing_of, mixed_dataset_strategy
+from tests.conftest import (
+    FRAME_BACKINGS,
+    assert_backing,
+    frame_backing_of,
+    mixed_dataset_strategy,
+)
 
 KERNELS = available_kernels()
 
@@ -103,18 +108,9 @@ class TestDeltaEqualsRebuild:
             _mutate_and_check(engine, dataset.schema, live, rng, 3, queries, options)
 
 
-STORE_MATRIX = [
-    pytest.param(True, "eager", id="mmap-eager"),
-    pytest.param(True, "lazy", id="mmap-lazy"),
-    pytest.param(False, "eager", id="load-eager"),
-    pytest.param(False, "lazy", id="load-lazy"),
-]
-
-
 class TestStoreBackedDeltaEqualsRebuild:
-    @pytest.mark.parametrize("mmap_mode,crc", STORE_MATRIX)
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_store_matrix(self, tmp_path, mmap_mode, crc, seed):
+    def test_store_matrix(self, tmp_path, frame_backing, seed):
         spec = WorkloadSpec(
             name="delta-prop",
             cardinality=120,
@@ -135,12 +131,12 @@ class TestStoreBackedDeltaEqualsRebuild:
         ]
         live = {record.id: tuple(record.values) for record in dataset.records}
         # Threshold of 9 makes the 14-step schedule cross one compaction.
-        options = dict(mmap=mmap_mode, crc=crc, compact_threshold=9)
+        options = dict(compact_threshold=9)
         with BatchQueryEngine(path, **options) as engine:
-            _mutate_and_check(
-                engine, schema, live, rng, 14, queries, dict(crc=crc)
-            )
+            assert_backing(engine._frame, frame_backing)
+            _mutate_and_check(engine, schema, live, rng, 14, queries, {})
             assert engine.compactions >= 1
+            assert_backing(engine._frame, frame_backing)  # the reopened store
             expected = {q.name: engine.run_query(q).skyline_ids for q in queries}
         # A reopen (log replay over the compacted base) answers identically.
         with BatchQueryEngine(path, **options) as reopened:

@@ -45,19 +45,19 @@ class TestStoreReadFaults:
         path, _ = packed_store
 
         def scenario():
-            with open_dataset(path, crc="lazy", workers=0) as engine:
+            with open_dataset(path, workers=0) as engine:
                 schema = engine.schema
                 queries = _queries(schema)
                 reference = [engine.run_query(q).skyline_ids for q in queries]
             install(clause)
             outcomes = []
             try:
-                with open_dataset(path, crc="lazy", workers=0) as engine:
+                with open_dataset(path, workers=0) as engine:
                     for query, expected in zip(_queries(schema), reference):
                         outcomes.append(_attempt(engine, query, expected))
             except ReproError:
-                # The store open itself may fail typed (eager-verified
-                # sections trip before any query ran) — a valid outcome.
+                # The store open itself may fail typed (sections read at
+                # open trip before any query ran) — a valid outcome.
                 outcomes.append("typed-error")
             return outcomes
 

@@ -1,85 +1,89 @@
-"""Store degradation ladder: mmap checksum failure -> copying re-read.
+"""Store section faults fail closed with a typed StoreError.
 
-With ``crc="lazy"`` an injected first-touch failure on an mmap section is
-absorbed by re-reading that section into process memory and verifying the
-copy; the store stays usable and reports the section in
-``degraded_sections``.  With ``crc="eager"`` there is no ladder — the open
-fails with a typed :class:`~repro.exceptions.StoreError`.
+Checksums are verified once for every section at open, and the struct-unpack
+path (no NumPy) checks each section again on the bytes it reads — so a
+section that goes bad after open never reaches a frame.  There is no
+fallback copy: the answer is the clean one or a typed error.
 """
 
 from __future__ import annotations
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.api import open_dataset
 from repro.engine.batch import BatchQuery
 from repro.exceptions import StoreError
 from repro.faults.registry import describe, install
+from repro.store import DatasetStore
+from tests.conftest import frame_backing_of
+
+#: One-shot section faults.  A mapped section has no payload at the fault
+#: point, so ``corrupt`` degrades to ``raise`` there; the unpack path
+#: corrupts the bytes it read and the per-read checksum catches them.
+ONE_SHOT_FAULTS = {
+    "raise": "store.section_read:raise:times=1",
+    "corrupt": "store.section_read:corrupt:times=1",
+}
 
 
-def _skyline(path, **options):
-    with open_dataset(path, workers=0, **options) as engine:
+def _skyline(path):
+    with open_dataset(path, workers=0) as engine:
         return engine.run_query(BatchQuery("base")).skyline_ids
 
 
-class TestMmapLazyDegradation:
-    @pytest.mark.parametrize(
-        "clause",
-        [
-            "store.section_read:raise:times=1",
-            # corrupt with no payload at the mmap touch degrades to raise —
-            # the fallback path is identical.
-            "store.section_read:corrupt:times=1",
-        ],
-    )
-    def test_single_fault_degrades_one_section_identically(
-        self, packed_store, clause
-    ):
-        path, _ = packed_store
-        reference = _skyline(path, mmap=True, crc="lazy")
-        install(clause)
-        with open_dataset(path, mmap=True, crc="lazy", workers=0) as engine:
-            result = engine.run_query(BatchQuery("base"))
-            degraded = engine.summary()["store"]["degraded_sections"]
-        assert result.skyline_ids == reference
-        assert len(degraded) == 1
-        assert describe()[0]["fires"] == 1
-
-    def test_persistent_fault_degrades_every_mmap_section(self, packed_store):
-        path, _ = packed_store
-        reference = _skyline(path, mmap=True, crc="lazy")
-        install("store.section_read:raise")
-        with open_dataset(path, mmap=True, crc="lazy", workers=0) as engine:
-            result = engine.run_query(BatchQuery("base"))
-            store_summary = engine.summary()["store"]
-        assert result.skyline_ids == reference
-        assert len(store_summary["degraded_sections"]) >= 1
-        assert store_summary["mmap"] is True  # still an mmap store
-
-    def test_degraded_sections_survive_in_describe(self, packed_store):
-        path, _ = packed_store
-        install("store.section_read:raise:times=1")
-        with open_dataset(path, mmap=True, crc="lazy", workers=0) as engine:
-            engine.run_query(BatchQuery("base"))
-            described = engine.store.describe()
-        assert described["degraded_sections"]
-        assert set(described["degraded_sections"]) <= set(described["sections"])
-
-
-class TestEagerModeFailsClosed:
-    def test_eager_crc_raises_typed_at_open(self, packed_store):
+class TestSectionFaultsFailClosed:
+    def test_injected_read_fault_raises_typed_at_open(self, packed_store):
         path, _ = packed_store
         install("store.section_read:raise:times=1")
         with pytest.raises(StoreError, match="injected fault"):
-            _skyline(path, mmap=True, crc="eager")
+            _skyline(path)
 
-    def test_nonmmap_load_corruption_raises_typed(self, packed_store):
-        # Without mmap there is no copying fallback: a corrupted section
-        # read is caught by the CRC and surfaces as a typed StoreError
-        # (never a silently wrong answer).
+    def test_section_corrupted_after_open_raises_typed(self, packed_store):
+        # Regression: the unpack path once served a section read after the
+        # open's checksum pass without checking it, so a corrupted read
+        # reached the frame as altered rows.
         path, _ = packed_store
-        install("store.section_read:corrupt:times=1")
-        with pytest.raises(StoreError, match="checksum|corrupt"):
-            _skyline(path, mmap=False, crc="lazy")
+        with frame_backing_of("tuple"):
+            clean = DatasetStore.open(path).frame()
+            store = DatasetStore.open(path)
+            assert not store.uses_mmap
+            install("store.section_read:corrupt:times=1")
+            with pytest.raises(StoreError, match="checksum"):
+                store.frame()
+            assert describe()[0]["fires"] == 1
+            # The fault is spent: the next read serves the clean rows.
+            assert store.frame().to == clean.to
+            assert store.frame().codes == clean.codes
+
+    @pytest.mark.parametrize("mode", sorted(ONE_SHOT_FAULTS))
+    def test_one_shot_fault_fails_closed_then_serves_clean(
+        self, packed_store, frame_backing, mode
+    ):
+        path, _ = packed_store
+        reference = _skyline(path)
+        install(ONE_SHOT_FAULTS[mode])
+        caught_by_checksum = frame_backing == "tuple" and mode == "corrupt"
+        with pytest.raises(
+            StoreError, match="checksum" if caught_by_checksum else "injected fault"
+        ):
+            _skyline(path)
+        assert describe()[0]["fires"] == 1
+        # Nothing degraded is kept around: the next open is the clean store.
+        assert _skyline(path) == reference
+
+    def test_persistent_fault_fails_every_open(self, packed_store, frame_backing):
+        path, _ = packed_store
+        install("store.section_read:raise")
+        for _ in range(2):
+            with pytest.raises(StoreError, match="injected fault"):
+                _skyline(path)
+        assert describe()[0]["fires"] == 2
+
+    def test_describe_reports_one_read_path(self, packed_store, frame_backing):
+        path, _ = packed_store
+        with open_dataset(path, workers=0) as engine:
+            engine.run_query(BatchQuery("base"))
+            described = engine.store.describe()
+        assert described["mmap"] is (frame_backing == "numpy")
+        assert "degraded_sections" not in described
+        assert described["sections"]

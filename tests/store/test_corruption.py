@@ -15,6 +15,7 @@ import pytest
 from repro.data.workloads import WorkloadSpec
 from repro.exceptions import StoreError
 from repro.store import FORMAT_VERSION, MAGIC, DatasetStore, pack_dataset
+from tests.conftest import frame_backing_of
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +126,35 @@ class TestOpenRejectsDamage:
         DatasetStore.open(path, verify=False)  # workers trust the parent
         with pytest.raises(StoreError, match="checksum"):
             DatasetStore.open(path)
+
+    def test_engine_over_flipped_section_fails_at_open(
+        self, packed_bytes, damaged, frame_backing
+    ):
+        from repro.engine.batch import BatchQueryEngine
+
+        spec = _header(packed_bytes)["sections"]["frame_codes"]
+        mutated = bytearray(packed_bytes)
+        mutated[spec["offset"]] ^= 0xFF
+        path = damaged(bytes(mutated))
+        with pytest.raises(StoreError, match="checksum"):
+            BatchQueryEngine(path)
+
+    @pytest.mark.parametrize("section", ["frame_to", "frame_codes", "survivors"])
+    def test_unpacked_section_damaged_after_open_is_never_served(
+        self, packed_bytes, damaged, section
+    ):
+        """Without NumPy every section read is checked against its CRC, so
+        bytes that changed on disk after the open's pass raise instead of
+        reaching the frame."""
+        path = damaged(packed_bytes)
+        spec = _header(packed_bytes)["sections"][section]
+        mutated = bytearray(packed_bytes)
+        mutated[spec["offset"] + spec["nbytes"] // 2] ^= 0xFF
+        with frame_backing_of("tuple"):
+            store = DatasetStore.open(path)
+            path.write_bytes(bytes(mutated))
+            with pytest.raises(StoreError, match=f"checksum for section '{section}'"):
+                store.survivors() if section == "survivors" else store.frame()
 
     def test_engine_surfaces_store_error(self, packed_bytes, damaged):
         from repro.engine.batch import BatchQueryEngine

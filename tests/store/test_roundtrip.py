@@ -1,11 +1,11 @@
 """Round-trip property tests for the storage plane.
 
 The contract under test: ``pack_dataset`` followed by ``DatasetStore.open``
-(mmap or load) reconstructs *exactly* the artifacts the engine would have
+(mapped with NumPy, struct-unpacked without) reconstructs *exactly* the artifacts the engine would have
 built from the records — same encoded columns, same prefilter survivors, and
 query results that are identical to the in-memory path down to the discovery
-order and the dominance-check counts, across both kernels, mmap on/off and
-1–4 shards.
+order and the dominance-check counts, across both kernels, both frame
+backings and 1–4 shards.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from repro.data.workloads import WorkloadSpec
 from repro.engine.batch import BatchQuery, BatchQueryEngine, queries_from_seeds
 from repro.kernels import available_kernels
 from repro.store import DatasetStore, pack_dataset
+from tests.conftest import assert_backing, frame_backing_of
 
 np = pytest.importorskip("numpy", reason="store round-trip baseline uses numpy")
 
@@ -87,14 +88,15 @@ class TestBitwiseRoundTrip:
             assert original.values == loaded.values
 
     @pytest.mark.parametrize("kernel_name", available_kernels())
-    @pytest.mark.parametrize("mmap", [True, False])
-    def test_results_identical_to_in_memory(self, workload, packed, kernel_name, mmap):
+    def test_results_identical_to_in_memory(
+        self, workload, packed, kernel_name, frame_backing
+    ):
         schema, dataset = workload
         path, _ = packed
         reference = _run(BatchQueryEngine(dataset, kernel=kernel_name), schema)
-        via_store = _run(
-            BatchQueryEngine(path, kernel=kernel_name, mmap=mmap), schema
-        )
+        engine = BatchQueryEngine(path, kernel=kernel_name)
+        assert_backing(engine._frame, frame_backing)
+        via_store = _run(engine, schema)
         assert via_store == reference  # ids, discovery order AND check counts
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
@@ -137,10 +139,11 @@ class TestStoreFacts:
         assert facts["rows"] == summary["rows"]
         assert set(summary["sections"]) == set(facts["sections"])
 
-    def test_mmap_flag_is_honoured(self, packed):
+    def test_mmap_follows_numpy(self, packed):
         path, _ = packed
-        assert DatasetStore.open(path, mmap=True).uses_mmap is True
-        assert DatasetStore.open(path, mmap=False).uses_mmap is False
+        assert DatasetStore.open(path).uses_mmap is True
+        with frame_backing_of("tuple"):
+            assert DatasetStore.open(path).uses_mmap is False
 
     def test_base_artifacts_reused_without_rebuild(self, workload, packed):
         """The packed base mapping/tree answer the base query verbatim."""
@@ -154,3 +157,21 @@ class TestStoreFacts:
             assert engine._base_artifacts is not None  # served from the file
         assert result.skyline_ids == reference.skyline_ids
         assert result.stats.dominance_checks == reference.stats.dominance_checks
+
+    def test_engine_adopts_the_packed_flat_tree(self, packed, monkeypatch):
+        """With NumPy the engine maps the store, queries through ``flat`` and
+        serves the base query from the packed tree — no rebuild."""
+        from repro.core.mapping import TSSMapping
+        from repro.index.flat import FlatRTree
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("the packed flat tree was rebuilt")
+
+        monkeypatch.setattr(TSSMapping, "build_rtree", no_rebuild)
+        path, _ = packed
+        with BatchQueryEngine(path) as engine:
+            assert engine.summary()["index"] == "flat"
+            assert engine.store.uses_mmap
+            engine.run_query(BatchQuery("base"))
+            _, tree = engine._base_artifacts
+        assert isinstance(tree, FlatRTree)

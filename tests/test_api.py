@@ -73,10 +73,10 @@ class TestOpenDataset:
             repro.open_dataset()
 
     def test_config_and_overrides_reach_the_engine(self, store_path):
-        config = RuntimeConfig.resolve(shards=2, mmap=False)
+        config = RuntimeConfig.resolve(shards=2, compact_threshold=5)
         engine = repro.open_dataset(store_path, config=config, workers=0)
         with engine:
-            assert engine.store.uses_mmap is False
+            assert engine.summary()["compact_threshold"] == 5
             assert engine.executor is not None
             assert engine.executor.num_shards == 2
 

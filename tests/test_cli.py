@@ -46,6 +46,23 @@ class TestMain:
     def test_module_entry_point_importable(self):
         import repro.__main__  # noqa: F401
 
+    @pytest.mark.parametrize(
+        "argv, prog",
+        [
+            (["--help"], "repro"),
+            (["batch-query", "--help"], "repro batch-query"),
+            (["serve", "--help"], "repro serve"),
+            (["query", "--help"], "repro query"),
+            (["mutate", "--help"], "repro mutate"),
+            (["pack", "--help"], "repro pack"),
+            (["kernels", "--help"], "repro kernels"),
+        ],
+    )
+    def test_every_usage_line_names_the_console_script(self, capsys, argv, prog):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert capsys.readouterr().out.startswith(f"usage: {prog} ")
+
 
 class TestBatchQueryCommand:
     def test_parses_sharding_options(self):
@@ -95,7 +112,14 @@ class TestBatchQueryCommand:
         assert abs((encode + build + index_build + query + merge) - total) <= 0.35
 
     @pytest.mark.parametrize(
-        "flag", [["--frame", "off"], ["--merge-strategy", "sort-merge"]]
+        "flag",
+        [
+            ["--frame", "off"],
+            ["--merge-strategy", "sort-merge"],
+            ["--index", "flat"],
+            ["--mmap", "off"],
+            ["--crc", "lazy"],
+        ],
     )
     def test_removed_data_path_flags_are_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
@@ -123,45 +147,6 @@ class TestBatchQueryCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "REPRO_WORKERS" in err
         assert "Traceback" not in err
-
-    def test_index_flag_parses_and_runs(self, capsys):
-        from repro.index.registry import set_default_index
-
-        from repro.index.registry import available_indexes
-
-        args = build_batch_query_parser().parse_args(["--index", "pointer"])
-        assert args.index == "pointer"
-        try:
-            for backend in available_indexes():
-                code = main(
-                    [
-                        "batch-query",
-                        "--cardinality", "200",
-                        "--queries", "1",
-                        "--index", backend,
-                    ]
-                )
-                assert code == 0
-        finally:
-            set_default_index(None)
-        assert "cached topologies" in capsys.readouterr().out
-
-    def test_bad_index_value_is_reported(self, capsys):
-        from repro.index.registry import resolve_index
-
-        code = main(["batch-query", "--cardinality", "100", "--index", "btree"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "available indexes:" in err
-        # A rejected flag must not leave a broken process-wide override.
-        assert resolve_index(None) in ("flat", "pointer")
-
-    def test_bad_index_env_var_fails_cleanly(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_INDEX", "btree")
-        code = main(["batch-query", "--cardinality", "100"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
 
     def test_bad_cache_size_is_reported(self, capsys):
         code = main(["batch-query", "--cardinality", "100", "--cache-size", "0"])
@@ -200,10 +185,8 @@ class TestPackAndStore:
         assert pick(via_store) == pick(direct)
 
     def test_store_flag_parses(self):
-        args = build_batch_query_parser().parse_args(
-            ["--store", "x.rpro", "--mmap", "off"]
-        )
-        assert args.store == "x.rpro" and args.mmap == "off"
+        args = build_batch_query_parser().parse_args(["--store", "x.rpro"])
+        assert args.store == "x.rpro"
 
     def test_missing_store_fails_cleanly(self, tmp_path, capsys):
         missing = tmp_path / "gone.rpro"

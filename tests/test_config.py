@@ -7,16 +7,14 @@ from dataclasses import fields
 import pytest
 
 from repro.config import (
-    CRC_ENV_VAR,
-    INDEX_ENV_VAR,
+    COMPACT_THRESHOLD_ENV_VAR,
+    DEFAULT_COMPACT_THRESHOLD,
     KERNEL_ENV_VAR,
-    MMAP_ENV_VAR,
     STORE_ENV_VAR,
     WORKERS_ENV_VAR,
     RuntimeConfig,
     env_text,
-    resolve_crc_mode,
-    resolve_mmap_mode,
+    resolve_compact_threshold,
     resolve_workers,
 )
 from repro.exceptions import ExperimentError
@@ -26,11 +24,9 @@ from repro.exceptions import ExperimentError
 def clean_env(monkeypatch):
     for variable in (
         KERNEL_ENV_VAR,
-        INDEX_ENV_VAR,
         WORKERS_ENV_VAR,
-        CRC_ENV_VAR,
         STORE_ENV_VAR,
-        MMAP_ENV_VAR,
+        COMPACT_THRESHOLD_ENV_VAR,
     ):
         monkeypatch.delenv(variable, raising=False)
 
@@ -38,32 +34,32 @@ def clean_env(monkeypatch):
 class TestPrecedence:
     def test_defaults(self):
         config = RuntimeConfig.resolve()
-        assert config.kernel is None and config.index is None
+        assert config.kernel is None
         assert config.workers == 0
-        assert config.crc == "eager"
+        assert config.compact_threshold == DEFAULT_COMPACT_THRESHOLD
         assert config.store is None
         assert config.prefilter is True
 
     def test_env_fills_unset_fields(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "purepython")
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(CRC_ENV_VAR, "lazy")
+        monkeypatch.setenv(COMPACT_THRESHOLD_ENV_VAR, "17")
         monkeypatch.setenv(STORE_ENV_VAR, "/tmp/env.rpro")
-        monkeypatch.setenv(MMAP_ENV_VAR, "off")
         config = RuntimeConfig.resolve()
         assert config.kernel == "purepython"
         assert config.workers == 3
-        assert config.crc == "lazy"
+        assert config.compact_threshold == 17
         assert config.store == "/tmp/env.rpro"
-        assert config.mmap is False
 
     def test_explicit_arguments_beat_env(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(CRC_ENV_VAR, "lazy")
+        monkeypatch.setenv(COMPACT_THRESHOLD_ENV_VAR, "17")
         monkeypatch.setenv(STORE_ENV_VAR, "/tmp/env.rpro")
-        config = RuntimeConfig.resolve(workers=1, crc="eager", store="/tmp/flag.rpro")
+        config = RuntimeConfig.resolve(
+            workers=1, compact_threshold=5, store="/tmp/flag.rpro"
+        )
         assert config.workers == 1
-        assert config.crc == "eager"
+        assert config.compact_threshold == 5
         assert config.store == "/tmp/flag.rpro"
 
     def test_with_overrides_replaces_fields(self):
@@ -74,21 +70,26 @@ class TestPrecedence:
 
     def test_engine_options_round_trip(self):
         config = RuntimeConfig.resolve(
-            workers=2, shards=4, crc="lazy", prefilter=False, cache_size=7
+            workers=2, shards=4, compact_threshold=5, prefilter=False, cache_size=7
         )
         options = config.engine_options()
         assert options["workers"] == 2
         assert options["num_shards"] == 4
-        assert options["crc"] == "lazy"
+        assert options["compact_threshold"] == 5
         assert options["prefilter"] is False
         assert options["cache_size"] == 7
-        assert "mmap" in options
 
     def test_data_path_has_no_knobs(self):
-        """The frame and the sort-merge are the only data path: no toggles."""
+        """The data path follows NumPy: no frame, merge, index, mmap or crc
+        toggles."""
         names = {field.name for field in fields(RuntimeConfig)}
-        assert not names & {"frame", "merge"}
-        assert len(names) == 13
+        assert not names & {"frame", "merge", "index", "mmap", "crc"}
+        assert len(names) == 10
+
+    @pytest.mark.parametrize("retired", ["index", "mmap", "crc"])
+    def test_retired_knobs_are_rejected(self, retired):
+        with pytest.raises(TypeError):
+            RuntimeConfig.resolve(**{retired: None})
 
     def test_blank_env_values_are_ignored(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "   ")
@@ -103,15 +104,10 @@ class TestErrors:
         with pytest.raises(ExperimentError, match=WORKERS_ENV_VAR):
             resolve_workers()
 
-    def test_bad_crc_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(CRC_ENV_VAR, "zipper")
-        with pytest.raises(ExperimentError, match=CRC_ENV_VAR):
-            resolve_crc_mode()
-
-    def test_bad_mmap_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(MMAP_ENV_VAR, "sideways")
-        with pytest.raises(ExperimentError, match=MMAP_ENV_VAR):
-            resolve_mmap_mode()
+    def test_bad_compact_threshold_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv(COMPACT_THRESHOLD_ENV_VAR, "sideways")
+        with pytest.raises(ExperimentError, match=COMPACT_THRESHOLD_ENV_VAR):
+            resolve_compact_threshold()
 
     def test_explicit_bad_value_does_not_blame_env(self):
         with pytest.raises(ExperimentError) as excinfo:

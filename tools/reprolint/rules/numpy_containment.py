@@ -4,8 +4,7 @@ The pure-Python fallback is a hard product requirement (the CI matrix runs
 every suite without NumPy), so:
 
 * Only modules in :data:`ALLOWED_PREFIXES` — the kernel, frame (columnar
-  data/delta), index and store planes plus the ``repro.config`` probe — may
-  import ``numpy`` at all.  Everything else routes array work through those
+  data/delta), index and store planes — may import ``numpy`` at all.  Everything else routes array work through those
   planes (e.g. ``EncodedFrame`` ordering helpers, kernel bulk calls).
 * Inside the allowlist, a module-scope ``import numpy`` must be *guarded*
   (``try: ... except ImportError`` or ``if TYPE_CHECKING``) so importing the
@@ -30,7 +29,6 @@ NUMPY_REQUIRED = frozenset({"repro.kernels.numpy_kernel", "repro.index.flat"})
 
 #: Plane prefixes allowed to import numpy (guarded at module scope).
 ALLOWED_PREFIXES = (
-    "repro.config",
     "repro.kernels",
     "repro.data",
     "repro.delta",

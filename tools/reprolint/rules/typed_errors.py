@@ -45,8 +45,8 @@ PLANE_ERRORS: dict[str, frozenset[str]] = {
     "repro.order": frozenset(
         {"PartialOrderError", "CycleError", "UnknownValueError", "SchemaError"}
     ),
-    # ExperimentError: the registry's bad-backend/REPRO_INDEX errors, matching
-    # the kernel registry's contract.
+    # ExperimentError: the registry's unknown-backend and flat-without-NumPy
+    # errors, matching the kernel registry's contract.
     "repro.index": frozenset({"IndexError_", "ExperimentError"}),
     # QueryError: malformed query payloads; ServiceError (and its
     # RetryExhaustedError subclass): transport/server; DeadlineExceededError:
