@@ -53,7 +53,7 @@ def open_dataset(
     environment variable when not set explicitly).  ``config`` carries the
     runtime knobs; keyword overrides (the :meth:`RuntimeConfig.resolve
     <repro.config.RuntimeConfig.resolve>` fields — ``kernel``, ``workers``,
-    ``shards``, ``partitioner``, ``prefilter``, ``cache_size``,
+    ``shards``, ``partitioner``, ``cache_size``,
     ``max_entries``, ``store``, ``compact_threshold``, ``faults``) win over
     both.
     """
@@ -81,13 +81,10 @@ def pack(
 ) -> dict[str, Any]:
     """Pack ``dataset`` into a single mmap-able store file at ``out_path``.
 
-    The config's ``kernel`` runs the pack-time prefilter and its
-    ``max_entries`` sets the persisted flat tree's fanout.  Returns the
+    The config's ``kernel`` runs the pack-time prefilter.  Returns the
     writer's summary dict (path, section sizes, counts).
     """
     from repro.store.writer import pack_dataset
 
     config = _resolve_config(config, overrides)
-    return pack_dataset(
-        dataset, out_path, kernel=config.kernel, max_entries=config.max_entries
-    )
+    return pack_dataset(dataset, out_path, kernel=config.kernel)

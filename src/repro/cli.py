@@ -153,11 +153,6 @@ def _add_workload_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--seed", type=int, default=7, help="workload / query seed")
     parser.add_argument(
-        "--no-prefilter",
-        action="store_true",
-        help="disable the shared per-PO-group TO-Pareto prefilter",
-    )
-    parser.add_argument(
         "--cache-size",
         type=int,
         default=None,
@@ -199,7 +194,6 @@ def _runtime_config(args) -> RuntimeConfig:
         workers=args.workers,
         shards=args.shards,
         partitioner=args.partitioner,
-        prefilter=not args.no_prefilter,
         cache_size=args.cache_size,
         store=args.store,
         compact_threshold=args.compact_threshold,
@@ -266,8 +260,8 @@ def build_batch_query_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print per-phase timings (encode / build / index_build / query / "
-        "merge) with the summary",
+        help="print per-phase timings (encode / build / query / merge) with "
+        "the summary",
     )
     parser.add_argument("--json", default=None, help="write results as JSON to this file")
     _add_kernel_option(parser)
@@ -321,7 +315,7 @@ def batch_query_main(argv: Sequence[str] | None = None) -> int:
         total = sum(phases.values())
         rendered = " | ".join(
             f"{name} {phases[name] * 1000:.1f} ms"
-            for name in ("encode", "build", "index_build", "query", "merge")
+            for name in ("encode", "build", "query", "merge")
         )
         print(f"phases: {rendered} | total {total * 1000:.1f} ms")
     if args.json:
@@ -638,18 +632,11 @@ def build_pack_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro pack",
         description="Pack one synthetic workload into a single mmap-able "
-        "dataset store file: encoded columns, prefiltered survivors, the "
-        "base-topology mapping and its bulk-loaded spatial index.",
+        "dataset store file: encoded columns and prefiltered survivors.",
     )
     _add_workload_options(parser)
     parser.add_argument(
         "--out", required=True, metavar="PATH", help="store file to write"
-    )
-    parser.add_argument(
-        "--max-entries",
-        type=int,
-        default=32,
-        help="R-tree fanout persisted for the base topology (default 32)",
     )
     _add_kernel_option(parser)
     return parser
@@ -665,20 +652,14 @@ def pack_main(argv: Sequence[str] | None = None) -> int:
 
     _, dataset = _build_workload(args, "pack")
     try:
-        summary = pack(dataset, args.out, max_entries=args.max_entries)
+        summary = pack(dataset, args.out)
     except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    base = summary["base"]
-    artifacts = "frame"
-    if base["has_mapping"]:
-        artifacts += "+mapping"
-    if base["has_index"]:
-        artifacts += "+index"
     print(
         f"packed {summary['rows']} tuples -> {summary['path']} "
         f"({summary['bytes']} bytes, format v{summary['format_version']}, "
-        f"{summary['survivors']} survivors, {artifacts})"
+        f"{summary['survivors']} survivors)"
     )
     return 0
 

@@ -8,7 +8,7 @@ same precedence:
     explicit argument  >  CLI flag  >  ``REPRO_*`` environment variable  >  default
 
 :class:`RuntimeConfig` bundles one resolved choice of every knob — kernel,
-workers, shards, partitioner, prefilter, cache sizes and the storage-plane
+workers, shards, partitioner, cache sizes and the storage-plane
 knobs (store path, compaction threshold, fault spec) — as a frozen
 dataclass, so a whole engine/service construction can be described, logged
 and forwarded as a single value.  The public facade (:mod:`repro.api`) and the CLI build their engines through it.
@@ -183,7 +183,6 @@ class RuntimeConfig:
     workers: int = 0
     shards: int | None = None
     partitioner: str = "round-robin"
-    prefilter: bool = True
     cache_size: int | None = None
     max_entries: int = 32
     store: str | None = None
@@ -198,7 +197,6 @@ class RuntimeConfig:
         workers: int | str | None = None,
         shards: int | None = None,
         partitioner: str = "round-robin",
-        prefilter: bool = True,
         cache_size: int | None = None,
         max_entries: int = 32,
         store: str | os.PathLike[str] | None = None,
@@ -215,7 +213,6 @@ class RuntimeConfig:
             workers=resolve_workers(workers),
             shards=shards,
             partitioner=partitioner,
-            prefilter=prefilter,
             cache_size=cache_size,
             max_entries=max_entries,
             store=None if store is None else os.fspath(store),
@@ -246,7 +243,6 @@ class RuntimeConfig:
             "workers": self.workers,
             "num_shards": self.shards,
             "partitioner": self.partitioner,
-            "prefilter": self.prefilter,
             "max_entries": self.max_entries,
             "compact_threshold": self.compact_threshold,
         }

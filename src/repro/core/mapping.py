@@ -215,46 +215,6 @@ class TSSMapping:
             )
         return points
 
-    @classmethod
-    def from_stored(cls, schema, encodings, coords, groups) -> "TSSMapping":
-        """Rebuild a mapping from persisted coordinates and record groups.
-
-        ``coords`` is the ``(points, dimensions)`` mapped matrix (NumPy array
-        — typically a store's memmap view — or tuple rows) and ``groups`` the
-        per-point record-id tuples, both exactly as a fresh build over the
-        same frame would produce them; ``encodings`` must be the deterministic
-        base encodings the store was packed under.  No grouping or ordinal
-        gathering is repeated.
-        """
-        mapping = object.__new__(cls)
-        mapping.dataset = None
-        mapping.schema = schema
-        mapping.encodings = tuple(encodings)
-        if len(mapping.encodings) != schema.num_partial_order:
-            raise SchemaError("one DomainEncoding per PO attribute is required")
-        mapping.frame = None
-        uses_numpy = not isinstance(coords, (tuple, list))
-        mapping._mapped_matrix = coords if uses_numpy else None
-        orders = [encoding.order for encoding in mapping.encodings]
-        num_to = schema.num_total_order
-        points: list[MappedPoint] = []
-        for index, group in enumerate(groups):
-            row = coords[index].tolist() if uses_numpy else list(coords[index])
-            points.append(
-                MappedPoint(
-                    index=index,
-                    coords=tuple(row),
-                    to_values=tuple(row[:num_to]),
-                    po_values=tuple(
-                        order[int(ordinal) - 1]
-                        for order, ordinal in zip(orders, row[num_to:])
-                    ),
-                    record_ids=tuple(group),
-                )
-            )
-        mapping.points = points
-        return mapping
-
     # ------------------------------------------------------------------ #
     # Properties
     # ------------------------------------------------------------------ #

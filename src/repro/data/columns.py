@@ -279,6 +279,30 @@ class EncodedFrame:
             return self.to[np.asarray(rows, dtype=np.intp)]
         return tuple(self.to[i] for i in rows)
 
+    def po_groups(
+        self, rows: Sequence[int] | None = None
+    ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+        """Group ``rows`` (``None`` = every row) by PO-code combination.
+
+        Returns ``(keys, members)``: the distinct code tuples in order of
+        first appearance and, per key, its frame rows in ``rows`` order.  The one
+        grouping shared by the prefilter, the candidate tracker and the
+        engine's group path (:func:`group_rows` on NumPy frames).
+        """
+        if self.uses_numpy:
+            if rows is None:
+                unique, positions = group_rows(self.codes)
+                members = [group.tolist() for group in positions]
+            else:
+                index = _numpy_or_none().asarray(rows, dtype="intp")
+                unique, positions = group_rows(self.codes[index])
+                members = [index[group].tolist() for group in positions]
+            return [tuple(key) for key in unique.tolist()], members
+        by_key: dict[tuple[int, ...], list[int]] = {}
+        for row in range(self._length) if rows is None else rows:
+            by_key.setdefault(tuple(self.codes[row]), []).append(row)
+        return list(by_key), list(by_key.values())
+
     def remap_codes(
         self,
         code_maps: Sequence[Mapping[Value, int]],

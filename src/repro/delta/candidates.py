@@ -5,8 +5,9 @@ every dropped row is strictly TO-dominated by a live group sibling.  Deleting
 a *front* row can therefore resurrect siblings the prefilter dropped, so the
 candidate set cannot be maintained by subtraction alone.
 :class:`BaseCandidateTracker` keeps the full initial membership of every
-group (built lazily on the first base delete, vectorized) plus the set of
-removed rows, and recomputes exactly the dirty groups' fronts with the same
+group (built lazily on the first base delete with the frame's shared
+:meth:`~repro.data.columns.EncodedFrame.po_groups`) plus the set of removed
+rows, and recomputes exactly the dirty groups' fronts with the same
 :meth:`pareto_mask <repro.kernels.base.DominanceKernel.pareto_mask>` call the
 prefilter used, so the tracked candidate set always equals what a fresh
 prefilter over the live base rows would return.
@@ -22,6 +23,9 @@ from collections.abc import Sequence
 
 from repro.data.columns import EncodedFrame
 
+#: A PO-code combination (one frame code per PO attribute).
+GroupKey = tuple[int, ...]
+
 
 class BaseCandidateTracker:
     """Tracks the engine's base candidate rows across base-row deletes."""
@@ -31,103 +35,53 @@ class BaseCandidateTracker:
         frame: EncodedFrame,
         kernel,
         *,
-        prefilter: bool,
         initial_rows: Sequence[int],
     ) -> None:
         self._frame = frame
         self._kernel = kernel
-        # Without TO attributes the prefilter is the identity (every record
-        # survives), so group/front bookkeeping degenerates to subtraction.
-        self._prefilter = bool(prefilter) and frame.schema.num_total_order > 0
         self._candidates = set(int(row) for row in initial_rows)
-        self._members: list | None = None
-        self._group_of_row = None
+        self._members: dict[GroupKey, list[int]] | None = None
         self._removed: set[int] = set()
 
-    def _ensure_groups(self) -> None:
-        if self._members is not None:
-            return
-        frame = self._frame
-        if frame.uses_numpy:
-            import numpy as np
+    def _group_key(self, row: int) -> GroupKey:
+        return tuple(int(code) for code in self._frame.codes[row])
 
-            codes = np.ascontiguousarray(frame.codes)
-            if codes.shape[1] == 1:
-                _, inverse = np.unique(codes[:, 0], return_inverse=True)
-            else:
-                _, inverse = np.unique(codes, axis=0, return_inverse=True)
-            inverse = np.ascontiguousarray(inverse.ravel())
-            order = np.argsort(inverse, kind="stable")
-            boundaries = np.cumsum(np.bincount(inverse))[:-1]
-            self._members = np.split(order, boundaries)
-            self._group_of_row = inverse
-        else:
-            by_key: dict[tuple, list[int]] = {}
-            for row, code_row in enumerate(frame.codes):
-                by_key.setdefault(tuple(code_row), []).append(row)
-            members = list(by_key.values())
-            group_of_row: dict[int, int] = {}
-            for group_index, rows in enumerate(members):
-                for row in rows:
-                    group_of_row[row] = group_index
-            self._members = members
-            self._group_of_row = group_of_row
-
-    def _group_index(self, row: int) -> int | None:
-        if isinstance(self._group_of_row, dict):
-            return self._group_of_row.get(row)
-        if 0 <= row < len(self._group_of_row):
-            return int(self._group_of_row[row])
-        return None
-
-    def _recompute_front(self, group_index: int) -> None:
+    def _recompute_front(self, key: GroupKey) -> list[int]:
         removed = self._removed
-        members = sorted(
-            int(row) for row in self._members[group_index] if int(row) not in removed
-        )
+        members = [row for row in self._members[key] if row not in removed]
         # Candidates are exactly the union of group fronts, so this group's
         # surviving front members are its members that are still candidates.
         old_front = [row for row in members if row in self._candidates]
         if len(members) <= 1:
             front = members
         else:
-            frame = self._frame
-            if frame.uses_numpy:
-                import numpy as np
-
-                to_block = frame.to[np.asarray(members, dtype=np.intp)]
-            else:
-                to_block = [frame.to[row] for row in members]
-            mask = self._kernel.pareto_mask(to_block)
+            mask = self._kernel.pareto_mask(self._frame.gather_to(members))
             front = [row for row, keep in zip(members, mask) if keep]
         self._candidates.difference_update(old_front)
         self._candidates.update(front)
+        return front
 
-    def remove_rows(self, rows: Sequence[int]) -> bool:
-        """Drop deleted base rows; returns whether the candidate set changed."""
-        if not self._prefilter:
-            changed = False
-            for row in rows:
-                if row in self._candidates:
-                    self._candidates.discard(row)
-                    changed = True
-            return changed
-        self._ensure_groups()
-        dirty: set[int] = set()
+    def remove_rows(self, rows: Sequence[int]) -> dict[GroupKey, list[int]]:
+        """Drop deleted base rows.
+
+        Returns the recomputed front (ascending rows, possibly empty) of
+        every group whose front changed, keyed by PO-code combination — an
+        empty mapping when the candidate set still stands.
+        """
+        if self._members is None:
+            self._members = dict(zip(*self._frame.po_groups()))
+        dirty: set[GroupKey] = set()
         for row in rows:
             row = int(row)
-            group_index = self._group_index(row)
-            if group_index is None:
+            if not 0 <= row < len(self._frame):
                 continue
             self._removed.add(row)
             if row in self._candidates:
                 # Only a front (candidate) deletion can change the front:
                 # removing a dominated member leaves the Pareto set intact.
                 self._candidates.discard(row)
-                dirty.add(group_index)
-        for group_index in dirty:
-            self._recompute_front(group_index)
-        return bool(dirty)
+                dirty.add(self._group_key(row))
+        return {key: self._recompute_front(key) for key in dirty}
 
     def candidates(self) -> list[int]:
         """The current candidate rows, ascending (prefilter contract)."""

@@ -20,11 +20,18 @@ Section V of the paper, but answered for a whole set of queries at once.
   even through differently drawn Hasse diagrams — share one skyline
   computation, and the per-DAG interval encodings are cached the same way.
 
-Per query, the engine runs sTSS (or SFS for TO-only schemas) on the reduced
-rows through the configured dominance kernel and maps the resulting ids back
-to stable record ids.  Both caches are bounded LRU maps (``cache_size``) so
-a long-running service cannot grow memory without limit, and with
-``workers``/``num_shards`` the per-query work is delegated to a
+Per query, the engine answers group at a time, as dTSS does (Section V):
+the reduced rows are exactly the per-group local skylines of Section V-B, so
+rows inside one group never dominate each other, and whether one group
+dominates another follows from the query's preferences on the two group
+keys alone.  :class:`~repro.engine.groups.GroupFronts` buckets the groups
+into levels (the sum of their values' DAG depths: a dominator group always
+sits on a lower level, groups on one level are incomparable) and visits the
+levels in order, checking each level's rows against the rows kept so far
+in one batched weak t-dominance call — no per-query mapping, R-tree or
+sTSS.  Both caches are bounded LRU maps (``cache_size``) so a long-running
+service cannot grow memory without limit, and with ``workers``/``num_shards``
+the per-query work is delegated to a
 :class:`~repro.parallel.executor.ShardedExecutor` over the reduced rows.
 
 **Live mutations** ride on the columnar delta plane
@@ -36,7 +43,8 @@ base skyline against a per-query delta skyline — two batched kernel calls,
 bitwise-identical to a from-scratch rebuild over the live rows.  Deleting a
 base row may resurrect prefilter-dropped group siblings; a
 :class:`~repro.delta.candidates.BaseCandidateTracker` recomputes exactly the
-dirty groups' Pareto fronts.  Store-backed engines persist every mutation in
+dirty groups' Pareto fronts, and only those groups of the in-process
+group path are replaced.  Store-backed engines persist every mutation in
 a crash-safe sidecar :class:`~repro.store.delta.DeltaLog` and fold the delta
 into a fresh packed base once ``compact_threshold`` mutations accumulate
 (atomic ``os.replace``; ids survive via the store's ``row_ids`` section).
@@ -73,6 +81,7 @@ from repro.data.dataset import Dataset
 from repro.delta.candidates import BaseCandidateTracker
 from repro.delta.frame import DeltaFrame, dataset_from_frame
 from repro.delta.merge import cross_examine, tables_blocks
+from repro.engine.groups import GroupFronts
 from repro.engine.prefilter import prefilter_survivors
 from repro.engine.encodings import (
     DagKey,
@@ -206,7 +215,6 @@ class BatchQueryEngine:
         *,
         kernel=None,
         max_entries: int = 32,
-        prefilter: bool = True,
         cache_size: int = DEFAULT_CACHE_SIZE,
         workers: int | str | None = None,
         num_shards: int | None = None,
@@ -214,9 +222,8 @@ class BatchQueryEngine:
         compact_threshold: int | str | None = None,
     ) -> None:
         # A path or an open DatasetStore selects the persisted plane: the
-        # encoded frame, the prefilter survivors and (for base-preference
-        # queries) the mapping/tree come straight out of the packed file —
-        # nothing is re-encoded, re-filtered or re-bulk-loaded.
+        # encoded frame and the prefilter survivors come straight out of the
+        # packed file — nothing is re-encoded or re-filtered.
         from repro.store.reader import DatasetStore
 
         self._compact_threshold = resolve_compact_threshold(compact_threshold)
@@ -235,14 +242,13 @@ class BatchQueryEngine:
             self._num_rows = len(dataset)
         self._dataset = dataset
         self.kernel = resolve_kernel(kernel)
-        # Spatial index backend of the per-query data R-trees: flat with
-        # NumPy, pointer without (reported by summary()).
+        # Spatial index backend of the delta side's per-query R-trees: flat
+        # with NumPy, pointer without (reported by summary()).
         from repro.index.registry import resolve_index
 
         self.index = resolve_index()
         self.max_entries = max_entries
         self.cache_size = cache_size
-        self._prefilter = bool(prefilter)
         self._result_cache: LRUDict[TopologyKey, list[int]] = LRUDict(cache_size)
         # Base-side skylines as *frame rows*, per topology.  Survives inserts
         # (the base did not change) and is dropped only when the live base
@@ -266,17 +272,9 @@ class BatchQueryEngine:
             max(cache_size, 64)
         )
         # Cumulative wall clock per pipeline phase (encode the frame, build
-        # per-query mappings + the shared prefilter, bulk-load the per-query
-        # data R-trees, run the skyline scans, merge across shards); read via
-        # :meth:`summary`.  Sharded runs fold tree construction into their
-        # workers' local phase, so ``index_build`` tracks the in-process path.
-        self._phase_seconds = {
-            "encode": 0.0,
-            "build": 0.0,
-            "index_build": 0.0,
-            "query": 0.0,
-            "merge": 0.0,
-        }
+        # the shared prefilter and per-group fronts, run the skyline scans,
+        # merge across shards or with the delta); read via :meth:`summary`.
+        self._phase_seconds = {"encode": 0.0, "build": 0.0, "query": 0.0, "merge": 0.0}
         # The columnar data plane: the dataset encoded once (NumPy-backed, or
         # tuple-backed without NumPy); queries then read it through row-index
         # views (never a materialized survivor copy).  With a store the frame
@@ -301,28 +299,13 @@ class BatchQueryEngine:
             num_shards is not None and num_shards > 1
         )
         started = time.perf_counter()
-        if store is not None:
-            # The packed prefilter pass (validated at pack time against both
-            # backends); skipping it costs nothing since the survivor list
-            # is one mmap'd section.
-            self._candidate_rows = (
-                store.survivors() if prefilter else list(range(self._num_rows))
-            )
-        else:
-            self._candidate_rows = (
-                self._prefilter_survivors()
-                if prefilter
-                else list(range(self._num_rows))
-            )
-        self._phase_seconds["build"] += time.perf_counter() - started
-        # Base-preference queries may adopt the store's packed mapping/tree;
-        # their point record ids index the *packed* survivor order, which is
-        # this engine's reduced order only while the prefilter is on and no
-        # base row has been deleted.
-        self._store_base_usable = (
-            store is not None and prefilter and store.has_base_mapping
+        # With a store, the packed prefilter pass (validated at pack time
+        # against both backends): one mmap'd section.
+        self._candidate_rows = (
+            store.survivors() if store is not None else self._prefilter_survivors()
         )
-        self._base_artifacts = None
+        self._phase_seconds["build"] += time.perf_counter() - started
+        self._groups: GroupFronts | None = None
         # The delta plane: built lazily on the first mutation (or delta-log
         # replay); ``None`` means the base alone answers every query.
         self._delta: DeltaFrame | None = None
@@ -398,35 +381,6 @@ class BatchQueryEngine:
     def _stable_id_of_row(self, row: int) -> int:
         return row if self._row_ids is None else self._row_ids[row]
 
-    def _stored_base_artifacts(self, query: BatchQuery, key: TopologyKey):
-        """The store's packed base mapping (+ tree, when compatible), cached.
-
-        The packed flat tree is adopted when the store maps its sections
-        (NumPy imports, so the engine queries through the flat backend) and
-        the fanout matches; otherwise the tree is rebuilt over the packed
-        mapping's points (still no re-mapping).  Guarded by
-        :attr:`_store_base_usable` — the packed record ids index the packed
-        survivor order.
-        """
-        with self._state_lock:
-            cached = self._base_artifacts
-        if cached is not None:
-            return cached
-        store = self._store
-        mapping = store.base_mapping(encodings=self._encodings_for(query, key))
-        if (
-            store.uses_mmap
-            and store.has_base_index
-            and self.max_entries == store.base_max_entries
-        ):
-            tree = store.base_tree()
-        else:
-            tree = mapping.build_rtree(max_entries=self.max_entries)
-        with self._state_lock:
-            if self._base_artifacts is None:
-                self._base_artifacts = (mapping, tree)
-            return self._base_artifacts
-
     # ------------------------------------------------------------------ #
     # Reduced state (initial build + rebuilds after base-live changes)
     # ------------------------------------------------------------------ #
@@ -435,37 +389,40 @@ class BatchQueryEngine:
 
         Called at construction and again whenever the live base row set
         changes (base delete that dirtied a Pareto front, compaction).  The
-        in-process path keeps only a row-index view (:attr:`_reduced_rows`);
-        a materialized row-subset frame is built solely for the sharded
-        executor, which partitions rows across shards/processes and
-        therefore needs its own copy anyway.  Store-backed executors ship
-        ``(path, rows)`` specs to their workers instead of frame slices.
+        in-process path groups the candidates into their per-PO-group fronts
+        (:class:`~repro.engine.groups.GroupFronts`); a materialized
+        row-subset frame is built solely for the sharded executor, which
+        partitions rows across shards/processes and therefore needs its own
+        copy anyway.  Store-backed executors ship ``(path, rows)`` specs to
+        their workers instead of frame slices.
         """
-        full = len(self._candidate_rows) == self._num_rows
-        self._reduced_rows = None if full else list(self._candidate_rows)
         old = self._executor
         self._executor = None
         if old is not None:
             old.close()
-        if self._sharded:
-            from repro.parallel.executor import ShardedExecutor
-
-            started = time.perf_counter()
-            frame = self._frame if full else self._frame.take(self._candidate_rows)
-            self._phase_seconds["encode"] += time.perf_counter() - started
-            started = time.perf_counter()
-            self._executor = ShardedExecutor(
-                workers=self._workers_resolved,
-                num_shards=self._num_shards_config,
-                partitioner=self._partitioner,
-                kernel=self.kernel,
-                max_entries=self.max_entries,
-                encoding_cache_size=self.cache_size,
-                frame=frame,
-                store=self._store,
-                store_rows=self._candidate_rows if self._store is not None else None,
-            )
+        started = time.perf_counter()
+        if not self._sharded:
+            self._groups = GroupFronts(self._frame, self._candidate_rows)
             self._phase_seconds["build"] += time.perf_counter() - started
+            return
+        from repro.parallel.executor import ShardedExecutor
+
+        full = len(self._candidate_rows) == self._num_rows
+        frame = self._frame if full else self._frame.take(self._candidate_rows)
+        self._phase_seconds["encode"] += time.perf_counter() - started
+        started = time.perf_counter()
+        self._executor = ShardedExecutor(
+            workers=self._workers_resolved,
+            num_shards=self._num_shards_config,
+            partitioner=self._partitioner,
+            kernel=self.kernel,
+            max_entries=self.max_entries,
+            encoding_cache_size=self.cache_size,
+            frame=frame,
+            store=self._store,
+            store_rows=self._candidate_rows if self._store is not None else None,
+        )
+        self._phase_seconds["build"] += time.perf_counter() - started
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -522,69 +479,32 @@ class BatchQueryEngine:
         """The base-side skyline as frame rows, via the per-topology cache.
 
         Returns ``(rows, stats, sharded_result, timers)`` where ``timers`` is
-        the ``(build, index_build, query, merge)`` seconds of an actual
-        computation (all zero on a base-cache hit).
+        the ``(query, merge)`` seconds of an actual computation (both zero on
+        a base-cache hit).
         """
         cached = self._base_cache.get(key, _CACHE_MISS)
         if cached is not _CACHE_MISS:
-            return list(cached), None, None, (0.0, 0.0, 0.0, 0.0)
-        stats = None
-        sharded = None
-        build_seconds = index_build_seconds = query_seconds = merge_seconds = 0.0
+            return list(cached), None, None, (0.0, 0.0)
+        query_started = time.perf_counter()
         if self._executor is not None:
             sharded = self._executor.query(
                 query.dag_overrides, name=query.name, deadline=deadline
             )
-            reduced_ids = sharded.skyline_ids
-            query_seconds = sharded.seconds_local
-            merge_seconds = sharded.seconds_merge
-        else:
-            if query.dag_overrides:
-                # Domain coverage is checked up front (the shared cheap
-                # equivalent of full row validation, same as the sharded
-                # path) so the schema swap can skip re-walking every row on
-                # each topology miss.
-                validate_override_domains(
-                    self.schema.partial_order_attributes, query.dag_overrides
-                )
-            if self.schema.num_partial_order:
-                phase_started = time.perf_counter()
-                tree = None
-                if not query.dag_overrides and self._store_base_usable:
-                    # Base-preference query over a store: adopt the packed
-                    # mapping (and tree, when compatible) instead of
-                    # re-mapping / re-bulk-loading.
-                    mapping, tree = self._stored_base_artifacts(query, key)
-                else:
-                    # Map a row view of the shared frame under the effective
-                    # schema — no survivor copy, no per-record re-walk.
-                    mapping = TSSMapping(
-                        None,
-                        self._encodings_for(query, key),
-                        schema=self._effective_schema(query),
-                        frame=self._frame,
-                        rows=self._reduced_rows,
-                    )
-                index_started = time.perf_counter()
-                build_seconds = index_started - phase_started
-                if tree is None:
-                    tree = mapping.build_rtree(max_entries=self.max_entries)
-                query_started = time.perf_counter()
-                index_build_seconds = query_started - index_started
-                result = stss_skyline(mapping=mapping, tree=tree, kernel=self.kernel)
-                query_seconds = time.perf_counter() - query_started
-            else:
-                query_started = time.perf_counter()
-                result = sfs_skyline(
-                    None, frame=self._frame, rows=self._reduced_rows, kernel=self.kernel
-                )
-                query_seconds = time.perf_counter() - query_started
-            reduced_ids = result.skyline_ids
-            stats = result.stats
-        rows = [self._candidate_rows[reduced_id] for reduced_id in reduced_ids]
+            rows = [self._candidate_rows[reduced_id] for reduced_id in sharded.skyline_ids]
+            self._base_cache[key] = rows
+            return rows, None, sharded, (sharded.seconds_local, sharded.seconds_merge)
+        if query.dag_overrides:
+            # Domain coverage is checked up front (the shared cheap
+            # equivalent of full row validation, same as the sharded path).
+            validate_override_domains(
+                self.schema.partial_order_attributes, query.dag_overrides
+            )
+        stats = SkylineStats()
+        rows = self._groups.skyline_rows(
+            self._encodings_for(query, key), self.kernel, stats
+        )
         self._base_cache[key] = rows
-        timers = (build_seconds, index_build_seconds, query_seconds, merge_seconds)
-        return rows, stats, sharded, timers
+        return rows, stats, None, (time.perf_counter() - query_started, 0.0)
 
     def _merged_skyline_ids(
         self, query: BatchQuery, key: TopologyKey, base_rows: Sequence[int]
@@ -683,9 +603,7 @@ class BatchQueryEngine:
                 base_rows, stats, sharded, timers = self._base_skyline_rows(
                     query, key, deadline=deadline
                 )
-                build_seconds, index_build_seconds, query_seconds, merge_seconds = (
-                    timers
-                )
+                query_seconds, merge_seconds = timers
                 self._check_deadline(deadline, "delta-merge")
                 delta = self._delta
                 if delta is not None and delta.live_insert_count:
@@ -698,8 +616,6 @@ class BatchQueryEngine:
                     )
                 with self._state_lock:
                     self.queries_evaluated += 1
-                    self._phase_seconds["build"] += build_seconds
-                    self._phase_seconds["index_build"] += index_build_seconds
                     self._phase_seconds["query"] += query_seconds
                     self._phase_seconds["merge"] += merge_seconds
                 self._result_cache[key] = skyline_ids
@@ -738,10 +654,7 @@ class BatchQueryEngine:
     def _ensure_tracker(self) -> BaseCandidateTracker:
         if self._tracker is None:
             self._tracker = BaseCandidateTracker(
-                self._frame,
-                self.kernel,
-                prefilter=self._prefilter,
-                initial_rows=self._candidate_rows,
+                self._frame, self.kernel, initial_rows=self._candidate_rows
             )
         return self._tracker
 
@@ -777,10 +690,7 @@ class BatchQueryEngine:
                 if base_rows:
                     self._ensure_tracker().remove_rows(base_rows)
         if self._tracker is not None:
-            candidates = self._tracker.candidates()
-            if candidates != self._candidate_rows:
-                self._candidate_rows = candidates
-                self._store_base_usable = False
+            self._candidate_rows = self._tracker.candidates()
         self.mutations_applied += delta.mutations
 
     def insert(self, rows: Sequence[Sequence[object]]) -> list[int]:
@@ -845,16 +755,17 @@ class BatchQueryEngine:
 
     def _apply_base_deletes(self, base_rows: Sequence[int]) -> None:
         tracker = self._ensure_tracker()
-        if not tracker.remove_rows(base_rows):
+        fronts = tracker.remove_rows(base_rows)
+        if not fronts:
             # The deleted rows were prefilter-dropped (dominated) — the
-            # candidate set, every base skyline and the packed artifacts
-            # still stand.
+            # candidate set and every base skyline still stand.
             return
         self._candidate_rows = tracker.candidates()
         self._base_cache.clear()
-        self._base_artifacts = None
-        self._store_base_usable = False
-        self._build_reduced_state()
+        if self._groups is not None:
+            self._groups.replace_fronts(fronts.items())
+        else:
+            self._build_reduced_state()
 
     def _maybe_compact(self) -> None:
         if (
@@ -902,7 +813,6 @@ class BatchQueryEngine:
                 live_frame,
                 tmp_path,
                 kernel=self.kernel,
-                max_entries=self.max_entries,
                 row_ids=row_ids,
                 generation=generation,
                 next_id=delta.next_id,
@@ -927,12 +837,7 @@ class BatchQueryEngine:
             self._row_ids = reopened.row_ids()
             self._next_id = reopened.next_id
             self._frame = reopened.frame()
-            self._candidate_rows = (
-                reopened.survivors()
-                if self._prefilter
-                else list(range(self._num_rows))
-            )
-            self._store_base_usable = self._prefilter and reopened.has_base_mapping
+            self._candidate_rows = reopened.survivors()
             summary["generation"] = generation
             summary["path"] = reopened.path
         else:
@@ -941,16 +846,10 @@ class BatchQueryEngine:
             self._next_id = delta.next_id
             self._num_rows = len(row_ids)
             self._frame = live_frame
-            self._candidate_rows = (
-                self._prefilter_survivors()
-                if self._prefilter
-                else list(range(self._num_rows))
-            )
-            self._store_base_usable = False
+            self._candidate_rows = self._prefilter_survivors()
         self._dataset = None
         self._delta = None
         self._tracker = None
-        self._base_artifacts = None
         self._base_cache.clear()
         self._result_cache.clear()
         with self._state_lock:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 
-from repro.data.columns import EncodedFrame, group_rows
+from repro.data.columns import EncodedFrame
 
 Value = Hashable
 
@@ -61,23 +61,11 @@ def _frame_survivors(frame: EncodedFrame, kernel) -> list[int]:
     :meth:`pareto_mask <repro.kernels.base.DominanceKernel.pareto_mask>` per
     group over frame slices (no per-record encoding)."""
     survivors: list[int] = []
-    if frame.uses_numpy:
-        _, code_groups = group_rows(frame.codes)
-        for member_rows in code_groups:
-            if len(member_rows) == 1:
-                survivors.append(int(member_rows[0]))
-                continue
-            mask = kernel.pareto_mask(frame.to[member_rows])
-            survivors.extend(int(row) for row, keep in zip(member_rows, mask) if keep)
-    else:
-        groups: dict[tuple, list[int]] = {}
-        for row, code_row in enumerate(frame.codes):
-            groups.setdefault(tuple(code_row), []).append(row)
-        for member_rows in groups.values():
-            if len(member_rows) == 1:
-                survivors.append(member_rows[0])
-                continue
-            mask = kernel.pareto_mask([frame.to[row] for row in member_rows])
-            survivors.extend(row for row, keep in zip(member_rows, mask) if keep)
+    for member_rows in frame.po_groups()[1]:
+        if len(member_rows) == 1:
+            survivors.append(member_rows[0])
+            continue
+        mask = kernel.pareto_mask(frame.gather_to(member_rows))
+        survivors.extend(row for row, keep in zip(member_rows, mask) if keep)
     survivors.sort()
     return survivors

@@ -289,47 +289,6 @@ class FlatRTree:
             tree._page_base = 0
         return tree
 
-    @classmethod
-    def from_arrays(
-        cls,
-        *,
-        dimensions: int,
-        max_entries: int,
-        points,
-        payloads,
-        node_low,
-        node_high,
-        child_start,
-        child_end,
-        entry_mindists,
-        node_mindists,
-        num_leaves: int,
-        height: int,
-        disk: DiskSimulator | None = None,
-    ) -> "FlatRTree":
-        """Reassemble a tree from previously bulk-loaded arrays.
-
-        Used by the store loader to adopt persisted (typically ``np.memmap``)
-        sections verbatim — the arrays must come from :meth:`bulk_load` output
-        with matching dtypes; no STR pass or validation is repeated here.
-        """
-        tree = object.__new__(cls)
-        tree.dimensions = dimensions
-        tree.max_entries = max_entries
-        tree.disk = disk
-        tree.points = points
-        tree.payloads = payloads
-        tree.node_low = node_low
-        tree.node_high = node_high
-        tree.child_start = child_start
-        tree.child_end = child_end
-        tree.entry_mindists = entry_mindists
-        tree.node_mindists = node_mindists
-        tree.num_leaves = num_leaves
-        tree.height = height
-        tree._page_base = disk.allocate_pages(len(node_low)) if disk is not None else 0
-        return tree
-
     # ------------------------------------------------------------------ #
     # Accessors
     # ------------------------------------------------------------------ #

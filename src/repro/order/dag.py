@@ -249,15 +249,22 @@ class PartialOrderDAG:
     def _assert_acyclic(self) -> None:
         self._topological_order()
 
-    def height(self) -> int:
-        """Length (in edges) of the longest directed path in the DAG."""
-        order = self._topological_order()
+    def depths(self) -> dict[Value, int]:
+        """Per node: the length (in edges) of the longest path reaching it.
+
+        Strictly increasing along every preference edge, so a value's depth
+        is smaller than that of every value it is preferred over.
+        """
         longest = {v: 0 for v in self._values}
-        for node in order:
+        for node in self._topological_order():
             for child in self._succ[node]:
                 if longest[node] + 1 > longest[child]:
                     longest[child] = longest[node] + 1
-        return max(longest.values(), default=0)
+        return longest
+
+    def height(self) -> int:
+        """Length (in edges) of the longest directed path in the DAG."""
+        return max(self.depths().values(), default=0)
 
     def transitive_reduction(self) -> "PartialOrderDAG":
         """Return the Hasse diagram: the minimal DAG with the same reachability."""

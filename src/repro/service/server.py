@@ -60,7 +60,6 @@ class QueryService:
         partitioner: str = "round-robin",
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_entries: int = 32,
-        prefilter: bool = True,
     ) -> None:
         # The first argument is anything the engine can open: a Dataset, a
         # DatasetStore, a packed-store path — or a ready-made engine (the
@@ -77,7 +76,6 @@ class QueryService:
                 partitioner=partitioner,
                 cache_size=cache_size,
                 max_entries=max_entries,
-                prefilter=prefilter,
             )
         # Start the worker pool (if any) now, while the process is still
         # single-threaded — the event loop and executor threads come later,

@@ -1,8 +1,7 @@
 """Persistent single-file storage for encoded datasets.
 
-``pack_dataset`` writes a dataset's encoded artifacts (frame, prefilter
-survivors, base TSS mapping, bulk-loaded flat R-tree) into one page-aligned,
-checksummed file; ``DatasetStore`` opens it and reconstructs zero-copy
+``pack_dataset`` writes a dataset's encoded artifacts (frame and prefilter
+survivors) into one page-aligned, checksummed file; ``DatasetStore`` opens it and reconstructs zero-copy
 ``np.memmap`` views (or tuple-backed columns without NumPy).  See
 :mod:`repro.store.format` for the byte layout.
 """

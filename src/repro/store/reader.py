@@ -2,10 +2,10 @@
 
 :class:`DatasetStore` maps the array sections of a file written by
 :func:`repro.store.writer.pack_dataset` back into the objects the query
-engine consumes — the :class:`~repro.data.columns.EncodedFrame`, the
-prefilter survivor list, the base-preference :class:`~repro.core.mapping.
-TSSMapping` and the bulk-loaded :class:`~repro.index.flat.FlatRTree` —
-without re-encoding, re-filtering, re-mapping or re-bulk-loading anything.
+engine consumes — the :class:`~repro.data.columns.EncodedFrame` and the
+prefilter survivor list — without re-encoding or re-filtering anything.
+Sections this build does not read (the base-topology mapping and flat R-tree
+older builds packed) are checksum-verified at open and otherwise ignored.
 
 With NumPy the sections become read-only ``np.memmap`` views, so several
 processes opening the same file share one copy of the bytes through the OS
@@ -129,7 +129,7 @@ class DatasetStore:
                     f"build reads format version {FORMAT_VERSION} — re-pack "
                     f"the dataset with 'repro pack'"
                 )
-            for key in ("schema", "counts", "base", "sections"):
+            for key in ("schema", "counts", "sections"):
                 if key not in header:
                     raise StoreError(
                         f"store '{path}' header is missing its {key!r} entry "
@@ -209,18 +209,6 @@ class DatasetStore:
     def num_survivors(self) -> int:
         return int(self._header["counts"]["survivors"])
 
-    @property
-    def has_base_mapping(self) -> bool:
-        return bool(self._header["base"].get("has_mapping"))
-
-    @property
-    def has_base_index(self) -> bool:
-        return bool(self._header["base"].get("has_index"))
-
-    @property
-    def base_max_entries(self) -> int:
-        return int(self._header["base"]["max_entries"])
-
     def __len__(self) -> int:
         return self.num_rows
 
@@ -233,8 +221,6 @@ class DatasetStore:
             "mmap": self.uses_mmap,
             "rows": self.num_rows,
             "survivors": self.num_survivors,
-            "base_mapping": self.has_base_mapping,
-            "base_index": self.has_base_index and self._np is not None,
             "sections": {
                 name: spec.nbytes for name, spec in self._sections.items()
             },
@@ -350,75 +336,6 @@ class DatasetStore:
                 else:
                     self._row_ids = [int(i) for i in self._unpack("row_ids")]
             return None if self._row_ids is None else list(self._row_ids)
-
-    def base_mapping(self, encodings=None):
-        """The packed base-preference TSS mapping, rebuilt without re-mapping.
-
-        ``encodings`` must be the schema's deterministic base encodings (the
-        default); point record ids are positions into the packed survivor
-        order, exactly as a fresh mapping over the reduced frame would yield.
-        """
-        from repro.core.mapping import TSSMapping
-        from repro.order.encoding import encode_domain
-
-        if not self.has_base_mapping:
-            raise StoreError(
-                f"store '{self.path}' was packed without a base mapping "
-                f"(no PO attributes)"
-            )
-        if encodings is None:
-            encodings = [
-                encode_domain(attribute.dag)
-                for attribute in self.schema.partial_order_attributes
-            ]
-        if self._np is not None:
-            coords = self._array("mapped_coords")
-            offsets = self._array("point_offsets")
-            rows = self._array("point_rows")
-            groups = [
-                tuple(int(r) for r in rows[int(offsets[g]) : int(offsets[g + 1])])
-                for g in range(len(offsets) - 1)
-            ]
-        else:
-            coords = self._unpack("mapped_coords")
-            offsets = self._unpack("point_offsets")
-            rows = self._unpack("point_rows")
-            groups = [
-                tuple(rows[offsets[g] : offsets[g + 1]])
-                for g in range(len(offsets) - 1)
-            ]
-        return TSSMapping.from_stored(self.schema, encodings, coords, groups)
-
-    def base_tree(self, *, disk=None):
-        """The packed flat R-tree over the base mapping's points."""
-        from repro.index.flat import FlatRTree
-
-        if not self.has_base_index:
-            raise StoreError(
-                f"store '{self.path}' was packed without a flat-tree section"
-            )
-        if self._np is None:
-            raise StoreError(
-                f"store '{self.path}' has a flat-tree section but this "
-                f"environment lacks NumPy to map it; build a tree from "
-                f"base_mapping() instead"
-            )
-        base = self._header["base"]
-        return FlatRTree.from_arrays(
-            dimensions=int(base["dimensions"]),
-            max_entries=self.base_max_entries,
-            points=self._array("tree_points"),
-            payloads=self._array("tree_payloads"),
-            node_low=self._array("tree_node_low"),
-            node_high=self._array("tree_node_high"),
-            child_start=self._array("tree_child_start"),
-            child_end=self._array("tree_child_end"),
-            entry_mindists=self._array("tree_entry_mindists"),
-            node_mindists=self._array("tree_node_mindists"),
-            num_leaves=int(base["num_leaves"]),
-            height=int(base["height"]),
-            disk=disk,
-        )
 
     def dataset(self) -> Dataset:
         """The original records, materialized from the frame (cached).

@@ -2,19 +2,16 @@
 
 Packing performs, once, exactly the work a fresh process would otherwise
 repeat on every start: encode the dataset into an
-:class:`~repro.data.columns.EncodedFrame`, run the query-independent
-per-PO-group TO-Pareto prefilter, map the survivors into the TSS space under
-the schema's *base* preferences, and bulk-load the flat data R-tree over the
-mapped points.  All of it is written as page-aligned little-endian array
-sections (see :mod:`repro.store.format`) so loaders reconstruct the same
-objects as zero-copy ``np.memmap`` views — or, without NumPy, by reading the
-very same bytes into tuple-backed columns.
+:class:`~repro.data.columns.EncodedFrame` and run the query-independent
+per-PO-group TO-Pareto prefilter.  Both are written as page-aligned
+little-endian array sections (see :mod:`repro.store.format`) so loaders
+reconstruct the same objects as zero-copy ``np.memmap`` views — or, without
+NumPy, by reading the very same bytes into tuple-backed columns.  The writer
+works under both backends: the frame arrays are backend-agnostic and the
+prefilter's survivor list is pinned to agree across kernels.
 
-The writer works under both backends: the frame and the mapped-point arrays
-are backend-agnostic (the columnar and record paths are pinned to agree
-bitwise), while the flat-tree sections are written only when NumPy is
-available — a store packed without NumPy simply omits them and loaders
-rebuild the tree from the mapped points.
+Stores packed by older builds also carry a base-topology mapping and flat
+R-tree; loaders verify those sections' checksums at open and ignore them.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from repro.data.dataset import Dataset
 from repro.engine.prefilter import prefilter_survivors
 from repro.exceptions import StoreError
 from repro.kernels import resolve_kernel
-from repro.order.encoding import encode_domain
 from repro.store.format import (
     FORMAT_VERSION,
     MAGIC,
@@ -81,20 +77,14 @@ def pack_dataset(
     path,
     *,
     kernel=None,
-    max_entries: int = 32,
 ) -> dict:
-    """Encode, prefilter, map, bulk-load and write ``dataset`` to ``path``.
+    """Encode, prefilter and write ``dataset`` to ``path``.
 
     Returns a summary dict (path, section sizes, counts).  Raises
     :class:`~repro.exceptions.StoreError` for schemas whose PO domains are
     not JSON-serializable (e.g. frozenset lattices).
     """
-    return pack_frame(
-        EncodedFrame.from_dataset(dataset),
-        path,
-        kernel=kernel,
-        max_entries=max_entries,
-    )
+    return pack_frame(EncodedFrame.from_dataset(dataset), path, kernel=kernel)
 
 
 def pack_frame(
@@ -102,12 +92,11 @@ def pack_frame(
     path,
     *,
     kernel=None,
-    max_entries: int = 32,
     row_ids=None,
     generation: int = 0,
     next_id: int | None = None,
 ) -> dict:
-    """Prefilter, map, bulk-load and write an encoded frame to ``path``.
+    """Prefilter and write an encoded frame to ``path``.
 
     The frame-first entry point :func:`pack_dataset` delegates to — and the
     one delta-plane compaction uses, since a compacted live frame has no
@@ -120,12 +109,8 @@ def pack_frame(
     schema = frame.schema
     schema_spec = encode_schema(schema)
     kernel = resolve_kernel(kernel)
-    if max_entries < 4:
-        raise StoreError(f"max_entries must be at least 4, got {max_entries}")
-
     survivors = prefilter_survivors(schema, None, frame, kernel)
     n = len(frame)
-    reduced = frame if len(survivors) == n else frame.take(survivors)
 
     sections: list[tuple[str, str, tuple[int, ...], bytes]] = [
         (
@@ -149,69 +134,6 @@ def pack_frame(
                 f"row_ids has {len(row_ids)} entries for a {n}-row frame"
             )
         sections.append(("row_ids", "<i8", (n,), _vector_bytes(row_ids, "<i8")))
-
-    base: dict = {
-        "max_entries": max_entries,
-        "has_mapping": False,
-        "has_index": False,
-    }
-    num_points = 0
-    if schema.num_partial_order:
-        from repro.core.mapping import TSSMapping
-
-        encodings = [
-            encode_domain(attribute.dag)
-            for attribute in schema.partial_order_attributes
-        ]
-        mapping = TSSMapping(None, encodings, schema=schema, frame=reduced)
-        offsets = [0]
-        rows: list[int] = []
-        for point in mapping.points:
-            rows.extend(point.record_ids)
-            offsets.append(len(rows))
-        coords = (
-            mapping.mapped_matrix()
-            if reduced.uses_numpy
-            else tuple(point.coords for point in mapping.points)
-        )
-        dimensions = mapping.dimensions
-        num_points = len(mapping.points)
-        sections += [
-            (
-                "mapped_coords",
-                "<f8",
-                (len(mapping.points), dimensions),
-                _matrix_bytes(coords, "<f8"),
-            ),
-            ("point_offsets", "<i8", (len(offsets),), _vector_bytes(offsets, "<i8")),
-            ("point_rows", "<i8", (len(rows),), _vector_bytes(rows, "<i8")),
-        ]
-        base.update({"has_mapping": True, "dimensions": dimensions})
-        if reduced.uses_numpy:
-            from repro.index.flat import FlatRTree
-
-            tree = FlatRTree.bulk_load(
-                dimensions, mapping.mapped_matrix(), max_entries=max_entries
-            )
-            nodes = tree.node_count()
-            sections += [
-                ("tree_points", "<f8", (len(tree.points), dimensions), _matrix_bytes(tree.points, "<f8")),
-                ("tree_payloads", "<i8", (len(tree.payloads),), _vector_bytes(tree.payloads, "<i8")),
-                ("tree_node_low", "<f8", (nodes, dimensions), _matrix_bytes(tree.node_low, "<f8")),
-                ("tree_node_high", "<f8", (nodes, dimensions), _matrix_bytes(tree.node_high, "<f8")),
-                ("tree_child_start", "<i4", (nodes,), _vector_bytes(tree.child_start, "<i4")),
-                ("tree_child_end", "<i4", (nodes,), _vector_bytes(tree.child_end, "<i4")),
-                ("tree_entry_mindists", "<f8", (len(tree.entry_mindists),), _vector_bytes(tree.entry_mindists, "<f8")),
-                ("tree_node_mindists", "<f8", (nodes,), _vector_bytes(tree.node_mindists, "<f8")),
-            ]
-            base.update(
-                {
-                    "has_index": True,
-                    "num_leaves": tree.num_leaves,
-                    "height": tree.height,
-                    "num_nodes": nodes,
-                }
-            )
 
     # Lay the sections out page-aligned after the header.  Header length is
     # not known before the offsets are, so lay out twice: once with a
@@ -239,12 +161,7 @@ def pack_frame(
             "generation": int(generation),
             **({} if next_id is None else {"next_id": int(next_id)}),
             "schema": schema_spec,
-            "counts": {
-                "rows": n,
-                "survivors": len(survivors),
-                "points": num_points,
-            },
-            "base": base,
+            "counts": {"rows": n, "survivors": len(survivors)},
             "sections": {
                 entry["name"]: {
                     key: entry[key]
@@ -289,6 +206,5 @@ def pack_frame(
         "page_size": PAGE_SIZE,
         "rows": n,
         "survivors": len(survivors),
-        "base": dict(base),
         "sections": {entry["name"]: entry["nbytes"] for entry in placed},
     }

@@ -1,17 +1,21 @@
 """Differential check: the batch engine against the definition-based oracle.
 
-The engine has one data path (an encoded frame, merged across shards by the
-sort-merge); what varies is the frame backing, the shard count, the
-partitioner and the kernel backend.  For random mixed TO/PO datasets,
-random preference overrides and random insert/delete/compact sequences,
-every such configuration must answer each query with exactly the skyline
+The engine answers in-process by the group path and sharded by the
+executor's sort-merge; what varies is the frame backing, the shard count,
+the partitioner, the kernel backend and whether the base comes from a packed
+store (closed and reopened between queries, so pending mutations replay
+from the sidecar log).  For random mixed TO/PO datasets, random preference
+overrides and random insert/delete/compact sequences, every such
+configuration must answer each query with exactly the skyline
 :func:`brute_force_skyline` computes over the live rows under the query's
 effective schema.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,7 @@ from repro.kernels import available_kernels
 from repro.order.dag import PartialOrderDAG
 from repro.parallel.partition import PARTITIONERS
 from repro.skyline.bruteforce import brute_force_skyline
+from repro.store import pack_dataset
 from tests.conftest import FRAME_BACKINGS, frame_backing_of, mixed_dataset_strategy
 
 
@@ -96,16 +101,52 @@ def test_engine_matches_brute_force_over_live_rows(
     ) as engine:
         _assert_matches_oracle(engine, schema, live, queries)
         for _ in range(6):
-            roll = rng.random()
-            if roll < 0.45 or not live:
-                row = _random_row(schema, rng)
-                (new_id,) = engine.insert([row])
-                live[new_id] = row
-            elif roll < 0.85:
-                victim = rng.choice(sorted(live))
-                assert engine.delete([victim]) == [victim]
-                del live[victim]
-            else:
-                engine.compact()
+            _mutate(engine, schema, live, rng)
             if live:
                 _assert_matches_oracle(engine, schema, live, queries)
+
+
+def _mutate(engine, schema, live: dict[int, tuple], rng: random.Random) -> None:
+    """One random insert, delete or compaction, mirrored into ``live``."""
+    roll = rng.random()
+    if roll < 0.45 or not live:
+        row = _random_row(schema, rng)
+        (new_id,) = engine.insert([row])
+        live[new_id] = row
+    elif roll < 0.85:
+        victim = rng.choice(sorted(live))
+        assert engine.delete([victim]) == [victim]
+        del live[victim]
+    else:
+        engine.compact()
+
+
+@pytest.mark.parametrize("backing", FRAME_BACKINGS)
+@given(
+    dataset=mixed_dataset_strategy(max_rows=20, min_to=0),
+    kernel=st.sampled_from(available_kernels()),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_store_engine_matches_brute_force_across_reopen(backing, dataset, kernel, seed):
+    rng = random.Random(seed)
+    schema = dataset.schema
+    queries = [BatchQuery("base")] + [
+        BatchQuery(f"q{index}", _random_overrides(schema, rng)) for index in range(2)
+    ]
+    live = {record.id: tuple(record.values) for record in dataset.records}
+    with tempfile.TemporaryDirectory() as directory, frame_backing_of(backing):
+        path = os.path.join(directory, "oracle.rpro")
+        pack_dataset(dataset, path, kernel=kernel)
+        engine = BatchQueryEngine(path, kernel=kernel, compact_threshold=0)
+        try:
+            _assert_matches_oracle(engine, schema, live, queries)
+            for _ in range(6):
+                _mutate(engine, schema, live, rng)
+                if rng.random() < 0.5:
+                    engine.close()
+                    engine = BatchQueryEngine(path, kernel=kernel, compact_threshold=0)
+                if live:
+                    _assert_matches_oracle(engine, schema, live, queries)
+        finally:
+            engine.close()

@@ -24,6 +24,7 @@ from repro.kernels import (
     available_kernels,
     get_kernel,
 )
+from repro.order.builders import random_dag
 from repro.order.encoding import encode_domain
 from tests.conftest import mixed_dataset_strategy, random_dag_strategy
 
@@ -314,6 +315,32 @@ class TestBulkOpsAgreement:
             store = kernel.load_tdominance_store(tables, members_to, members_codes)
             assert len(store) == len(members_to)
             masks.append(store.block_weakly_dominated(targets_to, targets_codes))
+        _assert_all_match(masks)
+        store = KERNELS[0].load_tdominance_store(tables, members_to, members_codes)
+        assert masks[0] == [
+            store.any_weakly_dominates(to_values, po_codes)
+            for to_values, po_codes in zip(targets_to, targets_codes)
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tdominance_block_test_spans_member_chunks(self, seed):
+        """More members than one comparison pass holds: targets that only a
+        late member dominates, or that no member dominates, keep the
+        verdicts of the reference after earlier passes settled the rest."""
+        rng = random.Random(seed)
+        encoding = encode_domain(random_dag(12, edge_probability=0.3, seed=seed))
+        tables = TDominanceTables.from_encodings(2, [encoding])
+        # Weak members first, strong ones last, so the last pass decides.
+        members_to = [(float(rng.randint(5, 9)), float(rng.randint(5, 9))) for _ in range(600)]
+        members_to += [(float(rng.randint(0, 4)), float(rng.randint(0, 4))) for _ in range(100)]
+        members_codes = [(rng.randrange(12),) for _ in members_to]
+        targets_to = [(float(rng.randint(0, 9)), float(rng.randint(0, 9))) for _ in range(400)]
+        targets_codes = [(rng.randrange(12),) for _ in targets_to]
+        masks = [
+            kernel.load_tdominance_store(tables, members_to, members_codes)
+            .block_weakly_dominated(targets_to, targets_codes)
+            for kernel in KERNELS
+        ]
         _assert_all_match(masks)
         store = KERNELS[0].load_tdominance_store(tables, members_to, members_codes)
         assert masks[0] == [

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 
 import pytest
 
 from repro.data.workloads import WorkloadSpec
 from repro.exceptions import StoreError
 from repro.store import FORMAT_VERSION, MAGIC, DatasetStore, pack_dataset
+from repro.store.format import align
 from tests.conftest import frame_backing_of
 
 
@@ -169,3 +171,49 @@ class TestOpenRejectsDamage:
         path = damaged(b"NOTSTORE" + packed_bytes[len(MAGIC) :])
         with pytest.raises(StoreError, match="bad magic"):
             repro.open_dataset(path)
+
+
+def _with_legacy_mapping(payload: bytes, section: bytes) -> bytes:
+    """``payload`` re-headed with one more page-aligned section at its end,
+    named and flagged like the base mapping older builds packed."""
+    header = _header(payload)
+    first = min(spec["offset"] for spec in header["sections"].values())
+    offset = align(len(payload))
+    header["sections"]["mapped_coords"] = {
+        "dtype": "<f8",
+        "shape": [len(section) // 8],
+        "offset": offset,
+        "nbytes": len(section),
+        "crc32": zlib.crc32(section) & 0xFFFFFFFF,
+    }
+    header["base"] = {"max_entries": 32, "has_mapping": True, "has_index": False}
+    encoded = json.dumps(header).encode("utf-8")
+    prefix = MAGIC + struct.pack("<Q", len(encoded)) + encoded
+    assert len(prefix) <= first  # the existing sections keep their offsets
+    body = prefix + b"\x00" * (first - len(prefix)) + payload[first:]
+    return body + b"\x00" * (offset - len(body)) + section
+
+
+class TestStoresFromOlderBuilds:
+    """Stores packed with the base mapping/tree sections still open: the
+    extra sections are checksum-verified at open and otherwise ignored."""
+
+    SECTION = struct.pack("<8d", *range(8))
+
+    def test_extra_sections_are_ignored(self, packed_bytes, damaged, frame_backing):
+        from repro.engine.batch import BatchQuery, BatchQueryEngine
+
+        intact = damaged(packed_bytes)
+        with BatchQueryEngine(intact) as engine:
+            reference = engine.run_query(BatchQuery("base")).skyline_ids
+        path = intact.with_name("legacy.rpro")
+        path.write_bytes(_with_legacy_mapping(packed_bytes, self.SECTION))
+        assert "mapped_coords" in DatasetStore.open(path).describe()["sections"]
+        with BatchQueryEngine(path) as engine:
+            assert engine.run_query(BatchQuery("base")).skyline_ids == reference
+
+    def test_damaged_extra_section_fails_at_open(self, packed_bytes, damaged):
+        legacy = bytearray(_with_legacy_mapping(packed_bytes, self.SECTION))
+        legacy[-1] ^= 0xFF
+        with pytest.raises(StoreError, match="checksum for section 'mapped_coords'"):
+            DatasetStore.open(damaged(bytes(legacy)))

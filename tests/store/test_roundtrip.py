@@ -13,8 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.data.workloads import WorkloadSpec
-from repro.engine.batch import BatchQuery, BatchQueryEngine, queries_from_seeds
+from repro.engine.batch import (
+    BatchQuery,
+    BatchQueryEngine,
+    queries_from_seeds,
+    random_query_preferences,
+)
 from repro.kernels import available_kernels
+from repro.skyline.bruteforce import brute_force_skyline
 from repro.store import DatasetStore, pack_dataset
 from tests.conftest import assert_backing, frame_backing_of
 
@@ -122,12 +128,16 @@ class TestBitwiseRoundTrip:
             (n, sorted(ids)) for n, ids, _ in reference
         ]
 
-    def test_prefilter_off_still_loads_from_store(self, workload, packed):
+    def test_store_engine_matches_brute_force(self, workload, packed):
         schema, dataset = workload
         path, _ = packed
-        reference = _run(BatchQueryEngine(dataset, prefilter=False), schema)
-        via_store = _run(BatchQueryEngine(path, prefilter=False), schema)
-        assert via_store == reference
+        for name, ids, _ in _run(BatchQueryEngine(path), schema):
+            effective = schema
+            if name != "base":
+                overrides = random_query_preferences(schema, int(name[1:]))
+                effective = schema.replace_partial_order(overrides)
+            truth = brute_force_skyline(dataset.with_schema(effective))
+            assert ids == sorted(truth.skyline_ids), name
 
 
 class TestStoreFacts:
@@ -145,33 +155,29 @@ class TestStoreFacts:
         with frame_backing_of("tuple"):
             assert DatasetStore.open(path).uses_mmap is False
 
-    def test_base_artifacts_reused_without_rebuild(self, workload, packed):
-        """The packed base mapping/tree answer the base query verbatim."""
+    def test_engine_never_maps_or_indexes_base_queries(
+        self, workload, packed, monkeypatch, frame_backing
+    ):
+        """A store-backed engine answers base and override queries by the
+        group path: no TSS mapping, R-tree or sTSS run."""
+        import repro.core.stss
+        import repro.engine.batch
+        from repro.core.mapping import TSSMapping
+
         schema, dataset = workload
         path, _ = packed
+        queries = _queries(schema)
         with BatchQueryEngine(dataset) as engine:
-            reference = engine.run_query(BatchQuery("base"))
+            reference = [engine.run_query(query).skyline_ids for query in queries]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the engine mapped or indexed a base query")
+
+        monkeypatch.setattr(TSSMapping, "__init__", forbidden)
+        monkeypatch.setattr(TSSMapping, "build_rtree", forbidden)
+        monkeypatch.setattr(repro.core.stss, "stss_skyline", forbidden)
+        monkeypatch.setattr(repro.engine.batch, "stss_skyline", forbidden)
         with BatchQueryEngine(path) as engine:
-            assert engine._store_base_usable
-            result = engine.run_query(BatchQuery("base"))
-            assert engine._base_artifacts is not None  # served from the file
-        assert result.skyline_ids == reference.skyline_ids
-        assert result.stats.dominance_checks == reference.stats.dominance_checks
-
-    def test_engine_adopts_the_packed_flat_tree(self, packed, monkeypatch):
-        """With NumPy the engine maps the store, queries through ``flat`` and
-        serves the base query from the packed tree — no rebuild."""
-        from repro.core.mapping import TSSMapping
-        from repro.index.flat import FlatRTree
-
-        def no_rebuild(*args, **kwargs):
-            raise AssertionError("the packed flat tree was rebuilt")
-
-        monkeypatch.setattr(TSSMapping, "build_rtree", no_rebuild)
-        path, _ = packed
-        with BatchQueryEngine(path) as engine:
-            assert engine.summary()["index"] == "flat"
-            assert engine.store.uses_mmap
-            engine.run_query(BatchQuery("base"))
-            _, tree = engine._base_artifacts
-        assert isinstance(tree, FlatRTree)
+            assert_backing(engine._frame, frame_backing)
+            answers = [engine.run_query(query).skyline_ids for query in queries]
+        assert answers == reference

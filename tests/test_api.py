@@ -90,9 +90,9 @@ class TestOpenDataset:
 class TestPack:
     def test_pack_reports_layout(self, workload, tmp_path):
         _, dataset = workload
-        summary = repro.pack(dataset, tmp_path / "p.rpro", max_entries=8)
+        summary = repro.pack(dataset, tmp_path / "p.rpro")
         assert summary["rows"] == len(dataset)
-        assert summary["base"]["max_entries"] == 8
+        assert set(summary["sections"]) == {"frame_to", "frame_codes", "survivors"}
         assert (tmp_path / "p.rpro").stat().st_size == summary["bytes"]
 
     def test_pack_honours_config_kernel(self, workload, tmp_path):

@@ -98,18 +98,15 @@ class TestBatchQueryCommand:
         out = capsys.readouterr().out
         match = re.search(
             r"phases: encode (\S+) ms \| build (\S+) ms "
-            r"\| index_build (\S+) ms \| query (\S+) ms \| merge (\S+) ms "
-            r"\| total (\S+) ms",
+            r"\| query (\S+) ms \| merge (\S+) ms \| total (\S+) ms",
             out,
         )
         assert match, out
-        encode, build, index_build, query, merge, total = (
-            float(g) for g in match.groups()
-        )
-        assert all(value >= 0.0 for value in (encode, build, index_build, query, merge))
-        # The phases sum to the printed total (each of the six numbers
+        encode, build, query, merge, total = (float(g) for g in match.groups())
+        assert all(value >= 0.0 for value in (encode, build, query, merge))
+        # The phases sum to the printed total (each of the five numbers
         # carries up to 0.05 ms of :.1f print rounding).
-        assert abs((encode + build + index_build + query + merge) - total) <= 0.35
+        assert abs((encode + build + query + merge) - total) <= 0.3
 
     @pytest.mark.parametrize(
         "flag",
@@ -119,6 +116,7 @@ class TestBatchQueryCommand:
             ["--index", "flat"],
             ["--mmap", "off"],
             ["--crc", "lazy"],
+            ["--no-prefilter"],
         ],
     )
     def test_removed_data_path_flags_are_rejected(self, capsys, flag):
@@ -165,6 +163,14 @@ class TestPackAndStore:
 
         with pytest.raises(SystemExit):
             build_pack_parser().parse_args([])
+
+    def test_pack_no_longer_takes_a_tree_fanout(self, capsys):
+        from repro.cli import build_pack_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_pack_parser().parse_args(["--out", "x.rpro", "--max-entries", "8"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_pack_then_query_matches_workload_run(self, tmp_path, capsys):
         store = tmp_path / "cli.rpro"

@@ -38,7 +38,7 @@ class TestPrecedence:
         assert config.workers == 0
         assert config.compact_threshold == DEFAULT_COMPACT_THRESHOLD
         assert config.store is None
-        assert config.prefilter is True
+        assert config.cache_size is None
 
     def test_env_fills_unset_fields(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "purepython")
@@ -70,23 +70,23 @@ class TestPrecedence:
 
     def test_engine_options_round_trip(self):
         config = RuntimeConfig.resolve(
-            workers=2, shards=4, compact_threshold=5, prefilter=False, cache_size=7
+            workers=2, shards=4, compact_threshold=5, cache_size=7
         )
         options = config.engine_options()
         assert options["workers"] == 2
         assert options["num_shards"] == 4
         assert options["compact_threshold"] == 5
-        assert options["prefilter"] is False
+        assert "prefilter" not in options
         assert options["cache_size"] == 7
 
     def test_data_path_has_no_knobs(self):
-        """The data path follows NumPy: no frame, merge, index, mmap or crc
-        toggles."""
+        """The data path follows NumPy: no frame, merge, index, mmap, crc or
+        prefilter toggles."""
         names = {field.name for field in fields(RuntimeConfig)}
-        assert not names & {"frame", "merge", "index", "mmap", "crc"}
-        assert len(names) == 10
+        assert not names & {"frame", "merge", "index", "mmap", "crc", "prefilter"}
+        assert len(names) == 9
 
-    @pytest.mark.parametrize("retired", ["index", "mmap", "crc"])
+    @pytest.mark.parametrize("retired", ["index", "mmap", "crc", "prefilter"])
     def test_retired_knobs_are_rejected(self, retired):
         with pytest.raises(TypeError):
             RuntimeConfig.resolve(**{retired: None})

@@ -26,6 +26,7 @@ HOT_MODULES = (
     "repro.kernels",
     "repro.data.columns",
     "repro.engine.prefilter",
+    "repro.engine.groups",
     "repro.parallel.executor",
 )
 
