@@ -7,28 +7,30 @@ adds the write path without giving any of that up, the way LSM trees do:
 
 * :class:`DeltaFrame` (``frame.py``) — append-only insert blocks in the same
   canonical column layout as the base frame, plus a tombstone id-set for
-  deletes, layered over the immutable base.  Record ids are *stable*: base
-  rows keep their ids, inserts get fresh monotonically increasing ids, and
-  compaction preserves both.
-* :class:`BaseCandidateTracker` (``candidates.py``) — incremental
-  maintenance of the engine's per-PO-group TO-Pareto prefilter under base
-  deletes (deleting a survivor can resurrect group siblings the prefilter
-  dropped).
-* :func:`cross_examine` (``merge.py``) — the divide-and-conquer merge step:
-  the live skyline equals the mutual survivors of the base-side and
-  delta-side skylines, decided by two batched kernel calls.
+  deletes, layered over the immutable base.  :meth:`DeltaFrame.frame` puts
+  base rows and inserts in one row space (base rows first).  Record ids are
+  *stable*: base rows keep their ids, inserts get fresh monotonically
+  increasing ids, and compaction preserves both.
+* :class:`BaseCandidateTracker` (``candidates.py``) — the engine's
+  candidate set as per-PO-group TO-Pareto fronts over that row space,
+  maintained per touched group as dTSS does: inserts fold into their
+  group's front, deleting a front row recomputes its group (which may
+  resurrect rows the front was masking).
+* :func:`cross_examine` (``merge.py``) — the insert fold: one group's front
+  against its new rows, one batched ``pareto_mask`` over both.
 * :class:`~repro.store.delta.DeltaLog` (``repro.store.delta``) — the
   crash-safe sidecar persisting mutations next to a packed store until
   compaction folds them into a new base.
 
-Queries over a mutated engine are bitwise-identical (ids and discovery
-order) to a from-scratch rebuild over the live rows — pinned by the
-hypothesis suite in ``tests/delta/``.
+Queries read the tracked fronts the same way whether or not the data
+changed, so a mutated engine answers exactly what a from-scratch rebuild
+over the live rows answers — pinned by the hypothesis suite in
+``tests/delta/``.
 """
 
 from repro.delta.candidates import BaseCandidateTracker
 from repro.delta.frame import DeltaFrame, as_record_dataset, dataset_from_frame
-from repro.delta.merge import cross_examine, tables_blocks
+from repro.delta.merge import cross_examine
 
 __all__ = [
     "BaseCandidateTracker",
@@ -36,5 +38,4 @@ __all__ = [
     "as_record_dataset",
     "cross_examine",
     "dataset_from_frame",
-    "tables_blocks",
 ]

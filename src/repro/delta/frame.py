@@ -5,11 +5,13 @@ A :class:`DeltaFrame` layers mutations over an immutable base
 
 * **Inserts** are encoded on arrival into the base codec's *canonical*
   column layout (one float TO row + one int code row per record) and
-  appended to in-memory buffers; :meth:`insert_frame` materializes them as
-  an ordinary :class:`~repro.data.columns.EncodedFrame` so every columnar
-  consumer (TSS mapping, SFS presort, kernels) works on them unchanged.
+  appended to in-memory buffers; :meth:`frame` materializes the base rows
+  followed by every insert as one ordinary
+  :class:`~repro.data.columns.EncodedFrame` — one row space, so every
+  columnar consumer (the engine's candidate tracker, kernels, dTSS
+  grouping, compaction) reads base rows and inserts the same way.
 * **Deletes** tombstone a stable record id — a base row or an earlier
-  insert — without touching the base columns.
+  insert — without touching any column.
 
 Stable ids are the contract with callers: base row ``r`` answers to id
 ``base_ids[r]`` (identity when ``base_ids`` is ``None``), inserts are
@@ -124,8 +126,7 @@ class DeltaFrame:
         self.mutations = 0
         #: Bumped on every state change (engines guard caches with it).
         self.version = 0
-        self._insert_frame: EncodedFrame | None = None
-        self._insert_frame_rows = -1
+        self._frame: EncodedFrame | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -145,10 +146,6 @@ class DeltaFrame:
         )
 
     @property
-    def has_base_deletes(self) -> bool:
-        return bool(self._dead_base_rows)
-
-    @property
     def num_base_deletes(self) -> int:
         return len(self._dead_base_rows)
 
@@ -159,11 +156,16 @@ class DeltaFrame:
     def stable_id_of_base_row(self, row: int) -> int:
         return row if self.base_ids is None else self.base_ids[row]
 
+    def dead_rows(self) -> list[int]:
+        """Ascending rows of :meth:`frame` that are tombstoned."""
+        num_base = len(self.base)
+        rows = sorted(self._dead_base_rows)
+        rows.extend(num_base + pos for pos in sorted(self._dead_inserts))
+        return rows
+
     def dead_ids(self) -> list[int]:
         """Every tombstoned stable id (base rows first, then inserts)."""
-        ids = [self.stable_id_of_base_row(row) for row in sorted(self._dead_base_rows)]
-        ids.extend(self._insert_ids[pos] for pos in sorted(self._dead_inserts))
-        return ids
+        return [self.stable_id_of_row(row) for row in self.dead_rows()]
 
     def insert_entries(
         self, start: int = 0
@@ -251,15 +253,17 @@ class DeltaFrame:
         )
 
     def delete_ids(self, record_ids: Sequence[int]) -> tuple[list[int], list[int]]:
-        """Tombstone stable ids; returns ``(newly deleted ids, base rows freed)``.
+        """Tombstone stable ids; returns ``(newly deleted ids, their rows)``.
 
+        The rows are rows of :meth:`frame` (a base row, or ``len(base) + p``
+        for insert position ``p``).
         Already-dead ids are ignored (idempotent, which keeps delta-log
         replay simple) — including ids below :attr:`next_id` that a
         compaction folded away; ids that were never allocated raise
         :class:`~repro.exceptions.QueryError`.
         """
         removed: list[int] = []
-        base_rows: list[int] = []
+        rows: list[int] = []
         for record_id in record_ids:
             record_id = int(record_id)
             position = self._insert_pos_of.get(record_id)
@@ -267,6 +271,7 @@ class DeltaFrame:
                 if position not in self._dead_inserts:
                     self._dead_inserts.add(position)
                     removed.append(record_id)
+                    rows.append(len(self.base) + position)
                 continue
             row = self._resolve_base_row(record_id)
             if row is None:
@@ -276,54 +281,59 @@ class DeltaFrame:
             if row not in self._dead_base_rows:
                 self._dead_base_rows.add(row)
                 removed.append(record_id)
-                base_rows.append(row)
+                rows.append(row)
         if removed:
             self.mutations += len(removed)
             self.version += 1
-        return removed, base_rows
+        return removed, rows
 
     # ------------------------------------------------------------------ #
     # Live views
     # ------------------------------------------------------------------ #
-    def live_base_rows(self) -> list[int]:
-        if not self._dead_base_rows:
-            return list(range(len(self.base)))
-        dead = self._dead_base_rows
-        return [row for row in range(len(self.base)) if row not in dead]
+    def live_rows(self) -> list[int]:
+        """Ascending rows of :meth:`frame` that are still live."""
+        dead = set(self.dead_rows())
+        return [row for row in range(len(self.base) + len(self._insert_ids)) if row not in dead]
 
-    def live_insert_positions(self) -> list[int]:
-        if not self._dead_inserts:
-            return list(range(len(self._insert_ids)))
-        dead = self._dead_inserts
-        return [pos for pos in range(len(self._insert_ids)) if pos not in dead]
+    def stable_id_of_row(self, row: int) -> int:
+        """The stable id of any row of :meth:`frame`."""
+        num_base = len(self.base)
+        if row < num_base:
+            return self.stable_id_of_base_row(row)
+        return self._insert_ids[row - num_base]
 
-    def insert_ids_at(self, positions: Sequence[int]) -> list[int]:
-        return [self._insert_ids[pos] for pos in positions]
+    def frame(self) -> EncodedFrame:
+        """The base rows followed by every buffered insert, as one frame.
 
-    def insert_frame(self) -> EncodedFrame:
-        """All buffered inserts as an :class:`EncodedFrame` (row = position).
-
-        Tombstoned inserts are *included* so positions stay stable; pass
-        :meth:`live_insert_positions` as the ``rows`` subset downstream.
-        Rebuilt only when new inserts arrived since the last call.
+        Row ``len(base) + p`` is insert position ``p``; tombstoned rows are
+        *included* so rows stay stable (:meth:`live_rows` lists the live
+        ones).  The base itself while nothing was inserted; otherwise the
+        last frame extended by the inserts that arrived since.
         """
+        previous = self.base if self._frame is None else self._frame
+        start = len(previous) - len(self.base)
         count = len(self._insert_ids)
-        if self._insert_frame is not None and self._insert_frame_rows == count:
-            return self._insert_frame
-        np = _numpy_or_none() if self.base.uses_numpy else None
-        num_to = self.schema.num_total_order
-        num_po = self.schema.num_partial_order
+        if start == count:
+            return previous
+        new_to = self._insert_to[start:]
+        new_codes = self._insert_codes[start:]
+        np = _numpy_or_none() if previous.uses_numpy else None
         if np is not None:
-            to = np.asarray(self._insert_to, dtype=np.float64).reshape(count, num_to)
-            codes = np.asarray(self._insert_codes, dtype=np.int32).reshape(count, num_po)
+            new_to = np.asarray(new_to, dtype=np.float64).reshape(
+                count - start, self.schema.num_total_order
+            )
+            new_codes = np.asarray(new_codes, dtype=np.int32).reshape(
+                count - start, self.schema.num_partial_order
+            )
+            to = np.concatenate([previous.to, new_to])
+            codes = np.concatenate([previous.codes, new_codes])
             to.flags.writeable = False
             codes.flags.writeable = False
         else:
-            to = tuple(self._insert_to)
-            codes = tuple(self._insert_codes)
-        self._insert_frame = EncodedFrame(self.schema, self.codec, to, codes, count)
-        self._insert_frame_rows = count
-        return self._insert_frame
+            to = previous.to + tuple(new_to)
+            codes = previous.codes + tuple(new_codes)
+        self._frame = EncodedFrame(self.schema, self.codec, to, codes, len(self.base) + count)
+        return self._frame
 
     def live_frame_and_ids(self) -> tuple[EncodedFrame, list[int]]:
         """The live rows folded into one fresh frame, plus its stable ids.
@@ -332,41 +342,18 @@ class DeltaFrame:
         inserts (arrival order) — each paired with the id it keeps, so
         ``ids[r]`` is the new base's ``row -> stable id`` mapping.
         """
-        base_rows = self.live_base_rows()
-        insert_positions = self.live_insert_positions()
-        ids = [self.stable_id_of_base_row(row) for row in base_rows]
-        ids.extend(self._insert_ids[pos] for pos in insert_positions)
-        base = self.base
-        if base.uses_numpy:
-            np = _numpy_or_none()
-            inserts = self.insert_frame()
-            index = np.asarray(base_rows, dtype=np.intp)
-            ins_index = np.asarray(insert_positions, dtype=np.intp)
-            to = np.concatenate([base.to[index], inserts.to[ins_index]], axis=0)
-            codes = np.concatenate([base.codes[index], inserts.codes[ins_index]], axis=0)
-            to.flags.writeable = False
-            codes.flags.writeable = False
-        else:
-            to = tuple(base.to[row] for row in base_rows) + tuple(
-                self._insert_to[pos] for pos in insert_positions
-            )
-            codes = tuple(base.codes[row] for row in base_rows) + tuple(
-                self._insert_codes[pos] for pos in insert_positions
-            )
-        frame = EncodedFrame(self.schema, self.codec, to, codes, len(ids))
-        return frame, ids
+        rows = self.live_rows()
+        return self.frame().take(rows), [self.stable_id_of_row(row) for row in rows]
 
     def live_dataset_and_ids(self) -> tuple[Dataset, list[int]]:
         """The live rows as a record dataset (record ``i`` = live row ``i``),
         plus the stable id of each record — the record-path twin of
         :meth:`live_frame_and_ids`."""
-        base_rows = self.live_base_rows()
-        insert_positions = self.live_insert_positions()
-        ids = [self.stable_id_of_base_row(row) for row in base_rows]
-        ids.extend(self._insert_ids[pos] for pos in insert_positions)
-        rows = decode_frame_rows(self.base, base_rows)
-        rows.extend(decode_frame_rows(self.insert_frame(), insert_positions))
-        return Dataset(self.schema, rows, validate=False), ids
+        rows = self.live_rows()
+        return (
+            dataset_from_frame(self.frame(), rows),
+            [self.stable_id_of_row(row) for row in rows],
+        )
 
 
 def as_record_dataset(source) -> tuple[Dataset, list[int] | None]:

@@ -255,36 +255,23 @@ def _columnar_groups(
     on one combined matrix; tuple-backed frames fall back to a dict sweep.
     """
     if isinstance(source, DeltaFrame):
-        base_rows = source.live_base_rows()
-        blocks = [
-            (source.base, base_rows, [source.stable_id_of_base_row(r) for r in base_rows])
-        ]
-        positions = source.live_insert_positions()
-        if positions:
-            blocks.append((source.insert_frame(), positions, source.insert_ids_at(positions)))
-        codec = source.codec
+        frame = source.frame()
+        rows = source.live_rows()
+        ids = [source.stable_id_of_row(row) for row in rows]
     else:
-        blocks = [(source, list(range(len(source))), list(range(len(source))))]
-        codec = source.codec
-    domains = codec.domains
+        frame = source
+        rows = ids = list(range(len(source)))
+    domains = frame.codec.domains
     num_po = len(domains)
 
-    uses_numpy = blocks[0][0].uses_numpy
-    if uses_numpy:
+    if frame.uses_numpy:
         import numpy as np
 
-        num_to = blocks[0][0].schema.num_total_order
-        matrices = []
-        ids: list[int] = []
-        for frame, rows, block_ids in blocks:
-            index = np.asarray(rows, dtype=np.intp)
-            matrices.append(
-                np.concatenate(
-                    [frame.to[index], frame.codes[index].astype(np.float64)], axis=1
-                )
-            )
-            ids.extend(block_ids)
-        unique, grouped_rows = group_rows(np.concatenate(matrices, axis=0))
+        num_to = frame.schema.num_total_order
+        index = np.asarray(rows, dtype=np.intp)
+        unique, grouped_rows = group_rows(
+            np.concatenate([frame.to[index], frame.codes[index].astype(np.float64)], axis=1)
+        )
         result = []
         for g, member_rows in enumerate(grouped_rows):
             to_values = tuple(float(v) for v in unique[g, :num_to])
@@ -295,10 +282,9 @@ def _columnar_groups(
         return result
 
     groups: dict[tuple[tuple[float, ...], tuple[Value, ...]], list[int]] = {}
-    for frame, rows, block_ids in blocks:
-        for row, record_id in zip(rows, block_ids):
-            to_values = tuple(frame.to[row])
-            codes = frame.codes[row]
-            po_values = tuple(domains[k][codes[k]] for k in range(num_po))
-            groups.setdefault((to_values, po_values), []).append(record_id)
+    for row, record_id in zip(rows, ids):
+        to_values = tuple(frame.to[row])
+        codes = frame.codes[row]
+        po_values = tuple(domains[k][codes[k]] for k in range(num_po))
+        groups.setdefault((to_values, po_values), []).append(record_id)
     return [(to, po, ids) for (to, po), ids in groups.items()]

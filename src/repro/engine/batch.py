@@ -24,7 +24,7 @@ Per query, the engine answers group at a time, as dTSS does (Section V):
 the reduced rows are exactly the per-group local skylines of Section V-B, so
 rows inside one group never dominate each other, and whether one group
 dominates another follows from the query's preferences on the two group
-keys alone.  :class:`~repro.engine.groups.GroupFronts` buckets the groups
+keys alone.  :func:`~repro.engine.groups.skyline_rows` buckets the groups
 into levels (the sum of their values' DAG depths: a dominator group always
 sits on a lower level, groups on one level are incomparable) and visits the
 levels in order, checking each level's rows against the rows kept so far
@@ -38,16 +38,17 @@ the per-query work is delegated to a
 (:mod:`repro.delta`): :meth:`BatchQueryEngine.insert` encodes new rows into
 an append-only :class:`~repro.delta.frame.DeltaFrame` over the immutable
 base and :meth:`BatchQueryEngine.delete` tombstones stable record ids.
-Queries then answer ``SKY(base ∪ delta)`` by cross-examining the (cached)
-base skyline against a per-query delta skyline — two batched kernel calls,
-bitwise-identical to a from-scratch rebuild over the live rows.  Deleting a
-base row may resurrect prefilter-dropped group siblings; a
-:class:`~repro.delta.candidates.BaseCandidateTracker` recomputes exactly the
-dirty groups' Pareto fronts, and only those groups of the in-process
-group path are replaced.  Store-backed engines persist every mutation in
-a crash-safe sidecar :class:`~repro.store.delta.DeltaLog` and fold the delta
-into a fresh packed base once ``compact_threshold`` mutations accumulate
-(atomic ``os.replace``; ids survive via the store's ``row_ids`` section).
+Base rows and inserts share one row space, and the per-group fronts live in
+one :class:`~repro.delta.candidates.BaseCandidateTracker`, which a mutation
+updates at write time for the groups it touches only: an insert folds into
+its group's front, deleting a front row recomputes its group (resurrecting
+rows the front was masking).  Queries then read the one candidate set the
+same way whether or not the data changed, and the result cache is cleared
+only when a mutation changed a front.
+Store-backed engines persist every mutation in a crash-safe sidecar
+:class:`~repro.store.delta.DeltaLog` and fold the delta into a fresh packed
+base once ``compact_threshold`` mutations accumulate (atomic
+``os.replace``; ids survive via the store's ``row_ids`` section).
 
 The engine is a concurrency-safe façade: :meth:`BatchQueryEngine.run_query`
 may be called from many threads at once.  Queries synchronize on a
@@ -74,14 +75,11 @@ if TYPE_CHECKING:
     from repro.store.reader import DatasetStore
 
 from repro.config import resolve_compact_threshold, resolve_workers
-from repro.core.mapping import TSSMapping
-from repro.core.stss import stss_skyline
 from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
-from repro.delta.candidates import BaseCandidateTracker
+from repro.delta.candidates import BaseCandidateTracker, GroupKey
 from repro.delta.frame import DeltaFrame, dataset_from_frame
-from repro.delta.merge import cross_examine, tables_blocks
-from repro.engine.groups import GroupFronts
+from repro.engine.groups import skyline_rows
 from repro.engine.prefilter import prefilter_survivors
 from repro.engine.encodings import (
     DagKey,
@@ -93,11 +91,9 @@ from repro.engine.lru import LRUDict
 from repro.exceptions import DeadlineExceededError, QueryError
 from repro.faults.registry import trip as _fault_trip
 from repro.kernels import resolve_kernel
-from repro.kernels.tables import RecordTables
 from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import DomainEncoding
 from repro.skyline.base import SkylineStats
-from repro.skyline.sfs import sfs_skyline
 
 __all__ = [
     "DEFAULT_CACHE_SIZE",
@@ -242,18 +238,12 @@ class BatchQueryEngine:
             self._num_rows = len(dataset)
         self._dataset = dataset
         self.kernel = resolve_kernel(kernel)
-        # Spatial index backend of the delta side's per-query R-trees: flat
-        # with NumPy, pointer without (reported by summary()).
-        from repro.index.registry import resolve_index
-
-        self.index = resolve_index()
         self.max_entries = max_entries
         self.cache_size = cache_size
+        # Skylines as sorted stable ids, per topology.  A skyline depends on
+        # the candidate set only, so a mutation that changed no front (and
+        # compaction, which keeps every live id) leaves the cache standing.
         self._result_cache: LRUDict[TopologyKey, list[int]] = LRUDict(cache_size)
-        # Base-side skylines as *frame rows*, per topology.  Survives inserts
-        # (the base did not change) and is dropped only when the live base
-        # row set does: base deletes and compaction.
-        self._base_cache: LRUDict[TopologyKey, list[int]] = LRUDict(cache_size)
         self._encoding_cache = EncodingCache(cache_size)
         self.queries_evaluated = 0
         self.cache_hits = 0
@@ -273,7 +263,7 @@ class BatchQueryEngine:
         )
         # Cumulative wall clock per pipeline phase (encode the frame, build
         # the shared prefilter and per-group fronts, run the skyline scans,
-        # merge across shards or with the delta); read via :meth:`summary`.
+        # merge across shards); read via :meth:`summary`.
         self._phase_seconds = {"encode": 0.0, "build": 0.0, "query": 0.0, "merge": 0.0}
         # The columnar data plane: the dataset encoded once (NumPy-backed, or
         # tuple-backed without NumPy); queries then read it through row-index
@@ -298,26 +288,20 @@ class BatchQueryEngine:
         self._sharded = self._workers_resolved >= 1 or (
             num_shards is not None and num_shards > 1
         )
-        started = time.perf_counter()
-        # With a store, the packed prefilter pass (validated at pack time
-        # against both backends): one mmap'd section.
-        self._candidate_rows = (
-            store.survivors() if store is not None else self._prefilter_survivors()
-        )
-        self._phase_seconds["build"] += time.perf_counter() - started
-        self._groups: GroupFronts | None = None
         # The delta plane: built lazily on the first mutation (or delta-log
-        # replay); ``None`` means the base alone answers every query.
+        # replay); ``None`` means the base rows are every row.
         self._delta: DeltaFrame | None = None
-        self._tracker: BaseCandidateTracker | None = None
         self._log = None
         # Set when the sidecar log needed quarantine at open (see
         # :meth:`DeltaLog.recover <repro.store.delta.DeltaLog.recover>`).
         self._delta_recovery: dict | None = None
         self._executor = None
+        # The frame rows the executor's reduced ids stand for.
+        self._executor_rows: list[int] = []
+        self._build_candidates()
         if store is not None:
             self._replay_delta_log()
-        self._build_reduced_state()
+        self._build_executor()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -371,44 +355,61 @@ class BatchQueryEngine:
     @property
     def candidate_count(self) -> int:
         """Records that can appear in some query's skyline (after prefilter)."""
-        return len(self._candidate_rows)
+        return self._tracker.candidate_count
 
     @property
     def _candidate_ids(self) -> list[int]:
         """Stable record ids of the candidate rows (compat/introspection)."""
-        return [self._stable_id_of_row(row) for row in self._candidate_rows]
+        return [self._stable_id_of_row(row) for row in self._tracker.candidates()]
 
     def _stable_id_of_row(self, row: int) -> int:
+        if self._delta is not None:
+            return self._delta.stable_id_of_row(row)
         return row if self._row_ids is None else self._row_ids[row]
 
     # ------------------------------------------------------------------ #
-    # Reduced state (initial build + rebuilds after base-live changes)
+    # Candidate state (initial build, mutations, compaction)
     # ------------------------------------------------------------------ #
-    def _build_reduced_state(self) -> None:
-        """Derive every candidate-dependent structure from ``_candidate_rows``.
+    def _build_candidates(self) -> None:
+        """Track the base frame's candidate rows as per-PO-group fronts.
 
-        Called at construction and again whenever the live base row set
-        changes (base delete that dirtied a Pareto front, compaction).  The
-        in-process path groups the candidates into their per-PO-group fronts
-        (:class:`~repro.engine.groups.GroupFronts`); a materialized
-        row-subset frame is built solely for the sharded executor, which
-        partitions rows across shards/processes and therefore needs its own
-        copy anyway.  Store-backed executors ship ``(path, rows)`` specs to
-        their workers instead of frame slices.
+        With a store, the candidates are its packed prefilter pass (validated
+        at pack time against both backends): one mmap'd section.
+        """
+        started = time.perf_counter()
+        rows = (
+            self._store.survivors()
+            if self._store is not None
+            else self._prefilter_survivors()
+        )
+        self._tracker = BaseCandidateTracker(self._frame, self.kernel, initial_rows=rows)
+        self._phase_seconds["build"] += time.perf_counter() - started
+
+    def _build_executor(self) -> None:
+        """(Re)build the sharded executor over the current candidate rows.
+
+        Called at construction and again whenever the candidate set changes
+        (a mutation that dirtied a front, compaction); a no-op for in-process
+        engines, which read the tracker's fronts directly.  The executor gets
+        its own row-subset frame, since it partitions rows across
+        shards/processes.  While every candidate is a row of the backing
+        store, store-backed executors ship ``(path, rows)`` specs to their
+        workers instead of frame slices.
         """
         old = self._executor
         self._executor = None
         if old is not None:
             old.close()
-        started = time.perf_counter()
         if not self._sharded:
-            self._groups = GroupFronts(self._frame, self._candidate_rows)
-            self._phase_seconds["build"] += time.perf_counter() - started
             return
         from repro.parallel.executor import ShardedExecutor
 
-        full = len(self._candidate_rows) == self._num_rows
-        frame = self._frame if full else self._frame.take(self._candidate_rows)
+        started = time.perf_counter()
+        tracker = self._tracker
+        rows = tracker.candidates()
+        full = len(rows) == len(tracker.frame)
+        frame = tracker.frame if full else tracker.frame.take(rows)
+        on_store = self._store is not None and (not rows or rows[-1] < self._num_rows)
         self._phase_seconds["encode"] += time.perf_counter() - started
         started = time.perf_counter()
         self._executor = ShardedExecutor(
@@ -419,10 +420,18 @@ class BatchQueryEngine:
             max_entries=self.max_entries,
             encoding_cache_size=self.cache_size,
             frame=frame,
-            store=self._store,
-            store_rows=self._candidate_rows if self._store is not None else None,
+            store=self._store if on_store else None,
+            store_rows=rows if on_store else None,
         )
+        self._executor_rows = rows
         self._phase_seconds["build"] += time.perf_counter() - started
+
+    def _fronts_changed(self, dirty: Mapping[GroupKey, list[int]]) -> None:
+        """Apply a mutation's dirty fronts: drop cached skylines, re-shard."""
+        if not dirty:
+            return
+        self._result_cache.clear()
+        self._build_executor()
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -464,35 +473,18 @@ class BatchQueryEngine:
             seconds=time.perf_counter() - started,
         )
 
-    def _effective_schema(self, query: BatchQuery):
-        if query.dag_overrides:
-            return self.schema.replace_partial_order(dict(query.dag_overrides))
-        return self.schema
+    def _skyline_rows(self, query: BatchQuery, key: TopologyKey, deadline):
+        """The skyline as candidate frame rows.
 
-    def _base_skyline_rows(
-        self,
-        query: BatchQuery,
-        key: TopologyKey,
-        *,
-        deadline: float | None = None,
-    ):
-        """The base-side skyline as frame rows, via the per-topology cache.
-
-        Returns ``(rows, stats, sharded_result, timers)`` where ``timers`` is
-        the ``(query, merge)`` seconds of an actual computation (both zero on
-        a base-cache hit).
+        Returns ``(rows, stats, sharded_result, (query, merge) seconds)``.
         """
-        cached = self._base_cache.get(key, _CACHE_MISS)
-        if cached is not _CACHE_MISS:
-            return list(cached), None, None, (0.0, 0.0)
-        query_started = time.perf_counter()
         if self._executor is not None:
             sharded = self._executor.query(
                 query.dag_overrides, name=query.name, deadline=deadline
             )
-            rows = [self._candidate_rows[reduced_id] for reduced_id in sharded.skyline_ids]
-            self._base_cache[key] = rows
+            rows = [self._executor_rows[reduced_id] for reduced_id in sharded.skyline_ids]
             return rows, None, sharded, (sharded.seconds_local, sharded.seconds_merge)
+        started = time.perf_counter()
         if query.dag_overrides:
             # Domain coverage is checked up front (the shared cheap
             # equivalent of full row validation, same as the sharded path).
@@ -500,59 +492,15 @@ class BatchQueryEngine:
                 self.schema.partial_order_attributes, query.dag_overrides
             )
         stats = SkylineStats()
-        rows = self._groups.skyline_rows(
-            self._encodings_for(query, key), self.kernel, stats
-        )
-        self._base_cache[key] = rows
-        return rows, stats, None, (time.perf_counter() - query_started, 0.0)
-
-    def _merged_skyline_ids(
-        self, query: BatchQuery, key: TopologyKey, base_rows: Sequence[int]
-    ) -> list[int]:
-        """``SKY(base ∪ delta)`` as sorted stable ids.
-
-        The delta side runs the same per-query pipeline over a row view of
-        the insert frame (live inserts only); the two partial skylines are
-        then cross-examined with one batched ground-truth dominance call per
-        direction — see :mod:`repro.delta.merge` for why the union of the
-        mutual survivors is exactly the from-scratch skyline.
-        """
-        delta = self._delta
-        live_positions = delta.live_insert_positions()
-        insert_frame = delta.insert_frame()
-        if self.schema.num_partial_order:
-            mapping = TSSMapping(
-                None,
-                self._encodings_for(query, key),
-                schema=self._effective_schema(query),
-                frame=insert_frame,
-                rows=live_positions,
-            )
-            tree = mapping.build_rtree(max_entries=self.max_entries)
-            result = stss_skyline(mapping=mapping, tree=tree, kernel=self.kernel)
-        else:
-            result = sfs_skyline(
-                None, frame=insert_frame, rows=live_positions, kernel=self.kernel
-            )
-        delta_rows = [live_positions[i] for i in result.skyline_ids]
-        tables = RecordTables.from_schema(self._effective_schema(query))
-        keep_base, keep_delta = cross_examine(
+        tracker = self._tracker
+        rows = skyline_rows(
+            tracker.frame,
+            tracker.fronts,
+            self._encodings_for(query, key),
             self.kernel,
-            tables,
-            tables_blocks(self._frame, list(base_rows), tables),
-            tables_blocks(insert_frame, delta_rows, tables),
+            stats,
         )
-        ids = [
-            self._stable_id_of_row(row)
-            for row, keep in zip(base_rows, keep_base)
-            if keep
-        ]
-        ids.extend(
-            delta.insert_ids_at(
-                [row for row, keep in zip(delta_rows, keep_delta) if keep]
-            )
-        )
-        return sorted(ids)
+        return rows, stats, None, (time.perf_counter() - started, 0.0)
 
     @staticmethod
     def _check_deadline(deadline: float | None, phase: str) -> None:
@@ -579,10 +527,10 @@ class BatchQueryEngine:
         with an in-flight query (read/write latch).
 
         ``deadline`` is an absolute :func:`time.monotonic` timestamp; the
-        engine re-checks it between phases (base skyline, delta merge) and
-        raises :class:`~repro.exceptions.DeadlineExceededError` — results are
-        still all-or-nothing, a deadlined query never returns a partial
-        skyline.
+        engine checks it before computing (and the sharded executor between
+        its phases) and raises
+        :class:`~repro.exceptions.DeadlineExceededError` — results are still
+        all-or-nothing, a deadlined query never returns a partial skyline.
         """
         started = time.perf_counter()
         key = self.topology_key(query)
@@ -597,23 +545,12 @@ class BatchQueryEngine:
             hit = self._cached_result(query, key, started)
             if hit is not None:
                 return hit
-            self._check_deadline(deadline, "base-skyline")
+            self._check_deadline(deadline, "skyline")
             self._latch.acquire_read()
             try:
-                base_rows, stats, sharded, timers = self._base_skyline_rows(
-                    query, key, deadline=deadline
-                )
+                rows, stats, sharded, timers = self._skyline_rows(query, key, deadline)
                 query_seconds, merge_seconds = timers
-                self._check_deadline(deadline, "delta-merge")
-                delta = self._delta
-                if delta is not None and delta.live_insert_count:
-                    merge_started = time.perf_counter()
-                    skyline_ids = self._merged_skyline_ids(query, key, base_rows)
-                    merge_seconds += time.perf_counter() - merge_started
-                else:
-                    skyline_ids = sorted(
-                        self._stable_id_of_row(row) for row in base_rows
-                    )
+                skyline_ids = sorted(self._stable_id_of_row(row) for row in rows)
                 with self._state_lock:
                     self.queries_evaluated += 1
                     self._phase_seconds["query"] += query_seconds
@@ -651,13 +588,6 @@ class BatchQueryEngine:
                 )
         return self._delta
 
-    def _ensure_tracker(self) -> BaseCandidateTracker:
-        if self._tracker is None:
-            self._tracker = BaseCandidateTracker(
-                self._frame, self.kernel, initial_rows=self._candidate_rows
-            )
-        return self._tracker
-
     def _replay_delta_log(self) -> None:
         """Recover pending mutations from the store's sidecar log (at open).
 
@@ -686,11 +616,15 @@ class BatchQueryEngine:
                 for record_id, to_values, codes in zip(entry[1], entry[2], entry[3]):
                     delta.replay_insert(record_id, to_values, codes)
             else:
-                _, base_rows = delta.delete_ids(entry[1])
-                if base_rows:
-                    self._ensure_tracker().remove_rows(base_rows)
-        if self._tracker is not None:
-            self._candidate_rows = self._tracker.candidates()
+                delta.delete_ids(entry[1])
+        # One fold of the surviving inserts, then every tombstone: the fronts
+        # of the live rows, whatever order the log interleaved them in.
+        self._tracker.add_rows(
+            delta.frame(), [row for row in delta.live_rows() if row >= self._num_rows]
+        )
+        dead = delta.dead_rows()
+        if dead:
+            self._tracker.remove_rows(dead)
         self.mutations_applied += delta.mutations
 
     def insert(self, rows: Sequence[Sequence[object]]) -> list[int]:
@@ -711,6 +645,10 @@ class BatchQueryEngine:
             if self._log is not None:
                 to_rows, code_rows = delta.insert_payload(ids)
                 self._log.append_inserts(ids, to_rows, code_rows)
+            frame = delta.frame()
+            self._fronts_changed(
+                self._tracker.add_rows(frame, range(len(frame) - len(ids), len(frame)))
+            )
             self._note_mutation(len(ids))
             self._maybe_compact()
             return ids
@@ -723,10 +661,9 @@ class BatchQueryEngine:
         Idempotent for already-deleted ids (also across compactions: any id
         below the allocation high-water mark that is not live is a no-op);
         ids never allocated raise :class:`~repro.exceptions.QueryError`.
-        Deleting a base row that sat on its PO group's Pareto front
-        resurrects the prefilter-dropped siblings it was masking (the
-        candidate tracker recomputes exactly the dirty fronts).  May trigger
-        automatic compaction.
+        Deleting a row that sat on its PO group's Pareto front resurrects the
+        siblings it was masking (the candidate tracker recomputes exactly the
+        dirty fronts).  May trigger automatic compaction.
         """
         record_ids = [int(record_id) for record_id in record_ids]
         if not record_ids:
@@ -734,11 +671,11 @@ class BatchQueryEngine:
         self._latch.acquire_write()
         try:
             delta = self._ensure_delta()
-            removed, base_rows = delta.delete_ids(record_ids)
+            removed, rows = delta.delete_ids(record_ids)
             if self._log is not None and removed:
                 self._log.append_deletes(removed)
-            if base_rows:
-                self._apply_base_deletes(base_rows)
+            if rows:
+                self._fronts_changed(self._tracker.remove_rows(rows))
             if removed:
                 self._note_mutation(len(removed))
                 self._maybe_compact()
@@ -749,23 +686,6 @@ class BatchQueryEngine:
     def _note_mutation(self, count: int) -> None:
         with self._state_lock:
             self.mutations_applied += count
-        # Every mutation invalidates merged results; the base-side cache
-        # survives unless the live base row set changed.
-        self._result_cache.clear()
-
-    def _apply_base_deletes(self, base_rows: Sequence[int]) -> None:
-        tracker = self._ensure_tracker()
-        fronts = tracker.remove_rows(base_rows)
-        if not fronts:
-            # The deleted rows were prefilter-dropped (dominated) — the
-            # candidate set and every base skyline still stand.
-            return
-        self._candidate_rows = tracker.candidates()
-        self._base_cache.clear()
-        if self._groups is not None:
-            self._groups.replace_fronts(fronts.items())
-        else:
-            self._build_reduced_state()
 
     def _maybe_compact(self) -> None:
         if (
@@ -837,7 +757,6 @@ class BatchQueryEngine:
             self._row_ids = reopened.row_ids()
             self._next_id = reopened.next_id
             self._frame = reopened.frame()
-            self._candidate_rows = reopened.survivors()
             summary["generation"] = generation
             summary["path"] = reopened.path
         else:
@@ -846,15 +765,14 @@ class BatchQueryEngine:
             self._next_id = delta.next_id
             self._num_rows = len(row_ids)
             self._frame = live_frame
-            self._candidate_rows = self._prefilter_survivors()
         self._dataset = None
         self._delta = None
-        self._tracker = None
-        self._base_cache.clear()
-        self._result_cache.clear()
+        # The live rows (and so every cached skyline) are unchanged; only
+        # their rows are renumbered.
+        self._build_candidates()
         with self._state_lock:
             self.compactions += 1
-        self._build_reduced_state()
+        self._build_executor()
         summary["seconds"] = time.perf_counter() - started
         return summary
 
@@ -896,7 +814,6 @@ class BatchQueryEngine:
             "encoding_cache_entries": len(self._encoding_cache),
             "encoding_cache_evictions": self._encoding_cache.evictions,
             "kernel": self.kernel.name,
-            "index": self.index,
             "workers": self._executor.workers if self._executor is not None else 0,
             "compact_threshold": self._compact_threshold,
             "mutations_applied": mutations_applied,

@@ -3,10 +3,11 @@
 The engine's candidate rows are the per-group local skylines of Section V-B:
 rows with one PO-code combination tie on every PO attribute under every
 query, and the prefilter already dropped the strictly TO-dominated ones, so
-no row is ever dominated by a row of its own group.  :class:`GroupFronts`
-keeps that grouping and :meth:`GroupFronts.skyline_rows` answers one query
-the way dTSS (Section V) does, dominator groups first — but a whole *level*
-of groups per kernel call rather than one group per call:
+no row is ever dominated by a row of its own group.  The
+:class:`~repro.delta.candidates.BaseCandidateTracker` keeps those fronts
+(across inserts and deletes), and :func:`skyline_rows` answers one query
+over them the way dTSS (Section V) does, dominator groups first — but a
+whole *level* of groups per kernel call rather than one group per call:
 
 * a group's level is the sum, over the PO attributes, of its value's depth
   (longest preference path from a root) in the query's DAG.  If group ``i``
@@ -32,7 +33,7 @@ as any dominator group kept a row.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.data.columns import EncodedFrame
 from repro.delta.candidates import GroupKey
@@ -41,65 +42,48 @@ from repro.order.encoding import DomainEncoding
 from repro.skyline.base import SkylineStats
 
 
-class GroupFronts:
-    """The candidate rows of one frame, grouped by PO-code combination."""
+def _levels(
+    frame: EncodedFrame,
+    fronts: Mapping[GroupKey, list[int]],
+    encodings: Sequence[DomainEncoding],
+) -> list[list[int]]:
+    """The front rows bucketed by their group's level, lowest first."""
+    depths = [
+        [encoding.depths[value] for value in domain]
+        for encoding, domain in zip(encodings, frame.codec.domains)
+    ]
+    by_level: dict[int, list[int]] = {}
+    for key, rows in fronts.items():
+        level = sum(depth[code] for depth, code in zip(depths, key))
+        by_level.setdefault(level, []).extend(rows)
+    return [by_level[level] for level in sorted(by_level)]
 
-    __slots__ = ("_frame", "_fronts")
 
-    def __init__(self, frame: EncodedFrame, rows: Sequence[int]) -> None:
-        self._frame = frame
-        keys, members = frame.po_groups(rows)
-        self._fronts: dict[GroupKey, list[int]] = dict(zip(keys, members))
+def skyline_rows(
+    frame: EncodedFrame,
+    fronts: Mapping[GroupKey, list[int]],
+    encodings: Sequence[DomainEncoding],
+    kernel,
+    stats: SkylineStats,
+) -> list[int]:
+    """Ascending ``frame`` rows of the skyline of ``fronts`` under ``encodings``.
 
-    def replace_fronts(self, fronts: Iterable[tuple[GroupKey, list[int]]]) -> None:
-        """Set the front rows of the given groups (an empty front drops one).
-
-        Base deletes recompute only the dirty groups' fronts (see
-        :class:`~repro.delta.candidates.BaseCandidateTracker`), and only
-        those groups are touched here.
-        """
-        for key, rows in fronts:
-            if rows:
-                self._fronts[key] = rows
-            else:
-                self._fronts.pop(key, None)
-
-    def _levels(self, encodings: Sequence[DomainEncoding]) -> list[list[int]]:
-        """The front rows bucketed by their group's level, lowest first."""
-        depths = [
-            [encoding.depths[value] for value in domain]
-            for encoding, domain in zip(encodings, self._frame.codec.domains)
-        ]
-        by_level: dict[int, list[int]] = {}
-        for key, rows in self._fronts.items():
-            level = sum(depth[code] for depth, code in zip(depths, key))
-            by_level.setdefault(level, []).extend(rows)
-        return [by_level[level] for level in sorted(by_level)]
-
-    def skyline_rows(
-        self,
-        encodings: Sequence[DomainEncoding],
-        kernel,
-        stats: SkylineStats,
-    ) -> list[int]:
-        """Ascending frame rows of the skyline under ``encodings``.
-
-        ``stats`` is charged the kernel's dominance checks and, as
-        ``points_examined``, every front row.
-        """
-        frame = self._frame
-        tables = TDominanceTables.from_encodings(frame.num_total_order, encodings)
-        code_maps = [table.code_of for table in tables.attributes]
-        store = kernel.tdominance_store(tables)
-        kept: list[int] = []
-        for rows in self._levels(encodings):
-            stats.points_examined += len(rows)
-            if len(store):
-                dominated = store.block_weakly_dominated(
-                    frame.gather_to(rows), frame.remap_codes(code_maps, rows), stats
-                )
-                rows = [row for row, drop in zip(rows, dominated) if not drop]
-            store.extend(frame.gather_to(rows), frame.remap_codes(code_maps, rows))
-            kept.extend(rows)
-        kept.sort()
-        return kept
+    ``fronts`` maps each PO-code combination to its group's front rows.
+    ``stats`` is charged the kernel's dominance checks and, as
+    ``points_examined``, every front row.
+    """
+    tables = TDominanceTables.from_encodings(frame.num_total_order, encodings)
+    code_maps = [table.code_of for table in tables.attributes]
+    store = kernel.tdominance_store(tables)
+    kept: list[int] = []
+    for rows in _levels(frame, fronts, encodings):
+        stats.points_examined += len(rows)
+        if len(store):
+            dominated = store.block_weakly_dominated(
+                frame.gather_to(rows), frame.remap_codes(code_maps, rows), stats
+            )
+            rows = [row for row, drop in zip(rows, dominated) if not drop]
+        store.extend(frame.gather_to(rows), frame.remap_codes(code_maps, rows))
+        kept.extend(rows)
+    kept.sort()
+    return kept

@@ -296,29 +296,6 @@ class DominanceKernel(ABC):
     def tdominance_store(self, tables: TDominanceTables) -> TDominanceStore: ...
 
     # ------------------------------------------------------------------ #
-    # Bulk-load constructors (columnar ingest)
-    # ------------------------------------------------------------------ #
-    def load_vector_store(self, dimensions: int, rows) -> VectorStore:
-        """A vector store pre-loaded with a whole block of rows."""
-        store = self.vector_store(dimensions)
-        store.extend(rows)
-        return store
-
-    def load_record_store(self, tables: RecordTables, to_rows, code_rows) -> RecordStore:
-        """A record store pre-loaded with parallel TO/code row blocks."""
-        store = self.record_store(tables)
-        store.extend(to_rows, code_rows)
-        return store
-
-    def load_tdominance_store(
-        self, tables: TDominanceTables, to_rows, code_rows
-    ) -> TDominanceStore:
-        """A t-dominance store pre-loaded with parallel TO/code row blocks."""
-        store = self.tdominance_store(tables)
-        store.extend(to_rows, code_rows)
-        return store
-
-    # ------------------------------------------------------------------ #
     # Stateless batch operations
     # ------------------------------------------------------------------ #
     @abstractmethod

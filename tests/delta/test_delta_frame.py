@@ -93,6 +93,25 @@ class TestLiveViews:
         assert dataset_ids == ids
         assert dataset.records[-1].values == (5.0, 4, "b")
 
+    def test_base_rows_and_inserts_share_one_row_space(self, base):
+        delta = DeltaFrame(base, base_ids=[10, 20, 30, 40])
+        assert delta.frame() is base
+        ids = delta.insert_rows([(5.0, 4, "b"), (6.0, 5, "c")])
+        frame = delta.frame()
+        assert delta.frame() is frame  # cached until the next insert
+        assert len(frame) == len(base) + 2 and frame.uses_numpy == base.uses_numpy
+        assert [delta.stable_id_of_row(row) for row in range(len(frame))] == [
+            10, 20, 30, 40, *ids
+        ]
+        assert dataset_from_frame(frame, [1, 5]).records[1].values == (6.0, 5, "c")
+        # Deletes report rows of that frame: a base row, then insert position 0.
+        assert delta.delete_ids([20, ids[0]]) == ([20, ids[0]], [1, 4])
+        assert delta.dead_rows() == [1, 4] and delta.live_rows() == [0, 2, 3, 5]
+        (late,) = delta.insert_rows([(7.0, 6, "a")])
+        grown = delta.frame()
+        assert len(grown) == 7 and delta.stable_id_of_row(6) == late
+        assert dataset_from_frame(grown, [5, 6]).records[0].values == (6.0, 5, "c")
+
     def test_insert_entries_cursor(self, base):
         delta = DeltaFrame(base)
         delta.insert_rows([(5.0, 4, "b")])

@@ -5,9 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api import pack
+from repro.data.dataset import Dataset
+from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import WorkloadSpec
 from repro.engine.batch import BatchQuery, BatchQueryEngine, random_query_preferences
 from repro.exceptions import QueryError
+from repro.kernels import available_kernels
+from repro.order.builders import chain
 from tests.conftest import assert_backing
 
 
@@ -66,6 +70,80 @@ class TestMutationSemantics:
             refreshed = engine.run_query(query)
             assert not refreshed.from_cache
             assert len(dataset) in refreshed.skyline_ids
+
+
+#: Two TO attributes and a chain a > b: group a's front is (1, 1) and (3, 0),
+#: group b's is (0, 9); (2, 2, a) and (1, 9, b) fall to the prefilter.
+SMALL_SCHEMA = Schema(
+    [
+        TotalOrderAttribute("t0"),
+        TotalOrderAttribute("t1"),
+        PartialOrderAttribute("p0", chain(["a", "b"])),
+    ]
+)
+SMALL_ROWS = [(1, 1, "a"), (2, 2, "a"), (3, 0, "a"), (0, 9, "b"), (1, 9, "b")]
+
+
+@pytest.mark.usefixtures("frame_backing")
+@pytest.mark.parametrize("kernel", available_kernels())
+class TestCandidateSetAndCache:
+    """Mutations update the per-group fronts at write time; a query reads them
+    the same way whether or not the data changed, and the result cache is
+    dropped only when a front changed."""
+
+    def _engine(self, kernel, frame_backing):
+        engine = BatchQueryEngine(
+            Dataset(SMALL_SCHEMA, SMALL_ROWS), kernel=kernel, compact_threshold=0
+        )
+        assert_backing(engine._frame, frame_backing)
+        return engine
+
+    def test_dominating_insert_evicts_front_rows(self, kernel, frame_backing):
+        with self._engine(kernel, frame_backing) as engine:
+            assert engine._candidate_ids == [0, 2, 3]
+            (new_id,) = engine.insert([(0, 0, "a")])
+            assert engine._candidate_ids == [3, new_id]
+            assert engine.run_query(BatchQuery("base")).skyline_ids == [new_id]
+
+    def test_duplicate_of_a_front_row_joins(self, kernel, frame_backing):
+        with self._engine(kernel, frame_backing) as engine:
+            before = engine.run_query(BatchQuery("base")).skyline_ids
+            (new_id,) = engine.insert([(1, 1, "a")])
+            assert new_id in engine._candidate_ids
+            result = engine.run_query(BatchQuery("base"))
+            assert not result.from_cache
+            assert result.skyline_ids == sorted(before + [new_id])
+
+    def test_dominated_insert_keeps_the_cache(self, kernel, frame_backing):
+        with self._engine(kernel, frame_backing) as engine:
+            first = engine.run_query(BatchQuery("base"))
+            (new_id,) = engine.insert([(2, 2, "a")])
+            assert new_id not in engine._candidate_ids
+            again = engine.run_query(BatchQuery("base"))
+            assert again.from_cache and again.skyline_ids == first.skyline_ids
+
+    def test_deleting_an_evicting_insert_brings_base_rows_back(
+        self, kernel, frame_backing
+    ):
+        with self._engine(kernel, frame_backing) as engine:
+            before = engine.run_query(BatchQuery("base")).skyline_ids
+            (new_id,) = engine.insert([(0, 0, "a")])
+            assert engine.run_query(BatchQuery("base")).skyline_ids == [new_id]
+            assert engine.delete([new_id]) == [new_id]
+            assert engine._candidate_ids == [0, 2, 3]
+            result = engine.run_query(BatchQuery("base"))
+            assert not result.from_cache and result.skyline_ids == before
+
+    def test_deleting_a_non_candidate_keeps_the_cache(self, kernel, frame_backing):
+        with self._engine(kernel, frame_backing) as engine:
+            first = engine.run_query(BatchQuery("base"))
+            (new_id,) = engine.insert([(2, 9, "b")])  # dominated in its group
+            assert engine.run_query(BatchQuery("base")).from_cache
+            # A prefiltered base row, then the dominated insert.
+            assert engine.delete([1]) == [1]
+            assert engine.delete([new_id]) == [new_id]
+            again = engine.run_query(BatchQuery("base"))
+            assert again.from_cache and again.skyline_ids == first.skyline_ids
 
 
 @pytest.mark.usefixtures("frame_backing")

@@ -116,7 +116,9 @@ class TestEdgeSchemas:
             return original(self, to_rows, code_rows, counter)
 
         monkeypatch.setattr(type(store), "block_weakly_dominated", counting)
-        with BatchQueryEngine(Dataset(schema, rows), kernel=kernel) as engine:
+        # In process even under REPRO_WORKERS: the calls counted are the
+        # group path's own.
+        with BatchQueryEngine(Dataset(schema, rows), kernel=kernel, workers=0) as engine:
             assert_backing(engine._frame, frame_backing)
             # Levels a, b, c: level a has nothing to check against, then one
             # call per level over all of its front rows.
@@ -141,11 +143,14 @@ class TestEdgeSchemas:
             assert 1 not in engine._candidate_ids  # (2, 2, a) is prefiltered
             for query in queries:
                 assert engine.run_query(query).skyline_ids == _truth(schema, live, query)
-            groups = engine._groups
+            fronts = engine._tracker.fronts
+            before = dict(fronts)
             assert engine.delete([0]) == [0]
             del live[0]
             # Only the dirty group's front is replaced, in place.
-            assert engine._groups is groups
+            assert engine._tracker.fronts is fronts
+            changed = {key for key in before if fronts.get(key) != before[key]}
+            assert changed == {engine._tracker._group_key(0)}
             assert 1 in engine._candidate_ids
             for query in queries:
                 answer = engine.run_query(query).skyline_ids

@@ -125,10 +125,15 @@ def _mutate(engine, schema, live: dict[int, tuple], rng: random.Random) -> None:
 @given(
     dataset=mixed_dataset_strategy(max_rows=20, min_to=0),
     kernel=st.sampled_from(available_kernels()),
+    num_shards=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=30, deadline=None)
-def test_store_engine_matches_brute_force_across_reopen(backing, dataset, kernel, seed):
+def test_store_engine_matches_brute_force_across_reopen(
+    backing, dataset, kernel, num_shards, seed
+):
+    """Sharded store engines ship store specs while every candidate is a
+    store row and frame slices once an insert joins the candidates."""
     rng = random.Random(seed)
     schema = dataset.schema
     queries = [BatchQuery("base")] + [
@@ -138,14 +143,17 @@ def test_store_engine_matches_brute_force_across_reopen(backing, dataset, kernel
     with tempfile.TemporaryDirectory() as directory, frame_backing_of(backing):
         path = os.path.join(directory, "oracle.rpro")
         pack_dataset(dataset, path, kernel=kernel)
-        engine = BatchQueryEngine(path, kernel=kernel, compact_threshold=0)
+        options = dict(
+            kernel=kernel, workers=0, num_shards=num_shards, compact_threshold=0
+        )
+        engine = BatchQueryEngine(path, **options)
         try:
             _assert_matches_oracle(engine, schema, live, queries)
             for _ in range(6):
                 _mutate(engine, schema, live, rng)
                 if rng.random() < 0.5:
                     engine.close()
-                    engine = BatchQueryEngine(path, kernel=kernel, compact_threshold=0)
+                    engine = BatchQueryEngine(path, **options)
                 if live:
                     _assert_matches_oracle(engine, schema, live, queries)
         finally:

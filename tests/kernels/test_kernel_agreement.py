@@ -236,7 +236,8 @@ class TestBulkOpsAgreement:
             looped = kernel.record_store(tables)
             for to_values, po_codes in zip(to_rows, code_rows):
                 looped.append(to_values, po_codes)
-            bulk = kernel.load_record_store(tables, to_rows, code_rows)
+            bulk = kernel.record_store(tables)
+            bulk.extend(to_rows, code_rows)
             assert len(bulk) == len(looped) == len(dataset)
             for to_values, po_codes in zip(to_rows, code_rows):
                 assert bulk.any_dominates(to_values, po_codes) == looped.any_dominates(
@@ -260,7 +261,8 @@ class TestBulkOpsAgreement:
         split = max(1, len(encoded) // 2)
         results = []
         for kernel in KERNELS:
-            store = kernel.load_record_store(tables, to_rows[:split], code_rows[:split])
+            store = kernel.record_store(tables)
+            store.extend(to_rows[:split], code_rows[:split])
             results.append(
                 (
                     store.block_dominated_columns(to_rows, code_rows),
@@ -271,7 +273,8 @@ class TestBulkOpsAgreement:
             )
         _assert_all_match(results)
         # The columnar forms agree with the row-pair forms they shadow.
-        store = KERNELS[0].load_record_store(tables, to_rows[:split], code_rows[:split])
+        store = KERNELS[0].record_store(tables)
+        store.extend(to_rows[:split], code_rows[:split])
         assert results[0][0] == store.block_dominated_mask(encoded)
         assert results[0][1] == KERNELS[0].record_block_dominated_mask(
             tables, encoded[:split], encoded
@@ -288,13 +291,14 @@ class TestBulkOpsAgreement:
         targets = [tuple(rng.randint(0, 4) for _ in range(dims)) for _ in range(9)]
         masks = []
         for kernel in KERNELS:
-            store = kernel.load_vector_store(dims, members)
+            store = kernel.vector_store(dims)
+            store.extend(members)
             assert len(store) == len(members)
             masks.append(store.block_dominated_mask(targets))
         _assert_all_match(masks)
-        assert masks[0] == [
-            KERNELS[0].load_vector_store(dims, members).any_dominates(t) for t in targets
-        ]
+        store = KERNELS[0].vector_store(dims)
+        store.extend(members)
+        assert masks[0] == [store.any_dominates(t) for t in targets]
 
     @given(
         dag=random_dag_strategy(max_values=7),
@@ -312,11 +316,13 @@ class TestBulkOpsAgreement:
         targets_codes = [(rng.randrange(cardinality),) for _ in range(8)]
         masks = []
         for kernel in KERNELS:
-            store = kernel.load_tdominance_store(tables, members_to, members_codes)
+            store = kernel.tdominance_store(tables)
+            store.extend(members_to, members_codes)
             assert len(store) == len(members_to)
             masks.append(store.block_weakly_dominated(targets_to, targets_codes))
         _assert_all_match(masks)
-        store = KERNELS[0].load_tdominance_store(tables, members_to, members_codes)
+        store = KERNELS[0].tdominance_store(tables)
+        store.extend(members_to, members_codes)
         assert masks[0] == [
             store.any_weakly_dominates(to_values, po_codes)
             for to_values, po_codes in zip(targets_to, targets_codes)
@@ -336,13 +342,14 @@ class TestBulkOpsAgreement:
         members_codes = [(rng.randrange(12),) for _ in members_to]
         targets_to = [(float(rng.randint(0, 9)), float(rng.randint(0, 9))) for _ in range(400)]
         targets_codes = [(rng.randrange(12),) for _ in targets_to]
-        masks = [
-            kernel.load_tdominance_store(tables, members_to, members_codes)
-            .block_weakly_dominated(targets_to, targets_codes)
-            for kernel in KERNELS
-        ]
+        masks = []
+        for kernel in KERNELS:
+            store = kernel.tdominance_store(tables)
+            store.extend(members_to, members_codes)
+            masks.append(store.block_weakly_dominated(targets_to, targets_codes))
         _assert_all_match(masks)
-        store = KERNELS[0].load_tdominance_store(tables, members_to, members_codes)
+        store = KERNELS[0].tdominance_store(tables)
+        store.extend(members_to, members_codes)
         assert masks[0] == [
             store.any_weakly_dominates(to_values, po_codes)
             for to_values, po_codes in zip(targets_to, targets_codes)

@@ -128,6 +128,31 @@ class TestBitwiseRoundTrip:
             (n, sorted(ids)) for n, ids, _ in reference
         ]
 
+    def test_pooled_workers_follow_the_candidate_set(self, workload, tmp_path):
+        """An insert that joins the candidates re-shards a pooled store
+        engine onto frame slices; deleting it goes back to store specs."""
+        schema, dataset = workload
+        path = tmp_path / "pooled.rpro"
+        pack_dataset(dataset, path)
+        row = list(dataset.records[0].values)
+        row[0] = row[1] = -1.0  # beats every row on the TO attributes
+        with BatchQueryEngine(
+            path, workers=2, num_shards=2, compact_threshold=0
+        ) as engine, BatchQueryEngine(dataset, compact_threshold=0) as reference:
+            (new_id,) = engine.insert([tuple(row)])
+            assert reference.insert([tuple(row)]) == [new_id]
+            assert engine.executor._store is None
+            for query in _queries(schema):
+                assert engine.run_query(query).skyline_ids == (
+                    reference.run_query(query).skyline_ids
+                )
+            assert engine.delete([new_id]) == reference.delete([new_id])
+            assert engine.executor._store is not None
+            for query in _queries(schema):
+                assert engine.run_query(query).skyline_ids == (
+                    reference.run_query(query).skyline_ids
+                )
+
     def test_store_engine_matches_brute_force(self, workload, packed):
         schema, dataset = workload
         path, _ = packed
@@ -159,9 +184,9 @@ class TestStoreFacts:
         self, workload, packed, monkeypatch, frame_backing
     ):
         """A store-backed engine answers base and override queries by the
-        group path: no TSS mapping, R-tree or sTSS run."""
+        group path: no TSS mapping, R-tree, sTSS or SFS run."""
         import repro.core.stss
-        import repro.engine.batch
+        import repro.skyline.sfs
         from repro.core.mapping import TSSMapping
 
         schema, dataset = workload
@@ -176,7 +201,7 @@ class TestStoreFacts:
         monkeypatch.setattr(TSSMapping, "__init__", forbidden)
         monkeypatch.setattr(TSSMapping, "build_rtree", forbidden)
         monkeypatch.setattr(repro.core.stss, "stss_skyline", forbidden)
-        monkeypatch.setattr(repro.engine.batch, "stss_skyline", forbidden)
+        monkeypatch.setattr(repro.skyline.sfs, "sfs_skyline", forbidden)
         with BatchQueryEngine(path) as engine:
             assert_backing(engine._frame, frame_backing)
             answers = [engine.run_query(query).skyline_ids for query in queries]
