@@ -17,7 +17,7 @@ standalone::
 
 On a single-CPU host the clients interleave on the GIL rather than run in
 parallel, so wall-clock speedups are not asserted — the benchmark records
-honest numbers plus the overlap evidence (per-query local-phase windows).
+honest numbers.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.service import QueryService, ServiceClient
 
 CLIENT_COUNTS = (1, 2, 4, 8)
 QUERIES_PER_CLIENT = 4
-NUM_SHARDS = 4
 
 FULL_CARDINALITY = 30_000
 QUICK_CARDINALITY = 4_000
@@ -63,7 +62,7 @@ class _ServiceHarness:
     """An in-process service on an ephemeral port, run on a daemon thread."""
 
     def __init__(self, dataset) -> None:
-        self.service = QueryService(dataset, num_shards=NUM_SHARDS, workers=0)
+        self.service = QueryService(dataset)
         self._loop = asyncio.new_event_loop()
         self._address: dict[str, object] = {}
         self._started = threading.Event()
@@ -187,7 +186,6 @@ def run_benchmark(cardinality: int) -> dict[str, object]:
             "cardinality": cardinality,
             "num_total_order": 3,
             "num_partial_order": 1,
-            "num_shards": NUM_SHARDS,
             "client_counts": list(CLIENT_COUNTS),
             "queries_per_sweep": len(seeds),
             "cpu_count": os.cpu_count(),

@@ -53,9 +53,9 @@ def open_dataset(
     environment variable when not set explicitly).  ``config`` carries the
     runtime knobs; keyword overrides (the :meth:`RuntimeConfig.resolve
     <repro.config.RuntimeConfig.resolve>` fields — ``kernel``, ``workers``,
-    ``shards``, ``partitioner``, ``cache_size``,
-    ``max_entries``, ``store``, ``compact_threshold``, ``faults``) win over
-    both.
+    ``cache_size``, ``store``, ``compact_threshold``, ``faults``) win over
+    both.  ``workers`` is validated but unused: the engine answers every
+    query in-process.
     """
     config = _resolve_config(config, overrides)
     # Arm fault injection (``faults=`` / REPRO_FAULTS) before the engine

@@ -37,9 +37,9 @@ pure-Python kernel::
 
     python -m repro batch-query --cardinality 5000 --queries 20 --kernel purepython
 
-Serve a 50k-tuple workload on 4 worker processes and query it::
+Serve a 50k-tuple workload and query it::
 
-    python -m repro serve --cardinality 50000 --workers 4 &
+    python -m repro serve --cardinality 50000 &
     python -m repro query --wait 30 --seed 3
     python -m repro query --stats
     python -m repro query --shutdown
@@ -47,7 +47,7 @@ Serve a 50k-tuple workload on 4 worker processes and query it::
 Pack the same workload once, then serve it with a zero-copy mmap cold start::
 
     python -m repro pack --cardinality 50000 --out catalog.rpro
-    python -m repro serve --store catalog.rpro --workers 4
+    python -m repro serve --store catalog.rpro
 
 Apply live updates to the served store through the delta plane::
 
@@ -93,26 +93,8 @@ def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
-    """``--workers`` mirrors ``--kernel``: flag, then REPRO_WORKERS, then 0."""
-    parser.add_argument(
-        "--workers",
-        default=None,
-        help="worker processes for sharded execution (default: REPRO_WORKERS "
-        "env var, else 0 = single process)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="number of data shards (default: one per worker)",
-    )
-    parser.add_argument(
-        "--partitioner",
-        choices=("round-robin", "po-group"),
-        default="round-robin",
-        help="dataset sharding strategy",
-    )
+def _add_runtime_options(parser: argparse.ArgumentParser) -> None:
+    """The store, delta-plane and fault knobs of batch-query and serve."""
     parser.add_argument(
         "--store",
         default=None,
@@ -134,7 +116,7 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help="deterministic fault-injection spec, e.g. "
-        "'store.section_read:raise' or 'pool.worker_task:delay:ms=50' "
+        "'store.section_read:raise' or 'delta.log_append:delay:ms=50' "
         "(chaos testing; default: REPRO_FAULTS env var, else off)",
     )
 
@@ -191,9 +173,6 @@ def _runtime_config(args) -> RuntimeConfig:
     before any engine is built), so it is deliberately left unset here.
     """
     return RuntimeConfig.resolve(
-        workers=args.workers,
-        shards=args.shards,
-        partitioner=args.partitioner,
         cache_size=args.cache_size,
         store=args.store,
         compact_threshold=args.compact_threshold,
@@ -260,12 +239,11 @@ def build_batch_query_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="print per-phase timings (encode / build / query / merge) with "
-        "the summary",
+        help="print per-phase timings (encode / build / query) with the summary",
     )
     parser.add_argument("--json", default=None, help="write results as JSON to this file")
     _add_kernel_option(parser)
-    _add_sharding_options(parser)
+    _add_runtime_options(parser)
     return parser
 
 
@@ -301,21 +279,18 @@ def batch_query_main(argv: Sequence[str] | None = None) -> int:
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    workers = summary["workers"]
-    sharded = f", workers={workers}" if workers else ""
     print(
         f"\n{summary['dataset_size']} tuples, {summary['candidates_after_prefilter']} "
         f"after prefilter; {summary['queries_evaluated']} evaluated, "
         f"{summary['cache_hits']} served from cache "
-        f"({summary['cached_topologies']} cached topologies, kernel={summary['kernel']}"
-        f"{sharded})"
+        f"({summary['cached_topologies']} cached topologies, kernel={summary['kernel']})"
     )
     if args.profile:
         phases = summary["phase_seconds"]
         total = sum(phases.values())
         rendered = " | ".join(
             f"{name} {phases[name] * 1000:.1f} ms"
-            for name in ("encode", "build", "query", "merge")
+            for name in ("encode", "build", "query")
         )
         print(f"phases: {rendered} | total {total * 1000:.1f} ms")
     if args.json:
@@ -329,8 +304,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve dynamic-preference skyline queries over one synthetic "
-        "workload: JSON over TCP, shared result cache, optional sharded "
-        "parallel execution.",
+        "workload: JSON over TCP, shared result cache.",
     )
     parser.add_argument("--host", default=None, help="bind address (default 127.0.0.1)")
     parser.add_argument(
@@ -341,7 +315,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     _add_workload_options(parser)
     _add_kernel_option(parser)
-    _add_sharding_options(parser)
+    _add_runtime_options(parser)
     return parser
 
 
@@ -357,7 +331,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
 
     async def _serve() -> None:
         service = QueryService(_open_engine(args, "serve"))
-        # SIGTERM/SIGINT drain in-flight requests and close the pool, then
+        # SIGTERM/SIGINT drain in-flight requests and close the engine, then
         # exit 0 — the same path a client 'shutdown' op takes.
         service.install_signal_handlers()
         host, port = await service.start(
@@ -369,7 +343,7 @@ def serve_main(argv: Sequence[str] | None = None) -> int:
             f"repro serve: listening on {host}:{port} "
             f"({summary['dataset_size']} tuples, "
             f"{summary['candidates_after_prefilter']} candidates, "
-            f"kernel={summary['kernel']}, workers={summary['workers']})",
+            f"kernel={summary['kernel']})",
             flush=True,
         )
         await service.serve_until_shutdown()

@@ -8,17 +8,19 @@ same precedence:
     explicit argument  >  CLI flag  >  ``REPRO_*`` environment variable  >  default
 
 :class:`RuntimeConfig` bundles one resolved choice of every knob — kernel,
-workers, shards, partitioner, cache sizes and the storage-plane
-knobs (store path, compaction threshold, fault spec) — as a frozen
-dataclass, so a whole engine/service construction can be described, logged
-and forwarded as a single value.  The public facade (:mod:`repro.api`) and the CLI build their engines through it.
+workers, cache size and the storage-plane knobs (store path, compaction
+threshold, fault spec) — as a frozen dataclass, so a whole engine/service
+construction can be described, logged and forwarded as a single value.  The
+public facade (:mod:`repro.api`) and the CLI build their engines through it.
+``workers`` is still resolved and validated (``REPRO_WORKERS`` included),
+but no engine reads it: every query runs in-process on the group path.
 
 The data path itself has no knobs; it follows whether NumPy imports.  With
-NumPy the engine and the sharded executor run on a NumPy-backed
-:class:`~repro.data.columns.EncodedFrame`, build ``flat`` R-trees and
-memory-map packed store sections; without it they run on tuple-backed frames,
-``pointer`` R-trees and struct-unpacked sections.  Shards always merge with
-the columnar sort-merge, and store checksums are always verified at open.
+NumPy the engine runs on a NumPy-backed
+:class:`~repro.data.columns.EncodedFrame` over memory-mapped store sections
+and the paper algorithms build ``flat`` R-trees; without it, tuple-backed
+frames, struct-unpacked sections and ``pointer`` R-trees.  Store checksums
+are always verified at open.
 """
 
 from __future__ import annotations
@@ -181,10 +183,7 @@ class RuntimeConfig:
 
     kernel: str | None = None
     workers: int = 0
-    shards: int | None = None
-    partitioner: str = "round-robin"
     cache_size: int | None = None
-    max_entries: int = 32
     store: str | None = None
     compact_threshold: int = DEFAULT_COMPACT_THRESHOLD
     faults: str | None = None
@@ -195,10 +194,7 @@ class RuntimeConfig:
         *,
         kernel: str | None = None,
         workers: int | str | None = None,
-        shards: int | None = None,
-        partitioner: str = "round-robin",
         cache_size: int | None = None,
-        max_entries: int = 32,
         store: str | os.PathLike[str] | None = None,
         compact_threshold: int | str | None = None,
         faults: str | None = None,
@@ -211,10 +207,7 @@ class RuntimeConfig:
         return cls(
             kernel=kernel if kernel is not None else env_kernel_name(),
             workers=resolve_workers(workers),
-            shards=shards,
-            partitioner=partitioner,
             cache_size=cache_size,
-            max_entries=max_entries,
             store=None if store is None else os.fspath(store),
             compact_threshold=resolve_compact_threshold(compact_threshold),
             faults=resolve_faults(faults),
@@ -240,10 +233,6 @@ class RuntimeConfig:
         """Keyword arguments for :class:`~repro.engine.batch.BatchQueryEngine`."""
         options: dict[str, Any] = {
             "kernel": self.kernel,
-            "workers": self.workers,
-            "num_shards": self.shards,
-            "partitioner": self.partitioner,
-            "max_entries": self.max_entries,
             "compact_threshold": self.compact_threshold,
         }
         if self.cache_size is not None:

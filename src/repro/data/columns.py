@@ -68,17 +68,17 @@ def group_rows(matrix) -> tuple[object, list]:
     matrix = np.asarray(matrix)
     if not len(matrix):
         return matrix[:0], []
-    unique, first_seen, inverse = np.unique(
-        matrix, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)  # NumPy 2.x keeps the input's shape
+    # A stable lexicographic sort over the columns (zero columns: one run).
+    order = np.lexsort(matrix.T[::-1]) if matrix.shape[1] else np.arange(len(matrix))
+    ordered = matrix[order]
+    differs = (ordered[1:] != ordered[:-1]).any(axis=1)
+    # The sort is stable, so each run of equal rows lists its occurrences
+    # ascending and starts at its first appearance.
+    run_starts = np.concatenate(([0], np.flatnonzero(differs) + 1))
+    first_seen = order[run_starts]
     by_first = np.argsort(first_seen, kind="stable")
-    position_of = np.empty(len(by_first), dtype=np.intp)
-    position_of[by_first] = np.arange(len(by_first))
-    group_of_row = position_of[inverse]
-    rows_by_group = np.argsort(group_of_row, kind="stable")
-    boundaries = np.cumsum(np.bincount(group_of_row))[:-1]
-    return unique[by_first], np.split(rows_by_group, boundaries)
+    runs = np.split(order, run_starts[1:])
+    return matrix[first_seen[by_first]], [runs[run] for run in by_first.tolist()]
 
 
 def ordered_rows(keys, tiebreak=None, *, uses_numpy: bool) -> list[int]:

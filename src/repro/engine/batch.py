@@ -29,10 +29,9 @@ into levels (the sum of their values' DAG depths: a dominator group always
 sits on a lower level, groups on one level are incomparable) and visits the
 levels in order, checking each level's rows against the rows kept so far
 in one batched weak t-dominance call — no per-query mapping, R-tree or
-sTSS.  Both caches are bounded LRU maps (``cache_size``) so a long-running
-service cannot grow memory without limit, and with ``workers``/``num_shards``
-the per-query work is delegated to a
-:class:`~repro.parallel.executor.ShardedExecutor` over the reduced rows.
+sTSS.  This is the engine's only query path.  Both caches are bounded LRU
+maps (``cache_size``) so a long-running service cannot grow memory without
+limit.
 
 **Live mutations** ride on the columnar delta plane
 (:mod:`repro.delta`): :meth:`BatchQueryEngine.insert` encodes new rows into
@@ -53,7 +52,7 @@ base once ``compact_threshold`` mutations accumulate (atomic
 The engine is a concurrency-safe façade: :meth:`BatchQueryEngine.run_query`
 may be called from many threads at once.  Queries synchronize on a
 per-``dag_signature`` lock — concurrent queries over *distinct* topologies
-interleave freely (their shard-local phases overlap), while concurrent
+interleave freely, while concurrent
 queries over the *same* topology elect one computing thread and serve the
 rest from the shared result cache.  Mutations are writers: a small
 read/write latch lets any number of queries overlap each other but never a
@@ -71,10 +70,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.parallel.executor import ShardedQueryResult
     from repro.store.reader import DatasetStore
 
-from repro.config import resolve_compact_threshold, resolve_workers
+from repro.config import resolve_compact_threshold
 from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.delta.candidates import BaseCandidateTracker, GroupKey
@@ -125,12 +123,7 @@ class BatchQuery:
 
 @dataclass
 class BatchQueryResult:
-    """Outcome of one query of a batch.
-
-    ``sharded`` carries the per-phase accounting (and local-phase wall-clock
-    window) of the underlying sharded run, when the engine has an executor
-    and the result was computed rather than served from the cache.
-    """
+    """Outcome of one query of a batch."""
 
     name: str
     skyline_ids: list[int]
@@ -138,7 +131,6 @@ class BatchQueryResult:
     from_cache: bool
     seconds: float
     stats: SkylineStats | None = None
-    sharded: "ShardedQueryResult | None" = None
 
     @property
     def skyline_set(self) -> frozenset[int]:
@@ -196,13 +188,9 @@ class BatchQueryEngine:
     """Evaluate many skyline queries over one dataset with shared work.
 
     ``cache_size`` bounds both LRU caches (results and per-DAG encodings).
-    ``workers``/``num_shards``/``partitioner`` optionally route each evaluated
-    query through a sharded executor built over the reduced rows
-    (``workers=0`` with ``num_shards>1`` shards in-process; ``workers>=1``
-    uses a persistent worker pool — close the engine, e.g. as a context
-    manager, to release it).  ``compact_threshold`` is the number of pending
-    delta mutations that triggers automatic compaction (0 disables; falls
-    back to ``REPRO_COMPACT_THRESHOLD``).
+    ``compact_threshold`` is the number of pending delta mutations that
+    triggers automatic compaction (0 disables; falls back to
+    ``REPRO_COMPACT_THRESHOLD``).
     """
 
     def __init__(
@@ -210,11 +198,7 @@ class BatchQueryEngine:
         dataset: "Dataset | DatasetStore | str | os.PathLike",
         *,
         kernel=None,
-        max_entries: int = 32,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        workers: int | str | None = None,
-        num_shards: int | None = None,
-        partitioner: str = "round-robin",
         compact_threshold: int | str | None = None,
     ) -> None:
         # A path or an open DatasetStore selects the persisted plane: the
@@ -238,7 +222,6 @@ class BatchQueryEngine:
             self._num_rows = len(dataset)
         self._dataset = dataset
         self.kernel = resolve_kernel(kernel)
-        self.max_entries = max_entries
         self.cache_size = cache_size
         # Skylines as sorted stable ids, per topology.  A skyline depends on
         # the candidate set only, so a mutation that changed no front (and
@@ -262,9 +245,9 @@ class BatchQueryEngine:
             max(cache_size, 64)
         )
         # Cumulative wall clock per pipeline phase (encode the frame, build
-        # the shared prefilter and per-group fronts, run the skyline scans,
-        # merge across shards); read via :meth:`summary`.
-        self._phase_seconds = {"encode": 0.0, "build": 0.0, "query": 0.0, "merge": 0.0}
+        # the shared prefilter and per-group fronts, run the skyline scans);
+        # read via :meth:`summary`.
+        self._phase_seconds = {"encode": 0.0, "build": 0.0, "query": 0.0}
         # The columnar data plane: the dataset encoded once (NumPy-backed, or
         # tuple-backed without NumPy); queries then read it through row-index
         # views (never a materialized survivor copy).  With a store the frame
@@ -280,14 +263,6 @@ class BatchQueryEngine:
         # identity.
         self._row_ids = store.row_ids() if store is not None else None
         self._next_id = store.next_id if store is not None else None
-        # Mirrors the kernel registry: an explicit ``workers`` wins, ``None``
-        # consults REPRO_WORKERS, and 0 means single-process evaluation.
-        self._workers_resolved = resolve_workers(workers)
-        self._num_shards_config = num_shards
-        self._partitioner = partitioner
-        self._sharded = self._workers_resolved >= 1 or (
-            num_shards is not None and num_shards > 1
-        )
         # The delta plane: built lazily on the first mutation (or delta-log
         # replay); ``None`` means the base rows are every row.
         self._delta: DeltaFrame | None = None
@@ -295,21 +270,21 @@ class BatchQueryEngine:
         # Set when the sidecar log needed quarantine at open (see
         # :meth:`DeltaLog.recover <repro.store.delta.DeltaLog.recover>`).
         self._delta_recovery: dict | None = None
-        self._executor = None
-        # The frame rows the executor's reduced ids stand for.
-        self._executor_rows: list[int] = []
         self._build_candidates()
         if store is not None:
             self._replay_delta_log()
-        self._build_executor()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     @property
-    def executor(self):
-        """The sharded executor evaluating this engine's queries, if any."""
-        return self._executor
+    def executor(self) -> None:
+        """Always ``None``: every query runs in-process on the group path.
+
+        Kept for callers written when an engine could own a sharded worker
+        pool (they start it through this attribute when it is set).
+        """
+        return None
 
     @property
     def dataset(self) -> Dataset:
@@ -325,9 +300,8 @@ class BatchQueryEngine:
         return self._store
 
     def close(self) -> None:
-        """Release the sharded executor's worker pool, if one is running."""
-        if self._executor is not None:
-            self._executor.close()
+        """Nothing to release; the engine is a context manager for callers
+        that scope its lifetime."""
 
     def __enter__(self) -> "BatchQueryEngine":
         return self
@@ -385,53 +359,10 @@ class BatchQueryEngine:
         self._tracker = BaseCandidateTracker(self._frame, self.kernel, initial_rows=rows)
         self._phase_seconds["build"] += time.perf_counter() - started
 
-    def _build_executor(self) -> None:
-        """(Re)build the sharded executor over the current candidate rows.
-
-        Called at construction and again whenever the candidate set changes
-        (a mutation that dirtied a front, compaction); a no-op for in-process
-        engines, which read the tracker's fronts directly.  The executor gets
-        its own row-subset frame, since it partitions rows across
-        shards/processes.  While every candidate is a row of the backing
-        store, store-backed executors ship ``(path, rows)`` specs to their
-        workers instead of frame slices.
-        """
-        old = self._executor
-        self._executor = None
-        if old is not None:
-            old.close()
-        if not self._sharded:
-            return
-        from repro.parallel.executor import ShardedExecutor
-
-        started = time.perf_counter()
-        tracker = self._tracker
-        rows = tracker.candidates()
-        full = len(rows) == len(tracker.frame)
-        frame = tracker.frame if full else tracker.frame.take(rows)
-        on_store = self._store is not None and (not rows or rows[-1] < self._num_rows)
-        self._phase_seconds["encode"] += time.perf_counter() - started
-        started = time.perf_counter()
-        self._executor = ShardedExecutor(
-            workers=self._workers_resolved,
-            num_shards=self._num_shards_config,
-            partitioner=self._partitioner,
-            kernel=self.kernel,
-            max_entries=self.max_entries,
-            encoding_cache_size=self.cache_size,
-            frame=frame,
-            store=self._store if on_store else None,
-            store_rows=rows if on_store else None,
-        )
-        self._executor_rows = rows
-        self._phase_seconds["build"] += time.perf_counter() - started
-
     def _fronts_changed(self, dirty: Mapping[GroupKey, list[int]]) -> None:
-        """Apply a mutation's dirty fronts: drop cached skylines, re-shard."""
-        if not dirty:
-            return
-        self._result_cache.clear()
-        self._build_executor()
+        """Apply a mutation's dirty fronts: drop cached skylines."""
+        if dirty:
+            self._result_cache.clear()
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -473,21 +404,11 @@ class BatchQueryEngine:
             seconds=time.perf_counter() - started,
         )
 
-    def _skyline_rows(self, query: BatchQuery, key: TopologyKey, deadline):
-        """The skyline as candidate frame rows.
-
-        Returns ``(rows, stats, sharded_result, (query, merge) seconds)``.
-        """
-        if self._executor is not None:
-            sharded = self._executor.query(
-                query.dag_overrides, name=query.name, deadline=deadline
-            )
-            rows = [self._executor_rows[reduced_id] for reduced_id in sharded.skyline_ids]
-            return rows, None, sharded, (sharded.seconds_local, sharded.seconds_merge)
-        started = time.perf_counter()
+    def _skyline_rows(self, query: BatchQuery, key: TopologyKey):
+        """The skyline as candidate frame rows, with its work counters."""
         if query.dag_overrides:
             # Domain coverage is checked up front (the shared cheap
-            # equivalent of full row validation, same as the sharded path).
+            # equivalent of full row validation).
             validate_override_domains(
                 self.schema.partial_order_attributes, query.dag_overrides
             )
@@ -500,7 +421,7 @@ class BatchQueryEngine:
             self.kernel,
             stats,
         )
-        return rows, stats, None, (time.perf_counter() - started, 0.0)
+        return rows, stats
 
     @staticmethod
     def _check_deadline(deadline: float | None, phase: str) -> None:
@@ -527,8 +448,7 @@ class BatchQueryEngine:
         with an in-flight query (read/write latch).
 
         ``deadline`` is an absolute :func:`time.monotonic` timestamp; the
-        engine checks it before computing (and the sharded executor between
-        its phases) and raises
+        engine checks it before computing and raises
         :class:`~repro.exceptions.DeadlineExceededError` — results are still
         all-or-nothing, a deadlined query never returns a partial skyline.
         """
@@ -548,13 +468,13 @@ class BatchQueryEngine:
             self._check_deadline(deadline, "skyline")
             self._latch.acquire_read()
             try:
-                rows, stats, sharded, timers = self._skyline_rows(query, key, deadline)
-                query_seconds, merge_seconds = timers
+                computing = time.perf_counter()
+                rows, stats = self._skyline_rows(query, key)
+                query_seconds = time.perf_counter() - computing
                 skyline_ids = sorted(self._stable_id_of_row(row) for row in rows)
                 with self._state_lock:
                     self.queries_evaluated += 1
                     self._phase_seconds["query"] += query_seconds
-                    self._phase_seconds["merge"] += merge_seconds
                 self._result_cache[key] = skyline_ids
             finally:
                 self._latch.release_read()
@@ -565,7 +485,6 @@ class BatchQueryEngine:
             from_cache=False,
             seconds=time.perf_counter() - started,
             stats=stats,
-            sharded=sharded,
         )
 
     def run(self, queries: Iterable[BatchQuery]) -> list[BatchQueryResult]:
@@ -772,12 +691,11 @@ class BatchQueryEngine:
         self._build_candidates()
         with self._state_lock:
             self.compactions += 1
-        self._build_executor()
         summary["seconds"] = time.perf_counter() - started
         return summary
 
     def summary(self) -> dict[str, object]:
-        """A consistent snapshot of counters, cache sizes and shard state.
+        """A consistent snapshot of counters and cache sizes.
 
         The counters are read under the state lock, so a summary taken while
         queries are in flight never shows e.g. a hit count from after a
@@ -790,7 +708,7 @@ class BatchQueryEngine:
             compactions = self.compactions
             phase_seconds = dict(self._phase_seconds)
         delta = self._delta
-        summary: dict[str, object] = {
+        return {
             "dataset_size": self._num_rows,
             "candidates_after_prefilter": self.candidate_count,
             "store": (
@@ -814,7 +732,6 @@ class BatchQueryEngine:
             "encoding_cache_entries": len(self._encoding_cache),
             "encoding_cache_evictions": self._encoding_cache.evictions,
             "kernel": self.kernel.name,
-            "workers": self._executor.workers if self._executor is not None else 0,
             "compact_threshold": self._compact_threshold,
             "mutations_applied": mutations_applied,
             "compactions": compactions,
@@ -832,9 +749,6 @@ class BatchQueryEngine:
                 }
             ),
         }
-        if self._executor is not None:
-            summary["sharding"] = self._executor.summary()
-        return summary
 
 
 def random_query_preferences(

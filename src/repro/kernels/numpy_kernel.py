@@ -146,6 +146,20 @@ def _target_chunks(members: int, dims: int, targets: int):
         yield low, min(low + chunk, targets)
 
 
+def _strictly_dominates(members: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """``(members, targets)`` mask: the member is no worse on every dimension
+    and strictly better on one.  One 2-D comparison per dimension, not a
+    ``(members, targets, dims)`` cube reduced over its short last axis."""
+    weak = np.ones((len(members), len(targets)), dtype=bool)
+    strict = np.zeros_like(weak)
+    for dim in range(members.shape[1]):
+        member_values = members[:, dim, None]
+        target_values = targets[None, :, dim]
+        weak &= member_values <= target_values
+        strict |= member_values < target_values
+    return weak & strict
+
+
 def _as_code_block(rows, num_po: int, length: int) -> np.ndarray:
     if num_po:
         return np.asarray(rows, dtype=np.int64).reshape(-1, num_po)
@@ -529,7 +543,7 @@ class NumpyKernel(DominanceKernel):
             return self._pareto_mask_2d(matrix)
         # Sweep in monotone (sum) order: strict dominance implies a strictly
         # smaller coordinate sum, so a point can only be dominated by an
-        # earlier one.  Chunks are resolved with two broadcast tests — chunk
+        # earlier one.  Chunks are resolved with two dominance tests — chunk
         # vs the kept front, and chunk vs itself (upper triangle; transitivity
         # makes testing against dominated chunk members harmless).
         order = np.argsort(matrix.sum(axis=1), kind="stable")
@@ -547,10 +561,7 @@ class NumpyKernel(DominanceKernel):
                 if not len(active):
                     break
                 block = kept_rows[kept_start : min(kept_start + self.PARETO_KEPT_CHUNK, num_kept)]
-                sub = chunk[active]
-                le = block[:, None, :] <= sub[None, :, :]
-                lt = block[:, None, :] < sub[None, :, :]
-                newly = (le.all(axis=2) & lt.any(axis=2)).any(axis=0)
+                newly = _strictly_dominates(block, chunk[active]).any(axis=0)
                 dominated[active[newly]] = True
                 active = active[~newly]
             # Within-chunk pass over the points the front did not kill.  A
@@ -559,9 +570,7 @@ class NumpyKernel(DominanceKernel):
             undominated = np.flatnonzero(~dominated)
             if len(undominated) > 1:
                 sub = chunk[undominated]
-                le = sub[:, None, :] <= sub[None, :, :]
-                lt = sub[:, None, :] < sub[None, :, :]
-                within = le.all(axis=2) & lt.any(axis=2)
+                within = _strictly_dominates(sub, sub)
                 # Only earlier members (strictly smaller sum) can be
                 # dominators; the triangle restriction also removes self-pairs.
                 within &= np.tri(len(sub), len(sub), -1, dtype=bool).T

@@ -1,10 +1,9 @@
 """A long-running skyline query service (``repro serve`` / ``repro query``).
 
 A stdlib-only, asyncio JSON-over-TCP server that keeps one
-:class:`~repro.engine.batch.BatchQueryEngine` — and, with workers configured,
-its sharded executor — alive across clients, so the per-PO-group prefilter,
-the per-topology result cache and the worker pool amortize over the whole
-query stream.  See :mod:`repro.service.protocol` for the wire format,
+:class:`~repro.engine.batch.BatchQueryEngine` alive across clients, so the
+per-PO-group fronts and the per-topology result cache amortize over the
+whole query stream.  See :mod:`repro.service.protocol` for the wire format,
 :mod:`repro.service.server` for the server and :mod:`repro.service.client`
 for the blocking client the CLI uses.
 """

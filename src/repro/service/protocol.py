@@ -6,7 +6,7 @@ Each request and each response is one JSON object on one line (UTF-8,
 ``ping``
     Liveness probe; answers ``{"ok": true, "pong": true}``.
 ``stats``
-    Engine/cache/shard statistics plus service latency aggregates.
+    Engine/cache statistics plus service latency aggregates.
 ``query``
     One dynamic-preference skyline query.  The preference DAGs come from one
     of: ``overrides`` (explicit per-attribute DAGs, see :func:`encode_dag`),

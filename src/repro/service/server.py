@@ -1,21 +1,19 @@
 """The asyncio query server behind ``repro serve``.
 
-:class:`QueryService` owns one :class:`~repro.engine.batch.BatchQueryEngine`
-(and through it, optionally, a sharded executor with a persistent worker
-pool).  All connected clients share the engine — and therefore its
-per-PO-group prefilter, its bounded per-topology result cache and the pool —
-which is the whole point of running the engine as a service instead of a
-per-query process.
+:class:`QueryService` owns one :class:`~repro.engine.batch.BatchQueryEngine`.
+All connected clients share the engine — and therefore its per-PO-group
+fronts and its bounded per-topology result cache — which is the whole point
+of running the engine as a service instead of a per-query process.
 
 Queries are CPU-bound, so they run on the event loop's default thread-pool
 executor.  The engine itself is a concurrency-safe façade: concurrent
-clients querying *distinct* topologies interleave their shard-local skyline
-phases and synchronize only at the engine's merge and cache boundaries
-(per-``dag_signature`` locks), while clients querying the *same* topology
-elect one computing thread and share its cached result.  The service's
-global lock therefore guards only pool lifecycle and shutdown: an in-flight
-counter lets :meth:`QueryService.serve_until_shutdown` drain running
-queries before the engine (and its worker pool) is closed.
+clients querying *distinct* topologies proceed independently and
+synchronize only at the engine's cache boundaries (per-``dag_signature``
+locks), while clients querying the *same* topology elect one computing
+thread and share its cached result.  The service's global lock therefore
+guards only engine lifecycle and shutdown: an in-flight counter lets
+:meth:`QueryService.serve_until_shutdown` drain running queries before the
+engine is closed.
 """
 
 from __future__ import annotations
@@ -55,11 +53,7 @@ class QueryService:
         dataset: "Dataset | BatchQueryEngine | object",
         *,
         kernel=None,
-        workers: int | str | None = None,
-        num_shards: int | None = None,
-        partitioner: str = "round-robin",
         cache_size: int = DEFAULT_CACHE_SIZE,
-        max_entries: int = 32,
     ) -> None:
         # The first argument is anything the engine can open: a Dataset, a
         # DatasetStore, a packed-store path — or a ready-made engine (the
@@ -68,20 +62,7 @@ class QueryService:
         if isinstance(dataset, BatchQueryEngine):
             self.engine = dataset
         else:
-            self.engine = BatchQueryEngine(
-                dataset,
-                kernel=kernel,
-                workers=workers,
-                num_shards=num_shards,
-                partitioner=partitioner,
-                cache_size=cache_size,
-                max_entries=max_entries,
-            )
-        # Start the worker pool (if any) now, while the process is still
-        # single-threaded — the event loop and executor threads come later,
-        # and forking after they exist is unsafe (see ShardedExecutor.start).
-        if self.engine.executor is not None:
-            self.engine.executor.start()
+            self.engine = BatchQueryEngine(dataset, kernel=kernel, cache_size=cache_size)
         self.schema = self.engine.schema
         self.started_at = time.time()
         self.connections_served = 0
@@ -90,7 +71,7 @@ class QueryService:
         self.query_seconds_max = 0.0
         # Lifecycle only: queries no longer serialize on a global lock (the
         # engine synchronizes internally, per topology); this lock guards
-        # engine/pool shutdown against racing lifecycle calls, and the
+        # engine shutdown against racing lifecycle calls, and the
         # in-flight counter + condition let shutdown drain running queries.
         self._lifecycle_lock = asyncio.Lock()
         self._inflight = 0
@@ -131,10 +112,8 @@ class QueryService:
             for writer in list(self._connections):
                 writer.close()
         # On Python < 3.12 wait_closed() does NOT wait for handlers, so an
-        # in-flight query may still hold the worker pool; terminating the
-        # pool mid-map would strand its executor thread forever.  Drain the
-        # in-flight queries first, then close the engine under the lifecycle
-        # lock.
+        # in-flight query may still be running.  Drain the in-flight queries
+        # first, then close the engine under the lifecycle lock.
         async with self._drained:
             await self._drained.wait_for(lambda: self._inflight == 0)
         async with self._lifecycle_lock:
@@ -148,7 +127,7 @@ class QueryService:
 
         The handler only sets the shutdown flag; :meth:`serve_until_shutdown`
         then stops accepting, drains in-flight requests and closes the
-        engine (and its worker pool) exactly as a client ``shutdown`` would.
+        engine exactly as a client ``shutdown`` would.
         Must run inside the event loop (``asyncio`` signal handlers are
         loop-bound); a no-op on platforms without ``add_signal_handler``.
         """
@@ -277,7 +256,7 @@ class QueryService:
         Belt and braces with the engine's own between-phase deadline checks:
         the engine aborts *cooperatively* at phase boundaries, while this
         ``wait_for`` guarantees the *response* deadline even if a phase
-        stalls (a hung pool, an injected delay).  A timed-out worker thread
+        stalls (an injected delay).  A timed-out worker thread
         is abandoned — the engine's next deadline check unwinds it.
         """
         if deadline is None:
@@ -296,8 +275,8 @@ class QueryService:
         deadline = self._deadline_of(request)
         loop = asyncio.get_running_loop()
         # No global lock here: the engine's per-topology locks let distinct
-        # topologies interleave their shard-local phases across executor
-        # threads; the in-flight counter only keeps shutdown honest.
+        # topologies run side by side on executor threads; the in-flight
+        # counter only keeps shutdown honest.
         async with self._drained:
             # Checked under the condition's lock so shutdown's drain can
             # never miss a query that slipped in after the flag was set.
@@ -401,7 +380,7 @@ class QueryService:
         return await self._mutate(request, worker)
 
     def stats(self) -> dict[str, object]:
-        """Cache, shard and latency statistics for the ``stats`` op."""
+        """Cache and latency statistics for the ``stats`` op."""
         engine_summary = self.engine.summary()
         # Read both counters from the same locked snapshot, not live.
         queries = int(engine_summary["queries_evaluated"]) + int(

@@ -3,9 +3,9 @@
 The delta plane's contract: after ANY interleaving of inserts and deletes,
 a query through the mutated engine returns exactly — same ids, same order —
 what a fresh engine built from scratch over the live rows returns.  Pinned
-here across random mutation sequences, both frame backings, 1-4 shards,
-both kernels and (in the store matrix) packed stores read through either
-backing, including sequences that cross the auto-compaction threshold.
+here across random mutation sequences, both frame backings, both kernels
+and (in the store matrix) packed stores read through either backing,
+including sequences that cross the auto-compaction threshold.
 """
 
 from __future__ import annotations
@@ -68,18 +68,12 @@ class TestDeltaEqualsRebuild:
     @given(
         dataset=mixed_dataset_strategy(max_rows=20),
         kernel=st.sampled_from(KERNELS),
-        num_shards=st.integers(min_value=1, max_value=4),
         seed=st.integers(min_value=0, max_value=10**6),
     )
     @settings(max_examples=25, deadline=None)
-    def test_in_memory(self, backing, dataset, kernel, num_shards, seed):
+    def test_in_memory(self, backing, dataset, kernel, seed):
         rng = random.Random(seed)
-        options = dict(
-            kernel=kernel,
-            workers=0,
-            num_shards=num_shards if num_shards > 1 else None,
-            compact_threshold=0,
-        )
+        options = dict(kernel=kernel, compact_threshold=0)
         queries = [
             BatchQuery("base"),
             BatchQuery(

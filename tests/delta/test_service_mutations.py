@@ -31,7 +31,7 @@ def workload():
 def running_service(workload):
     """A live service on an ephemeral port; yields (service, host, port)."""
     _, dataset = workload
-    service = QueryService(dataset, workers=0)
+    service = QueryService(dataset)
     loop = asyncio.new_event_loop()
     address: dict[str, object] = {}
     started = threading.Event()

@@ -127,20 +127,18 @@ class TestValidation:
         with pytest.raises(QueryError):
             engine.run_query(BatchQuery("bad", {"nope": paper_example_dag()}))
 
-    def test_domain_shrinking_override_rejected_like_sharded_path(self, workload):
-        # The single-process path must agree with the sharded path: an
-        # override missing domain values is a QueryError either way.
+    def test_domain_shrinking_override_rejected(self, workload):
+        # An override missing domain values is a QueryError, checked before
+        # any group is visited.
         from repro.order.dag import PartialOrderDAG
 
         schema, dataset = workload
         attribute = schema.partial_order_attributes[0]
         shrunk = PartialOrderDAG(list(attribute.domain)[:-1], [])
-        for engine in (
-            BatchQueryEngine(dataset),
-            BatchQueryEngine(dataset, workers=0, num_shards=2),
-        ):
-            with pytest.raises(QueryError, match="missing domain values"):
-                engine.run_query(BatchQuery("bad", {attribute.name: shrunk}))
+        engine = BatchQueryEngine(dataset)
+        with pytest.raises(QueryError, match="missing domain values"):
+            engine.run_query(BatchQuery("bad", {attribute.name: shrunk}))
+        assert engine.summary()["queries_evaluated"] == 0
 
     def test_summary_counts(self, workload):
         schema, dataset = workload
@@ -187,28 +185,40 @@ class TestBoundedCaches:
             BatchQueryEngine(dataset, cache_size=0)
 
 
-class TestShardedEngine:
+class TestWorkersOption:
+    """``workers`` is still accepted by the facade; every query runs in-process."""
+
     @pytest.mark.usefixtures("frame_backing")
-    @pytest.mark.parametrize("workers,num_shards", [(0, 3), (2, 4)])
-    def test_sharded_engine_matches_single_process(self, workload, workers, num_shards):
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_engine_matches_default_engine(self, workload, workers):
+        from repro.api import open_dataset
+
         schema, dataset = workload
         plain = BatchQueryEngine(dataset)
         queries = [BatchQuery("base")] + queries_from_seeds(schema, [11, 12])
-        with BatchQueryEngine(dataset, workers=workers, num_shards=num_shards) as sharded:
-            for a, b in zip(plain.run(queries), sharded.run(queries)):
+        with open_dataset(dataset, workers=workers) as engine:
+            for a, b in zip(plain.run(queries), engine.run(queries)):
                 assert a.skyline_set == b.skyline_set
-            summary = sharded.summary()
-            assert summary["workers"] == workers
-            assert summary["sharding"]["num_shards"] == num_shards
+            summary = engine.summary()
+        assert engine.executor is None
+        assert not {"workers", "sharding"} & set(summary)
 
-    def test_workers_env_var_mirrors_flag(self, workload, monkeypatch):
+    def test_workers_env_var_is_validated_but_unused(self, workload, monkeypatch):
+        from repro.api import open_dataset
+        from repro.exceptions import ExperimentError
+
         _, dataset = workload
-        monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert BatchQueryEngine(dataset).executor is None
-        monkeypatch.delenv("REPRO_WORKERS")
-        assert BatchQueryEngine(dataset).executor is None
-        with BatchQueryEngine(dataset, workers=0, num_shards=2) as engine:
-            assert engine.executor is not None and engine.executor.workers == 0
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        assert open_dataset(dataset).executor is None
+        monkeypatch.setenv("REPRO_WORKERS", "lots")
+        with pytest.raises(ExperimentError, match="REPRO_WORKERS"):
+            open_dataset(dataset)
+
+    @pytest.mark.parametrize("retired", ["workers", "num_shards", "partitioner", "max_entries"])
+    def test_engine_rejects_retired_parallel_options(self, workload, retired):
+        _, dataset = workload
+        with pytest.raises(TypeError):
+            BatchQueryEngine(dataset, **{retired: 2})
 
 
 class TestConcurrentFacade:
@@ -241,7 +251,7 @@ class TestConcurrentFacade:
         import threading
 
         schema, dataset = workload
-        engine = BatchQueryEngine(dataset, workers=0, num_shards=3)
+        engine = BatchQueryEngine(dataset)
         queries = queries_from_seeds(schema, range(40, 52))
         serial = {q.name: BatchQueryEngine(dataset).run_query(q).skyline_set for q in queries}
         stop = threading.Event()
@@ -288,9 +298,9 @@ class TestColumnarEngine:
 
     def test_phase_seconds_track_evaluated_queries(self, workload):
         schema, dataset = workload
-        engine = BatchQueryEngine(dataset, workers=0)
+        engine = BatchQueryEngine(dataset)
         phases = engine.summary()["phase_seconds"]
-        assert set(phases) == {"encode", "build", "query", "merge"}
+        assert set(phases) == {"encode", "build", "query"}
         assert all(value >= 0.0 for value in phases.values())
         baseline_query = phases["query"]
         engine.run([BatchQuery("base")] + queries_from_seeds(schema, [1]))
@@ -306,7 +316,7 @@ class TestColumnarEngine:
 
         schema, dataset = workload
         started = time.perf_counter()
-        engine = BatchQueryEngine(dataset, workers=0)
+        engine = BatchQueryEngine(dataset)
         engine.run([BatchQuery("base")] + queries_from_seeds(schema, [1, 2]))
         elapsed = time.perf_counter() - started
         phases = engine.summary()["phase_seconds"]
@@ -315,10 +325,17 @@ class TestColumnarEngine:
         assert 0.0 <= sum(phases.values()) <= elapsed
         assert phases["query"] > 0.0
 
-    def test_sharded_engine_accounts_merge_phase(self, workload):
+    def test_mutations_add_no_query_phase_time(self, workload):
+        # A front-changing insert clears the result cache but computes no
+        # skyline: only the next query adds query-phase time.
         schema, dataset = workload
-        with BatchQueryEngine(dataset, workers=0, num_shards=3) as engine:
-            engine.run([BatchQuery("base")] + queries_from_seeds(schema, [2]))
-            phases = engine.summary()["phase_seconds"]
-        assert phases["query"] > 0.0
-        assert phases["merge"] >= 0.0
+        engine = BatchQueryEngine(dataset, compact_threshold=0)
+        engine.run_query(BatchQuery("base"))
+        before = engine.summary()["phase_seconds"]["query"]
+        row = [-1.0] * schema.num_total_order + [
+            attribute.dag.values[0] for attribute in schema.partial_order_attributes
+        ]
+        engine.insert([row])
+        assert engine.summary()["phase_seconds"]["query"] == before
+        assert not engine.run_query(BatchQuery("base")).from_cache
+        assert engine.summary()["phase_seconds"]["query"] > before

@@ -118,7 +118,7 @@ class TestEdgeSchemas:
         monkeypatch.setattr(type(store), "block_weakly_dominated", counting)
         # In process even under REPRO_WORKERS: the calls counted are the
         # group path's own.
-        with BatchQueryEngine(Dataset(schema, rows), kernel=kernel, workers=0) as engine:
+        with BatchQueryEngine(Dataset(schema, rows), kernel=kernel) as engine:
             assert_backing(engine._frame, frame_backing)
             # Levels a, b, c: level a has nothing to check against, then one
             # call per level over all of its front rows.

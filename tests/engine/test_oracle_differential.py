@@ -1,18 +1,19 @@
 """Differential check: the batch engine against the definition-based oracle.
 
-The engine answers in-process by the group path and sharded by the
-executor's sort-merge; what varies is the frame backing, the shard count,
-the partitioner, the kernel backend and whether the base comes from a packed
-store (closed and reopened between queries, so pending mutations replay
-from the sidecar log).  For random mixed TO/PO datasets, random preference
-overrides and random insert/delete/compact sequences, every such
+The engine answers every query in-process by the group path; what varies
+is the frame backing, the kernel backend and whether the base comes from a
+packed store (closed and reopened between queries, so pending mutations
+replay from the sidecar log).  For random mixed TO/PO datasets, random
+preference overrides and random insert/delete/compact sequences, every such
 configuration must answer each query with exactly the skyline
 :func:`brute_force_skyline` computes over the live rows under the query's
-effective schema.
+effective schema.  One more case opens a packed |TO|=3 store with
+``workers=2``, the way the batch-sharded benchmark workload does.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import random
 import tempfile
@@ -21,11 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import open_dataset
 from repro.data.dataset import Dataset
+from repro.data.workloads import WorkloadSpec
 from repro.engine.batch import BatchQuery, BatchQueryEngine
 from repro.kernels import available_kernels
 from repro.order.dag import PartialOrderDAG
-from repro.parallel.partition import PARTITIONERS
 from repro.skyline.bruteforce import brute_force_skyline
 from repro.store import pack_dataset
 from tests.conftest import FRAME_BACKINGS, frame_backing_of, mixed_dataset_strategy
@@ -77,14 +79,10 @@ def _assert_matches_oracle(engine, schema, live, queries) -> None:
 @given(
     dataset=mixed_dataset_strategy(max_rows=20, min_to=0),
     kernel=st.sampled_from(available_kernels()),
-    num_shards=st.integers(min_value=1, max_value=4),
-    partitioner=st.sampled_from(PARTITIONERS),
     seed=st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=40, deadline=None)
-def test_engine_matches_brute_force_over_live_rows(
-    backing, dataset, kernel, num_shards, partitioner, seed
-):
+def test_engine_matches_brute_force_over_live_rows(backing, dataset, kernel, seed):
     rng = random.Random(seed)
     schema = dataset.schema
     queries = [BatchQuery("base")] + [
@@ -92,12 +90,7 @@ def test_engine_matches_brute_force_over_live_rows(
     ]
     live = {record.id: tuple(record.values) for record in dataset.records}
     with frame_backing_of(backing), BatchQueryEngine(
-        dataset,
-        kernel=kernel,
-        workers=0,
-        num_shards=num_shards,
-        partitioner=partitioner,
-        compact_threshold=0,
+        dataset, kernel=kernel, compact_threshold=0
     ) as engine:
         _assert_matches_oracle(engine, schema, live, queries)
         for _ in range(6):
@@ -125,15 +118,10 @@ def _mutate(engine, schema, live: dict[int, tuple], rng: random.Random) -> None:
 @given(
     dataset=mixed_dataset_strategy(max_rows=20, min_to=0),
     kernel=st.sampled_from(available_kernels()),
-    num_shards=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=30, deadline=None)
-def test_store_engine_matches_brute_force_across_reopen(
-    backing, dataset, kernel, num_shards, seed
-):
-    """Sharded store engines ship store specs while every candidate is a
-    store row and frame slices once an insert joins the candidates."""
+def test_store_engine_matches_brute_force_across_reopen(backing, dataset, kernel, seed):
     rng = random.Random(seed)
     schema = dataset.schema
     queries = [BatchQuery("base")] + [
@@ -143,9 +131,7 @@ def test_store_engine_matches_brute_force_across_reopen(
     with tempfile.TemporaryDirectory() as directory, frame_backing_of(backing):
         path = os.path.join(directory, "oracle.rpro")
         pack_dataset(dataset, path, kernel=kernel)
-        options = dict(
-            kernel=kernel, workers=0, num_shards=num_shards, compact_threshold=0
-        )
+        options = dict(kernel=kernel, compact_threshold=0)
         engine = BatchQueryEngine(path, **options)
         try:
             _assert_matches_oracle(engine, schema, live, queries)
@@ -158,3 +144,45 @@ def test_store_engine_matches_brute_force_across_reopen(
                     _assert_matches_oracle(engine, schema, live, queries)
         finally:
             engine.close()
+
+
+@pytest.mark.parametrize("backing", FRAME_BACKINGS)
+def test_workers_store_engine_matches_brute_force(backing, tmp_path, monkeypatch):
+    """A packed |TO|=3 store opened with ``workers=2`` answers in-process,
+    before and after an insert that changes a front, and starts no process."""
+    started = []
+    monkeypatch.setattr(
+        multiprocessing.process.BaseProcess, "start", lambda process: started.append(process)
+    )
+    _, dataset = WorkloadSpec(
+        name="oracle-to3",
+        distribution="anticorrelated",
+        cardinality=300,
+        num_total_order=3,
+        num_partial_order=1,
+        dag_height=6,
+        dag_density=0.8,
+        seed=3,
+    ).build()
+    schema = dataset.schema
+    rng = random.Random(7)
+    queries = [BatchQuery("base")] + [
+        BatchQuery(f"q{index}", _random_overrides(schema, rng)) for index in range(3)
+    ]
+    live = {record.id: tuple(record.values) for record in dataset.records}
+    path = os.path.join(tmp_path, "to3.rpro")
+    with frame_backing_of(backing):
+        pack_dataset(dataset, path)
+        with open_dataset(path, workers=2, compact_threshold=0) as engine:
+            assert engine.executor is None
+            _assert_matches_oracle(engine, schema, live, queries)
+            # Strictly better on every TO attribute than any row of its
+            # group: it evicts that group's whole front.
+            row = (-1.0,) * schema.num_total_order + (live[0][schema.num_total_order],)
+            (new_id,) = engine.insert([row])
+            live[new_id] = row
+            # The front changed, so every cached skyline was dropped.
+            assert engine.summary()["cached_topologies"] == 0
+            _assert_matches_oracle(engine, schema, live, queries)
+    assert started == []
+    assert multiprocessing.active_children() == []

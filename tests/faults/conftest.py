@@ -92,7 +92,7 @@ def running_service(chaos_workload):
     from repro.service import QueryService
 
     _, dataset = chaos_workload
-    service = QueryService(dataset, num_shards=2, workers=0)
+    service = QueryService(dataset)
     loop = asyncio.new_event_loop()
     address: dict[str, object] = {}
     started = threading.Event()

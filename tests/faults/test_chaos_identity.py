@@ -14,6 +14,7 @@ from repro.api import open_dataset
 from repro.engine.batch import BatchQuery, queries_from_seeds
 from repro.exceptions import ReproError
 from repro.faults.registry import describe, install
+from repro.parallel.executor import ShardedExecutor
 
 
 def _queries(schema):
@@ -71,6 +72,8 @@ class TestStoreReadFaults:
 
 
 class TestPoolWorkerFaults:
+    """The sharded executor's pool heals (the engine no longer uses it)."""
+
     @pytest.mark.parametrize(
         "clause, heals",
         [
@@ -83,13 +86,11 @@ class TestPoolWorkerFaults:
         self, chaos_workload, bounded, monkeypatch, clause, heals
     ):
         _, dataset = chaos_workload
+        queries = _queries(dataset.schema)
 
         def reference_run():
-            with open_dataset(dataset, workers=2, shards=2) as engine:
-                return [
-                    engine.run_query(q).skyline_ids
-                    for q in _queries(engine.schema)
-                ]
+            with ShardedExecutor(dataset, workers=2, num_shards=2) as executor:
+                return [executor.query(q.dag_overrides).skyline_ids for q in queries]
 
         reference = bounded(reference_run)
         # Injected via the environment, not install(): pool workers started
@@ -98,12 +99,14 @@ class TestPoolWorkerFaults:
         monkeypatch.setenv("REPRO_FAULTS", clause)
 
         def scenario():
-            with open_dataset(dataset, workers=2, shards=2) as engine:
+            with ShardedExecutor(dataset, workers=2, num_shards=2) as executor:
                 outcomes = [
-                    _attempt(engine, query, expected)
-                    for query, expected in zip(_queries(engine.schema), reference)
+                    "identical"
+                    if executor.query(query.dag_overrides).skyline_ids == expected
+                    else "diverged"
+                    for query, expected in zip(queries, reference)
                 ]
-                summary = engine.summary()
+                summary = executor.summary()
             return outcomes, summary
 
         outcomes, summary = bounded(scenario)
@@ -112,6 +115,5 @@ class TestPoolWorkerFaults:
         # each query's answer is bitwise-identical to the fault-free run.
         assert outcomes == ["identical"] * len(outcomes)
         if heals:
-            sharding = summary["sharding"]
-            assert sharding["pool_respawns"] >= 1
-            assert sharding["last_pool_failure"]
+            assert summary["pool_respawns"] >= 1
+            assert summary["last_pool_failure"]

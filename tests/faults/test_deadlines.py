@@ -52,13 +52,13 @@ class TestEngineDeadline:
             assert again.from_cache
             assert again.skyline_ids == first.skyline_ids
 
-    def test_sharded_query_honors_deadline(self, chaos_workload):
+    def test_sharded_executor_honors_deadline(self, chaos_workload):
+        from repro.parallel.executor import ShardedExecutor
+
         _, dataset = chaos_workload
-        with open_dataset(dataset, workers=2, shards=2) as engine:
+        with ShardedExecutor(dataset, workers=2, num_shards=2) as executor:
             with pytest.raises(DeadlineExceededError):
-                engine.run_query(
-                    BatchQuery("base"), deadline=time.monotonic() - 1.0
-                )
+                executor.query(deadline=time.monotonic() - 1.0)
 
 
 class TestServiceDeadline:

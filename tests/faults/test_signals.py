@@ -19,8 +19,6 @@ _SERVE_CMD = [
     "0",
     "--cardinality",
     "200",
-    "--workers",
-    "0",
 ]
 
 

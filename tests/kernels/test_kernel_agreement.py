@@ -361,12 +361,26 @@ class TestStatelessOpsAgreement:
         seed=st.integers(min_value=0, max_value=10_000),
         dims=st.integers(min_value=1, max_value=4),
         rows=st.integers(min_value=0, max_value=80),
+        wide_rows=st.integers(min_value=0, max_value=1200),
     )
     @settings(max_examples=40, deadline=None)
-    def test_pareto_mask_matches(self, seed, dims, rows):
+    def test_pareto_mask_matches(self, seed, dims, rows, wide_rows):
         rng = random.Random(seed)
         block = [tuple(rng.randint(0, 4) for _ in range(dims)) for _ in range(rows)]
         _assert_all_match([kernel.pareto_mask(block) for kernel in KERNELS])
+        # A block spanning several sweep chunks (NumPy resolves 512 rows per
+        # step, against 64 kept-front rows at a time): 3-5 dimensions near an
+        # anticorrelated plane, so the front outgrows one kept chunk, with
+        # ties and exact duplicates.
+        wide_dims = rng.randint(3, 5)
+        wide: list[tuple[int, ...]] = []
+        for _ in range(wide_rows):
+            if wide and rng.random() < 0.2:
+                wide.append(rng.choice(wide))
+                continue
+            head = [rng.randint(0, 12) for _ in range(wide_dims - 1)]
+            wide.append(tuple(head + [12 * (wide_dims - 1) - sum(head) + rng.randint(0, 2)]))
+        _assert_all_match([kernel.pareto_mask(wide) for kernel in KERNELS], context="wide")
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),

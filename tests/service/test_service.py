@@ -57,7 +57,7 @@ def workload():
 def running_service(workload):
     """A live service on an ephemeral port; yields (service, host, port)."""
     _, dataset = workload
-    service = QueryService(dataset, num_shards=3, workers=0)
+    service = QueryService(dataset)
     loop = asyncio.new_event_loop()
     address: dict[str, object] = {}
     started = threading.Event()
@@ -95,7 +95,7 @@ class TestSingleClient:
             stats = client.stats()
             assert stats["engine"]["dataset_size"] == 400
             assert stats["engine"]["cache_capacity"] > 0
-            assert stats["engine"]["sharding"]["num_shards"] == 3
+            assert "sharding" not in stats["engine"]
             kinds = [a["kind"] for a in stats["schema"]["attributes"]]
             assert kinds == ["to", "to", "po"]
 
@@ -157,34 +157,34 @@ class TestConcurrentClients:
         assert service.engine.cache_hits == hits_before + 5
         assert sum(1 for r in responses if r["from_cache"]) == 5
 
-    def test_distinct_topologies_interleave_local_phases(self, workload):
-        """Two concurrent queries must both be inside their local phase at
+    def test_distinct_topologies_compute_concurrently(self, workload):
+        """Two concurrent queries must both be computing their skyline at
         once — deterministic proof that the global engine lock is gone.
 
-        Each query's local phase blocks on a two-party barrier before
-        computing: if the service still serialized queries, the first one
-        would wait out the barrier's timeout alone and the test would fail.
-        The recorded monotonic windows double-check the overlap.
+        Each query's skyline computation blocks on a two-party barrier
+        first: if the service still serialized queries, the first one would
+        wait out the barrier's timeout alone and the test would fail.  The
+        recorded monotonic windows double-check the overlap.
         """
         import time
 
         _, dataset = workload
-        service = QueryService(dataset, num_shards=3, workers=0)
-        executor = service.engine.executor
+        service = QueryService(dataset)
+        engine = service.engine
         rendezvous = threading.Barrier(2, timeout=30)
         windows: list[tuple[float, float]] = []
-        original = executor.local_phase
+        original = engine._skyline_rows
 
-        def instrumented(overrides, **kwargs):
+        def instrumented(query, key):
             started = time.monotonic()
             # Rendezvous *inside* the timed window: both windows then contain
             # the barrier-release instant, so they provably overlap.
             rendezvous.wait()
-            local_ids = original(overrides, **kwargs)
+            computed = original(query, key)
             windows.append((started, time.monotonic()))
-            return local_ids
+            return computed
 
-        executor.local_phase = instrumented
+        engine._skyline_rows = instrumented
 
         loop = asyncio.new_event_loop()
         address: dict[str, object] = {}
@@ -228,7 +228,7 @@ class TestConcurrentClients:
                 assert response["skyline_ids"] == expected[seed]
             assert len(windows) == 2
             (a_start, a_end), (b_start, b_end) = windows
-            assert a_start < b_end and b_start < a_end, "local phases did not overlap"
+            assert a_start < b_end and b_start < a_end, "computations did not overlap"
         finally:
             loop.call_soon_threadsafe(service.request_shutdown)
             thread.join(timeout=10)

@@ -4,8 +4,10 @@ The contract under test: ``pack_dataset`` followed by ``DatasetStore.open``
 (mapped with NumPy, struct-unpacked without) reconstructs *exactly* the artifacts the engine would have
 built from the records — same encoded columns, same prefilter survivors, and
 query results that are identical to the in-memory path down to the discovery
-order and the dominance-check counts, across both kernels, both frame
-backings and 1–4 shards.
+order and the dominance-check counts, across both kernels and both frame
+backings.  The sharded executor (no longer on the engine's query path) is
+checked over the same packed file, in-process and from pool workers that
+reopen it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.engine.batch import (
     random_query_preferences,
 )
 from repro.kernels import available_kernels
+from repro.parallel.executor import ShardedExecutor
 from repro.skyline.bruteforce import brute_force_skyline
 from repro.store import DatasetStore, pack_dataset
 from tests.conftest import assert_backing, frame_backing_of
@@ -52,6 +55,15 @@ def packed(workload, tmp_path_factory):
 
 def _queries(schema):
     return [BatchQuery("base")] + queries_from_seeds(schema, range(20, 24))
+
+
+def _run_executor(executor, schema):
+    """(name, sorted skyline ids) per query through a sharded executor."""
+    with executor:
+        return [
+            (query.name, sorted(executor.query(query.dag_overrides).skyline_ids))
+            for query in _queries(schema)
+        ]
 
 
 def _run(engine, schema):
@@ -106,52 +118,56 @@ class TestBitwiseRoundTrip:
         assert via_store == reference  # ids, discovery order AND check counts
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
-    def test_sharded_store_engine_matches_in_memory(self, workload, packed, num_shards):
+    def test_sharded_store_executor_matches_in_memory(self, workload, packed, num_shards):
         schema, dataset = workload
         path, _ = packed
-        reference = _run(
-            BatchQueryEngine(dataset, workers=0, num_shards=num_shards), schema
+        store = DatasetStore.open(path)
+        reference = _run_executor(ShardedExecutor(dataset, num_shards=num_shards), schema)
+        via_store = _run_executor(
+            ShardedExecutor(frame=store.frame(), store=store, num_shards=num_shards),
+            schema,
         )
-        via_store = _run(
-            BatchQueryEngine(path, workers=0, num_shards=num_shards), schema
-        )
-        assert [(n, ids) for n, ids, _ in via_store] == [
-            (n, ids) for n, ids, _ in reference
-        ]
+        assert via_store == reference
 
     def test_pooled_workers_map_the_store_file(self, workload, packed):
         schema, dataset = workload
         path, _ = packed
+        store = DatasetStore.open(path)
         reference = _run(BatchQueryEngine(dataset), schema)
-        via_store = _run(BatchQueryEngine(path, workers=2, num_shards=2), schema)
-        assert [(n, sorted(ids)) for n, ids, _ in via_store] == [
-            (n, sorted(ids)) for n, ids, _ in reference
-        ]
+        via_store = _run_executor(
+            ShardedExecutor(frame=store.frame(), store=store, workers=2, num_shards=2),
+            schema,
+        )
+        assert via_store == [(n, sorted(ids)) for n, ids, _ in reference]
 
-    def test_pooled_workers_follow_the_candidate_set(self, workload, tmp_path):
-        """An insert that joins the candidates re-shards a pooled store
-        engine onto frame slices; deleting it goes back to store specs."""
+    def test_workers_store_engine_follows_mutations(self, workload, tmp_path):
+        """A store engine opened with ``workers=2`` folds an insert that
+        joins the candidates (and its delete) in-process, with no pool."""
+        import multiprocessing
+
+        from repro.api import open_dataset
+
         schema, dataset = workload
-        path = tmp_path / "pooled.rpro"
+        path = tmp_path / "workers.rpro"
         pack_dataset(dataset, path)
         row = list(dataset.records[0].values)
         row[0] = row[1] = -1.0  # beats every row on the TO attributes
-        with BatchQueryEngine(
-            path, workers=2, num_shards=2, compact_threshold=0
+        with open_dataset(
+            path, workers=2, compact_threshold=0
         ) as engine, BatchQueryEngine(dataset, compact_threshold=0) as reference:
             (new_id,) = engine.insert([tuple(row)])
             assert reference.insert([tuple(row)]) == [new_id]
-            assert engine.executor._store is None
             for query in _queries(schema):
                 assert engine.run_query(query).skyline_ids == (
                     reference.run_query(query).skyline_ids
                 )
             assert engine.delete([new_id]) == reference.delete([new_id])
-            assert engine.executor._store is not None
             for query in _queries(schema):
                 assert engine.run_query(query).skyline_ids == (
                     reference.run_query(query).skyline_ids
                 )
+            assert engine.executor is None
+        assert multiprocessing.active_children() == []
 
     def test_store_engine_matches_brute_force(self, workload, packed):
         schema, dataset = workload

@@ -73,12 +73,18 @@ class TestOpenDataset:
             repro.open_dataset()
 
     def test_config_and_overrides_reach_the_engine(self, store_path):
-        config = RuntimeConfig.resolve(shards=2, compact_threshold=5)
-        engine = repro.open_dataset(store_path, config=config, workers=0)
+        config = RuntimeConfig.resolve(compact_threshold=5, cache_size=9)
+        engine = repro.open_dataset(store_path, config=config, compact_threshold=6)
         with engine:
-            assert engine.summary()["compact_threshold"] == 5
-            assert engine.executor is not None
-            assert engine.executor.num_shards == 2
+            summary = engine.summary()
+            assert summary["compact_threshold"] == 6
+            assert summary["cache_capacity"] == 9
+
+    def test_workers_are_accepted_but_start_nothing(self, store_path):
+        with repro.open_dataset(store_path, workers=2) as engine:
+            assert engine.executor is None
+            assert "workers" not in engine.summary()
+            assert engine.run_query(repro.BatchQuery("base")).skyline_ids
 
     def test_exported_from_package_root(self):
         for name in ("open_dataset", "pack", "RuntimeConfig", "DatasetStore",

@@ -65,28 +65,23 @@ class TestMain:
 
 
 class TestBatchQueryCommand:
-    def test_parses_sharding_options(self):
+    def test_parses_runtime_options(self):
         args = build_batch_query_parser().parse_args(
-            ["--workers", "4", "--shards", "8", "--partitioner", "po-group", "--cache-size", "16"]
+            ["--cache-size", "16", "--compact-threshold", "5", "--store", "x.rpro"]
         )
-        assert args.workers == "4"
-        assert args.shards == 8
-        assert args.partitioner == "po-group"
         assert args.cache_size == 16
+        assert args.compact_threshold == 5
+        assert args.store == "x.rpro"
 
-    def test_batch_query_runs_sharded_in_process(self, capsys):
-        code = main(
-            [
-                "batch-query",
-                "--cardinality", "300",
-                "--queries", "2",
-                "--workers", "0",
-                "--shards", "3",
-            ]
-        )
+    def test_batch_query_ignores_repro_workers(self, capsys, monkeypatch):
+        # A valid REPRO_WORKERS is still accepted; the engine answers
+        # in-process whatever it says.
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        code = main(["batch-query", "--cardinality", "300", "--queries", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "base" in out and "cached topologies" in out
+        assert "workers" not in out
 
     def test_profile_prints_sane_phase_timings(self, capsys):
         import re
@@ -98,15 +93,15 @@ class TestBatchQueryCommand:
         out = capsys.readouterr().out
         match = re.search(
             r"phases: encode (\S+) ms \| build (\S+) ms "
-            r"\| query (\S+) ms \| merge (\S+) ms \| total (\S+) ms",
+            r"\| query (\S+) ms \| total (\S+) ms",
             out,
         )
         assert match, out
-        encode, build, query, merge, total = (float(g) for g in match.groups())
-        assert all(value >= 0.0 for value in (encode, build, query, merge))
-        # The phases sum to the printed total (each of the five numbers
+        encode, build, query, total = (float(g) for g in match.groups())
+        assert all(value >= 0.0 for value in (encode, build, query))
+        # The phases sum to the printed total (each of the four numbers
         # carries up to 0.05 ms of :.1f print rounding).
-        assert abs((encode + build + query + merge) - total) <= 0.3
+        assert abs((encode + build + query) - total) <= 0.25
 
     @pytest.mark.parametrize(
         "flag",
@@ -117,6 +112,9 @@ class TestBatchQueryCommand:
             ["--mmap", "off"],
             ["--crc", "lazy"],
             ["--no-prefilter"],
+            ["--workers", "2"],
+            ["--shards", "4"],
+            ["--partitioner", "po-group"],
         ],
     )
     def test_removed_data_path_flags_are_rejected(self, capsys, flag):
@@ -124,18 +122,6 @@ class TestBatchQueryCommand:
             build_batch_query_parser().parse_args(flag)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_bad_workers_value_is_reported(self, capsys):
-        code = main(["batch-query", "--cardinality", "100", "--workers", "lots"])
-        assert code == 2
-        assert "worker count" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bad", ["lots", "-2", "1.5"])
-    def test_bad_workers_flag_never_tracebacks(self, capsys, bad):
-        code = main(["batch-query", "--cardinality", "100", "--workers", bad])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("bad", ["lots", "-2", "1.5"])
     def test_bad_workers_env_var_named_in_error(self, capsys, monkeypatch, bad):
@@ -150,11 +136,6 @@ class TestBatchQueryCommand:
         code = main(["batch-query", "--cardinality", "100", "--cache-size", "0"])
         assert code == 2
         assert "capacity" in capsys.readouterr().err
-
-    def test_bad_shard_count_is_reported(self, capsys):
-        code = main(["batch-query", "--cardinality", "100", "--workers", "1", "--shards", "0"])
-        assert code == 2
-        assert "num_shards" in capsys.readouterr().err
 
 
 class TestPackAndStore:
@@ -214,7 +195,16 @@ class TestServeAndQueryParsers:
     def test_serve_parser_defaults(self):
         args = build_serve_parser().parse_args([])
         assert args.host is None and args.port is None
-        assert args.workers is None and args.shards is None
+        assert args.store is None and args.compact_threshold is None
+
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--shards", "4"], ["--partitioner", "po-group"]]
+    )
+    def test_serve_rejects_removed_parallel_flags(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_serve_parser().parse_args(flag)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_query_parser_modes_are_exclusive(self):
         with pytest.raises(SystemExit):

@@ -69,24 +69,24 @@ class TestPrecedence:
         assert config.workers == 2  # frozen original untouched
 
     def test_engine_options_round_trip(self):
-        config = RuntimeConfig.resolve(
-            workers=2, shards=4, compact_threshold=5, cache_size=7
-        )
+        config = RuntimeConfig.resolve(workers=2, compact_threshold=5, cache_size=7)
         options = config.engine_options()
-        assert options["workers"] == 2
-        assert options["num_shards"] == 4
-        assert options["compact_threshold"] == 5
-        assert "prefilter" not in options
-        assert options["cache_size"] == 7
+        # ``workers`` is resolved and kept on the config, never handed on:
+        # the engine answers every query in-process.
+        assert config.workers == 2
+        assert options == {"kernel": None, "compact_threshold": 5, "cache_size": 7}
 
     def test_data_path_has_no_knobs(self):
         """The data path follows NumPy: no frame, merge, index, mmap, crc or
         prefilter toggles."""
         names = {field.name for field in fields(RuntimeConfig)}
         assert not names & {"frame", "merge", "index", "mmap", "crc", "prefilter"}
-        assert len(names) == 9
+        assert len(names) == 6
 
-    @pytest.mark.parametrize("retired", ["index", "mmap", "crc", "prefilter"])
+    @pytest.mark.parametrize(
+        "retired",
+        ["index", "mmap", "crc", "prefilter", "shards", "partitioner", "max_entries"],
+    )
     def test_retired_knobs_are_rejected(self, retired):
         with pytest.raises(TypeError):
             RuntimeConfig.resolve(**{retired: None})
