@@ -26,9 +26,7 @@ from repro.baselines.sdc import sdc_skyline
 from repro.baselines.sdc_plus import sdc_plus_skyline
 from repro.bench.costmodel import MeasuredRun
 from repro.core.stss import stss_skyline
-from repro.data.columns import EncodedFrame
 from repro.data.workloads import WorkloadSpec
-from repro.delta.frame import DeltaFrame
 from repro.dynamic.dtss import DTSSIndex
 from repro.dynamic.sdc_dynamic import sdc_plus_dynamic_skyline
 from repro.exceptions import ExperimentError
@@ -188,13 +186,11 @@ class StaticRunner:
 class DynamicRunner:
     """Build one dynamic workload (grouped indexes built offline) and run queries.
 
-    Anchored on the columnar delta plane: the workload is encoded once into
-    an :class:`EncodedFrame`, wrapped in a live :class:`DeltaFrame`, and the
-    dTSS group structures are built column-wise over it.  :meth:`mutate`
-    applies live inserts/deletes and refreshes dTSS incrementally (only the
-    touched PO-value groups), while the SDC+ adaptation re-materializes and
-    re-partitions the live rows per query — the asymmetry Figures 12-14
-    measure.
+    The data stays fixed while every query brings new preferences (the
+    paper's dynamic setting, Section V).  dTSS's group structures are built
+    once over the record dataset and reused by every query; the SDC+
+    adaptation re-maps and re-partitions the whole dataset per query and is
+    charged for it — the gap Figures 12-14 measure.
     """
 
     METHODS = ("TSS", "TSS+local", "SDC+",)
@@ -211,24 +207,11 @@ class DynamicRunner:
         self.max_entries = max_entries
         self.schema, self.dataset = spec.build()
         self.data_dags = [attribute.dag for attribute in self.schema.partial_order_attributes]
-        self.frame = EncodedFrame.from_dataset(self.dataset)
-        self.delta = DeltaFrame(self.frame)
         # dTSS group structures are built offline and reused by every query.
         self._dtss_disk = DiskSimulator(io_cost_seconds=io_cost_seconds)
         self.dtss_index = DTSSIndex(
-            self.delta, max_entries=max_entries, disk=self._dtss_disk, precompute_local_skylines=False
+            self.dataset, max_entries=max_entries, disk=self._dtss_disk, precompute_local_skylines=False
         )
-
-    # ------------------------------------------------------------------ #
-    # Live mutations (delta plane)
-    # ------------------------------------------------------------------ #
-    def mutate(self, inserts: Sequence[Sequence] = (), deletes: Sequence[int] = ()) -> list[int]:
-        """Apply live mutations and refresh dTSS incrementally; returns new ids."""
-        ids = self.delta.insert_rows(inserts) if inserts else []
-        if deletes:
-            self.delta.delete_ids(deletes)
-        self.dtss_index.sync()
-        return ids
 
     # ------------------------------------------------------------------ #
     # Query generation
@@ -285,7 +268,7 @@ class DynamicRunner:
         elif method == "SDC+":
             disk = DiskSimulator(io_cost_seconds=self.io_cost_seconds)
             result = sdc_plus_dynamic_skyline(
-                self.delta, partial_orders, max_entries=self.max_entries, disk=disk
+                self.dataset, partial_orders, max_entries=self.max_entries, disk=disk
             )
         else:
             raise ExperimentError(f"unknown dynamic method {method!r}; expected one of {self.METHODS}")

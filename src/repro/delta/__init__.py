@@ -3,7 +3,11 @@
 The static planes of the library are read-optimized and immutable — an
 :class:`~repro.data.columns.EncodedFrame` encoded once, a bulk-loaded
 R-tree, a packed :class:`~repro.store.reader.DatasetStore`.  This package
-adds the write path without giving any of that up, the way LSM trees do:
+adds the write path of the batch engine
+(:class:`~repro.engine.batch.BatchQueryEngine`, its only consumer) without
+giving any of that up, the way LSM trees do.  The dynamic-skyline plane
+(:mod:`repro.dynamic`) does not use it: the paper's dynamic queries change
+preferences over fixed data, so it reads record datasets only.
 
 * :class:`DeltaFrame` (``frame.py``) — append-only insert blocks in the same
   canonical column layout as the base frame, plus a tombstone id-set for
@@ -13,7 +17,7 @@ adds the write path without giving any of that up, the way LSM trees do:
   increasing ids, and compaction preserves both.
 * :class:`BaseCandidateTracker` (``candidates.py``) — the engine's
   candidate set as per-PO-group TO-Pareto fronts over that row space,
-  maintained per touched group as dTSS does: inserts fold into their
+  maintained per touched group: inserts fold into their
   group's front, deleting a front row recomputes its group (which may
   resurrect rows the front was masking).
 * :func:`cross_examine` (``merge.py``) — the insert fold: one group's front
@@ -29,13 +33,12 @@ over the live rows answers — pinned by the hypothesis suite in
 """
 
 from repro.delta.candidates import BaseCandidateTracker
-from repro.delta.frame import DeltaFrame, as_record_dataset, dataset_from_frame
+from repro.delta.frame import DeltaFrame, dataset_from_frame
 from repro.delta.merge import cross_examine
 
 __all__ = [
     "BaseCandidateTracker",
     "DeltaFrame",
-    "as_record_dataset",
     "cross_examine",
     "dataset_from_frame",
 ]

@@ -5,11 +5,11 @@ A :class:`DeltaFrame` layers mutations over an immutable base
 
 * **Inserts** are encoded on arrival into the base codec's *canonical*
   column layout (one float TO row + one int code row per record) and
-  appended to in-memory buffers; :meth:`frame` materializes the base rows
+  appended to in-memory buffers; :meth:`frame` presents the base rows
   followed by every insert as one ordinary
-  :class:`~repro.data.columns.EncodedFrame` — one row space, so every
-  columnar consumer (the engine's candidate tracker, kernels, dTSS
-  grouping, compaction) reads base rows and inserts the same way.
+  :class:`~repro.data.columns.EncodedFrame` — one row space, so the
+  engine's candidate tracker, its kernels and compaction read base rows
+  and inserts the same way.
 * **Deletes** tombstone a stable record id — a base row or an earlier
   insert — without touching any column.
 
@@ -34,25 +34,16 @@ from repro.exceptions import QueryError
 Value = Hashable
 
 
-def _numpy_or_none():
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-def decode_frame_rows(frame: EncodedFrame, rows: Sequence[int] | None = None) -> list[tuple]:
+def decode_frame_rows(frame: EncodedFrame) -> list[tuple]:
     """Original attribute-value tuples of the frame's rows (schema order).
 
     The inverse of :meth:`EncodedFrame.from_dataset`: canonical TO values are
     mapped back through each attribute's direction (max-attributes were
-    negated) and PO codes decoded through the codec's domains.  ``rows``
-    restricts (and orders) the output.
+    negated) and PO codes decoded through the codec's domains.
     """
     schema = frame.schema
     codec = frame.codec
-    indices = range(len(frame)) if rows is None else rows
+    indices = range(len(frame))
     columns: list[list] = []
     to_index = 0
     po_index = 0
@@ -77,12 +68,10 @@ def decode_frame_rows(frame: EncodedFrame, rows: Sequence[int] | None = None) ->
     return [tuple(column[i] for column in columns) for i in range(length)]
 
 
-def dataset_from_frame(
-    frame: EncodedFrame, rows: Sequence[int] | None = None
-) -> Dataset:
-    """A record :class:`~repro.data.dataset.Dataset` over (a row subset of)
-    an encoded frame — record ``i`` is row ``rows[i]`` (or row ``i``)."""
-    return Dataset(frame.schema, decode_frame_rows(frame, rows), validate=False)
+def dataset_from_frame(frame: EncodedFrame) -> Dataset:
+    """A record :class:`~repro.data.dataset.Dataset` over an encoded frame —
+    record ``i`` is row ``i``."""
+    return Dataset(frame.schema, decode_frame_rows(frame), validate=False)
 
 
 class DeltaFrame:
@@ -124,9 +113,10 @@ class DeltaFrame:
         #: Mutation rows applied since the base was packed/adopted — the
         #: quantity the auto-compaction threshold is compared against.
         self.mutations = 0
-        #: Bumped on every state change (engines guard caches with it).
-        self.version = 0
         self._frame: EncodedFrame | None = None
+        #: NumPy backing of :meth:`frame`: base rows then inserts, in
+        #: capacity-doubling ``(to, codes)`` blocks, built on the first insert.
+        self._blocks = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -163,34 +153,6 @@ class DeltaFrame:
         rows.extend(num_base + pos for pos in sorted(self._dead_inserts))
         return rows
 
-    def dead_ids(self) -> list[int]:
-        """Every tombstoned stable id (base rows first, then inserts)."""
-        return [self.stable_id_of_row(row) for row in self.dead_rows()]
-
-    def insert_entries(
-        self, start: int = 0
-    ) -> list[tuple[int, tuple[float, ...], tuple[Value, ...]]]:
-        """``(stable id, canonical TO values, PO values)`` of the inserts from
-        buffer position ``start`` on — tombstoned ones included, so a consumer
-        tracking a position cursor (incremental dTSS maintenance) sees every
-        insert exactly once."""
-        domains = self.codec.domains
-        entries: list[tuple[int, tuple[float, ...], tuple[Value, ...]]] = []
-        for position in range(start, len(self._insert_ids)):
-            codes = self._insert_codes[position]
-            po_values = tuple(domains[k][codes[k]] for k in range(len(codes)))
-            entries.append(
-                (self._insert_ids[position], tuple(self._insert_to[position]), po_values)
-            )
-        return entries
-
-    def is_live(self, record_id: int) -> bool:
-        position = self._insert_pos_of.get(record_id)
-        if position is not None:
-            return position not in self._dead_inserts
-        row = self._resolve_base_row(record_id)
-        return row is not None and row not in self._dead_base_rows
-
     def _resolve_base_row(self, record_id: int) -> int | None:
         if self._base_row_of is not None:
             return self._base_row_of.get(record_id)
@@ -217,8 +179,6 @@ class DeltaFrame:
         for _, to_values, codes in encoded:
             ids.append(self._append_insert(self.next_id, to_values, codes))
         self.mutations += len(ids)
-        if ids:
-            self.version += 1
         return ids
 
     def replay_insert(self, record_id: int, to_values, codes) -> int:
@@ -227,7 +187,6 @@ class DeltaFrame:
             int(record_id), tuple(float(v) for v in to_values), tuple(int(c) for c in codes)
         )
         self.mutations += 1
-        self.version += 1
         return appended
 
     def _append_insert(self, record_id: int, to_values, codes) -> int:
@@ -282,9 +241,7 @@ class DeltaFrame:
                 self._dead_base_rows.add(row)
                 removed.append(record_id)
                 rows.append(row)
-        if removed:
-            self.mutations += len(removed)
-            self.version += 1
+        self.mutations += len(removed)
         return removed, rows
 
     # ------------------------------------------------------------------ #
@@ -307,33 +264,44 @@ class DeltaFrame:
 
         Row ``len(base) + p`` is insert position ``p``; tombstoned rows are
         *included* so rows stay stable (:meth:`live_rows` lists the live
-        ones).  The base itself while nothing was inserted; otherwise the
-        last frame extended by the inserts that arrived since.
+        ones).  The base itself while nothing was inserted.  NumPy-backed
+        frames are read-only ``[:n]`` views of one capacity-doubling block, so
+        an insert batch copies only its own rows and an earlier frame keeps
+        its rows; tuple-backed frames extend the last frame.
         """
+        length = len(self.base) + len(self._insert_ids)
         previous = self.base if self._frame is None else self._frame
-        start = len(previous) - len(self.base)
-        count = len(self._insert_ids)
-        if start == count:
+        if len(previous) == length:
             return previous
-        new_to = self._insert_to[start:]
-        new_codes = self._insert_codes[start:]
-        np = _numpy_or_none() if previous.uses_numpy else None
-        if np is not None:
-            new_to = np.asarray(new_to, dtype=np.float64).reshape(
-                count - start, self.schema.num_total_order
-            )
-            new_codes = np.asarray(new_codes, dtype=np.int32).reshape(
-                count - start, self.schema.num_partial_order
-            )
-            to = np.concatenate([previous.to, new_to])
-            codes = np.concatenate([previous.codes, new_codes])
-            to.flags.writeable = False
-            codes.flags.writeable = False
+        if self.base.uses_numpy:
+            to, codes = self._grow_blocks()
         else:
-            to = previous.to + tuple(new_to)
-            codes = previous.codes + tuple(new_codes)
-        self._frame = EncodedFrame(self.schema, self.codec, to, codes, len(self.base) + count)
+            start = len(previous) - len(self.base)
+            to = previous.to + tuple(self._insert_to[start:])
+            codes = previous.codes + tuple(self._insert_codes[start:])
+        self._frame = EncodedFrame(self.schema, self.codec, to, codes, length)
         return self._frame
+
+    def _grow_blocks(self):
+        """Append the inserts the NumPy blocks lack and return read-only
+        views of every row so far."""
+        if self._blocks is None:
+            from repro.kernels.numpy_kernel import GrowableMatrix
+
+            self._blocks = (
+                GrowableMatrix(self.schema.num_total_order, self.base.to.dtype),
+                GrowableMatrix(self.schema.num_partial_order, self.base.codes.dtype),
+            )
+            self._blocks[0].extend(self.base.to)
+            self._blocks[1].extend(self.base.codes)
+        to_block, code_block = self._blocks
+        start = len(to_block) - len(self.base)
+        to_block.extend(self._insert_to[start:])
+        code_block.extend(self._insert_codes[start:])
+        to, codes = to_block.view, code_block.view
+        to.flags.writeable = False
+        codes.flags.writeable = False
+        return to, codes
 
     def live_frame_and_ids(self) -> tuple[EncodedFrame, list[int]]:
         """The live rows folded into one fresh frame, plus its stable ids.
@@ -344,33 +312,3 @@ class DeltaFrame:
         """
         rows = self.live_rows()
         return self.frame().take(rows), [self.stable_id_of_row(row) for row in rows]
-
-    def live_dataset_and_ids(self) -> tuple[Dataset, list[int]]:
-        """The live rows as a record dataset (record ``i`` = live row ``i``),
-        plus the stable id of each record — the record-path twin of
-        :meth:`live_frame_and_ids`."""
-        rows = self.live_rows()
-        return (
-            dataset_from_frame(self.frame(), rows),
-            [self.stable_id_of_row(row) for row in rows],
-        )
-
-
-def as_record_dataset(source) -> tuple[Dataset, list[int] | None]:
-    """Normalize any data-plane source into ``(record dataset, stable ids)``.
-
-    The adapter record-path consumers use to accept a :class:`Dataset`, an
-    :class:`~repro.data.columns.EncodedFrame` or a live :class:`DeltaFrame`
-    interchangeably.  ``ids`` is ``None`` when record positions already are
-    the stable ids (plain datasets and frames); for a delta it maps record
-    ``i`` of the returned dataset to its stable id.
-    """
-    if isinstance(source, DeltaFrame):
-        return source.live_dataset_and_ids()
-    if isinstance(source, EncodedFrame):
-        return dataset_from_frame(source), None
-    if isinstance(source, Dataset):
-        return source, None
-    raise QueryError(
-        f"expected a Dataset, EncodedFrame or DeltaFrame, got {type(source).__name__}"
-    )

@@ -12,14 +12,16 @@ processing groups in topological order against a global main-memory R-tree.
 * :mod:`~repro.dynamic.sdc_dynamic` — the dynamic adaptation of SDC+ used as
   the baseline: it must re-map every point and rebuild all index structures
   for each query (charged as extra passes over the data).
+* :mod:`~repro.dynamic.fully_dynamic` — queries that also specify an ideal
+  value per TO attribute, answered by sTSS over distances to those values.
 * :mod:`~repro.dynamic.cache` — caching of past dynamic query results keyed
-  by the query's partial orders.
+  by the query's partial orders, and the one resolver every entry point
+  uses to read a query's DAGs in schema order.
 
-All entry points also accept the columnar data plane directly: an
-:class:`~repro.data.columns.EncodedFrame` or a live
-:class:`~repro.delta.frame.DeltaFrame` — over a delta, dTSS maintains its
-group structures incrementally (:meth:`DTSSIndex.sync`) and results carry
-stable record ids.
+Every entry point reads a record :class:`~repro.data.dataset.Dataset` and
+nothing else; an encoded frame or a live delta raises
+:class:`~repro.exceptions.QueryError`.  Record ids in the answers are the
+dataset's record positions.
 """
 
 from repro.dynamic.cache import DynamicQueryCache

@@ -9,9 +9,9 @@ Hasse diagram versus its transitive closure) hit the same entry.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Hashable, Mapping, Sequence
 
+from repro.engine.lru import LRUDict
 from repro.exceptions import QueryError
 from repro.order.dag import PartialOrderDAG
 from repro.skyline.base import SkylineResult
@@ -20,70 +20,68 @@ Value = Hashable
 
 CacheKey = tuple[tuple[tuple[Value, ...], frozenset[tuple[Value, Value]]], ...]
 
+#: A dynamic query's preferences: PO attribute name -> DAG, or the DAGs in
+#: schema order.
+QuerySpec = Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG]
 
-def canonical_query_key(
-    partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG],
-    attribute_names: Sequence[str],
-) -> CacheKey:
-    """A hashable, order-insensitive representation of one dynamic query."""
+
+def resolve_partial_orders(
+    partial_orders: QuerySpec, attribute_names: Sequence[str]
+) -> list[PartialOrderDAG]:
+    """The query's DAGs in schema order, one per PO attribute name."""
     if isinstance(partial_orders, Mapping):
         missing = [name for name in attribute_names if name not in partial_orders]
         if missing:
             raise QueryError(f"query does not specify a partial order for: {missing}")
-        dags = [partial_orders[name] for name in attribute_names]
-    else:
-        dags = list(partial_orders)
-        if len(dags) != len(attribute_names):
-            raise QueryError(
-                f"query specifies {len(dags)} partial orders, schema has {len(attribute_names)}"
-            )
-    key_parts = []
-    for dag in dags:
-        values = tuple(sorted(dag.values, key=repr))
-        closure = frozenset(dag.transitive_closure_edges())
-        key_parts.append((values, closure))
-    return tuple(key_parts)
+        return [partial_orders[name] for name in attribute_names]
+    dags = list(partial_orders)
+    if len(dags) != len(attribute_names):
+        raise QueryError(
+            f"query specifies {len(dags)} partial orders, schema has {len(attribute_names)}"
+        )
+    return dags
+
+
+def canonical_query_key(partial_orders: QuerySpec, attribute_names: Sequence[str]) -> CacheKey:
+    """A hashable, order-insensitive representation of one dynamic query."""
+    return tuple(
+        (tuple(sorted(dag.values, key=repr)), frozenset(dag.transitive_closure_edges()))
+        for dag in resolve_partial_orders(partial_orders, attribute_names)
+    )
 
 
 class DynamicQueryCache:
     """A small LRU cache of dynamic query results keyed by their partial orders."""
 
     def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise QueryError("cache capacity must be positive")
-        self.capacity = capacity
-        self._entries: OrderedDict[CacheKey, SkylineResult] = OrderedDict()
+        self._entries: LRUDict[CacheKey, SkylineResult] = LRUDict(capacity)
         self.hits = 0
         self.misses = 0
+
+    @property
+    def capacity(self) -> int:
+        return self._entries.capacity
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(
-        self,
-        partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG],
-        attribute_names: Sequence[str],
+        self, partial_orders: QuerySpec, attribute_names: Sequence[str]
     ) -> SkylineResult | None:
-        key = canonical_query_key(partial_orders, attribute_names)
-        result = self._entries.get(key)
+        result = self._entries.get(canonical_query_key(partial_orders, attribute_names))
         if result is None:
             self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        else:
+            self.hits += 1
         return result
 
     def put(
         self,
-        partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG],
+        partial_orders: QuerySpec,
         attribute_names: Sequence[str],
         result: SkylineResult,
     ) -> None:
-        key = canonical_query_key(partial_orders, attribute_names)
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+        self._entries[canonical_query_key(partial_orders, attribute_names)] = result
 
     @property
     def hit_rate(self) -> float:

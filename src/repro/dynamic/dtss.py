@@ -25,16 +25,14 @@ results (:mod:`repro.dynamic.cache`).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable, Sequence
 
 from repro.core.virtual_rtree import VirtualPointIndex
-from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
-from repro.delta.frame import DeltaFrame
-from repro.dynamic.groups import GroupedDataset, GroupPoint
+from repro.dynamic.cache import QuerySpec, resolve_partial_orders
+from repro.dynamic.groups import GroupedDataset, GroupPoint, require_dataset
 from repro.exceptions import QueryError
 from repro.index.pager import DiskSimulator
-from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import DomainEncoding, encode_domain
 from repro.skyline.base import RunClock, SkylineResult, SkylineStats
 from repro.skyline.bbs import run_bbs
@@ -43,18 +41,12 @@ Value = Hashable
 
 
 class DTSSIndex:
-    """Reusable dTSS structures: group partitioning plus per-group R-trees.
-
-    Built over a record :class:`Dataset`, an :class:`EncodedFrame` or a live
-    :class:`DeltaFrame`.  Over a delta, :meth:`sync` folds mutations applied
-    since construction (or the last sync) into the group structures
-    incrementally — only the touched PO-value groups are rebuilt, the rest
-    of the offline investment survives.
-    """
+    """Reusable dTSS structures: group partitioning plus per-group R-trees,
+    built once over a record :class:`Dataset` and shared by every query."""
 
     def __init__(
         self,
-        dataset: Dataset | EncodedFrame | DeltaFrame,
+        dataset: Dataset,
         *,
         max_entries: int = 32,
         disk: DiskSimulator | None = None,
@@ -66,54 +58,15 @@ class DTSSIndex:
             disk=disk,
             precompute_local_skylines=precompute_local_skylines,
         )
-        self.source = dataset
-        self.dataset = dataset if isinstance(dataset, Dataset) else None
+        self.dataset = self.grouped.dataset
         self.disk = disk
-        # Sync cursor over the delta's mutation stream: the grouped build
-        # already reflects everything applied up to now.
-        if isinstance(dataset, DeltaFrame):
-            self._synced_inserts = dataset.num_inserts
-            self._synced_dead = set(dataset.dead_ids())
-        else:
-            self._synced_inserts = 0
-            self._synced_dead: set[int] = set()
-
-    # ------------------------------------------------------------------ #
-    # Incremental maintenance (delta plane)
-    # ------------------------------------------------------------------ #
-    def sync(self, delta: DeltaFrame | None = None) -> dict[str, int]:
-        """Fold a delta's new mutations in; returns what was applied.
-
-        With no argument, syncs against the :class:`DeltaFrame` the index
-        was built over.  Inserts that were tombstoned before this sync are
-        skipped entirely (they were never visible to any query here).
-        """
-        if delta is None:
-            delta = self.source if isinstance(self.source, DeltaFrame) else None
-        if delta is None:
-            raise QueryError("sync() needs the DeltaFrame this index was built over")
-        dead_now = set(delta.dead_ids())
-        new_dead = dead_now - self._synced_dead
-        fresh = delta.insert_entries(self._synced_inserts)
-        # Inserts tombstoned before this sync were never visible here:
-        # neither inserted nor deleted, they don't touch any group.
-        new_dead -= {entry[0] for entry in fresh} & new_dead
-        inserts = [entry for entry in fresh if entry[0] not in dead_now]
-        rebuilt = self.grouped.apply_mutations(inserts, new_dead)
-        self._synced_inserts = delta.num_inserts
-        self._synced_dead = dead_now
-        return {
-            "inserts": len(inserts),
-            "deletes": len(new_dead),
-            "groups_rebuilt": len(rebuilt),
-        }
 
     # ------------------------------------------------------------------ #
     # Query processing
     # ------------------------------------------------------------------ #
     def query(
         self,
-        partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG],
+        partial_orders: QuerySpec,
         *,
         use_virtual_rtree: bool = False,
         use_local_skylines: bool = False,
@@ -206,22 +159,9 @@ class DTSSIndex:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _encode_query(
-        self, partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG]
-    ) -> tuple[DomainEncoding, ...]:
-        schema = self.grouped.schema
-        po_attributes = schema.partial_order_attributes
-        if isinstance(partial_orders, Mapping):
-            missing = [a.name for a in po_attributes if a.name not in partial_orders]
-            if missing:
-                raise QueryError(f"query does not specify a partial order for: {missing}")
-            dags = [partial_orders[a.name] for a in po_attributes]
-        else:
-            dags = list(partial_orders)
-            if len(dags) != len(po_attributes):
-                raise QueryError(
-                    f"query specifies {len(dags)} partial orders, schema has {len(po_attributes)}"
-                )
+    def _encode_query(self, partial_orders: QuerySpec) -> tuple[DomainEncoding, ...]:
+        po_attributes = self.grouped.schema.partial_order_attributes
+        dags = resolve_partial_orders(partial_orders, [a.name for a in po_attributes])
         encodings = []
         for po_index, (attribute, dag) in enumerate(zip(po_attributes, dags)):
             data_values = {po_values[po_index] for po_values in self.grouped.groups}
@@ -252,8 +192,8 @@ class DTSSIndex:
 
 
 def dtss_skyline(
-    dataset: Dataset | EncodedFrame | DeltaFrame,
-    partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG],
+    dataset: Dataset,
+    partial_orders: QuerySpec,
     *,
     index: DTSSIndex | None = None,
     max_entries: int = 32,
@@ -262,6 +202,7 @@ def dtss_skyline(
     use_local_skylines: bool = False,
 ) -> SkylineResult:
     """One-shot dTSS: build (or reuse) the group index and answer one query."""
+    require_dataset(dataset)
     if index is None:
         index = DTSSIndex(
             dataset,

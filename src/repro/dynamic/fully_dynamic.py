@@ -19,15 +19,14 @@ mirroring the caching discussion in the paper.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Hashable, Mapping, Sequence
 
 from repro.core.stss import stss_skyline
-from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
-from repro.delta.frame import DeltaFrame, as_record_dataset
-from repro.dynamic.cache import canonical_query_key
+from repro.dynamic.cache import QuerySpec, canonical_query_key, resolve_partial_orders
+from repro.dynamic.groups import require_dataset
+from repro.engine.lru import LRUDict
 from repro.exceptions import QueryError
 from repro.order.dag import PartialOrderDAG
 from repro.skyline.base import SkylineResult
@@ -36,21 +35,10 @@ Value = Hashable
 
 
 def _resolve_partial_orders(
-    schema: Schema,
-    partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG],
+    schema: Schema, partial_orders: QuerySpec
 ) -> dict[str, PartialOrderDAG]:
-    po_attributes = schema.partial_order_attributes
-    if isinstance(partial_orders, Mapping):
-        missing = [a.name for a in po_attributes if a.name not in partial_orders]
-        if missing:
-            raise QueryError(f"query does not specify a partial order for: {missing}")
-        return {a.name: partial_orders[a.name] for a in po_attributes}
-    dags = list(partial_orders)
-    if len(dags) != len(po_attributes):
-        raise QueryError(
-            f"query specifies {len(dags)} partial orders, schema has {len(po_attributes)}"
-        )
-    return {a.name: dag for a, dag in zip(po_attributes, dags)}
+    names = [a.name for a in schema.partial_order_attributes]
+    return dict(zip(names, resolve_partial_orders(partial_orders, names)))
 
 
 def _resolve_ideal_values(
@@ -108,52 +96,33 @@ def distance_transformed_dataset(
 
 
 def fully_dynamic_skyline(
-    dataset: Dataset | EncodedFrame | DeltaFrame,
-    partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG],
+    dataset: Dataset,
+    partial_orders: QuerySpec,
     ideal_values: Mapping[str, float] | Sequence[float],
     **stss_options,
 ) -> SkylineResult:
-    """Answer one fully dynamic skyline query (preferences + ideal TO values).
-
-    Columnar sources (frames, live deltas) are materialized to records for
-    the distance transform; over a delta the answer carries *stable* ids.
-    """
-    records, stable_ids = as_record_dataset(dataset)
-    schema = records.schema
+    """Answer one fully dynamic skyline query (preferences + ideal TO values)."""
+    dataset = require_dataset(dataset)
+    schema = dataset.schema
     resolved_orders = _resolve_partial_orders(schema, partial_orders)
     resolved_ideals = _resolve_ideal_values(schema, ideal_values)
-    derived = distance_transformed_dataset(records, resolved_orders, resolved_ideals)
-    result = stss_skyline(derived, **stss_options)
-    if stable_ids is None:
-        return result
-    return SkylineResult(
-        skyline_ids=[stable_ids[i] for i in result.skyline_ids],
-        stats=result.stats,
-        progress=result.progress,
-    )
+    derived = distance_transformed_dataset(dataset, resolved_orders, resolved_ideals)
+    return stss_skyline(derived, **stss_options)
 
 
 class FullyDynamicEngine:
-    """Answer fully dynamic queries over one dataset, caching repeated queries.
-
-    Over a live :class:`DeltaFrame` the cache is invalidated whenever the
-    delta's version moves — a mutation makes every past answer stale.
-    """
+    """Answer fully dynamic queries over one dataset, caching repeated queries."""
 
     def __init__(
         self,
-        dataset: Dataset | EncodedFrame | DeltaFrame,
+        dataset: Dataset,
         *,
         cache_capacity: int = 32,
         **stss_options,
     ) -> None:
-        if cache_capacity < 1:
-            raise QueryError("cache capacity must be positive")
-        self.dataset = dataset
+        self.dataset = require_dataset(dataset)
         self.stss_options = stss_options
-        self._capacity = cache_capacity
-        self._cache: OrderedDict[tuple, SkylineResult] = OrderedDict()
-        self._source_version = getattr(dataset, "version", None)
+        self._cache: LRUDict[tuple, SkylineResult] = LRUDict(cache_capacity)
         self.hits = 0
         self.misses = 0
 
@@ -169,20 +138,15 @@ class FullyDynamicEngine:
 
     def query(
         self,
-        partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG],
+        partial_orders: QuerySpec,
         ideal_values: Mapping[str, float] | Sequence[float],
     ) -> SkylineResult:
         schema = self.dataset.schema
-        version = getattr(self.dataset, "version", None)
-        if version != self._source_version:
-            self._cache.clear()
-            self._source_version = version
         resolved_orders = _resolve_partial_orders(schema, partial_orders)
         resolved_ideals = _resolve_ideal_values(schema, ideal_values)
         key = self._key(resolved_orders, resolved_ideals)
         cached = self._cache.get(key)
         if cached is not None:
-            self._cache.move_to_end(key)
             self.hits += 1
             return cached
         self.misses += 1
@@ -190,8 +154,6 @@ class FullyDynamicEngine:
             self.dataset, resolved_orders, resolved_ideals, **self.stss_options
         )
         self._cache[key] = result
-        while len(self._cache) > self._capacity:
-            self._cache.popitem(last=False)
         return result
 
     @property

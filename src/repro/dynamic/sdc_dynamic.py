@@ -19,16 +19,14 @@ dTSS has the same origin as in the paper (IO-bound index rebuilding).
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Hashable
 
 from repro.baselines.sdc_plus import sdc_plus_skyline
 from repro.baselines.transform import BaselineMapping
-from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
-from repro.delta.frame import DeltaFrame, as_record_dataset
-from repro.exceptions import QueryError
+from repro.dynamic.cache import QuerySpec, resolve_partial_orders
+from repro.dynamic.groups import require_dataset
 from repro.index.pager import DiskSimulator
-from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import encode_domain
 from repro.skyline.base import SkylineResult
 
@@ -43,33 +41,18 @@ REPARTITION_WRITE_PASSES = 1
 
 
 def sdc_plus_dynamic_skyline(
-    dataset: Dataset | EncodedFrame | DeltaFrame,
-    partial_orders: Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG],
+    dataset: Dataset,
+    partial_orders: QuerySpec,
     *,
     max_entries: int = 32,
     disk: DiskSimulator | None = None,
     records_per_page: int = DEFAULT_RECORDS_PER_PAGE,
 ) -> SkylineResult:
-    """Answer one dynamic skyline query by rebuilding SDC+ from scratch.
-
-    Columnar sources are materialized to records first — that full pass over
-    the live data is exactly the re-partitioning work this baseline is
-    charged for anyway; over a delta the answer carries stable ids.
-    """
-    dataset, stable_ids = as_record_dataset(dataset)
+    """Answer one dynamic skyline query by rebuilding SDC+ from scratch."""
+    dataset = require_dataset(dataset)
     schema = dataset.schema
     po_attributes = schema.partial_order_attributes
-    if isinstance(partial_orders, Mapping):
-        missing = [a.name for a in po_attributes if a.name not in partial_orders]
-        if missing:
-            raise QueryError(f"query does not specify a partial order for: {missing}")
-        dags = [partial_orders[a.name] for a in po_attributes]
-    else:
-        dags = list(partial_orders)
-        if len(dags) != len(po_attributes):
-            raise QueryError(
-                f"query specifies {len(dags)} partial orders, schema has {len(po_attributes)}"
-            )
+    dags = resolve_partial_orders(partial_orders, [a.name for a in po_attributes])
 
     # Re-specify the schema with the query DAGs so actual-dominance checks use
     # the query's preferences, then recompute the interval mapping.
@@ -111,10 +94,4 @@ def sdc_plus_dynamic_skyline(
     if disk is not None:
         disk.stats.reads += repartition_reads
         disk.stats.writes += repartition_writes
-    if stable_ids is not None:
-        result = SkylineResult(
-            skyline_ids=[stable_ids[i] for i in result.skyline_ids],
-            stats=result.stats,
-            progress=result.progress,
-        )
     return result

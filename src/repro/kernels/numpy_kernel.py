@@ -35,8 +35,13 @@ _INITIAL_CAPACITY = 16
 _BLOCK_MASK_ELEMENTS = 32_000_000
 
 
-class _GrowableMatrix:
-    """A row-appendable 2-D array with amortized-doubling storage."""
+class GrowableMatrix:
+    """A row-appendable 2-D array with amortized-doubling storage.
+
+    Appends never move rows already in the buffer (a regrowth copies them to
+    a new one), so an owner that only appends may hand out ``view`` slices
+    as fixed snapshots; :meth:`compress` rewrites rows in place.
+    """
 
     __slots__ = ("_buffer", "_size")
 
@@ -169,7 +174,7 @@ def _as_code_block(rows, num_po: int, length: int) -> np.ndarray:
 class NumpyVectorStore(VectorStore):
     def __init__(self, dimensions: int) -> None:
         self.dimensions = dimensions
-        self._rows = _GrowableMatrix(dimensions, dtype=np.float64)
+        self._rows = GrowableMatrix(dimensions, dtype=np.float64)
 
     def append(self, vector: Sequence[float]) -> None:
         self._rows.append(vector)
@@ -249,8 +254,8 @@ class NumpyRecordStore(RecordStore):
     def __init__(self, tables: RecordTables) -> None:
         self.tables = tables
         self._pref = _pref_matrices(tables)
-        self._to = _GrowableMatrix(tables.num_total_order, dtype=np.float64)
-        self._codes = _GrowableMatrix(max(1, tables.num_partial_order), dtype=np.int64)
+        self._to = GrowableMatrix(tables.num_total_order, dtype=np.float64)
+        self._codes = GrowableMatrix(max(1, tables.num_partial_order), dtype=np.int64)
         self._num_po = tables.num_partial_order
 
     def append(self, to_values: Sequence[float], po_codes: Sequence[int]) -> None:
@@ -369,8 +374,8 @@ class NumpyTDominanceStore(TDominanceStore):
         self.tables = tables
         self._bits = attribute_word_arrays(tables)
         self._mbi_low, self._mbi_high = _mbi_arrays(tables)
-        self._to = _GrowableMatrix(tables.num_total_order, dtype=np.float64)
-        self._codes = _GrowableMatrix(max(1, tables.num_partial_order), dtype=np.int64)
+        self._to = GrowableMatrix(tables.num_total_order, dtype=np.float64)
+        self._codes = GrowableMatrix(max(1, tables.num_partial_order), dtype=np.int64)
         self._num_po = tables.num_partial_order
 
     def append(self, to_values: Sequence[float], po_codes: Sequence[int]) -> None:

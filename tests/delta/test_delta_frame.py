@@ -7,7 +7,7 @@ import pytest
 from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
-from repro.delta.frame import DeltaFrame, as_record_dataset, dataset_from_frame
+from repro.delta.frame import DeltaFrame, dataset_from_frame
 from repro.exceptions import QueryError
 from repro.order.builders import chain
 from tests.conftest import assert_backing
@@ -76,8 +76,8 @@ class TestDeletes:
         delta = DeltaFrame(base)
         ids = delta.insert_rows([(5.0, 4, "b"), (6.0, 5, "c")])
         delta.delete_ids([2, ids[1]])
-        assert delta.dead_ids() == [2, ids[1]]
-        assert not delta.is_live(2) and delta.is_live(ids[0])
+        assert [delta.stable_id_of_row(row) for row in delta.dead_rows()] == [2, ids[1]]
+        assert delta.live_rows() == [0, 1, 3, 4]
 
 
 class TestLiveViews:
@@ -89,9 +89,7 @@ class TestLiveViews:
         assert ids == [1, 2, 3, 4]
         assert len(frame) == 4
         assert frame.uses_numpy == base.uses_numpy
-        dataset, dataset_ids = delta.live_dataset_and_ids()
-        assert dataset_ids == ids
-        assert dataset.records[-1].values == (5.0, 4, "b")
+        assert dataset_from_frame(frame).records[-1].values == (5.0, 4, "b")
 
     def test_base_rows_and_inserts_share_one_row_space(self, base):
         delta = DeltaFrame(base, base_ids=[10, 20, 30, 40])
@@ -103,50 +101,53 @@ class TestLiveViews:
         assert [delta.stable_id_of_row(row) for row in range(len(frame))] == [
             10, 20, 30, 40, *ids
         ]
-        assert dataset_from_frame(frame, [1, 5]).records[1].values == (6.0, 5, "c")
+        assert dataset_from_frame(frame).records[5].values == (6.0, 5, "c")
         # Deletes report rows of that frame: a base row, then insert position 0.
         assert delta.delete_ids([20, ids[0]]) == ([20, ids[0]], [1, 4])
         assert delta.dead_rows() == [1, 4] and delta.live_rows() == [0, 2, 3, 5]
         (late,) = delta.insert_rows([(7.0, 6, "a")])
         grown = delta.frame()
         assert len(grown) == 7 and delta.stable_id_of_row(6) == late
-        assert dataset_from_frame(grown, [5, 6]).records[0].values == (6.0, 5, "c")
-
-    def test_insert_entries_cursor(self, base):
-        delta = DeltaFrame(base)
-        delta.insert_rows([(5.0, 4, "b")])
-        delta.insert_rows([(6.0, 5, "c")])
-        entries = delta.insert_entries(1)
-        assert len(entries) == 1
-        record_id, to_values, po_values = entries[0]
-        assert record_id == 5 and po_values == ("c",)
-        # Canonical TO: "stops" is a max-attribute, so it is negated.
-        assert to_values == (6.0, -5.0)
+        assert dataset_from_frame(grown).records[5].values == (6.0, 5, "c")
 
     def test_decode_roundtrips_max_attributes(self, base, schema):
         dataset = dataset_from_frame(base)
         assert dataset.records[1].values == (20.0, 2, "b")
 
-    def test_as_record_dataset_normalizes_all_sources(self, base, schema):
-        plain = Dataset(schema, [(1.0, 1, "a")])
-        assert as_record_dataset(plain) == (plain, None)
-        from_frame, ids = as_record_dataset(base)
-        assert ids is None and len(from_frame) == len(base)
-        delta = DeltaFrame(base)
-        delta.delete_ids([0])
-        records, stable = as_record_dataset(delta)
-        assert stable == [1, 2, 3] and len(records) == 3
-        with pytest.raises(QueryError, match="expected a Dataset"):
-            as_record_dataset(object())
+
+class TestFrameBlocks:
+    def test_insert_frames_are_read_only_views_of_one_block(self, schema):
+        np = pytest.importorskip("numpy")
+        rows = [(10.0, 1, "a"), (20.0, 2, "b"), (30.0, 0, "c"), (15.0, 3, "a")]
+        delta = DeltaFrame(EncodedFrame.from_dataset(Dataset(schema, rows)))
+        delta.insert_rows([(5.0, 4, "b")])
+        first = delta.frame()
+        first_to, first_codes = first.to.copy(), first.codes.copy()
+        delta.insert_rows([(6.0, 5, "c"), (7.0, 6, "a")])
+        second = delta.frame()
+        # An insert batch appends to the block instead of copying every row.
+        assert np.shares_memory(first.to, second.to)
+        assert np.shares_memory(first.codes, second.codes)
+        assert np.array_equal(second.to[:5], first_to)
+        # Enough inserts to outgrow the block: earlier frames stay intact.
+        delta.insert_rows([(float(i), i, "b") for i in range(40)])
+        assert len(delta.frame()) == 47
+        assert len(first) == len(first.to) == len(first.codes) == 5
+        assert np.array_equal(first.to, first_to) and np.array_equal(first.codes, first_codes)
+        assert len(second) == len(second.to) == len(second.codes) == 7
+        for frame in (first, second, delta.frame()):
+            assert not frame.to.flags.writeable and not frame.codes.flags.writeable
+            with pytest.raises(ValueError):
+                frame.to[0, 0] = -1.0
 
 
 class TestCompactionFolding:
-    def test_mutation_counters_and_version(self, base):
+    def test_mutation_counters(self, base):
         delta = DeltaFrame(base)
-        assert delta.mutations == 0 and delta.version == 0
+        assert delta.mutations == 0
         delta.insert_rows([(5.0, 4, "b")])
         delta.delete_ids([0])
-        assert delta.mutations == 2 and delta.version == 2
+        assert delta.mutations == 2
         assert delta.num_live == len(base)  # one in, one out
 
     def test_folded_frame_preserves_ids_through_second_delta(self, base):

@@ -2,7 +2,15 @@
 
 import pytest
 
+from repro.data.columns import EncodedFrame
 from repro.data.workloads import WorkloadSpec
+from repro.delta.frame import DeltaFrame
+from repro.dynamic import (
+    FullyDynamicEngine,
+    GroupedDataset,
+    fully_dynamic_skyline,
+    sdc_plus_dynamic_skyline,
+)
 from repro.dynamic.dtss import DTSSIndex, dtss_skyline
 from repro.exceptions import QueryError
 from repro.index.pager import DiskSimulator
@@ -136,6 +144,26 @@ class TestValidation:
         index = DTSSIndex(dataset)
         with pytest.raises(QueryError):
             index.query({"po1": PartialOrderDAG([999999], [])})
+
+    @pytest.mark.parametrize("source", ["frame", "delta"])
+    def test_columnar_sources_are_rejected(self, workload, source):
+        schema, dataset = workload
+        frame = EncodedFrame.from_dataset(dataset)
+        data = frame if source == "frame" else DeltaFrame(frame)
+        query = {"po1": query_order_for(schema, 1)}
+        ideals = [0.0] * schema.num_total_order
+        entry_points = [
+            lambda: GroupedDataset(data),
+            lambda: DTSSIndex(data),
+            lambda: dtss_skyline(data, query),
+            lambda: dtss_skyline(data, query, index=DTSSIndex(dataset)),
+            lambda: sdc_plus_dynamic_skyline(data, query),
+            lambda: fully_dynamic_skyline(data, query, ideals),
+            lambda: FullyDynamicEngine(data),
+        ]
+        for call in entry_points:
+            with pytest.raises(QueryError, match="read a record Dataset"):
+                call()
 
 
 class TestProgressiveness:

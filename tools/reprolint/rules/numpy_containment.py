@@ -35,11 +35,9 @@ ALLOWED_PREFIXES = (
     "repro.store",
     "repro.index",
     # Frame-plane extensions: the TSS mapping and virtual R-tree build their
-    # coordinate matrices columnar-side, and the dynamic group splitter is
-    # the delta plane's columnar builder.
+    # coordinate matrices columnar-side.
     "repro.core.mapping",
     "repro.core.virtual_rtree",
-    "repro.dynamic.groups",
 )
 
 _IMPORT_ERRORS = frozenset({"ImportError", "ModuleNotFoundError", "Exception"})
