@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dynamic.cache import DynamicQueryCache, canonical_query_key
+from repro.dynamic.cache import DynamicQueryCache, canonical_query_key, resolve_partial_orders
 from repro.exceptions import QueryError
 from repro.order.dag import PartialOrderDAG
 from repro.skyline.base import SkylineResult, SkylineStats
@@ -41,6 +41,31 @@ class TestCanonicalKey:
             canonical_query_key([hasse, hasse], ["p"])
 
 
+class TestResolvePartialOrders:
+    def test_mapping_is_read_in_schema_order(self):
+        first, second = PartialOrderDAG("ab", [("a", "b")]), PartialOrderDAG("xy", [])
+        resolved = resolve_partial_orders({"q": second, "p": first}, ["p", "q"])
+        assert resolved[0] is first and resolved[1] is second
+
+    def test_names_outside_the_schema_are_ignored(self, hasse_and_closure):
+        hasse, closure = hasse_and_closure
+        assert resolve_partial_orders({"p": hasse, "extra": closure}, ["p"]) == [hasse]
+
+    def test_sequence_is_taken_as_schema_order(self, hasse_and_closure):
+        hasse, closure = hasse_and_closure
+        assert resolve_partial_orders((closure, hasse), ["p", "q"]) == [closure, hasse]
+
+    def test_missing_name_is_reported(self, hasse_and_closure):
+        hasse, _ = hasse_and_closure
+        with pytest.raises(QueryError, match=r"does not specify a partial order for: \['q'\]"):
+            resolve_partial_orders({"p": hasse}, ["p", "q"])
+
+    def test_sequence_length_is_checked(self, hasse_and_closure):
+        hasse, _ = hasse_and_closure
+        with pytest.raises(QueryError, match="specifies 1 partial orders, schema has 2"):
+            resolve_partial_orders([hasse], ["p", "q"])
+
+
 class TestCache:
     def test_put_get_round_trip(self, hasse_and_closure):
         hasse, closure = hasse_and_closure
@@ -66,6 +91,19 @@ class TestCache:
         cache.put({"p": third}, ["p"], make_result([2]))
         assert len(cache) == 2
         assert cache.get({"p": dags[0]}, ["p"]) is None
+
+    def test_a_hit_refreshes_recency(self):
+        cache = DynamicQueryCache(capacity=2)
+        first, second, third = (
+            PartialOrderDAG("ab", edges) for edges in ([], [("a", "b")], [("b", "a")])
+        )
+        cache.put({"p": first}, ["p"], make_result([0]))
+        cache.put({"p": second}, ["p"], make_result([1]))
+        assert cache.get({"p": first}, ["p"]) is not None
+        cache.put({"p": third}, ["p"], make_result([2]))
+        assert cache.get({"p": second}, ["p"]) is None
+        assert cache.get({"p": first}, ["p"]).skyline_ids == [0]
+        assert cache.capacity == 2 and len(cache) == 2
 
     def test_invalid_capacity(self):
         with pytest.raises(QueryError):

@@ -146,24 +146,35 @@ class TestValidation:
             index.query({"po1": PartialOrderDAG([999999], [])})
 
     @pytest.mark.parametrize("source", ["frame", "delta"])
-    def test_columnar_sources_are_rejected(self, workload, source):
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            "GroupedDataset",
+            "DTSSIndex",
+            "dtss_skyline",
+            "dtss_skyline_with_index",
+            "sdc_plus_dynamic_skyline",
+            "fully_dynamic_skyline",
+            "FullyDynamicEngine",
+        ],
+    )
+    def test_columnar_sources_are_rejected(self, workload, source, entry_point):
         schema, dataset = workload
         frame = EncodedFrame.from_dataset(dataset)
         data = frame if source == "frame" else DeltaFrame(frame)
         query = {"po1": query_order_for(schema, 1)}
         ideals = [0.0] * schema.num_total_order
-        entry_points = [
-            lambda: GroupedDataset(data),
-            lambda: DTSSIndex(data),
-            lambda: dtss_skyline(data, query),
-            lambda: dtss_skyline(data, query, index=DTSSIndex(dataset)),
-            lambda: sdc_plus_dynamic_skyline(data, query),
-            lambda: fully_dynamic_skyline(data, query, ideals),
-            lambda: FullyDynamicEngine(data),
-        ]
-        for call in entry_points:
-            with pytest.raises(QueryError, match="read a record Dataset"):
-                call()
+        calls = {
+            "GroupedDataset": lambda: GroupedDataset(data),
+            "DTSSIndex": lambda: DTSSIndex(data),
+            "dtss_skyline": lambda: dtss_skyline(data, query),
+            "dtss_skyline_with_index": lambda: dtss_skyline(data, query, index=DTSSIndex(dataset)),
+            "sdc_plus_dynamic_skyline": lambda: sdc_plus_dynamic_skyline(data, query),
+            "fully_dynamic_skyline": lambda: fully_dynamic_skyline(data, query, ideals),
+            "FullyDynamicEngine": lambda: FullyDynamicEngine(data),
+        }
+        with pytest.raises(QueryError, match="read a record Dataset"):
+            calls[entry_point]()
 
 
 class TestProgressiveness:

@@ -135,6 +135,19 @@ class TestFullyDynamicEngine:
         engine.query(orders, {"price": 0.0, "stops": 0.0})
         assert engine.misses == 3
 
+    def test_a_hit_refreshes_recency(self, tickets):
+        engine = FullyDynamicEngine(tickets, cache_capacity=2)
+        orders = {"airline": airline_preference_dag()}
+        first, second, third = ({"price": p, "stops": 0.0} for p in (0.0, 100.0, 200.0))
+        kept = engine.query(orders, first)
+        engine.query(orders, second)
+        assert engine.query(orders, first) is kept  # hit: first is now most recent
+        engine.query(orders, third)  # evicts second, not first
+        assert engine.query(orders, first) is kept
+        engine.query(orders, second)
+        assert (engine.hits, engine.misses) == (2, 4)
+        assert engine.hit_rate == pytest.approx(2 / 6)
+
     def test_invalid_capacity(self, tickets):
         with pytest.raises(QueryError):
             FullyDynamicEngine(tickets, cache_capacity=0)
