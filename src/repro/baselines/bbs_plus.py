@@ -20,7 +20,7 @@ from repro.index.rtree import RTree
 from repro.kernels import RecordTables, resolve_kernel
 from repro.order.encoding import DomainEncoding
 from repro.skyline.base import RunClock, SkylineResult, SkylineStats
-from repro.skyline.bbs import run_bbs, vector_window
+from repro.skyline.bbs import run_bbs
 
 
 def bbs_plus_skyline(
@@ -32,13 +32,12 @@ def bbs_plus_skyline(
     max_entries: int = 32,
     disk: DiskSimulator | None = None,
     kernel=None,
-    index=None,
 ) -> SkylineResult:
     """Compute the skyline with BBS+ (m-dominance BBS + final cross-examination)."""
     if mapping is None:
         mapping = BaselineMapping(dataset, encodings)
     if tree is None:
-        tree = mapping.build_rtree(max_entries=max_entries, disk=disk, index=index)
+        tree = mapping.build_rtree(max_entries=max_entries, disk=disk)
 
     stats = SkylineStats()
     clock = RunClock(stats, disk)
@@ -48,7 +47,6 @@ def bbs_plus_skyline(
     # candidate list is mirrored into a kernel vector store.
     candidates: list[BaselinePoint] = []
     candidate_store = kernel.vector_store(mapping.dimensions)
-    window = vector_window(tree, candidate_store, exclude_equal=False)
 
     def dominated_point(point, payload) -> bool:
         candidate = mapping.point(int(payload))
@@ -69,7 +67,6 @@ def bbs_plus_skyline(
         on_result=on_result,
         stats=stats,
         clock=None,  # BBS+ is not progressive: no per-result events until the end.
-        window=window,
     )
 
     # Cross-examination: eliminate candidates actually dominated by another

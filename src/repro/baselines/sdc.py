@@ -25,7 +25,7 @@ from repro.index.rtree import RTree
 from repro.kernels import RecordTables, resolve_kernel
 from repro.order.encoding import DomainEncoding
 from repro.skyline.base import RunClock, SkylineResult, SkylineStats
-from repro.skyline.bbs import run_bbs, vector_window
+from repro.skyline.bbs import run_bbs
 
 
 def sdc_skyline(
@@ -37,13 +37,12 @@ def sdc_skyline(
     max_entries: int = 32,
     disk: DiskSimulator | None = None,
     kernel=None,
-    index=None,
 ) -> SkylineResult:
     """Compute the skyline with SDC (two strata: completely / partially covered)."""
     if mapping is None:
         mapping = BaselineMapping(dataset, encodings)
     if tree is None:
-        tree = mapping.build_rtree(max_entries=max_entries, disk=disk, index=index)
+        tree = mapping.build_rtree(max_entries=max_entries, disk=disk)
 
     stats = SkylineStats()
     clock = RunClock(stats, disk)
@@ -51,7 +50,6 @@ def sdc_skyline(
 
     candidates: list[BaselinePoint] = []
     candidate_store = kernel.vector_store(mapping.dimensions)
-    window = vector_window(tree, candidate_store, exclude_equal=False)
     confirmed: list[BaselinePoint] = []  # completely covered, reported early
     unresolved: list[BaselinePoint] = []  # partially covered, resolved at the end
 
@@ -79,7 +77,6 @@ def sdc_skyline(
         on_result=on_result,
         stats=stats,
         clock=None,
-        window=window,
     )
 
     # Resolve the partially covered stratum with actual dominance checks, in

@@ -42,7 +42,6 @@ def sdc_plus_skyline(
     max_entries: int = 32,
     disk: DiskSimulator | None = None,
     kernel=None,
-    index=None,
 ) -> SkylineResult:
     """Compute the skyline with SDC+ (strata by uncovered level).
 
@@ -50,9 +49,7 @@ def sdc_plus_skyline(
     uncovered level); otherwise they are bulk-loaded here, charged to
     ``disk`` if one is given.  The per-item dominance tests run against
     *two* windows (local and global lists), one of which is evicted
-    mid-traversal, so the flat tree is traversed with the plain pop-time
-    predicates (no cached block verdicts — those require append-only
-    windows).
+    mid-traversal.
     """
     if mapping is None:
         mapping = BaselineMapping(dataset, encodings)
@@ -60,7 +57,7 @@ def sdc_plus_skyline(
     if stratum_trees is None:
         stratum_trees = {
             level: mapping.build_rtree(
-                [p.index for p in points], max_entries=max_entries, disk=disk, index=index
+                [p.index for p in points], max_entries=max_entries, disk=disk
             )
             for level, points in strata.items()
         }

@@ -24,7 +24,6 @@ from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.exceptions import SchemaError
 from repro.index.pager import DiskSimulator
-from repro.index.registry import resolve_index
 from repro.index.rtree import RTree
 from repro.order.encoding import DomainEncoding, encode_domain
 from repro.skyline.dominance import dominates_vectors, weakly_dominates_vectors
@@ -170,27 +169,12 @@ class BaselineMapping:
         *,
         max_entries: int = 32,
         disk: DiskSimulator | None = None,
-        index=None,
     ) -> RTree:
-        """Bulk-load an R-tree over (a subset of) the transformed points.
-
-        ``index`` selects the spatial backend (``"flat"``/``"pointer"`` or
-        ``None`` for the process default); the baselines only bulk-load and
-        traverse, so the read-only flat tree serves them as well.
-        """
+        """Bulk-load an R-tree over (a subset of) the transformed points."""
         if point_indices is None:
             selected = self.points
         else:
             selected = [self.points[i] for i in point_indices]
-        if resolve_index(index) == "flat":
-            from repro.index.flat import FlatRTree
-
-            return FlatRTree.bulk_load_pairs(
-                self.dimensions,
-                ((p.coords, p.index) for p in selected),
-                max_entries=max_entries,
-                disk=disk,
-            )
         return RTree.bulk_load(
             self.dimensions,
             ((p.coords, p.index) for p in selected),

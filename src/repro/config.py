@@ -17,10 +17,10 @@ but no engine reads it: every query runs in-process on the group path.
 
 The data path itself has no knobs; it follows whether NumPy imports.  With
 NumPy the engine runs on a NumPy-backed
-:class:`~repro.data.columns.EncodedFrame` over memory-mapped store sections
-and the paper algorithms build ``flat`` R-trees; without it, tuple-backed
-frames, struct-unpacked sections and ``pointer`` R-trees.  Store checksums
-are always verified at open.
+:class:`~repro.data.columns.EncodedFrame` over memory-mapped store sections;
+without it, on tuple-backed frames and struct-unpacked sections.  The paper
+algorithms build the same pointer R-trees either way.  Store checksums are
+always verified at open.
 """
 
 from __future__ import annotations

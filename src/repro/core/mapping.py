@@ -36,7 +36,6 @@ from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.exceptions import SchemaError
 from repro.index.pager import DiskSimulator
-from repro.index.registry import resolve_index
 from repro.index.rtree import RTree
 from repro.order.encoding import DomainEncoding, encode_domain
 
@@ -111,11 +110,6 @@ class TSSMapping:
         if frame is None and dataset is not None and numpy_available():
             frame = EncodedFrame.from_dataset(dataset)
         self.frame = frame
-        # Mapped-coordinate matrix of the distinct points (row g = coords of
-        # point g), retained by the columnar build so the flat R-tree can
-        # bulk-load without re-materializing coordinates; ``None`` until
-        # needed elsewhere (see :meth:`mapped_matrix`).
-        self._mapped_matrix = None
         if frame is not None:
             self.points: list[MappedPoint] = self._build_points_from_frame(frame, rows)
         else:
@@ -197,7 +191,6 @@ class TSSMapping:
         coords[:, num_to:] = topo_codes
         coords[:, num_to:] += 1.0
         unique_coords, groups = group_rows(coords)
-        self._mapped_matrix = unique_coords
         points = []
         for index, (unique_row, row_ids) in enumerate(zip(unique_coords, groups)):
             row = unique_row.tolist()
@@ -257,40 +250,13 @@ class TSSMapping:
     # ------------------------------------------------------------------ #
     # Index construction
     # ------------------------------------------------------------------ #
-    def mapped_matrix(self):
-        """The mapped coordinates as one ``(points, dimensions)`` matrix.
-
-        Served from the columnar build's retained array when the mapping was
-        constructed from a NumPy-backed frame (row g is already point g's
-        coordinates — zero conversion), materialized once otherwise.
-        """
-        import numpy as np
-
-        if self._mapped_matrix is None:
-            self._mapped_matrix = np.array(
-                [point.coords for point in self.points], dtype=np.float64
-            ).reshape(len(self.points), self.dimensions)
-        return self._mapped_matrix
-
     def build_rtree(
         self,
         *,
         max_entries: int = 32,
         disk: DiskSimulator | None = None,
-        index=None,
     ) -> RTree:
-        """Bulk-load the data R-tree over the mapped points (payload = point index).
-
-        ``index`` selects the spatial backend (``"flat"``/``"pointer"`` or
-        ``None`` for the process default); the flat tree loads straight off
-        the mapped-coordinate matrix with zero per-point Python objects.
-        """
-        if resolve_index(index) == "flat":
-            from repro.index.flat import FlatRTree
-
-            return FlatRTree.bulk_load(
-                self.dimensions, self.mapped_matrix(), max_entries=max_entries, disk=disk
-            )
+        """Bulk-load the data R-tree over the mapped points (payload = point index)."""
         return RTree.bulk_load(
             self.dimensions,
             ((point.coords, point.index) for point in self.points),

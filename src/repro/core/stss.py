@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.core.mapping import TSSMapping
-from repro.core.tdominance import TDominanceChecker, TDominanceWindow
+from repro.core.tdominance import TDominanceChecker
 from repro.core.virtual_rtree import VirtualPointIndex
 from repro.data.dataset import Dataset
 from repro.index.pager import DiskSimulator
@@ -47,7 +47,6 @@ def stss_skyline(
     max_entries: int = 32,
     disk: DiskSimulator | None = None,
     kernel=None,
-    index=None,
 ) -> SkylineResult:
     """Compute the static skyline of a mixed TO/PO dataset with sTSS.
 
@@ -85,10 +84,6 @@ def stss_skyline(
         Dominance kernel backend for the skyline-list t-dominance checks
         (instance, name or ``None`` for the process default); see
         :mod:`repro.kernels`.
-    index:
-        Spatial index backend for the data R-tree and the virtual-point
-        index (``"flat"``/``"pointer"`` or ``None`` for the process
-        default); see :mod:`repro.index.registry`.
 
     Returns
     -------
@@ -99,7 +94,7 @@ def stss_skyline(
     if mapping is None:
         mapping = TSSMapping(dataset, encodings, schema=schema, frame=frame)
     if tree is None:
-        tree = mapping.build_rtree(max_entries=max_entries, disk=disk, index=index)
+        tree = mapping.build_rtree(max_entries=max_entries, disk=disk)
 
     stats = SkylineStats()
     clock = RunClock(stats, disk)
@@ -108,9 +103,7 @@ def stss_skyline(
 
     virtual_index: VirtualPointIndex | None = None
     if use_virtual_rtree:
-        virtual_index = VirtualPointIndex(
-            mapping.num_total_order, mapping.encodings, index=index
-        )
+        virtual_index = VirtualPointIndex(mapping.num_total_order, mapping.encodings)
 
     offset = mapping.to_offset
 
@@ -143,14 +136,6 @@ def stss_skyline(
         if virtual_index is not None:
             virtual_index.insert_mapped_point(mapped)
 
-    # Flat trees batch the t-dominance tests over a popped node's children
-    # (one kernel call per expansion, suffix re-check at each child's pop);
-    # the virtual-R-tree optimization answers per-item queries of its own
-    # and keeps the per-item predicates instead.
-    window = None
-    if virtual_index is None and not isinstance(tree, RTree):
-        window = TDominanceWindow(checker, skyline_store)
-
     ordered_points = run_bbs(
         tree,
         dominated_point=dominated_point,
@@ -158,7 +143,6 @@ def stss_skyline(
         on_result=on_result,
         stats=stats,
         clock=clock,
-        window=window,
     )
     clock.finish()
 

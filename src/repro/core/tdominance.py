@@ -204,17 +204,27 @@ class TDominanceChecker:
         q: MappedPoint,
         *,
         counter=None,
-        start: int = 0,
     ) -> bool:
         """Batched form of :meth:`point_dominated_by_any` over a store."""
         return store.kernel_store.any_weakly_dominates(
-            q.to_values, store.codes_of(q), counter, start=start
+            q.to_values, store.codes_of(q), counter
         )
 
-    def _range_masks_and_mbis(
-        self, low: Sequence[float], high: Sequence[float]
-    ) -> tuple[list[int], list[tuple[float, float]]]:
-        """Merged range masks + their MBIs for one MBB's PO ranges."""
+    def store_dominates_mbb(
+        self,
+        store: "TDominanceSkylineStore",
+        low: Sequence[float],
+        high: Sequence[float],
+        *,
+        counter=None,
+    ) -> bool:
+        """Batched form of :meth:`mbb_dominated_by_any` over a store.
+
+        Necessary conditions (TO corner, ordinal bound, minimum-bounding-
+        interval containment) are evaluated vectorized over the whole store;
+        only the survivors go through the exact mask containment test, where
+        an empty range mask is covered trivially.
+        """
         offset = self.mapping.to_offset
         range_masks = [
             self.range_interval_set(
@@ -226,18 +236,9 @@ class TDominanceChecker:
             mask_bounds(mask) if mask else (float("inf"), float("-inf"))
             for mask in range_masks
         ]
-        return range_masks, range_mbis
-
-    def _any_candidate_covers(
-        self,
-        store: "TDominanceSkylineStore",
-        alive: list[int],
-        range_masks: list[int],
-    ) -> bool:
-        """Exact phase: does any surviving member cover every range mask?
-
-        An empty range mask is covered trivially.
-        """
+        alive = store.kernel_store.mbb_candidates(
+            low[:offset], low[offset:], range_mbis, counter
+        )
         codes = store.codes
         tests = [
             (po_index, mask, store.tables.masks[po_index])
@@ -248,30 +249,6 @@ class TDominanceChecker:
             all(masks[codes[i][po_index]] & mask == mask for po_index, mask, masks in tests)
             for i in alive
         )
-
-    def store_dominates_mbb(
-        self,
-        store: "TDominanceSkylineStore",
-        low: Sequence[float],
-        high: Sequence[float],
-        *,
-        counter=None,
-        start: int = 0,
-    ) -> bool:
-        """Batched form of :meth:`mbb_dominated_by_any` over a store.
-
-        Necessary conditions (TO corner, ordinal bound, minimum-bounding-
-        interval containment) are evaluated vectorized over the whole store;
-        only the survivors go through the exact mask containment test.
-        ``start`` restricts the scan to members appended at or after that
-        index (the windowed sTSS suffix re-check).
-        """
-        offset = self.mapping.to_offset
-        range_masks, range_mbis = self._range_masks_and_mbis(low, high)
-        alive = store.kernel_store.mbb_candidates(
-            low[:offset], low[offset:], range_mbis, counter, start=start
-        )
-        return self._any_candidate_covers(store, alive, range_masks)
 
 
 class TDominanceSkylineStore:
@@ -304,75 +281,3 @@ class TDominanceSkylineStore:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-
-class TDominanceWindow:
-    """Bulk + suffix t-dominance tests for the columnar BBS loop.
-
-    The t-dominance twin of
-    :class:`~repro.index.flat.VectorDominanceWindow`: at a node expansion
-    all children are screened against the skyline store in one kernel call
-    (:meth:`TDominanceStore.mbb_block_candidates
-    <repro.kernels.base.TDominanceStore.mbb_block_candidates>` for MBBs,
-    :meth:`TDominanceStore.block_weakly_dominated
-    <repro.kernels.base.TDominanceStore.block_weakly_dominated>` for leaf
-    points), and each child's own pop re-examines only the members appended
-    since (``start=prefix``).  Verdicts compose because the skyline store is
-    append-only — t-dominance by a member is permanent.
-
-    PO codes are recovered from the mapped coordinates themselves: the
-    ordinal coordinate of a mapped point is its topological position + 1,
-    i.e. ``code + 1`` (see :class:`~repro.kernels.tables.TDominanceTables`),
-    so the window needs no payload lookups: a block of mapped rows reaches
-    the kernel as two column slices, with no per-row conversion.
-    """
-
-    __slots__ = ("checker", "store", "_offset")
-
-    def __init__(self, checker: TDominanceChecker, store: TDominanceSkylineStore) -> None:
-        self.checker = checker
-        self.store = store
-        self._offset = checker.mapping.to_offset
-
-    def size(self) -> int:
-        return len(self.store)
-
-    def block_points(self, rows, counter) -> list[bool]:
-        """Per leaf point: weakly t-dominated by any current member?"""
-        offset = self._offset
-        return self.store.kernel_store.block_weakly_dominated(
-            rows[:, :offset], rows[:, offset:].astype("int64") - 1, counter
-        )
-
-    def block_rects(self, lows, highs, counter) -> list[bool]:
-        """Per child MBB: t-dominated by any current member?
-
-        Necessary conditions run batched over (members, children); the exact
-        mask containment phase runs per child on its survivors only.
-        """
-        checker = self.checker
-        offset = self._offset
-        masks_list = []
-        mbis_list = []
-        for low, high in zip(lows, highs):
-            range_masks, range_mbis = checker._range_masks_and_mbis(low, high)
-            masks_list.append(range_masks)
-            mbis_list.append(range_mbis)
-        candidate_lists = self.store.kernel_store.mbb_block_candidates(
-            lows[:, :offset], lows[:, offset:], mbis_list, counter
-        )
-        return [
-            checker._any_candidate_covers(self.store, alive, range_masks)
-            for alive, range_masks in zip(candidate_lists, masks_list)
-        ]
-
-    def point_suffix(self, point, start: int, counter) -> bool:
-        offset = self._offset
-        return self.store.kernel_store.any_weakly_dominates(
-            point[:offset], point[offset:].astype("int64") - 1, counter, start=start
-        )
-
-    def rect_suffix(self, low, high, start: int, counter) -> bool:
-        return self.checker.store_dominates_mbb(
-            self.store, low, high, counter=counter, start=start
-        )

@@ -16,17 +16,9 @@ whole skyline list:
   dimensions.  Every potential point inside the MBB is then dominated by one
   of the skyline points answering these queries.
 
-Two storage backends implement the Boolean queries, selected like every
-other spatial index through :mod:`repro.index.registry`:
-
-* ``pointer`` — the original incrementally grown
-  :class:`~repro.index.rtree.RTree`, one Boolean range query per interval
-  combination;
-* ``flat`` — virtual points in one contiguous, append-only coordinate
-  matrix; an MBB check materializes *all* of its combination query boxes at
-  once and answers them with a single vectorized containment test over the
-  whole virtual-point block (the sTSS MBI prefilter runs first, exactly as
-  before).
+The virtual points live in an incrementally grown
+:class:`~repro.index.rtree.RTree`, which answers the Boolean range queries
+above.
 """
 
 from __future__ import annotations
@@ -36,7 +28,6 @@ from collections.abc import Sequence
 
 from repro.core.mapping import MappedPoint
 from repro.index.geometry import Rect
-from repro.index.registry import resolve_index
 from repro.index.rtree import RTree
 from repro.order.encoding import DomainEncoding
 from repro.order.intervals import IntervalSet
@@ -50,67 +41,6 @@ _INFINITY = 1e18
 DEFAULT_MAX_COMBINATIONS = 128
 
 
-class _PointerStore:
-    """Virtual points in an incrementally grown pointer R-tree."""
-
-    __slots__ = ("_tree",)
-
-    def __init__(self, dimensions: int, max_entries: int) -> None:
-        self._tree = RTree(dimensions, max_entries=max_entries)
-
-    def append(self, coords: tuple[float, ...], payload: object) -> None:
-        self._tree.insert(coords, payload)
-
-    def any_in_box(self, low: Sequence[float], high: Sequence[float]) -> bool:
-        return self._tree.boolean_range_query(Rect(tuple(low), tuple(high)))
-
-    def all_boxes_hit(self, lows, highs) -> bool:
-        return all(self.any_in_box(low, high) for low, high in zip(lows, highs))
-
-
-class _ArrayStore:
-    """Virtual points in one contiguous, append-only coordinate matrix.
-
-    Boolean range queries are vectorized containment tests over the whole
-    block; a batch of query boxes (the interval combinations of one MBB
-    check) is answered in a single broadcast instead of one tree descent per
-    combination.
-    """
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, dimensions: int) -> None:
-        from repro.index.flat import GrowableRowMatrix
-
-        self._rows = GrowableRowMatrix(dimensions)
-
-    def append(self, coords: tuple[float, ...], payload: object) -> None:
-        self._rows.append(coords)
-
-    def any_in_box(self, low: Sequence[float], high: Sequence[float]) -> bool:
-        import numpy as np
-
-        block = self._rows.view
-        if not len(block):
-            return False
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        return bool(((block >= low) & (block <= high)).all(axis=1).any())
-
-    def all_boxes_hit(self, lows, highs) -> bool:
-        import numpy as np
-
-        block = self._rows.view
-        if not len(block):
-            return False
-        lows = np.asarray(lows, dtype=np.float64)
-        highs = np.asarray(highs, dtype=np.float64)
-        inside = (block[:, None, :] >= lows[None, :, :]) & (
-            block[:, None, :] <= highs[None, :, :]
-        )
-        return bool(inside.all(axis=2).any(axis=0).all())
-
-
 class VirtualPointIndex:
     """The global main-memory index ``Tm`` of virtual skyline points."""
 
@@ -121,17 +51,12 @@ class VirtualPointIndex:
         *,
         max_entries: int = 16,
         max_combinations: int = DEFAULT_MAX_COMBINATIONS,
-        index=None,
     ) -> None:
         self.num_total_order = num_total_order
         self.encodings = tuple(encodings)
         self.max_combinations = max_combinations
         self.dimensions = num_total_order + 2 * len(self.encodings)
-        self.backend = resolve_index(index)
-        if self.backend == "flat":
-            self._store: _ArrayStore | _PointerStore = _ArrayStore(self.dimensions)
-        else:
-            self._store = _PointerStore(self.dimensions, max_entries)
+        self._tree = RTree(self.dimensions, max_entries=max_entries)
         self._num_skyline_points = 0
         self._num_virtual_points = 0
 
@@ -163,7 +88,7 @@ class VirtualPointIndex:
             for interval in combination:
                 coords.append(float(interval.low))
                 coords.append(float(interval.high))
-            self._store.append(tuple(coords), payload)
+            self._tree.insert(tuple(coords), payload)
             inserted += 1
         self._num_skyline_points += 1
         self._num_virtual_points += inserted
@@ -188,8 +113,7 @@ class VirtualPointIndex:
         posts = [
             encoding.tree.post[value] for encoding, value in zip(self.encodings, po_values)
         ]
-        low, high = self._query_box(to_values, [(post, post) for post in posts])
-        return self._store.any_in_box(low, high)
+        return self._any_in_box(*self._query_box(to_values, [(post, post) for post in posts]))
 
     def dominates_candidate_mbb(
         self,
@@ -226,21 +150,21 @@ class VirtualPointIndex:
                     for mbi in (s.bounding_interval() for s in range_sets)
                 ],
             )
-            if self._store.any_in_box(mbi_low, mbi_high):
+            if self._any_in_box(mbi_low, mbi_high):
                 return True
-        # Every interval combination must be covered by some virtual point;
-        # the array backend answers the whole batch of query boxes in one
-        # vectorized containment test.
-        lows = []
-        highs = []
-        for combination in itertools.product(*(s.intervals for s in range_sets)):
-            box_low, box_high = self._query_box(
-                to_bounds,
-                [(interval.low, interval.high) for interval in combination],
+        # Every interval combination must be covered by some virtual point.
+        return all(
+            self._any_in_box(
+                *self._query_box(
+                    to_bounds,
+                    [(interval.low, interval.high) for interval in combination],
+                )
             )
-            lows.append(box_low)
-            highs.append(box_high)
-        return self._store.all_boxes_hit(lows, highs)
+            for combination in itertools.product(*(s.intervals for s in range_sets))
+        )
+
+    def _any_in_box(self, low: Sequence[float], high: Sequence[float]) -> bool:
+        return self._tree.boolean_range_query(Rect(tuple(low), tuple(high)))
 
     def _query_box(
         self, to_upper_bounds: Sequence[float], interval_bounds: Sequence[tuple[float, float]]

@@ -100,19 +100,6 @@ class DiskSimulator:
         self._next_page_id += 1
         return page_id
 
-    def allocate_pages(self, count: int) -> int:
-        """Allocate ``count`` consecutive page identifiers; returns the first.
-
-        The bulk twin of :meth:`allocate_page`, used when a whole index is
-        materialized at once (array-backed bulk loading allocates every node
-        page in one O(1) reservation instead of a per-node Python loop).
-        """
-        if count < 0:
-            raise IndexError_("cannot allocate a negative number of pages")
-        first = self._next_page_id
-        self._next_page_id += count
-        return first
-
     def read(self, page_id: int) -> None:
         """Record a page read, going through the buffer pool."""
         if self.buffer_pool.access(page_id):

@@ -50,35 +50,6 @@ class VectorStore(ABC):
     @abstractmethod
     def append(self, vector: Sequence[float]) -> None: ...
 
-    def extend(self, rows) -> None:
-        """Bulk-append a block of vectors (rows of a matrix or row tuples).
-
-        The reference implementation loops :meth:`append`; vectorized
-        backends override it with one block copy.
-        """
-        for row in rows:
-            self.append(row)
-
-    def block_dominated_mask(self, targets, counter=None) -> list[bool]:
-        """Per target row: is it strictly dominated by any member?"""
-        return [self.any_dominates(row, counter=counter) for row in targets]
-
-    def mbr_block_dominated(
-        self, corners, counter=None, *, exclude_equal: bool = False
-    ) -> list[bool]:
-        """Per MBR low corner: is it weakly dominated by any member?
-
-        The columnar BBS primitive: a popped node's children are tested
-        against the dominance window in one call (a weakly dominated best
-        corner prunes the whole subtree).  The reference implementation
-        loops :meth:`any_weakly_dominates` (keeping its early exits);
-        vectorized backends override it with one block comparison.
-        """
-        return [
-            self.any_weakly_dominates(corner, counter, exclude_equal=exclude_equal)
-            for corner in corners
-        ]
-
     @abstractmethod
     def __len__(self) -> int: ...
 
@@ -87,16 +58,8 @@ class VectorStore(ABC):
         """Drop members whose ``keep`` flag is false (window eviction)."""
 
     @abstractmethod
-    def any_dominates(
-        self, candidate: Sequence[float], counter=None, *, start: int = 0
-    ) -> bool:
-        """Does any member at index >= ``start`` strictly dominate ``candidate``?
-
-        ``start`` lets the columnar BBS loop re-examine only the members
-        appended after a cached block verdict (the store must be append-only
-        between the two tests — true for every skyline window, whose members
-        are final).  The default of 0 is the plain whole-store test.
-        """
+    def any_dominates(self, candidate: Sequence[float], counter=None) -> bool:
+        """Does any member strictly dominate ``candidate``?"""
 
     @abstractmethod
     def any_weakly_dominates(
@@ -105,12 +68,11 @@ class VectorStore(ABC):
         counter=None,
         *,
         exclude_equal: bool = False,
-        start: int = 0,
     ) -> bool:
-        """Does any member at index >= ``start`` weakly dominate ``corner``?
+        """Does any member weakly dominate ``corner``?
 
         Used to prune MBBs; with ``exclude_equal`` a member equal to
-        ``corner`` does not count.  See :meth:`any_dominates` for ``start``.
+        ``corner`` does not count.
         """
 
 
@@ -216,18 +178,13 @@ class TDominanceStore(ABC):
         to_values: Sequence[float],
         po_codes: Sequence[int],
         counter=None,
-        *,
-        start: int = 0,
     ) -> bool:
-        """Is the candidate weakly t-dominated by a member at index >= ``start``?
+        """Is the candidate weakly t-dominated by any member?
 
         Weak t-dominance (at least as good on TO, t-preferred-or-equal on PO)
         is exact strict t-dominance for distinct value combinations, which the
         duplicate grouping of :class:`~repro.core.mapping.TSSMapping`
-        guarantees.  ``start`` lets the windowed sTSS loop re-examine only the
-        skyline points appended after a cached block verdict (the store is
-        append-only, so earlier verdicts stay valid); the default of 0 is the
-        plain whole-store test.
+        guarantees.
         """
 
     @abstractmethod
@@ -237,10 +194,8 @@ class TDominanceStore(ABC):
         ordinal_low: Sequence[float],
         range_mbis: Sequence[tuple[float, float]],
         counter=None,
-        *,
-        start: int = 0,
     ) -> list[int]:
-        """Member indices >= ``start`` that may t-dominate an MBB.
+        """Indices of the members that may t-dominate an MBB.
 
         A member survives the necessary conditions when it is at least as
         good as the MBB's best corner on every TO dimension, its ordinal does
@@ -248,33 +203,9 @@ class TDominanceStore(ABC):
         set's minimum bounding interval contains the MBB range set's MBI per
         PO attribute (``range_mbis`` holds one ``(low, high)`` pair per
         attribute; pass ``(inf, -inf)`` to disable the MBI condition for an
-        attribute).  Returned indices are absolute store positions.  The
-        exact interval-set containment verdict on the survivors is left to
-        the caller.  See :meth:`any_weakly_dominates` for ``start``.
+        attribute).  The exact interval-set containment verdict on the
+        survivors is left to the caller.
         """
-
-    def mbb_block_candidates(
-        self,
-        to_lows,
-        ordinal_lows,
-        range_mbis_list,
-        counter=None,
-    ) -> list[list[int]]:
-        """Per MBB: the :meth:`mbb_candidates` survivor indices, batched.
-
-        The sTSS expansion primitive: a popped node's children are screened
-        against the whole skyline store in one call (``to_lows``,
-        ``ordinal_lows`` and ``range_mbis_list`` are parallel sequences, one
-        entry per child MBB).  The reference implementation loops
-        :meth:`mbb_candidates`; vectorized backends override it with one
-        members-by-MBBs comparison.
-        """
-        return [
-            self.mbb_candidates(to_low, ordinal_low, range_mbis, counter=counter)
-            for to_low, ordinal_low, range_mbis in zip(
-                to_lows, ordinal_lows, range_mbis_list
-            )
-        ]
 
 
 class DominanceKernel(ABC):

@@ -179,40 +179,14 @@ class NumpyVectorStore(VectorStore):
     def append(self, vector: Sequence[float]) -> None:
         self._rows.append(vector)
 
-    def extend(self, rows) -> None:
-        self._rows.extend(_as_to_block(rows, self.dimensions))
-
     def __len__(self) -> int:
         return len(self._rows)
 
     def compress(self, keep: Sequence[bool]) -> None:
         self._rows.compress(np.asarray(keep, dtype=bool))
 
-    def _any_member_mask(self, targets, counter, compare) -> list[bool]:
-        """Chunked per-target "any member matches" mask shared by the block
-        queries; ``compare(members, chunk)`` returns the (members, chunk)
-        match matrix for one broadcast pair."""
+    def any_dominates(self, candidate: Sequence[float], counter=None) -> bool:
         block = self._rows.view
-        targets = _as_to_block(targets, self.dimensions)
-        charge(counter, len(block) * len(targets))
-        if not len(block) or not len(targets):
-            return [False] * len(targets)
-        out = np.zeros(len(targets), dtype=bool)
-        for low, high in _target_chunks(len(block), self.dimensions, len(targets)):
-            sub = targets[None, low:high, :]
-            out[low:high] = compare(block[:, None, :], sub).any(axis=0)
-        return out.tolist()
-
-    def block_dominated_mask(self, targets, counter=None) -> list[bool]:
-        def strictly_dominated(members, sub):
-            return (members <= sub).all(axis=2) & (members < sub).any(axis=2)
-
-        return self._any_member_mask(targets, counter, strictly_dominated)
-
-    def any_dominates(
-        self, candidate: Sequence[float], counter=None, *, start: int = 0
-    ) -> bool:
-        block = self._rows.view[start:] if start else self._rows.view
         charge(counter, len(block))
         if not len(block):
             return False
@@ -226,9 +200,8 @@ class NumpyVectorStore(VectorStore):
         counter=None,
         *,
         exclude_equal: bool = False,
-        start: int = 0,
     ) -> bool:
-        block = self._rows.view[start:] if start else self._rows.view
+        block = self._rows.view
         charge(counter, len(block))
         if not len(block):
             return False
@@ -237,17 +210,6 @@ class NumpyVectorStore(VectorStore):
         if exclude_equal:
             weak &= (block != q).any(axis=1)
         return bool(weak.any())
-
-    def mbr_block_dominated(
-        self, corners, counter=None, *, exclude_equal: bool = False
-    ) -> list[bool]:
-        def weakly_dominated(members, sub):
-            weak = (members <= sub).all(axis=2)
-            if exclude_equal:
-                weak &= (members != sub).any(axis=2)
-            return weak
-
-        return self._any_member_mask(corners, counter, weakly_dominated)
 
 
 class NumpyRecordStore(RecordStore):
@@ -441,14 +403,12 @@ class NumpyTDominanceStore(TDominanceStore):
         to_values: Sequence[float],
         po_codes: Sequence[int],
         counter=None,
-        *,
-        start: int = 0,
     ) -> bool:
-        block_to = self._to.view[start:] if start else self._to.view
+        block_to = self._to.view
         charge(counter, len(block_to))
         if not len(block_to):
             return False
-        block_codes = self._codes.view[start:] if start else self._codes.view
+        block_codes = self._codes.view
         mask = (block_to <= np.asarray(to_values, dtype=np.float64)).all(axis=1)
         for po_index in range(self._num_po):
             if not mask.any():
@@ -464,14 +424,12 @@ class NumpyTDominanceStore(TDominanceStore):
         ordinal_low: Sequence[float],
         range_mbis: Sequence[tuple[float, float]],
         counter=None,
-        *,
-        start: int = 0,
     ) -> list[int]:
-        block_to = self._to.view[start:] if start else self._to.view
+        block_to = self._to.view
         charge(counter, len(block_to))
         if not len(block_to):
             return []
-        block_codes = self._codes.view[start:] if start else self._codes.view
+        block_codes = self._codes.view
         mask = (block_to <= np.asarray(to_low, dtype=np.float64)).all(axis=1)
         for po_index in range(self._num_po):
             codes = block_codes[:, po_index]
@@ -479,41 +437,7 @@ class NumpyTDominanceStore(TDominanceStore):
             mask &= codes + 1 <= ordinal_low[po_index]
             mask &= self._mbi_low[po_index][codes] <= mbi_low
             mask &= self._mbi_high[po_index][codes] >= mbi_high
-        survivors = np.flatnonzero(mask)
-        if start:
-            survivors = survivors + start
-        return survivors.tolist()
-
-    def mbb_block_candidates(
-        self,
-        to_lows,
-        ordinal_lows,
-        range_mbis_list,
-        counter=None,
-    ) -> list[list[int]]:
-        num_mbbs = len(to_lows)
-        charge(counter, len(self) * num_mbbs)
-        if not len(self) or not num_mbbs:
-            return [[] for _ in range(num_mbbs)]
-        block_to = self._to.view
-        block_codes = self._codes.view
-        lows = _as_to_block(to_lows, self.tables.num_total_order)
-        # (members, mbbs) survivor matrix; fanout is node-capacity bounded,
-        # so the broadcast stays small even against a large skyline store.
-        mask = (block_to[:, None, :] <= lows[None, :, :]).all(axis=2)
-        if self._num_po:
-            ordinals = np.asarray(ordinal_lows, dtype=np.float64).reshape(
-                num_mbbs, self._num_po
-            )
-            mbis = np.asarray(range_mbis_list, dtype=np.float64).reshape(
-                num_mbbs, self._num_po, 2
-            )
-            for po_index in range(self._num_po):
-                codes = block_codes[:, po_index]
-                mask &= (codes[:, None] + 1) <= ordinals[:, po_index][None, :]
-                mask &= self._mbi_low[po_index][codes][:, None] <= mbis[:, po_index, 0][None, :]
-                mask &= self._mbi_high[po_index][codes][:, None] >= mbis[:, po_index, 1][None, :]
-        return [np.flatnonzero(mask[:, column]).tolist() for column in range(num_mbbs)]
+        return np.flatnonzero(mask).tolist()
 
 
 class NumpyKernel(DominanceKernel):

@@ -67,12 +67,10 @@ class PureVectorStore(VectorStore):
     def compress(self, keep: Sequence[bool]) -> None:
         self._rows = [row for row, flag in zip(self._rows, keep) if flag]
 
-    def any_dominates(
-        self, candidate: Sequence[float], counter=None, *, start: int = 0
-    ) -> bool:
+    def any_dominates(self, candidate: Sequence[float], counter=None) -> bool:
         checks = 0
         try:
-            for row in self._rows[start:] if start else self._rows:
+            for row in self._rows:
                 checks += 1
                 if _dominates(row, candidate):
                     return True
@@ -86,12 +84,11 @@ class PureVectorStore(VectorStore):
         counter=None,
         *,
         exclude_equal: bool = False,
-        start: int = 0,
     ) -> bool:
         corner = tuple(corner)
         checks = 0
         try:
-            for row in self._rows[start:] if start else self._rows:
+            for row in self._rows:
                 checks += 1
                 if all(a <= b for a, b in zip(row, corner)) and (
                     not exclude_equal or row != corner
@@ -165,13 +162,11 @@ class PureTDominanceStore(TDominanceStore):
         to_values: Sequence[float],
         po_codes: Sequence[int],
         counter=None,
-        *,
-        start: int = 0,
     ) -> bool:
         tables = self.tables
         checks = 0
         try:
-            for row_to, row_codes in self._rows[start:] if start else self._rows:
+            for row_to, row_codes in self._rows:
                 checks += 1
                 if any(a > b for a, b in zip(row_to, to_values)):
                     continue
@@ -192,14 +187,11 @@ class PureTDominanceStore(TDominanceStore):
         ordinal_low: Sequence[float],
         range_mbis: Sequence[tuple[float, float]],
         counter=None,
-        *,
-        start: int = 0,
     ) -> list[int]:
         tables = self.tables
         survivors: list[int] = []
         checks = 0
-        rows = self._rows[start:] if start else self._rows
-        for index, (row_to, row_codes) in enumerate(rows, start=start):
+        for index, (row_to, row_codes) in enumerate(self._rows):
             checks += 1
             if any(a > b for a, b in zip(row_to, to_low)):
                 continue

@@ -23,29 +23,12 @@ from collections.abc import Callable, Hashable
 from repro.data.dataset import Dataset
 from repro.exceptions import SchemaError
 from repro.index.pager import DiskSimulator
-from repro.index.registry import resolve_index
 from repro.index.rtree import NodeRef, RTree, RTreeEntry
 from repro.kernels import resolve_kernel
 from repro.skyline.base import RunClock, SkylineResult, SkylineStats
 
 Payload = Hashable
 Point = tuple[float, ...]
-
-
-def vector_window(tree, store, *, exclude_equal: bool):
-    """A bulk/suffix dominance window for :func:`run_bbs`, or ``None``.
-
-    Flat trees test a popped node's children against ``store`` (a kernel
-    :class:`~repro.kernels.base.VectorStore`) in one bulk call per
-    expansion; pointer trees express the same tests through the per-item
-    predicates, so they get no window.  ``store`` must stay append-only for
-    the traversal (see :class:`~repro.index.flat.VectorDominanceWindow`).
-    """
-    if isinstance(tree, RTree):
-        return None
-    from repro.index.flat import VectorDominanceWindow
-
-    return VectorDominanceWindow(store, exclude_equal=exclude_equal)
 
 
 def run_bbs(
@@ -56,18 +39,14 @@ def run_bbs(
     on_result: Callable[[Point, Payload], None],
     stats: SkylineStats,
     clock: RunClock | None = None,
-    window=None,
 ) -> list[Payload]:
-    """The generic BBS loop over one R-tree (pointer or flat).
+    """The generic BBS loop over one R-tree.
 
     Parameters
     ----------
     tree:
         The R-tree to traverse (points indexed in a space where smaller
-        coordinates are better on every dimension) — a pointer
-        :class:`~repro.index.rtree.RTree` or an array-backed
-        :class:`~repro.index.flat.FlatRTree`, which is handed to the
-        columnar twin of this loop (:func:`repro.index.flat.run_bbs_flat`).
+        coordinates are better on every dimension).
     dominated_point:
         Predicate deciding whether a data point is dominated by the results
         found so far.  It must update ``stats.dominance_checks`` itself if it
@@ -81,29 +60,12 @@ def run_bbs(
     stats / clock:
         Work counters; ``clock.record_result()`` is called per result when a
         clock is supplied.
-    window:
-        Optional :class:`~repro.index.flat.VectorDominanceWindow` enabling
-        the flat loop's one-kernel-call-per-expansion child testing when the
-        dominance relation is plain vector dominance.  Ignored for pointer
-        trees (their per-item predicates already express the same tests).
 
     Returns
     -------
     list
         Payloads of the skyline points in the order they were reported.
     """
-    if not isinstance(tree, RTree):
-        from repro.index.flat import run_bbs_flat
-
-        return run_bbs_flat(
-            tree,
-            dominated_point=dominated_point,
-            dominated_rect=dominated_rect,
-            on_result=on_result,
-            stats=stats,
-            clock=clock,
-            window=window,
-        )
     results: list[Payload] = []
     traversal = tree.best_first()
     while traversal:
@@ -133,17 +95,12 @@ def bbs_skyline(
     disk: DiskSimulator | None = None,
     tree: RTree | None = None,
     kernel=None,
-    index=None,
 ) -> SkylineResult:
     """Classical BBS for a totally ordered dataset.
 
     The dataset's schema must not contain PO attributes; use
     :func:`repro.core.stss.stss_skyline` for mixed schemas.  The skyline-list
-    scans run through the block-dominance kernel (see :mod:`repro.kernels`);
-    ``index`` selects the spatial backend (``"flat"``/``"pointer"`` or
-    ``None`` for the process default, see :mod:`repro.index.registry`) — the
-    flat tree bulk-loads straight off the dataset's numeric matrix and is
-    traversed with one kernel bulk call per expanded node.
+    scans run through the block-dominance kernel (see :mod:`repro.kernels`).
     """
     schema = dataset.schema
     if schema.num_partial_order:
@@ -151,30 +108,16 @@ def bbs_skyline(
 
     stats = SkylineStats()
     if tree is None:
-        if resolve_index(index) == "flat":
-            from repro.index.flat import FlatRTree
-
-            tree = FlatRTree.bulk_load(
-                schema.num_total_order,
-                dataset.to_numeric_matrix(),
-                max_entries=max_entries,
-                disk=disk,
-            )
-        else:
-            entries = [
-                (schema.canonical_to_values(record.values), record.id)
-                for record in dataset.records
-            ]
-            tree = RTree.bulk_load(
-                schema.num_total_order, entries, max_entries=max_entries, disk=disk
-            )
+        entries = [
+            (schema.canonical_to_values(record.values), record.id)
+            for record in dataset.records
+        ]
+        tree = RTree.bulk_load(
+            schema.num_total_order, entries, max_entries=max_entries, disk=disk
+        )
     clock = RunClock(stats, disk)
 
     skyline_store = resolve_kernel(kernel).vector_store(schema.num_total_order)
-    # Classical BBS must not prune an MBB whose best corner merely *equals*
-    # a resident (the corner point itself could still be an equal, thus
-    # undominated, skyline member inside the subtree).
-    window = vector_window(tree, skyline_store, exclude_equal=True)
 
     def dominated_point(point: Point, payload: Payload) -> bool:
         return skyline_store.any_dominates(point, counter=stats)
@@ -195,7 +138,6 @@ def bbs_skyline(
         on_result=on_result,
         stats=stats,
         clock=clock,
-        window=window,
     )
     clock.finish()
     return SkylineResult(skyline_ids=[int(p) for p in ordered], stats=stats, progress=clock.progress)

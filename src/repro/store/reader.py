@@ -4,8 +4,8 @@
 :func:`repro.store.writer.pack_dataset` back into the objects the query
 engine consumes — the :class:`~repro.data.columns.EncodedFrame` and the
 prefilter survivor list — without re-encoding or re-filtering anything.
-Sections this build does not read (the base-topology mapping and flat R-tree
-older builds packed) are checksum-verified at open and otherwise ignored.
+Sections this build does not read (the base-topology mapping and array-encoded
+R-tree older builds packed) are checksum-verified at open and otherwise ignored.
 
 With NumPy the sections become read-only ``np.memmap`` views, so several
 processes opening the same file share one copy of the bytes through the OS

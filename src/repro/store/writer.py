@@ -10,8 +10,8 @@ NumPy, by reading the very same bytes into tuple-backed columns.  The writer
 works under both backends: the frame arrays are backend-agnostic and the
 prefilter's survivor list is pinned to agree across kernels.
 
-Stores packed by older builds also carry a base-topology mapping and flat
-R-tree; loaders verify those sections' checksums at open and ignore them.
+Stores packed by older builds also carry a base-topology mapping and an
+array-encoded R-tree; loaders verify those sections' checksums at open and ignore them.
 """
 
 from __future__ import annotations

@@ -104,10 +104,13 @@ class TestBehaviour:
 
     def test_io_accounting(self, workload):
         dataset, _ = workload
-        disk = DiskSimulator()
-        result = sdc_plus_skyline(dataset, disk=disk, max_entries=8)
-        assert result.stats.io_reads > 0
-        assert result.stats.total_seconds >= result.stats.io_seconds
+        for name, algorithm in ALGORITHMS.items():
+            disk = DiskSimulator()
+            result = algorithm(dataset, disk=disk, max_entries=8)
+            assert result.stats.io_reads > 0, name
+            # One simulated read per expanded node, none for pruned subtrees.
+            assert result.stats.io_reads == result.stats.nodes_expanded, name
+            assert result.stats.total_seconds >= result.stats.io_seconds, name
 
     def test_m_dominance_methods_pay_for_false_hits_that_tss_never_has(self):
         """The paper's headline: the incomplete mapping forces the baselines to

@@ -1,12 +1,12 @@
 """Regression pins for the sTSS query path.
 
 * The t-dominance hot path works on integer interval-set masks only: once
-  the domain encodings exist, a flat-index sTSS run builds no
+  the domain encodings exist, an sTSS run builds no
   :class:`~repro.order.intervals.IntervalSet` object on either kernel.
 * A golden run pins the skyline (ids in discovery order) and the work
   counters for one fixed seeded dataset under one preference override, per
-  kernel and index backend.  The values were recorded before the interval
-  layer moved to masks; any change to them is a behaviour change.
+  kernel.  The values were recorded before the interval layer moved to
+  masks; any change to them is a behaviour change.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 from repro.core.stss import stss_skyline
 from repro.data.dataset import Dataset
 from repro.data.workloads import WorkloadSpec
-from repro.index.registry import available_indexes
 from repro.kernels import available_kernels
 from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import encode_domain
@@ -32,12 +31,10 @@ GOLDEN_SKYLINE = [
     247, 617, 201, 1451, 643, 1625, 1955,
 ]  # fmt: skip
 
-#: (kernel, index) -> (dominance_checks, points_examined, nodes_expanded).
+#: kernel -> (dominance_checks, points_examined, nodes_expanded).
 GOLDEN_COUNTERS = {
-    ("purepython", "pointer"): (32621, 1250, 43),
-    ("purepython", "flat"): (32621, 1250, 43),
-    ("numpy", "pointer"): (58214, 1250, 43),
-    ("numpy", "flat"): (55751, 1250, 43),
+    "purepython": (32621, 1250, 43),
+    "numpy": (58214, 1250, 43),
 }
 
 
@@ -75,9 +72,7 @@ def golden_dataset() -> Dataset:
 
 
 @pytest.mark.parametrize("kernel", available_kernels())
-def test_flat_stss_builds_no_interval_sets(golden_dataset, kernel):
-    if "flat" not in available_indexes():
-        pytest.skip("the flat index needs NumPy")
+def test_stss_builds_no_interval_sets(golden_dataset, kernel):
     encodings = [
         encode_domain(attribute.dag)
         for attribute in golden_dataset.schema.partial_order_attributes
@@ -90,21 +85,18 @@ def test_flat_stss_builds_no_interval_sets(golden_dataset, kernel):
         original(self, *args, **kwargs)
 
     with mock.patch.object(IntervalSet, "__init__", counting_init):
-        result = stss_skyline(
-            golden_dataset, encodings=encodings, kernel=kernel, index="flat"
-        )
+        result = stss_skyline(golden_dataset, encodings=encodings, kernel=kernel)
     assert result.skyline_ids == GOLDEN_SKYLINE
     assert not built
 
 
-@pytest.mark.parametrize("index", available_indexes())
 @pytest.mark.parametrize("kernel", available_kernels())
-def test_golden_skyline_and_counters(golden_dataset, kernel, index):
-    result = stss_skyline(golden_dataset, kernel=kernel, index=index)
+def test_golden_skyline_and_counters(golden_dataset, kernel):
+    result = stss_skyline(golden_dataset, kernel=kernel)
     stats = result.stats
     assert result.skyline_ids == GOLDEN_SKYLINE
     assert (
         stats.dominance_checks,
         stats.points_examined,
         stats.nodes_expanded,
-    ) == GOLDEN_COUNTERS[(kernel, index)]
+    ) == GOLDEN_COUNTERS[kernel]

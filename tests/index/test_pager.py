@@ -74,14 +74,6 @@ class TestDiskSimulator:
         pages = {disk.allocate_page() for _ in range(10)}
         assert len(pages) == 10
 
-    def test_allocate_pages_reserves_a_disjoint_block(self):
-        disk = DiskSimulator()
-        first = disk.allocate_pages(5)
-        assert disk.allocate_page() == first + 5
-        assert disk.allocate_pages(0) == first + 6
-        with pytest.raises(IndexError_):
-            disk.allocate_pages(-1)
-
     def test_write_many_equals_repeated_writes(self):
         bulk, repeated = DiskSimulator(), DiskSimulator()
         bulk.write_many(7)

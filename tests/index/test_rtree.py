@@ -180,6 +180,11 @@ class TestIOAccounting:
         points = random_points(200, seed=4)
         tree = RTree.bulk_load(2, ((p, i) for i, p in enumerate(points)), max_entries=8, disk=disk)
         assert disk.stats.writes == tree.node_count()
+        # An empty load writes nothing, though its (empty) root page exists.
+        empty_disk = DiskSimulator()
+        empty = RTree.bulk_load(2, [], max_entries=8, disk=empty_disk)
+        assert empty_disk.stats.writes == 0
+        assert empty.node_count() == 1
 
     def test_traversal_charges_one_read_per_expanded_node(self):
         disk = DiskSimulator()

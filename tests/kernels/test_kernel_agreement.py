@@ -281,26 +281,6 @@ class TestBulkOpsAgreement:
         )
 
     @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        dims=st.integers(min_value=1, max_value=3),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_vector_store_bulk_ops_match(self, seed, dims):
-        rng = random.Random(seed)
-        members = [tuple(rng.randint(0, 4) for _ in range(dims)) for _ in range(12)]
-        targets = [tuple(rng.randint(0, 4) for _ in range(dims)) for _ in range(9)]
-        masks = []
-        for kernel in KERNELS:
-            store = kernel.vector_store(dims)
-            store.extend(members)
-            assert len(store) == len(members)
-            masks.append(store.block_dominated_mask(targets))
-        _assert_all_match(masks)
-        store = KERNELS[0].vector_store(dims)
-        store.extend(members)
-        assert masks[0] == [store.any_dominates(t) for t in targets]
-
-    @given(
         dag=random_dag_strategy(max_values=7),
         seed=st.integers(min_value=0, max_value=5_000),
     )

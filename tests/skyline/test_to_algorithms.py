@@ -102,6 +102,7 @@ class TestSFS:
 class TestBBS:
     def test_matches_brute_force(self, to_dataset, truth):
         assert frozenset(bbs_skyline(to_dataset).skyline_ids) == truth
+        assert bbs_skyline(Dataset(to_dataset.schema, [])).skyline_ids == []
 
     def test_rejects_po_schemas(self, flight_dataset):
         with pytest.raises(SchemaError):

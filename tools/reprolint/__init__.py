@@ -7,7 +7,7 @@ invariants"):
 ``env-gateway``
     Every ``os.environ`` / ``os.getenv`` read lives in ``repro/config.py``.
 ``numpy-containment``
-    ``import numpy`` stays behind the kernel/frame/index/store allowlist and
+    ``import numpy`` stays behind the kernel/frame/store allowlist and
     is always guarded, so pure-Python checkouts import cleanly.
 ``typed-errors``
     Each plane raises its own typed :class:`~repro.exceptions.ReproError`

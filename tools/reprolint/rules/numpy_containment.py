@@ -1,19 +1,19 @@
-"""numpy-containment: NumPy stays behind the kernel/frame/index/store planes.
+"""numpy-containment: NumPy stays behind the kernel/frame/store planes.
 
 The pure-Python fallback is a hard product requirement (the CI matrix runs
 every suite without NumPy), so:
 
 * Only modules in :data:`ALLOWED_PREFIXES` — the kernel, frame (columnar
-  data/delta), index and store planes — may import ``numpy`` at all.  Everything else routes array work through those
+  data/delta) and store planes — may import ``numpy`` at all.  Everything else routes array work through those
   planes (e.g. ``EncodedFrame`` ordering helpers, kernel bulk calls).
 * Inside the allowlist, a module-scope ``import numpy`` must be *guarded*
   (``try: ... except ImportError`` or ``if TYPE_CHECKING``) so importing the
   module never fails on a NumPy-less checkout.  Function-scope imports are
   fine: they only run on NumPy-enabled code paths.
-* :data:`NUMPY_REQUIRED` modules (the NumPy kernel, the flat R-tree) may
-  import NumPy unguarded at module scope — but then *nothing outside that
-  set may import them at module scope* either; they are loaded lazily behind
-  the kernel/index registries' availability probes.
+* :data:`NUMPY_REQUIRED` modules (the NumPy kernel) may import NumPy
+  unguarded at module scope — but then *nothing outside that set may import
+  them at module scope* either; they are loaded lazily behind the kernel
+  registry's availability probe.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from reprolint.engine import Finding, Module, Rule
 
 #: Modules that exist only on the NumPy path and are imported lazily behind a
 #: registry availability probe; unguarded module-scope `import numpy` is fine.
-NUMPY_REQUIRED = frozenset({"repro.kernels.numpy_kernel", "repro.index.flat"})
+NUMPY_REQUIRED = frozenset({"repro.kernels.numpy_kernel"})
 
 #: Plane prefixes allowed to import numpy (guarded at module scope).
 ALLOWED_PREFIXES = (
@@ -33,11 +33,9 @@ ALLOWED_PREFIXES = (
     "repro.data",
     "repro.delta",
     "repro.store",
-    "repro.index",
-    # Frame-plane extensions: the TSS mapping and virtual R-tree build their
-    # coordinate matrices columnar-side.
+    # Frame-plane extension: the TSS mapping builds its coordinate matrix
+    # columnar-side.
     "repro.core.mapping",
-    "repro.core.virtual_rtree",
 )
 
 _IMPORT_ERRORS = frozenset({"ImportError", "ModuleNotFoundError", "Exception"})
@@ -122,7 +120,7 @@ def check(module: Module) -> Iterable[Finding]:
                         RULE.name,
                         stmt,
                         f"numpy import in {module.name} — outside the "
-                        "kernel/frame/index/store allowlist; route array work "
+                        "kernel/frame/store allowlist; route array work "
                         "through those planes",
                     )
                 elif not guarded and not in_function:

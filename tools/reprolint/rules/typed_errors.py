@@ -45,9 +45,7 @@ PLANE_ERRORS: dict[str, frozenset[str]] = {
     "repro.order": frozenset(
         {"PartialOrderError", "CycleError", "UnknownValueError", "SchemaError"}
     ),
-    # ExperimentError: the registry's unknown-backend and flat-without-NumPy
-    # errors, matching the kernel registry's contract.
-    "repro.index": frozenset({"IndexError_", "ExperimentError"}),
+    "repro.index": frozenset({"IndexError_"}),
     # QueryError: malformed query payloads; ServiceError (and its
     # RetryExhaustedError subclass): transport/server; DeadlineExceededError:
     # the typed answer of an expired per-request deadline.
