@@ -118,32 +118,17 @@ class RecordStore(ABC):
         second element flags every member the candidate dominates (evictees).
         """
 
-    def block_dominated_mask(
-        self,
-        targets: Sequence[tuple[Sequence[float], Sequence[int]]],
-        counter=None,
-    ) -> list[bool]:
+    def block_dominated_columns(self, to_rows, code_rows, counter=None) -> list[bool]:
         """Per target: is it dominated by any *member* of this store?
 
         The merge-window primitive of the sort-merge cross-shard merge: the
         store is the growing window of confirmed global-skyline records, and
         each incoming chunk of the key-ordered stream is tested against the
-        whole window in one call.  The reference implementation loops
-        :meth:`any_dominates` (keeping its early exits); vectorized backends
-        override it with one block comparison.
-        """
-        return [
-            self.any_dominates(to_values, po_codes, counter=counter)
-            for to_values, po_codes in targets
-        ]
-
-    def block_dominated_columns(self, to_rows, code_rows, counter=None) -> list[bool]:
-        """Columnar twin of :meth:`block_dominated_mask`.
-
-        Takes the targets as parallel column blocks (one TO row block, one
-        code row block — e.g. slices of an
-        :class:`~repro.data.columns.EncodedFrame`) so vectorized backends can
-        skip the per-row pairing entirely.
+        whole window in one call.  Targets arrive as parallel column blocks
+        (one TO row block, one code row block — e.g. slices of an
+        :class:`~repro.data.columns.EncodedFrame`).  The reference
+        implementation loops :meth:`any_dominates` (keeping its early exits);
+        vectorized backends answer the whole block with one comparison.
         """
         return [
             self.any_dominates(to_values, po_codes, counter=counter)

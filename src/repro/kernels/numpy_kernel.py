@@ -24,14 +24,13 @@ from repro.kernels.base import (
     VectorStore,
     charge,
 )
-from repro.kernels.bitsets import attribute_word_arrays
 from repro.kernels.tables import RecordTables, TDominanceTables
 
 _INITIAL_CAPACITY = 16
 
-#: Bound on the elements of one (dominators, target-chunk, dims) comparison
-#: cube in :meth:`NumpyKernel.record_block_dominated_mask`; keeps the
-#: temporaries of huge cross-examinations around 32 MB.
+#: Bound on ``members x target-chunk x dims`` of one block comparison (see
+#: :func:`_target_chunks`); keeps the temporaries of huge cross-examinations
+#: around 32 MB.
 _BLOCK_MASK_ELEMENTS = 32_000_000
 
 
@@ -102,26 +101,30 @@ def _block_dominated(
     tgt_to: np.ndarray,
     tgt_codes: np.ndarray,
 ) -> np.ndarray:
-    """Per target: dominated by any dominator?  (dominators, targets) blocks.
+    """Per target: dominated by any dominator?
 
-    Targets are processed in chunks so the (dominators, chunk, dims)
-    comparison temporaries stay around 32 MB regardless of block sizes.
+    One ``(dominators, targets)`` comparison per TO dimension, and per PO
+    attribute one column take from the dominators' preferred-or-equal rows
+    (gathered once), in target chunks from :func:`_target_chunks`.
     """
     num_to = dom_to.shape[1]
-    num_po = dom_codes.shape[1] if len(prefs) else 0
-    chunk = max(1, _BLOCK_MASK_ELEMENTS // max(1, len(dom_to) * max(1, num_to)))
+    pref_rows = [
+        prefs[po_index][dom_codes[:, po_index]] for po_index in range(len(prefs))
+    ]
     out = np.zeros(len(tgt_to), dtype=bool)
-    for low in range(0, len(tgt_to), chunk):
-        high = min(low + chunk, len(tgt_to))
-        to_block = tgt_to[None, low:high, :]
-        weak = (dom_to[:, None, :] <= to_block).all(axis=2)
-        strict = (dom_to[:, None, :] < to_block).any(axis=2)
-        for po_index in range(num_po):
-            codes = dom_codes[:, po_index][:, None]
-            target_codes = tgt_codes[low:high, po_index][None, :]
-            preferred = prefs[po_index][codes, target_codes]
+    for low, high in _target_chunks(len(dom_to), num_to, len(tgt_to)):
+        weak = np.ones((len(dom_to), high - low), dtype=bool)
+        strict = np.zeros_like(weak)
+        for dim in range(num_to):
+            dom_values = dom_to[:, dim, None]
+            tgt_values = tgt_to[None, low:high, dim]
+            weak &= dom_values <= tgt_values
+            strict |= dom_values < tgt_values
+        for po_index, rows in enumerate(pref_rows):
+            target_codes = tgt_codes[low:high, po_index]
+            preferred = np.take(rows, target_codes, axis=1)
             weak &= preferred
-            strict |= preferred & (codes != target_codes)
+            strict |= preferred & (dom_codes[:, po_index, None] != target_codes)
         out[low:high] = (weak & strict).any(axis=0)
     return out
 
@@ -144,8 +147,9 @@ def _as_to_block(rows, num_to: int) -> np.ndarray:
 
 
 def _target_chunks(members: int, dims: int, targets: int):
-    """``(low, high)`` target slices keeping (members, chunk, dims)
-    broadcast temporaries within the :data:`_BLOCK_MASK_ELEMENTS` budget."""
+    """``(low, high)`` target slices keeping ``members x chunk x dims`` within
+    the :data:`_BLOCK_MASK_ELEMENTS` budget, so the ``(members, chunk)``
+    masks a block test builds per dimension stay bounded."""
     chunk = max(1, _BLOCK_MASK_ELEMENTS // max(1, members * max(1, dims)))
     for low in range(0, targets, chunk):
         yield low, min(low + chunk, targets)
@@ -283,29 +287,6 @@ class NumpyRecordStore(RecordStore):
         forward, backward = self._masks_against(to_values, po_codes)
         return bool(forward.any()), backward.tolist()
 
-    def block_dominated_mask(
-        self,
-        targets: Sequence[tuple[Sequence[float], Sequence[int]]],
-        counter=None,
-    ) -> list[bool]:
-        charge(counter, len(self) * len(targets))
-        if not len(self) or not targets:
-            return [False] * len(targets)
-        tgt_to = np.array([t[0] for t in targets], dtype=np.float64).reshape(
-            len(targets), self.tables.num_total_order
-        )
-        tgt_codes = np.array(
-            [t[1] if self._num_po else (0,) for t in targets], dtype=np.int64
-        ).reshape(len(targets), max(1, self._num_po))
-        mask = _block_dominated(
-            self._pref[: self._num_po],
-            self._to.view,
-            self._codes.view,
-            tgt_to,
-            tgt_codes,
-        )
-        return mask.tolist()
-
     def block_dominated_columns(self, to_rows, code_rows, counter=None) -> list[bool]:
         tgt_to = _as_to_block(to_rows, self.tables.num_total_order)
         charge(counter, len(self) * len(tgt_to))
@@ -322,11 +303,11 @@ class NumpyRecordStore(RecordStore):
 
 
 class NumpyTDominanceStore(TDominanceStore):
-    """T-dominance over bitset-packed closures.
+    """Weak t-dominance over the boolean preferred-or-equal matrices.
 
-    PO preference is answered from the uint64 bitset rows of
-    :mod:`repro.kernels.bitsets` — one word gather plus shift-AND per
-    attribute — instead of gathering from the boolean preference matrices.
+    A block test gathers each member chunk's matrix rows once per PO
+    attribute (members x domain size) and then takes one column per target:
+    a 1-D take, several times cheaper per pair than a 2-D gather.
     """
 
     #: Members per comparison pass of :meth:`block_weakly_dominated`.
@@ -334,7 +315,7 @@ class NumpyTDominanceStore(TDominanceStore):
 
     def __init__(self, tables: TDominanceTables) -> None:
         self.tables = tables
-        self._bits = attribute_word_arrays(tables)
+        self._pref = _pref_matrices(tables)
         self._mbi_low, self._mbi_high = _mbi_arrays(tables)
         self._to = GrowableMatrix(tables.num_total_order, dtype=np.float64)
         self._codes = GrowableMatrix(max(1, tables.num_partial_order), dtype=np.int64)
@@ -377,6 +358,10 @@ class NumpyTDominanceStore(TDominanceStore):
         """Per target: weakly t-dominated by a member in ``members``?"""
         block_to = self._to.view[members]
         block_codes = self._codes.view[members]
+        pref_rows = [
+            self._pref[po_index][block_codes[:, po_index]]
+            for po_index in range(self._num_po)
+        ]
         out = np.zeros(len(tgt_to), dtype=bool)
         dims = self.tables.num_total_order
         for low, high in _target_chunks(len(block_to), dims, len(tgt_to)):
@@ -386,15 +371,8 @@ class NumpyTDominanceStore(TDominanceStore):
             weak = np.ones((len(block_to), high - low), dtype=bool)
             for dim in range(dims):
                 weak &= block_to[:, dim, None] <= tgt_to[None, low:high, dim]
-            for po_index in range(self._num_po):
-                words = self._bits[po_index]
-                target_codes = tgt_codes[low:high, po_index]
-                gathered = words[
-                    block_codes[:, po_index][:, None],
-                    (target_codes >> 6)[None, :],
-                ]
-                bits = (target_codes & 63).astype(np.uint64)[None, :]
-                weak &= ((gathered >> bits) & np.uint64(1)).astype(bool)
+            for po_index, rows in enumerate(pref_rows):
+                weak &= np.take(rows, tgt_codes[low:high, po_index], axis=1)
             out[low:high] = weak.any(axis=0)
         return out
 
@@ -413,9 +391,7 @@ class NumpyTDominanceStore(TDominanceStore):
         for po_index in range(self._num_po):
             if not mask.any():
                 return False
-            code = int(po_codes[po_index])
-            rows = self._bits[po_index][block_codes[:, po_index], code >> 6]
-            mask &= ((rows >> np.uint64(code & 63)) & np.uint64(1)).astype(bool)
+            mask &= self._pref[po_index][block_codes[:, po_index], int(po_codes[po_index])]
         return bool(mask.any())
 
     def mbb_candidates(

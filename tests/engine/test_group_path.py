@@ -7,14 +7,17 @@ effective schema.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.api import open_dataset
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.engine.batch import BatchQuery, BatchQueryEngine
 from repro.kernels import available_kernels, get_kernel
 from repro.kernels.tables import TDominanceTables
-from repro.order.builders import chain
+from repro.order.builders import chain, random_dag
 from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import encode_domain
 from repro.skyline.bruteforce import brute_force_skyline
@@ -97,6 +100,33 @@ class TestEdgeSchemas:
             BatchQuery("split", {"p0": PartialOrderDAG(["a", "b", "c"], [("a", "b")])}),
         ]
         _assert_exact(schema, rows, queries, kernel, frame_backing)
+
+    def test_po_domain_wider_than_a_word(self, kernel, frame_backing):
+        """A 130-value PO domain under random and chain overrides, which
+        reshape the levels and which groups dominate which."""
+        rng = random.Random(130)
+        wide = random_dag(130, edge_probability=0.03, seed=1)
+        schema = _schema(2, wide, ABC)
+        rows = [
+            (rng.randint(0, 6), rng.randint(0, 6), rng.choice(wide.values), rng.choice("abc"))
+            for _ in range(300)
+        ]
+        queries = [BatchQuery("base")] + [
+            BatchQuery(
+                f"random{seed}",
+                {"p0": random_dag(130, edge_probability=0.03, seed=seed)},
+            )
+            for seed in (2, 3, 4)
+        ]
+        queries.append(
+            BatchQuery("both", {"p0": chain(wide.values), "p1": chain(["c", "b", "a"])})
+        )
+        live = dict(enumerate(rows))
+        with open_dataset(Dataset(schema, rows), kernel=kernel) as engine:
+            assert_backing(engine._frame, frame_backing)
+            for query in queries:
+                answer = engine.run_query(query).skyline_ids
+                assert answer == _truth(schema, live, query), query.name
 
     def test_one_kernel_call_per_level(self, kernel, frame_backing, monkeypatch):
         schema = _schema(2, ABC)

@@ -102,7 +102,11 @@ class TestRecordStoreAgreement:
         )
         # ... and so does the merge-window primitive, which must also match
         # per-candidate any_dominates verdicts against the same members.
-        window_masks = [store.block_dominated_mask(encoded) for store in stores]
+        to_rows = [row[0] for row in encoded]
+        code_rows = [row[1] for row in encoded]
+        window_masks = [
+            store.block_dominated_columns(to_rows, code_rows) for store in stores
+        ]
         _assert_all_match(window_masks)
         assert window_masks[0] == [
             stores[0].any_dominates(to_values, po_codes)
@@ -272,10 +276,12 @@ class TestBulkOpsAgreement:
                 )
             )
         _assert_all_match(results)
-        # The columnar forms agree with the row-pair forms they shadow.
+        # The columnar forms agree with per-row queries and the row-pair form.
         store = KERNELS[0].record_store(tables)
         store.extend(to_rows[:split], code_rows[:split])
-        assert results[0][0] == store.block_dominated_mask(encoded)
+        assert results[0][0] == [
+            store.any_dominates(to_values, po_codes) for to_values, po_codes in encoded
+        ]
         assert results[0][1] == KERNELS[0].record_block_dominated_mask(
             tables, encoded[:split], encoded
         )
