@@ -169,10 +169,19 @@ class Schema:
             if isinstance(attribute, PartialOrderAttribute):
                 attribute.validate(value)
             else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                # Plain ints and floats skip the isinstance tests: this runs
+                # once per value on ingest.
+                kind = type(value)
+                if kind is not int and kind is not float and (
+                    isinstance(value, bool) or not isinstance(value, (int, float))
+                ):
                     raise SchemaError(
                         f"attribute {attribute.name!r} expects a number, got {value!r}"
                     )
+                if value != value:
+                    # NaN compares false both ways: no order ranks it, and
+                    # kernels that compare it differently would disagree.
+                    raise SchemaError(f"attribute {attribute.name!r} got NaN")
 
     def canonical_to_values(self, row: Sequence[Value]) -> tuple[float, ...]:
         """The totally ordered values of ``row``, mapped so smaller is better."""

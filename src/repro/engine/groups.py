@@ -19,7 +19,11 @@ whole *level* of groups per kernel call rather than one group per call:
 * the rows kept on the lower levels form one growing t-dominance store, and
   a level keeps the rows that no stored row weakly t-dominates — one
   :meth:`~repro.kernels.base.TDominanceStore.block_weakly_dominated` call
-  per level.
+  per level, over a slice of the query's TO and PO-code rows, gathered once
+  in level order.  The NumPy store sweeps a large level in TO-sum order
+  (the order BBS visits points in), so it compares a stored row only with
+  the level's rows whose sum reaches its own; the call is still charged
+  every stored row × level row pair, as ``dominance_checks``.
 
 Weak t-dominance by a stored row is exact dominance here: the stored row
 comes from a different group, so its PO values are preferred-or-equal
@@ -75,15 +79,31 @@ def skyline_rows(
     tables = TDominanceTables.from_encodings(frame.num_total_order, encodings)
     code_maps = [table.code_of for table in tables.attributes]
     store = kernel.tdominance_store(tables)
+    levels = _levels(frame, fronts, encodings)
+    order = [row for rows in levels for row in rows]
+    to_block = frame.gather_to(order)
+    code_block = frame.remap_codes(code_maps, order)
     kept: list[int] = []
-    for rows in _levels(frame, fronts, encodings):
+    start = 0
+    for rows in levels:
+        stop = start + len(rows)
         stats.points_examined += len(rows)
+        level_to, level_codes = to_block[start:stop], code_block[start:stop]
+        start = stop
         if len(store):
-            dominated = store.block_weakly_dominated(
-                frame.gather_to(rows), frame.remap_codes(code_maps, rows), stats
-            )
-            rows = [row for row, drop in zip(rows, dominated) if not drop]
-        store.extend(frame.gather_to(rows), frame.remap_codes(code_maps, rows))
+            dominated = store.block_weakly_dominated(level_to, level_codes, stats)
+            survivors = [index for index, drop in enumerate(dominated) if not drop]
+            rows = [rows[index] for index in survivors]
+            level_to = _take(level_to, survivors)
+            level_codes = _take(level_codes, survivors)
+        store.extend(level_to, level_codes)
         kept.extend(rows)
     kept.sort()
     return kept
+
+
+def _take(block, positions: list[int]):
+    """Rows ``positions`` of a frame block (a NumPy matrix or a row tuple)."""
+    if isinstance(block, tuple):
+        return [block[position] for position in positions]
+    return block[positions]

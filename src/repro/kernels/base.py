@@ -148,7 +148,14 @@ class TDominanceStore(ABC):
             self.append(to_values, po_codes)
 
     def block_weakly_dominated(self, to_rows, code_rows, counter=None) -> list[bool]:
-        """Per row: is it weakly t-dominated by any member (columnar blocks)?"""
+        """Per row: is it weakly t-dominated by any member (columnar blocks)?
+
+        The reference loops :meth:`any_weakly_dominates` and charges the
+        comparisons it reaches.  The NumPy store answers a large block by a
+        sweep in TO-sum order (weak TO dominance implies a sum no larger, so
+        pairs whose sums rule it out are skipped) and charges every member x
+        row pair, as if none were skipped.
+        """
         return [
             self.any_weakly_dominates(to_values, po_codes, counter=counter)
             for to_values, po_codes in zip(to_rows, code_rows)

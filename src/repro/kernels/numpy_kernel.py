@@ -146,6 +146,24 @@ def _as_to_block(rows, num_to: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), num_to)
 
 
+def _sweep_sums(block: np.ndarray) -> np.ndarray:
+    """Per row, the sort key of the TO-sum sweeps: the sum of its columns
+    added left to right (0 for none), NaN read as 0.
+
+    One fixed order for every block, whatever its memory layout, so equal
+    rows get equal keys and ``a <= b`` column-wise gives ``key a <= key b``:
+    rounding is monotone.  A NaN sum marks a row holding both +inf and -inf,
+    which only compares with rows holding -inf (a sum of -inf or NaN) or
+    +inf (+inf or NaN), so any one stand-in value keeps the order.
+    """
+    sums = np.zeros(len(block), dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        for column in range(block.shape[1]):
+            sums += block[:, column]
+    sums[np.isnan(sums)] = 0.0
+    return sums
+
+
 def _target_chunks(members: int, dims: int, targets: int):
     """``(low, high)`` target slices keeping ``members x chunk x dims`` within
     the :data:`_BLOCK_MASK_ELEMENTS` budget, so the ``(members, chunk)``
@@ -308,9 +326,24 @@ class NumpyTDominanceStore(TDominanceStore):
     A block test gathers each member chunk's matrix rows once per PO
     attribute (members x domain size) and then takes one column per target:
     a 1-D take, several times cheaper per pair than a 2-D gather.
+
+    A block larger than :data:`SINGLE_PASS_PAIRS` members x targets is swept
+    in TO-sum order, the order BBS and SFS visit points in: weak TO dominance
+    implies a sum no larger than the target's (float rounding is monotone
+    and every row is summed left to right), so a member is only compared
+    with the open targets whose sum is at least its own, and a target leaves
+    the sweep once the members reach a larger sum.  Verdicts are those of
+    the full comparison; the charge is still every member x target pair.
     """
 
-    #: Members per comparison pass of :meth:`block_weakly_dominated`.
+    #: Largest members x targets block answered in one comparison pass;
+    #: larger blocks take the sorted sweep.
+    SINGLE_PASS_PAIRS = 65_536
+    #: Members of the sweep's first chunk; each further chunk doubles, up to
+    #: :data:`MEMBER_CHUNK`, so the many targets the strongest members
+    #: dominate leave after a few pairs.
+    FIRST_MEMBER_CHUNK = 16
+    #: Members per comparison pass of the sorted sweep.
     MEMBER_CHUNK = 256
 
     def __init__(self, tables: TDominanceTables) -> None:
@@ -320,6 +353,10 @@ class NumpyTDominanceStore(TDominanceStore):
         self._to = GrowableMatrix(tables.num_total_order, dtype=np.float64)
         self._codes = GrowableMatrix(max(1, tables.num_partial_order), dtype=np.int64)
         self._num_po = tables.num_partial_order
+        # Member indices in ascending TO-sum order and their sums, covering
+        # the first len(self._by_sum) members; merged up lazily by the sweep.
+        self._by_sum = np.empty(0, dtype=np.intp)
+        self._sorted_sums = np.empty(0, dtype=np.float64)
 
     def append(self, to_values: Sequence[float], po_codes: Sequence[int]) -> None:
         self._to.append(to_values)
@@ -334,28 +371,63 @@ class NumpyTDominanceStore(TDominanceStore):
         return len(self._to)
 
     def block_weakly_dominated(self, to_rows, code_rows, counter=None) -> list[bool]:
-        """Members are compared :data:`MEMBER_CHUNK` at a time, in append
-        order, and each chunk only sees the targets no earlier chunk
-        dominated: when early members are strong (the group path appends
-        dominator levels first), most targets fall to the first chunk."""
         tgt_to = _as_to_block(to_rows, self.tables.num_total_order)
         charge(counter, len(self) * len(tgt_to))
         if not len(self) or not len(tgt_to):
             return [False] * len(tgt_to)
         tgt_codes = _as_code_block(code_rows, self._num_po, len(tgt_to))
+        if len(self) * len(tgt_to) <= self.SINGLE_PASS_PAIRS:
+            return self._chunk_dominates(slice(None), tgt_to, tgt_codes).tolist()
+        return self._sorted_sweep(tgt_to, tgt_codes).tolist()
+
+    def _sorted_sweep(self, tgt_to, tgt_codes) -> np.ndarray:
+        """Per target: weakly t-dominated by a member?  Members in ascending
+        TO-sum chunks against the open targets, kept in ascending sum order.
+
+        Sums are :func:`_sweep_sums` keys on both sides.
+        """
+        by_sum, member_sums = self._members_by_sum()
+        tgt_sums = _sweep_sums(tgt_to)
+        open_rows = np.argsort(tgt_sums, kind="stable")
+        open_sums = tgt_sums[open_rows]
         out = np.zeros(len(tgt_to), dtype=bool)
-        open_rows = np.arange(len(tgt_to))
-        for start in range(0, len(self), self.MEMBER_CHUNK):
-            members = slice(start, start + self.MEMBER_CHUNK)
-            hit = self._chunk_dominates(members, tgt_to[open_rows], tgt_codes[open_rows])
-            out[open_rows[hit]] = True
-            open_rows = open_rows[~hit]
+        start, chunk = 0, self.FIRST_MEMBER_CHUNK
+        while start < len(by_sum):
+            # Targets below the chunk's smallest sum are below every later
+            # member's too: no member left can dominate them.
+            retired = np.searchsorted(open_sums, member_sums[start], side="left")
+            open_rows, open_sums = open_rows[retired:], open_sums[retired:]
             if not len(open_rows):
                 break
-        return out.tolist()
+            # Members above the largest open sum dominate no open target.
+            stop = min(
+                start + chunk,
+                int(np.searchsorted(member_sums, open_sums[-1], side="right")),
+            )
+            hit = self._chunk_dominates(
+                by_sum[start:stop], tgt_to[open_rows], tgt_codes[open_rows]
+            )
+            out[open_rows[hit]] = True
+            open_rows, open_sums = open_rows[~hit], open_sums[~hit]
+            start, chunk = stop, min(2 * chunk, self.MEMBER_CHUNK)
+        return out
 
-    def _chunk_dominates(self, members: slice, tgt_to, tgt_codes) -> np.ndarray:
-        """Per target: weakly t-dominated by a member in ``members``?"""
+    def _members_by_sum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Member indices in ascending TO-sum order (ties in append order),
+        and their sums; merges in members appended since the last call."""
+        known = len(self._by_sum)
+        if known < len(self):
+            sums = _sweep_sums(self._to.view[known:])
+            order = np.argsort(sums, kind="stable")
+            sums = sums[order]
+            at = np.searchsorted(self._sorted_sums, sums, side="right")
+            self._by_sum = np.insert(self._by_sum, at, order + known)
+            self._sorted_sums = np.insert(self._sorted_sums, at, sums)
+        return self._by_sum, self._sorted_sums
+
+    def _chunk_dominates(self, members, tgt_to, tgt_codes) -> np.ndarray:
+        """Per target: weakly t-dominated by a member in ``members`` (a slice
+        or an index array)?"""
         block_to = self._to.view[members]
         block_codes = self._codes.view[members]
         pref_rows = [
@@ -446,12 +518,14 @@ class NumpyKernel(DominanceKernel):
             return (matrix[:, 0] == matrix[:, 0].min()).tolist()
         if matrix.shape[1] == 2:
             return self._pareto_mask_2d(matrix)
-        # Sweep in monotone (sum) order: strict dominance implies a strictly
-        # smaller coordinate sum, so a point can only be dominated by an
-        # earlier one.  Chunks are resolved with two dominance tests — chunk
-        # vs the kept front, and chunk vs itself (upper triangle; transitivity
-        # makes testing against dominated chunk members harmless).
-        order = np.argsort(matrix.sum(axis=1), kind="stable")
+        # Sweep in monotone order: coordinate sum, ties broken
+        # lexicographically.  Dominance implies a sum no larger (rounding is
+        # monotone) and, on a tie, a lexicographically smaller row, so a
+        # point can only be dominated by an earlier one.  Chunks are resolved
+        # with two dominance tests — chunk vs the kept front, and chunk vs
+        # itself (upper triangle; transitivity makes testing against
+        # dominated chunk members harmless).
+        order = np.lexsort((*matrix.T[::-1], _sweep_sums(matrix)))
         ordered = matrix[order]
         total = len(ordered)
         kept_rows = np.empty_like(matrix)
@@ -508,8 +582,10 @@ class NumpyKernel(DominanceKernel):
         # y is ascending within an x-run, so each run's minimum is its first y.
         run_min_y = y[run_starts]
         best_y_upto = np.minimum.accumulate(run_min_y)
+        # NaN for the first run, which has no earlier one: an inf sentinel
+        # would read as a dominator of a y of +inf.
         best_y_before = np.empty_like(best_y_upto)
-        best_y_before[0] = np.inf
+        best_y_before[0] = np.nan
         best_y_before[1:] = best_y_upto[:-1]
         dominated = (best_y_before[run_ids] <= y) | (run_min_y[run_ids] < y)
         result = np.empty(len(x), dtype=bool)

@@ -53,6 +53,15 @@ def _record_dominates(
     return strictly
 
 
+def _sweep_key(vector: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
+    """Sort key under which a point only follows its dominators: the
+    coordinate sum (rounding is monotone), ties broken lexicographically.
+    A NaN sum (the row holds both +inf and -inf) reads as 0: such a row is
+    only comparable with rows summing to -inf, +inf or NaN."""
+    total = sum(vector)
+    return (0.0 if total != total else total), vector
+
+
 class PureVectorStore(VectorStore):
     def __init__(self, dimensions: int) -> None:
         self.dimensions = dimensions
@@ -230,8 +239,9 @@ class PurePythonKernel(DominanceKernel):
         return PureTDominanceStore(tables)
 
     def pareto_mask(self, rows: Sequence[Sequence[float]]) -> list[bool]:
-        vectors = [tuple(row) for row in rows]
-        order = sorted(range(len(vectors)), key=lambda i: sum(vectors[i]))
+        # Python floats: NumPy scalars would warn on inf + -inf.
+        vectors = [tuple(map(float, row)) for row in rows]
+        order = sorted(range(len(vectors)), key=lambda i: _sweep_key(vectors[i]))
         kept: list[tuple[float, ...]] = []
         mask = [False] * len(vectors)
         for index in order:

@@ -22,6 +22,20 @@ class TestDataset:
         with pytest.raises(SchemaError):
             Dataset(flight_schema, [(100, 0, "unknown-airline")])
 
+    def test_validation_rejects_nan(self):
+        """NaN compares false both ways, so no order ranks it: the kernels
+        used to disagree on such rows instead of refusing them."""
+        schema = Schema(
+            [
+                TotalOrderAttribute("a"),
+                TotalOrderAttribute("b", best="max"),
+                PartialOrderAttribute("p", chain(["x"])),
+            ]
+        )
+        with pytest.raises(SchemaError, match="'a' got NaN"):
+            Dataset(schema, [(float("nan"), 1, "x"), (1, 2, "x"), (3, 5, "x")])
+        assert len(Dataset(schema, [(float("inf"), float("-inf"), "x")])) == 1
+
     def test_validation_can_be_skipped(self, flight_schema):
         dataset = Dataset(flight_schema, [(100, 0, "unknown-airline")], validate=False)
         assert len(dataset) == 1

@@ -78,6 +78,14 @@ class TestSchema:
         with pytest.raises(SchemaError):
             mixed_schema.validate_row((True, "a", 4))
 
+    def test_validate_row_rejects_nan_and_accepts_infinities(self, mixed_schema):
+        nan, inf = float("nan"), float("inf")
+        for row in ((nan, "a", 4), (100, "a", nan)):
+            with pytest.raises(SchemaError, match="NaN"):
+                mixed_schema.validate_row(row)
+        for row in ((inf, "a", -inf), (-inf, "a", inf), (inf, "a", inf)):
+            mixed_schema.validate_row(row)
+
     def test_canonical_to_values(self, mixed_schema):
         assert mixed_schema.canonical_to_values((100, "a", 4)) == (100.0, -4.0)
 

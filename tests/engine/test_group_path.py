@@ -7,6 +7,7 @@ effective schema.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 from repro.api import open_dataset
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
-from repro.engine.batch import BatchQuery, BatchQueryEngine
+from repro.data.workloads import WorkloadSpec
+from repro.engine.batch import BatchQuery, BatchQueryEngine, random_query_preferences
 from repro.kernels import available_kernels, get_kernel
 from repro.kernels.tables import TDominanceTables
 from repro.order.builders import chain, random_dag
@@ -128,6 +130,25 @@ class TestEdgeSchemas:
                 answer = engine.run_query(query).skyline_ids
                 assert answer == _truth(schema, live, query), query.name
 
+    @pytest.mark.parametrize("num_to", [2, 3])
+    def test_infinite_to_values(self, kernel, frame_backing, num_to):
+        """Infinities on both sides, and rows holding both +inf and -inf
+        (a NaN TO sum), in dominator and dominated groups alike."""
+        inf = float("inf")
+        pad = (0,) * (num_to - 2)
+        heads = [
+            (inf, -inf), (-inf, inf), (inf, 0), (0, inf), (inf, inf),
+            (-inf, 3), (3, -inf), (1, 2), (2, 1), (inf, -inf),
+        ]
+        rows = [head + pad + (value,) for head in heads for value in "abc"]
+        rows += [(inf, -inf) + (-1,) * (num_to - 2) + ("c",), (5, 5) + pad + ("a",)]
+        queries = [
+            BatchQuery("base"),
+            BatchQuery("reversed", {"p0": chain(["c", "b", "a"])}),
+            BatchQuery("antichain", {"p0": PartialOrderDAG(["a", "b", "c"], [])}),
+        ]
+        _assert_exact(_schema(num_to, ABC), rows, queries, kernel, frame_backing)
+
     def test_one_kernel_call_per_level(self, kernel, frame_backing, monkeypatch):
         schema = _schema(2, ABC)
         rows = [
@@ -186,3 +207,47 @@ class TestEdgeSchemas:
                 answer = engine.run_query(query).skyline_ids
                 assert answer == _truth(schema, live, query), query.name
             assert 1 in engine.run_query(BatchQuery("base")).skyline_ids
+
+
+#: batch-sharded's shape, scaled down: |TO|=3, one PO attribute whose domain
+#: is a height-6 lattice, anticorrelated rows.
+SHARDED_SHAPE = WorkloadSpec(
+    name="sharded-shape",
+    distribution="anticorrelated",
+    cardinality=2500,
+    num_total_order=3,
+    num_partial_order=1,
+    dag_height=6,
+    dag_density=0.8,
+    seed=3,
+)
+
+
+@functools.lru_cache(maxsize=1)
+def _sharded_shape_case() -> tuple[Dataset, BatchQuery, list[int]]:
+    schema, dataset = SHARDED_SHAPE.build()
+    query = BatchQuery("random", random_query_preferences(schema, 12))
+    live = {record.id: tuple(record.values) for record in dataset.records}
+    return dataset, query, _truth(schema, live, query)
+
+
+@pytest.mark.parametrize("kernel", available_kernels())
+def test_batch_sharded_shape_matches_brute_force(kernel, frame_backing, monkeypatch):
+    """Levels of hundreds of rows against stores of hundreds more: on the
+    NumPy kernel the larger blocks take the sorted sweep."""
+    dataset, query, truth = _sharded_shape_case()
+    swept: list[int] = []
+    if kernel == "numpy":
+        from repro.kernels.numpy_kernel import NumpyTDominanceStore
+
+        original = NumpyTDominanceStore._sorted_sweep
+
+        def counting(self, tgt_to, tgt_codes):
+            swept.append(len(tgt_to))
+            return original(self, tgt_to, tgt_codes)
+
+        monkeypatch.setattr(NumpyTDominanceStore, "_sorted_sweep", counting)
+    with BatchQueryEngine(dataset, kernel=kernel) as engine:
+        assert_backing(engine._frame, frame_backing)
+        assert engine.run_query(query).skyline_ids == truth
+    assert bool(swept) == (kernel == "numpy")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
@@ -133,3 +135,42 @@ class TestBoundingIntervals:
             interval_set.bounding_interval().low,
             interval_set.bounding_interval().high,
         ) == (1, 9)
+
+
+def _pareto_by_definition(rows) -> list[bool]:
+    def dominates(p, q):
+        return all(a <= b for a, b in zip(p, q)) and any(a < b for a, b in zip(p, q))
+
+    return [not any(dominates(other, row) for other in rows) for row in rows]
+
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize("kernel_name", available_kernels())
+class TestParetoMaskEdgeValues:
+    """Both kernels sweep in coordinate-sum order; these blocks tie sums
+    (infinities, rounding) or make them NaN (+inf beside -inf), where the
+    order alone would let a point precede its dominator."""
+
+    @pytest.mark.parametrize("dims", [1, 2, 3, 4])
+    def test_infinities(self, kernel_name, dims):
+        rng = random.Random(dims)
+        values = (-INF, -1.0, 0.0, 1.0, INF)
+        for _ in range(40):
+            rows = [
+                tuple(rng.choice(values) for _ in range(dims))
+                for _ in range(rng.randint(1, 30))
+            ]
+            assert get_kernel(kernel_name).pareto_mask(rows) == _pareto_by_definition(rows), rows
+
+    def test_tied_sums_put_the_dominator_second(self, kernel_name):
+        kernel = get_kernel(kernel_name)
+        # Each pair sums to the same float; the second row dominates the first.
+        for rows in (
+            [(INF, 1.0), (INF, 0.0)],
+            [(INF, 1.0, 0.0), (INF, 0.0, 0.0)],
+            [(1e20, 2.0, 0.0), (1e20, 1.0, 0.0)],
+            [(INF, -INF, 1.0), (INF, -INF, 0.0)],
+        ):
+            assert kernel.pareto_mask(rows) == [False, True], rows

@@ -1,8 +1,10 @@
 """NumPy and pure-Python t-dominance stores against a scalar reference.
 
 The NumPy store answers PO preference by taking columns from the members'
-rows of the boolean preferred-or-equal matrices, ``MEMBER_CHUNK`` members
-at a time over target chunks bounded by ``_BLOCK_MASK_ELEMENTS``.  These
+rows of the boolean preferred-or-equal matrices, over target chunks bounded
+by ``_BLOCK_MASK_ELEMENTS``: all members in one pass for a block of at most
+``SINGLE_PASS_PAIRS`` pairs, up to ``MEMBER_CHUNK`` at a time in the sorted
+sweep that answers larger blocks.  These
 cases pin the verdicts of both stores to a scan of ``pref_or_equal`` and
 their charged checks to each backend's contract (the reference charges the
 comparisons it reaches, the batched backend the whole block) across:
@@ -11,6 +13,11 @@ comparisons it reaches, the batched backend the whole block) across:
 * 0-3 TO and 0-2 PO attributes;
 * store sizes on both sides of one and two member chunks;
 * target chunks split by a small element budget.
+
+The ``sweep_every_block`` cases force the sweep on small blocks and pin it
+at the edges of its TO-sum bound: member sums equal to target sums,
+negative and infinite values, rows holding both +inf and -inf (a NaN sum),
+and a store whose only dominator comes last in sum order.
 
 The NumPy record block test shares the column take; its wide-domain
 verdicts are checked here too.
@@ -174,6 +181,72 @@ def test_empty_store_and_empty_targets():
         store.extend([(1.0, 1.0)], [(0,)])
         assert store.block_weakly_dominated([], [], counter=stats) == []
         assert stats.dominance_checks == 0
+
+
+@pytest.fixture
+def sweep_every_block(monkeypatch):
+    """Send every NumPy block test through the sorted sweep."""
+    monkeypatch.setattr(numpy_kernel.NumpyTDominanceStore, "SINGLE_PASS_PAIRS", 0)
+
+
+INF = float("inf")
+
+
+@pytest.mark.usefixtures("sweep_every_block")
+class TestSortedSweep:
+    def test_equal_sums_and_equal_rows(self):
+        tables = _tables(2, [9])
+        code = (0,)
+        # (1, 1) is the only dominator of the target (1, 1) and sorts first:
+        # retiring targets whose sum *equals* the first member's would lose
+        # it.  (0, 2) and (2, 0) share the sum and dominate neither.
+        members = ([(1.0, 1.0), (0.0, 2.0), (2.0, 0.0), (3.0, 3.0)], [code] * 4)
+        targets = (
+            [(1.0, 1.0), (0.0, 2.0), (2.0, 0.0), (1.5, 0.5), (0.5, 1.5), (1.0, 2.0)],
+            [code] * 6,
+        )
+        _check_store(tables, members, targets)
+
+    def test_only_dominator_last_in_sum_order(self):
+        """Above two member chunks, the target's one dominator is an equal
+        row whose sum is the largest: the sweep must reach the last chunk."""
+        tables = _tables(2, [9])
+        # (x, 9 - x) sums to 9 and dominates (5, 5) only for x in {4, 5}.
+        fillers = [(float(x), 9.0 - x) for x in range(-300, 300) if x not in (4, 5)]
+        assert len(fillers) > 2 * MEMBER_CHUNK
+        members = ([*fillers, (5.0, 5.0)], [(0,)] * (len(fillers) + 1))
+        targets = ([(5.0, 5.0), (6.0, 5.0), (5.0, 4.5), (-301.0, 400.0)], [(0,)] * 4)
+        store = NUMPY.tdominance_store(tables)
+        store.extend(*members)
+        assert store.block_weakly_dominated(*targets) == [True, True, False, False]
+        _check_store(tables, members, targets)
+
+    @pytest.mark.parametrize("store_size", [1, 17, MEMBER_CHUNK + 40, 3 * MEMBER_CHUNK])
+    @pytest.mark.parametrize("num_to", [1, 2, 3])
+    def test_negative_infinite_and_nan_sum_rows(self, num_to, store_size):
+        """Values from {-inf, -2, -1, 0, 1, inf}: many equal sums, and rows
+        holding both infinities, whose sum is NaN."""
+        rng = random.Random(num_to * 1000 + store_size)
+        tables = _tables(num_to, [5], seed=store_size)
+        values = (-INF, -2.0, -1.0, 0.0, 1.0, INF)
+
+        def block(count):
+            to_rows = [(INF, -INF, 0.0)[:num_to], (-INF, INF, 1.0)[:num_to]][:count]
+            to_rows += [
+                tuple(rng.choice(values) for _ in range(num_to))
+                for _ in range(count - len(to_rows))
+            ]
+            return to_rows, [(rng.randrange(5),) for _ in range(count)]
+
+        _check_store(tables, block(store_size), block(150))
+
+    @pytest.mark.parametrize("store_size", [255, 257, 700])
+    def test_random_blocks_match_the_reference(self, store_size):
+        rng = random.Random(store_size)
+        tables = _tables(3, [65, 9])
+        members = _rows(rng, tables, store_size, 3, 9, strong=STRONG_POSITIONS)
+        targets = _rows(rng, tables, 200, 0, 9)
+        _check_store(tables, members, targets)
 
 
 def test_small_element_budget_splits_targets(monkeypatch):
