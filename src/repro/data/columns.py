@@ -279,6 +279,15 @@ class EncodedFrame:
             return self.to[np.asarray(rows, dtype=np.intp)]
         return tuple(self.to[i] for i in rows)
 
+    @staticmethod
+    def take_rows(block, positions: Sequence[int]):
+        """Rows ``positions`` of a block this frame hands out (from
+        :meth:`gather_to` or :meth:`remap_codes`): a NumPy fancy index, or a
+        list gather from a tuple of row tuples."""
+        if isinstance(block, (tuple, list)):
+            return [block[position] for position in positions]
+        return block[positions]
+
     def po_groups(
         self, rows: Sequence[int] | None = None
     ) -> tuple[list[tuple[int, ...]], list[list[int]]]:

@@ -169,12 +169,7 @@ class Schema:
             if isinstance(attribute, PartialOrderAttribute):
                 attribute.validate(value)
             else:
-                # Plain ints and floats skip the isinstance tests: this runs
-                # once per value on ingest.
-                kind = type(value)
-                if kind is not int and kind is not float and (
-                    isinstance(value, bool) or not isinstance(value, (int, float))
-                ):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise SchemaError(
                         f"attribute {attribute.name!r} expects a number, got {value!r}"
                     )

@@ -94,16 +94,9 @@ def skyline_rows(
             dominated = store.block_weakly_dominated(level_to, level_codes, stats)
             survivors = [index for index, drop in enumerate(dominated) if not drop]
             rows = [rows[index] for index in survivors]
-            level_to = _take(level_to, survivors)
-            level_codes = _take(level_codes, survivors)
+            level_to = EncodedFrame.take_rows(level_to, survivors)
+            level_codes = EncodedFrame.take_rows(level_codes, survivors)
         store.extend(level_to, level_codes)
         kept.extend(rows)
     kept.sort()
     return kept
-
-
-def _take(block, positions: list[int]):
-    """Rows ``positions`` of a frame block (a NumPy matrix or a row tuple)."""
-    if isinstance(block, tuple):
-        return [block[position] for position in positions]
-    return block[positions]

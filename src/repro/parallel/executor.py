@@ -697,8 +697,8 @@ class ShardedExecutor:
             if len(window):
                 batches += 1
                 mask = window.block_dominated_columns(
-                    self._gather(sub.to, chunk),
-                    self._gather(codes, chunk),
+                    EncodedFrame.take_rows(sub.to, chunk),
+                    EncodedFrame.take_rows(codes, chunk),
                     counter=counter,
                 )
                 alive = [row for row, dead in zip(chunk, mask) if not dead]
@@ -707,8 +707,8 @@ class ShardedExecutor:
                 # (smaller-or-equal keys) can dominate, and strictness makes
                 # the self-comparison harmless.
                 batches += 1
-                alive_to = self._gather(sub.to, alive)
-                alive_codes = self._gather(codes, alive)
+                alive_to = EncodedFrame.take_rows(sub.to, alive)
+                alive_codes = EncodedFrame.take_rows(codes, alive)
                 mask = self.kernel.record_block_dominated_columns(
                     artifacts.tables,
                     alive_to,
@@ -719,16 +719,12 @@ class ShardedExecutor:
                 )
                 alive = [row for row, dead in zip(alive, mask) if not dead]
             if alive:
-                window.extend(self._gather(sub.to, alive), self._gather(codes, alive))
+                window.extend(
+                    EncodedFrame.take_rows(sub.to, alive),
+                    EncodedFrame.take_rows(codes, alive),
+                )
                 survivors.extend(stream_ids[row] for row in alive)
         return sorted(survivors), batches
-
-    @staticmethod
-    def _gather(block, indices):
-        """Rows of a column block by position (fancy index or list gather)."""
-        if isinstance(block, tuple):
-            return [block[index] for index in indices]
-        return block[indices]
 
     def query(
         self,

@@ -39,6 +39,23 @@ class TestEncodedFrame:
         assert tuple(sub.row(1)[1]) == tuple(frame.row(8)[1])
 
     @pytest.mark.usefixtures("frame_backing")
+    def test_take_rows_of_gathered_blocks(self, flight_dataset):
+        frame = EncodedFrame.from_dataset(flight_dataset)
+        tables = RecordTables.from_schema(flight_dataset.schema)
+        code_maps = [table.code_of for table in tables.attributes]
+        to_block = frame.gather_to([1, 4, 6])
+        code_block = frame.remap_codes(code_maps, [1, 4, 6])
+        picked_to = EncodedFrame.take_rows(to_block, [2, 0])
+        picked_codes = EncodedFrame.take_rows(code_block, [2, 0])
+        assert [tuple(row) for row in picked_to] == [
+            tuple(frame.row(6)[0]), tuple(frame.row(1)[0])
+        ]
+        assert [tuple(row) for row in picked_codes] == [
+            tuple(frame.row(6)[1]), tuple(frame.row(1)[1])
+        ]
+        assert len(EncodedFrame.take_rows(to_block, [])) == 0
+
+    @pytest.mark.usefixtures("frame_backing")
     def test_identity_remap_is_zero_copy(self, flight_dataset):
         frame = EncodedFrame.from_dataset(flight_dataset)
         tables = RecordTables.from_schema(flight_dataset.schema)

@@ -119,8 +119,7 @@ class TestCandidateSetAndCache:
             assert engine._candidate_ids == [0, 2, 3]
             (new_id,) = engine.insert([(0, 0, "a")])
             assert engine._candidate_ids == [3, new_id]
-            # Nothing else reaches -inf, so nothing dominates it.
-            assert new_id in engine.run_query(BatchQuery("base")).skyline_ids
+            assert engine.run_query(BatchQuery("base")).skyline_ids == [new_id]
 
     def test_duplicate_of_a_front_row_joins(self, kernel, frame_backing):
         with self._engine(kernel, frame_backing) as engine:
@@ -145,8 +144,7 @@ class TestCandidateSetAndCache:
         with self._engine(kernel, frame_backing) as engine:
             before = engine.run_query(BatchQuery("base")).skyline_ids
             (new_id,) = engine.insert([(0, 0, "a")])
-            # Nothing else reaches -inf, so nothing dominates it.
-            assert new_id in engine.run_query(BatchQuery("base")).skyline_ids
+            assert engine.run_query(BatchQuery("base")).skyline_ids == [new_id]
             assert engine.delete([new_id]) == [new_id]
             assert engine._candidate_ids == [0, 2, 3]
             result = engine.run_query(BatchQuery("base"))
