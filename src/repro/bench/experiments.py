@@ -350,8 +350,8 @@ def ablation_dtss_precompute(profile: BenchProfile | None = None) -> ExperimentT
                 "distribution": distribution,
                 "dTSS total (s)": base.total_seconds,
                 "dTSS+local total (s)": precomputed.total_seconds,
-                "dTSS points examined": base.dominance_checks,
-                "dTSS+local points examined": precomputed.dominance_checks,
+                "dTSS checks": base.dominance_checks,
+                "dTSS+local checks": precomputed.dominance_checks,
                 "skyline": base.skyline_size,
             }
         )

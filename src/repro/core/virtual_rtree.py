@@ -32,8 +32,8 @@ from repro.index.rtree import RTree
 from repro.order.encoding import DomainEncoding
 from repro.order.intervals import IntervalSet
 
-#: Effectively unbounded coordinate used for open-ended query ranges.
-_INFINITY = 1e18
+#: Bound of the open ends of query ranges (TO values may themselves be ±inf).
+_INFINITY = float("inf")
 
 #: Maximum number of interval combinations examined when testing one MBB.
 #: Exceeding the cap makes the check answer "not dominated", which is always

@@ -9,8 +9,9 @@ untouched across queries and, per query, only
 2. visits the groups in topological order of their PO values — which
    establishes *precedence* across groups, while BBS's mindist order
    establishes it within a group — and
-3. checks every candidate for t-dominance against the global main-memory
-   R-tree ``Tm`` of virtual skyline points (or a plain skyline list), which
+3. checks every candidate for t-dominance against the skyline found so far,
+   held in the kernel's :class:`~repro.kernels.base.TDominanceStore` (or in
+   the global main-memory R-tree ``Tm`` of virtual skyline points), which
    gives *exactness*.
 
 A non-dominated point is therefore reported immediately.  A whole group whose
@@ -33,6 +34,7 @@ from repro.dynamic.cache import QuerySpec, resolve_partial_orders
 from repro.dynamic.groups import GroupedDataset, GroupPoint, require_dataset
 from repro.exceptions import QueryError
 from repro.index.pager import DiskSimulator
+from repro.kernels import TDominanceTables, resolve_kernel
 from repro.order.encoding import DomainEncoding, encode_domain
 from repro.skyline.base import RunClock, SkylineResult, SkylineStats
 from repro.skyline.bbs import run_bbs
@@ -82,71 +84,65 @@ class DTSSIndex:
             belong to the corresponding DAG.
         use_virtual_rtree:
             Use the global main-memory R-tree ``Tm`` for t-dominance checks;
-            otherwise scan the global skyline list.  The R-tree dramatically
-            reduces pairwise checks but has larger constants in pure Python,
-            so the list scan is the default (it is also the paper's
-            "no main-memory R-tree" fairness setting).
+            otherwise test candidates against the process-default kernel's
+            t-dominance store, which charges one ``dominance_checks`` per
+            stored point compared.  The R-tree dramatically reduces pairwise
+            checks but has larger constants in pure Python, so the store is
+            the default (it is also the paper's "no main-memory R-tree"
+            fairness setting).
         use_local_skylines:
             Use the pre-computed per-group local skylines (Section V-B)
             instead of traversing the per-group R-trees.
         """
         encodings = self._encode_query(partial_orders)
         grouped = self.grouped
-        schema = grouped.schema
+        num_total_order = grouped.num_total_order
 
         stats = SkylineStats()
         clock = RunClock(stats, self.disk)
 
+        tables = TDominanceTables.from_encodings(num_total_order, encodings)
+        store = resolve_kernel(None).tdominance_store(tables)
         virtual_index: VirtualPointIndex | None = None
-        skyline_list: list[GroupPoint] = []
         if use_virtual_rtree:
-            virtual_index = VirtualPointIndex(schema.num_total_order, encodings)
+            virtual_index = VirtualPointIndex(num_total_order, encodings)
 
         results: list[int] = []
 
-        def candidate_dominated(to_values: tuple[float, ...], po_values: tuple[Value, ...]) -> bool:
+        def dominated(to_values, key: tuple[Value, ...], codes: tuple[int, ...]) -> bool:
+            if virtual_index is None:
+                return store.any_weakly_dominates(to_values, codes, stats)
             stats.dominance_checks += 1
-            if virtual_index is not None:
-                return virtual_index.dominates_candidate_point(to_values, po_values)
-            for resident in skyline_list:
-                if all(a <= b for a, b in zip(resident.to_values, to_values)) and all(
-                    encoding.t_prefers_or_equal(rv, cv)
-                    for encoding, rv, cv in zip(encodings, resident.po_values, po_values)
-                ):
-                    return True
-            return False
+            return virtual_index.dominates_candidate_point(to_values, key)
 
-        def report(point: GroupPoint) -> None:
+        def report(point: GroupPoint, codes: tuple[int, ...]) -> None:
             results.append(point.index)
-            skyline_list.append(point)
-            if virtual_index is not None:
+            if virtual_index is None:
+                store.append(point.to_values, codes)
+            else:
                 virtual_index.insert_skyline_point(point.to_values, point.po_values, point.index)
             clock.record_result()
 
         for key in self._group_order(encodings):
+            codes = tables.encode_po(key)
             if use_local_skylines:
                 for point in grouped.ensure_local_skylines()[key]:
                     stats.points_examined += 1
-                    if not candidate_dominated(point.to_values, point.po_values):
-                        report(point)
+                    if not dominated(point.to_values, key, codes):
+                        report(point, codes)
                 continue
 
-            tree = grouped.group_trees[key]
+            # A point, or an MBR's best corner, tested as a point of group key.
+            def dominated_corner(corner, _, key=key, codes=codes) -> bool:
+                return dominated(corner, key, codes)
 
-            def dominated_point(point, payload, key=key) -> bool:
-                candidate = grouped.point(int(payload))
-                return candidate_dominated(candidate.to_values, candidate.po_values)
-
-            def dominated_rect(low, high, key=key) -> bool:
-                return candidate_dominated(tuple(low), key)
-
-            def on_result(point, payload, key=key) -> None:
-                report(grouped.point(int(payload)))
+            def on_result(point, payload, codes=codes) -> None:
+                report(grouped.point(int(payload)), codes)
 
             run_bbs(
-                tree,
-                dominated_point=dominated_point,
-                dominated_rect=dominated_rect,
+                grouped.group_trees[key],
+                dominated_point=dominated_corner,
+                dominated_rect=dominated_corner,
                 on_result=on_result,
                 stats=stats,
                 clock=None,  # report() records progress itself

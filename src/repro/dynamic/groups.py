@@ -21,7 +21,7 @@ from repro.data.schema import Schema
 from repro.exceptions import QueryError, SchemaError
 from repro.index.pager import DiskSimulator
 from repro.index.rtree import RTree
-from repro.skyline.dominance import dominates_vectors
+from repro.kernels import resolve_kernel
 
 Value = Hashable
 
@@ -113,9 +113,6 @@ class GroupedDataset:
     def point(self, index: int) -> GroupPoint:
         return self.points[index]
 
-    def group_keys(self) -> list[tuple[Value, ...]]:
-        return list(self.groups)
-
     def record_ids_for(self, point_indices: Sequence[int]) -> list[int]:
         ids: list[int] = []
         for index in point_indices:
@@ -127,13 +124,11 @@ class GroupedDataset:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _local_skyline(members: list[GroupPoint]) -> list[GroupPoint]:
-        """The TO-only skyline of one group (its PO values are all identical)."""
+        """The TO-only skyline of one group (its PO values are all identical),
+        in sum order, from the process-default kernel's ``pareto_mask``."""
         ordered = sorted(members, key=lambda p: sum(p.to_values))
-        skyline: list[GroupPoint] = []
-        for candidate in ordered:
-            if not any(dominates_vectors(s.to_values, candidate.to_values) for s in skyline):
-                skyline.append(candidate)
-        return skyline
+        keep = resolve_kernel(None).pareto_mask([p.to_values for p in ordered])
+        return [point for point, kept in zip(ordered, keep) if kept]
 
     def ensure_local_skylines(self) -> dict[tuple[Value, ...], list[GroupPoint]]:
         """Compute (and memoize) the local skylines if not done at build time."""
@@ -142,7 +137,6 @@ class GroupedDataset:
                 key: self._local_skyline(members) for key, members in self.groups.items()
             }
         return self.local_skylines
-
 
 
 def require_dataset(source: object) -> Dataset:

@@ -83,10 +83,6 @@ class NodeRef:
     rect: Rect
     node: _Node
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.node.leaf
-
 
 class RTree:
     """An R-tree over rectangles (or points) with hashable payloads."""
@@ -417,18 +413,29 @@ class BestFirstTraversal:
     node's children — or simply dropped (pruned).  Data entries are returned
     as :class:`RTreeEntry`.  This is exactly the control flow BBS-style
     algorithms need.
+
+    A point only follows its dominators and their subtrees: entries leave
+    in ascending mindist, ties in insertion order, except that a mindist
+    that is not finite ties on the low corner, compared lexicographically,
+    and a NaN one (+inf plus -inf) reads as 0, as in the kernels' sweeps.
     """
 
     def __init__(self, tree: RTree) -> None:
         self._tree = tree
-        self._heap: list[tuple[float, int, object]] = []
+        self._heap: list[tuple[float, tuple[float, ...], int, object]] = []
         self._counter = itertools.count()
         if len(tree) > 0:
             root = tree.root
-            self._push(root.rect.mindist(), root)
+            self._push(root.rect, root)
 
-    def _push(self, mindist: float, item: object) -> None:
-        heapq.heappush(self._heap, (mindist, next(self._counter), item))
+    def _push(self, rect: Rect, item: object) -> None:
+        mindist = rect.mindist()
+        tie: tuple[float, ...] = ()
+        if not math.isfinite(mindist):
+            tie = rect.low
+            if mindist != mindist:
+                mindist = 0.0
+        heapq.heappush(self._heap, (mindist, tie, next(self._counter), item))
 
     def __bool__(self) -> bool:
         return bool(self._heap)
@@ -444,7 +451,7 @@ class BestFirstTraversal:
         """Remove and return the pending entry with the smallest mindist."""
         if not self._heap:
             raise IndexError_("best-first traversal is exhausted")
-        mindist, _, item = heapq.heappop(self._heap)
+        mindist, _, _, item = heapq.heappop(self._heap)
         return mindist, item  # type: ignore[return-value]
 
     def expand(self, node_ref: NodeRef) -> None:
@@ -453,11 +460,11 @@ class BestFirstTraversal:
         self._tree._charge_read(node)
         if node.leaf:
             for entry in node.entries:
-                self._push(entry.rect.mindist(), entry)
+                self._push(entry.rect, entry)
         else:
             for child in node.children:
                 if child.mbr is not None:
-                    self._push(child.mbr.mindist(), NodeRef(rect=child.mbr, node=child))
+                    self._push(child.mbr, NodeRef(rect=child.mbr, node=child))
 
     def drain(self) -> Iterator[tuple[float, RTreeEntry]]:
         """Yield every data entry in mindist order, expanding all nodes (no pruning)."""

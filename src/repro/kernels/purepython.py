@@ -159,6 +159,8 @@ class PureTDominanceStore(TDominanceStore):
     def __init__(self, tables: TDominanceTables) -> None:
         self.tables = tables
         self._rows: list[tuple[tuple[float, ...], tuple[int, ...]]] = []
+        # Per attribute, per candidate code: its pref_or_equal column.
+        self._columns = [tuple(zip(*table.pref_or_equal)) for table in tables.attributes]
 
     def append(self, to_values: Sequence[float], po_codes: Sequence[int]) -> None:
         self._rows.append((tuple(to_values), tuple(po_codes)))
@@ -172,20 +174,20 @@ class PureTDominanceStore(TDominanceStore):
         po_codes: Sequence[int],
         counter=None,
     ) -> bool:
-        tables = self.tables
+        columns = [column[code] for column, code in zip(self._columns, po_codes)]
         checks = 0
         try:
             for row_to, row_codes in self._rows:
                 checks += 1
-                if any(a > b for a, b in zip(row_to, to_values)):
-                    continue
-                if all(
-                    table.pref_or_equal[code_p][code_q]
-                    for table, code_p, code_q in zip(
-                        tables.attributes, row_codes, po_codes
-                    )
-                ):
-                    return True
+                for a, b in zip(row_to, to_values):
+                    if a > b:
+                        break
+                else:
+                    for column, code in zip(columns, row_codes):
+                        if not column[code]:
+                            break
+                    else:
+                        return True
             return False
         finally:
             charge(counter, checks)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import random
+from collections.abc import Sequence
 from unittest import mock
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import WorkloadSpec
+from repro.kernels import set_default_kernel
 from repro.order.builders import airline_preference_dag, paper_example_dag
 from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import encode_domain
@@ -124,6 +126,20 @@ def record_path():
         yield
 
 
+@contextlib.contextmanager
+def default_kernel(name: str):
+    """Make ``name`` the process-default dominance kernel inside the block.
+
+    Code that takes no ``kernel=`` argument (dTSS, the figure runners) reads
+    the default; the suite runs without an override, so none is left after.
+    """
+    set_default_kernel(name)
+    try:
+        yield
+    finally:
+        set_default_kernel(None)
+
+
 # --------------------------------------------------------------------- #
 # Frame backings
 # --------------------------------------------------------------------- #
@@ -193,17 +209,32 @@ def random_dag_strategy(max_values: int = 10) -> st.SearchStrategy[PartialOrderD
     return build()
 
 
+#: TO values holding both infinities: their sums tie (+inf, -inf) or are NaN
+#: (+inf plus -inf), which a sum-ordered traversal must still get right.
+INFINITE_TO_VALUES = (float("-inf"), -1.0, 0.0, 1.0, 2.0, float("inf"))
+
+
+def to_value_strategy(to_values: Sequence[float] | None) -> st.SearchStrategy[float]:
+    """One TO value: an integer in 0..8, or one of ``to_values`` when given."""
+    if to_values is None:
+        return st.integers(min_value=0, max_value=8)
+    return st.sampled_from(to_values)
+
+
 def mixed_dataset_strategy(
     max_rows: int = 40,
     max_to: int = 3,
     max_po: int = 2,
     max_dag_values: int = 6,
     min_to: int = 1,
+    to_values: Sequence[float] | None = None,
 ) -> st.SearchStrategy[Dataset]:
     """Small random datasets over random mixed TO/PO schemas.
 
     ``min_to=0`` additionally generates PO-only schemas (zero TO columns),
     a supported configuration the columnar block helpers must handle.
+    ``to_values`` draws the TO values from that set (e.g.
+    :data:`INFINITE_TO_VALUES`) instead of the integers 0..8.
     """
 
     @st.composite
@@ -217,12 +248,12 @@ def mixed_dataset_strategy(
         num_rows = draw(st.integers(min_value=1, max_value=max_rows))
         rows = []
         for _ in range(num_rows):
-            to_values = [draw(st.integers(min_value=0, max_value=8)) for _ in range(num_to)]
+            row_to = [draw(to_value_strategy(to_values)) for _ in range(num_to)]
             po_values = [
                 dag.values[draw(st.integers(min_value=0, max_value=len(dag.values) - 1))]
                 for dag in dags
             ]
-            rows.append(tuple(to_values) + tuple(po_values))
+            rows.append(tuple(row_to) + tuple(po_values))
         return Dataset(schema, rows)
 
     return build()

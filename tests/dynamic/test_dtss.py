@@ -1,6 +1,10 @@
 """Unit tests for the dTSS dynamic skyline algorithm."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.columns import EncodedFrame
 from repro.data.workloads import WorkloadSpec
@@ -14,10 +18,12 @@ from repro.dynamic import (
 from repro.dynamic.dtss import DTSSIndex, dtss_skyline
 from repro.exceptions import QueryError
 from repro.index.pager import DiskSimulator
+from repro.kernels import available_kernels
 from repro.order.builders import random_dag
 from repro.order.dag import PartialOrderDAG
 from repro.order.lattice import lattice_domain
 from repro.skyline.bruteforce import brute_force_skyline
+from tests.conftest import INFINITE_TO_VALUES, default_kernel, mixed_dataset_strategy
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +103,46 @@ class TestCorrectness:
         total_order = PartialOrderDAG(values, list(zip(values, values[1:])))
         truth = ground_truth(dataset, {"po1": total_order})
         assert frozenset(dtss_skyline(dataset, {"po1": total_order}).skyline_ids) == truth
+
+
+@st.composite
+def infinite_dataset_and_query(draw):
+    """A mixed dataset with ±inf TO values, and a random query DAG over each
+    PO attribute's values."""
+    dataset = draw(mixed_dataset_strategy(max_rows=30, to_values=INFINITE_TO_VALUES))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    query = {}
+    for attribute in dataset.schema.partial_order_attributes:
+        ranked = list(attribute.dag.values)
+        rng.shuffle(ranked)
+        edges = [
+            (better, worse)
+            for i, better in enumerate(ranked)
+            for worse in ranked[i + 1 :]
+            if rng.random() < 0.4
+        ]
+        query[attribute.name] = PartialOrderDAG(attribute.dag.values, edges)
+    return dataset, query
+
+
+class TestInfiniteToValues:
+    """±inf TO values tie (or NaN) the sums both the group-tree traversal
+    and the local-skyline sweep order by; every path must still answer the
+    brute-force skyline, under every kernel."""
+
+    @pytest.mark.parametrize("kernel", available_kernels())
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"use_local_skylines": True}, {"use_virtual_rtree": True}],
+        ids=["tree", "local", "virtual"],
+    )
+    @given(case=infinite_dataset_and_query())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_brute_force(self, kernel, options, case):
+        dataset, query = case
+        with default_kernel(kernel):
+            result = dtss_skyline(dataset, query, **options)
+        assert frozenset(result.skyline_ids) == ground_truth(dataset, query)
 
 
 class TestIndexReuse:

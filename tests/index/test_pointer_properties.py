@@ -30,7 +30,12 @@ from repro.index.pager import DiskSimulator
 from repro.kernels import available_kernels
 from repro.skyline.bbs import bbs_skyline
 from repro.skyline.bruteforce import brute_force_skyline
-from tests.conftest import mixed_dataset_strategy, record_path
+from tests.conftest import (
+    INFINITE_TO_VALUES,
+    mixed_dataset_strategy,
+    record_path,
+    to_value_strategy,
+)
 
 KERNELS = available_kernels()
 
@@ -50,13 +55,14 @@ MIXED_ALGORITHMS = {
 
 
 @st.composite
-def to_dataset_strategy(draw, max_rows: int = 60):
-    """Random TO-only datasets across 2-4 dimensions (classical BBS input)."""
+def to_dataset_strategy(draw, max_rows: int = 60, to_values=None):
+    """Random TO-only datasets across 2-4 dimensions (classical BBS input);
+    ``to_values`` as in :func:`~tests.conftest.mixed_dataset_strategy`."""
     dims = draw(st.integers(min_value=2, max_value=4))
     schema = Schema([TotalOrderAttribute(f"to{i}") for i in range(dims)])
     num_rows = draw(st.integers(min_value=0, max_value=max_rows))
     rows = [
-        tuple(draw(st.integers(min_value=0, max_value=8)) for _ in range(dims))
+        tuple(draw(to_value_strategy(to_values)) for _ in range(dims))
         for _ in range(num_rows)
     ]
     return Dataset(schema, rows)
@@ -118,6 +124,25 @@ class TestPointerAnswers:
             result = algorithm(dataset, kernel=kernel, disk=disk)
             assert frozenset(result.skyline_ids) == truth, algorithm.__name__
             _assert_reads_match_expansions(result, disk)
+
+
+class TestInfiniteToValues:
+    """±inf TO values make mindist sums tie (+inf, -inf) or NaN (+inf plus
+    -inf); the traversal must still visit every dominator first."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @given(dataset=to_dataset_strategy(to_values=INFINITE_TO_VALUES))
+    @settings(max_examples=40, deadline=None)
+    def test_classical_bbs(self, kernel, dataset):
+        assert frozenset(bbs_skyline(dataset, kernel=kernel).skyline_ids) == _truth(dataset)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("name", sorted(MIXED_ALGORITHMS))
+    @given(dataset=mixed_dataset_strategy(max_rows=30, to_values=INFINITE_TO_VALUES))
+    @settings(max_examples=25, deadline=None)
+    def test_mixed(self, kernel, name, dataset):
+        result = MIXED_ALGORITHMS[name](dataset, kernel=kernel)
+        assert frozenset(result.skyline_ids) == _truth(dataset)
 
 
 @pytest.mark.skipif(len(KERNELS) < 2, reason="needs a second dominance kernel")
