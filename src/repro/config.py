@@ -15,12 +15,13 @@ public facade (:mod:`repro.api`) and the CLI build their engines through it.
 ``workers`` is still resolved and validated (``REPRO_WORKERS`` included),
 but no engine reads it: every query runs in-process on the group path.
 
-The data path itself has no knobs; it follows whether NumPy imports.  With
-NumPy the engine runs on a NumPy-backed
-:class:`~repro.data.columns.EncodedFrame` over memory-mapped store sections;
-without it, on tuple-backed frames and struct-unpacked sections.  The paper
-algorithms build the same pointer R-trees either way.  Store checksums are
-always verified at open.
+The data path itself has no knobs: the engine, the delta plane and the
+paper algorithms all read an :class:`~repro.data.columns.EncodedFrame`, whose
+backing follows whether NumPy imports.  With NumPy the frame holds arrays
+(over memory-mapped store sections when a store is open); without it, tuples
+(over struct-unpacked sections).  Both backings give the same answers and
+build the same pointer R-trees.  Store checksums are always verified at
+open.
 """
 
 from __future__ import annotations

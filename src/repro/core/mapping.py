@@ -13,12 +13,12 @@ points can then never tie on every attribute, which makes "weakly better
 everywhere and not the same point" equivalent to strict dominance and keeps
 every pruning rule exact.
 
-Construction has two equivalent paths: the record path walks the dataset's
-``Record`` tuples (reference), and the columnar path consumes an
-:class:`~repro.data.columns.EncodedFrame` — grouping duplicates with one
-``np.unique`` over the mapped-coordinate matrix and remapping the frame's
-canonical PO codes into each encoding's topological positions with one
-gather.  Both paths yield identical points in identical (first-occurrence)
+Construction consumes an :class:`~repro.data.columns.EncodedFrame` (a bare
+dataset is encoded first): the frame's canonical PO codes are remapped into
+each encoding's topological positions with one gather, and duplicates are
+grouped in first-occurrence order — one :func:`~repro.data.columns.group_rows`
+over the mapped-coordinate matrix on NumPy frames, a dict over row tuples on
+tuple-backed frames.  Both backings yield identical points in identical
 order, so everything downstream — R-tree layout, BBS traversal, dominance
 check counts — is unchanged; a mapping can also be built from a frame alone
 (``dataset=None``), which is how sharded workers operate on shipped column
@@ -31,7 +31,7 @@ from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
-from repro.data.columns import EncodedFrame, group_rows, numpy_available
+from repro.data.columns import EncodedFrame, group_rows
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.exceptions import SchemaError
@@ -87,7 +87,6 @@ class TSSMapping:
         *,
         schema: Schema | None = None,
         frame: EncodedFrame | None = None,
-        rows: Sequence[int] | None = None,
         toposort_strategy: str = "kahn",
         parent_choice: str = "first",
     ) -> None:
@@ -107,40 +106,14 @@ class TSSMapping:
         if len(encodings) != schema.num_partial_order:
             raise SchemaError("one DomainEncoding per PO attribute is required")
         self.encodings: tuple[DomainEncoding, ...] = tuple(encodings)
-        if frame is None and dataset is not None and numpy_available():
+        if frame is None:
             frame = EncodedFrame.from_dataset(dataset)
         self.frame = frame
-        if frame is not None:
-            self.points: list[MappedPoint] = self._build_points_from_frame(frame, rows)
-        else:
-            if rows is not None:
-                raise SchemaError("TSSMapping row subsets require an encoded frame")
-            self.points = self._build_points()
+        self.points: list[MappedPoint] = self._build_points_from_frame(frame)
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def _build_points(self) -> list[MappedPoint]:
-        schema = self.schema
-        points: list[MappedPoint] = []
-        for values, record_ids in group_distinct_rows(self.dataset):
-            to_values = schema.canonical_to_values(values)
-            po_values = schema.partial_values(values)
-            ordinals = tuple(
-                float(encoding.ordinal(value))
-                for encoding, value in zip(self.encodings, po_values)
-            )
-            points.append(
-                MappedPoint(
-                    index=len(points),
-                    coords=to_values + ordinals,
-                    to_values=to_values,
-                    po_values=po_values,
-                    record_ids=record_ids,
-                )
-            )
-        return points
-
     def _topo_code_maps(self) -> list[dict[Value, int]]:
         """Per PO attribute: value -> position in the topological order."""
         return [
@@ -148,22 +121,18 @@ class TSSMapping:
             for encoding in self.encodings
         ]
 
-    def _build_points_from_frame(
-        self, frame: EncodedFrame, rows: Sequence[int] | None = None
-    ) -> list[MappedPoint]:
-        """Columnar twin of :meth:`_build_points` over an encoded frame.
+    def _build_points_from_frame(self, frame: EncodedFrame) -> list[MappedPoint]:
+        """The distinct mapped points of an encoded frame.
 
         The frame's canonical codes are gathered into topological positions
-        (``ordinal - 1``); duplicate grouping is one ``np.unique`` over the
-        mapped-coordinate matrix, reordered to first occurrence so the point
-        list is identical to the record path's.  ``rows`` restricts the build
-        to a row subset without materializing a reduced frame — point
-        ``record_ids`` are then positions within ``rows``, exactly as a
-        ``frame.take(rows)`` build would number them.
+        (``ordinal - 1``); duplicates are grouped in order of first
+        occurrence — one :func:`~repro.data.columns.group_rows` over the
+        mapped-coordinate matrix on NumPy frames, a dict over row tuples on
+        tuple-backed frames — so both backings build the identical point list.
         """
-        topo_codes = frame.remap_codes(self._topo_code_maps(), rows)
-        to_block = frame.gather_to(rows)
-        length = len(frame) if rows is None else len(rows)
+        topo_codes = frame.remap_codes(self._topo_code_maps())
+        to_block = frame.to
+        length = len(frame)
         orders = [encoding.order for encoding in self.encodings]
         if not frame.uses_numpy:
             points: list[MappedPoint] = []

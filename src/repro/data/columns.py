@@ -19,13 +19,15 @@ uses — so ground-truth dominance needs no translation.  Other code spaces
 vectorized gather, rather than re-encoding every record.
 
 The columns are NumPy arrays when NumPy is importable; without NumPy the
-frame falls back to tuple-backed columns, so the engine, the sharded executor
-and the delta plane run the same frame path everywhere (the tuple columns are
-the reference representation the vectorized one must agree with).
+frame falls back to tuple-backed columns, so the engine, the sharded executor,
+the delta plane and the paper algorithms run the same frame path everywhere
+(the tuple columns are the reference representation the vectorized one must
+agree with).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Hashable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
@@ -44,12 +46,6 @@ def _numpy_or_none():
     except ImportError:
         return None
     return numpy
-
-
-def numpy_available() -> bool:
-    """Whether NumPy imports: the default of the bare-dataset paper
-    algorithms, which encode a frame first exactly when it is vectorized."""
-    return _numpy_or_none() is not None
 
 
 def group_rows(matrix) -> tuple[object, list]:
@@ -357,48 +353,46 @@ class EncodedFrame:
             tuple(perm[code] for perm, code in zip(perms, row)) for row in codes
         )
 
-    def monotone_keys(
-        self,
-        depth_columns: Sequence[Sequence[float]],
-        rows: Sequence[int] | None = None,
-    ):
-        """The SFS monotone sort key of every row, bitwise identical to the
-        record path's :func:`~repro.skyline.sfs.monotone_sort_key`.
+    def monotone_keys(self, depth_columns: Sequence[Sequence[float]]):
+        """The SFS presort key of every row: its rank under the scalar
+        :func:`~repro.skyline.sfs.monotone_sort_key` of its record.
 
         ``depth_columns`` holds, per PO attribute, the DAG depth of every
-        *canonical-code* value.  Accumulation order matches the scalar key —
-        TO columns left to right, then PO depths in attribute order — so the
-        float results (and thus any sort built on them) are identical.
-        ``rows`` restricts the keys to a row subset, in ``rows`` order.
+        *canonical-code* value.  The scalar key is the pair (infinity
+        balance, finite sum): +inf TO values count +1 and -inf ones -1, and
+        the finite TO values and the PO depths add up in the scalar key's
+        order, so equal pairs are bitwise equal.  Rows are keyed by the dense
+        rank of their pair, so sorting, comparing and tying keys behaves
+        exactly as on the pairs themselves.
         """
         if self.uses_numpy:
             np = _numpy_or_none()
-            if rows is None:
-                to, codes, length = self.to, self.codes, self._length
-            else:
-                index_array = np.asarray(rows, dtype=np.intp)
-                to, codes, length = (
-                    self.to[index_array],
-                    self.codes[index_array],
-                    int(len(index_array)),
-                )
-            keys = np.zeros(length, dtype=float)
+            finite = np.isfinite(self.to)
+            sums = np.zeros(self._length, dtype=float)
             for column in range(self.num_total_order):
-                keys += to[:, column]
+                sums += np.where(finite[:, column], self.to[:, column], 0.0)
             for attr_index, depths in enumerate(depth_columns):
-                keys += np.asarray(depths, dtype=float)[codes[:, attr_index]]
+                sums += np.asarray(depths, dtype=float)[self.codes[:, attr_index]]
+            balance = np.isposinf(self.to).sum(axis=1) - np.isneginf(self.to).sum(axis=1)
+            order = np.lexsort((sums, balance))
+            steps = np.zeros(self._length, dtype=float)
+            steps[1:] = (np.diff(sums[order]) != 0) | (np.diff(balance[order]) != 0)
+            keys = np.empty(self._length, dtype=float)
+            keys[order] = np.cumsum(steps)
             return keys
-        row_iter = (
-            zip(self.to, self.codes)
-            if rows is None
-            else ((self.to[i], self.codes[i]) for i in rows)
-        )
-        keys = []
-        for to_row, code_row in row_iter:
+        pairs = []
+        for to_row, code_row in zip(self.to, self.codes):
+            balance = 0
             score = 0.0
             for value in to_row:
-                score += value
+                if value == math.inf:
+                    balance += 1
+                elif value == -math.inf:
+                    balance -= 1
+                else:
+                    score += value
             for depths, code in zip(depth_columns, code_row):
                 score += depths[code]
-            keys.append(score)
-        return keys
+            pairs.append((balance, score))
+        rank = {pair: float(index) for index, pair in enumerate(sorted(set(pairs)))}
+        return [rank[pair] for pair in pairs]

@@ -58,7 +58,7 @@ _instances: dict[str, DominanceKernel] = {}
 _default_override: str | None = None
 
 
-def _numpy_available() -> bool:
+def _numpy_imports() -> bool:
     try:
         import numpy  # noqa: F401
     except ImportError:
@@ -68,7 +68,7 @@ def _numpy_available() -> bool:
 
 def available_kernels() -> tuple[str, ...]:
     """Canonical names of the backends usable in this environment."""
-    if _numpy_available():
+    if _numpy_imports():
         return ("purepython", "numpy")
     return ("purepython",)
 
@@ -86,7 +86,7 @@ def _build(name: str) -> DominanceKernel:
     if name == "purepython":
         return PurePythonKernel()
     if name == "numpy":
-        if not _numpy_available():
+        if not _numpy_imports():
             raise ExperimentError(
                 "the 'numpy' dominance kernel requires NumPy; install the "
                 "[numpy] extra or select REPRO_KERNEL=purepython"
@@ -104,7 +104,7 @@ def get_kernel(name: str | None = None) -> DominanceKernel:
             name = _default_override
         else:
             name = env_kernel_name() or (
-                "numpy" if _numpy_available() else "purepython"
+                "numpy" if _numpy_imports() else "purepython"
             )
     canonical = _canonical(name)
     instance = _instances.get(canonical)

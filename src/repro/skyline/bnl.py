@@ -10,22 +10,25 @@ triggering another pass).
 BNL is *not* progressive — no record can be reported before the pass in which
 it entered the window completes — which is one of the motivations for the
 index-based methods the paper builds on.
+
+The passes visit the rows of the dataset's
+:class:`~repro.data.columns.EncodedFrame` in record order; the window,
+overflow and carried candidates are row indices into it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from repro.data.dataset import Dataset, Record
+from repro.data.columns import EncodedFrame
+from repro.data.dataset import Dataset
+from repro.kernels import resolve_kernel
+from repro.kernels.tables import RecordTables
 from repro.skyline.base import RunClock, SkylineResult, SkylineStats
-from repro.skyline.dominance import RecordEncoder, record_store_for
 
 
 def bnl_skyline(
     dataset: Dataset,
     *,
     window_size: int | None = None,
-    dominates: Callable[[Record, Record], bool] | None = None,
     kernel=None,
 ) -> SkylineResult:
     """Compute the skyline of ``dataset`` with Block Nested Loops.
@@ -33,49 +36,41 @@ def bnl_skyline(
     Parameters
     ----------
     dataset:
-        The input relation (mixed TO/PO schemas are supported through the
-        ground-truth dominance predicate).
+        The input relation (mixed TO/PO schemas are supported through
+        ground-truth dominance).
     window_size:
         Maximum number of candidate records kept in memory per pass; ``None``
         means unbounded (a single pass).
-    dominates:
-        Optional dominance predicate override (defaults to ground-truth
-        record dominance for the dataset's schema).  Passing a predicate
-        falls back to the record-at-a-time reference path.
     kernel:
         Dominance kernel backend used for the window scans (instance, name
-        or ``None`` for the process default).
+        or ``None`` for the process default): the candidate-vs-window test is
+        one block dominance call.
     """
-    if dominates is None:
-        return _bnl_skyline_kernel(dataset, window_size, kernel)
-    return _bnl_skyline_predicate(dataset, window_size, dominates)
-
-
-def _bnl_skyline_kernel(dataset, window_size, kernel) -> SkylineResult:
-    """Kernel path: the candidate-vs-window test is one block dominance call."""
     stats = SkylineStats()
     clock = RunClock(stats)
-    encoder = RecordEncoder(dataset.schema)
+    frame = EncodedFrame.from_dataset(dataset)
+    tables = RecordTables.from_schema(dataset.schema)
+    codes = frame.remap_codes([table.code_of for table in tables.attributes])
+    to = frame.to
 
     # Window entries carry the sequence number at which they entered the
-    # window (see the reference path below for the confirmation rule).  The
-    # kernel store holds the window's encoded records in the same order as
-    # ``window_meta``.
-    _, window_store = record_store_for(dataset.schema, kernel, encoder=encoder)
-    window_meta: list[tuple[int, Record]] = []
-    confirmed: list[Record] = []
-    pending: list[tuple[Record, tuple[tuple[float, ...], tuple[int, ...]]]] = [
-        (record, encoder.encode(record)) for record in dataset.records
-    ]
+    # window.  A window record can only be confirmed at the end of a pass if
+    # it entered *before* the first record of that pass was pushed to the
+    # overflow file — otherwise it has not been compared against every
+    # deferred record and must be carried into the next pass as a candidate.
+    # The kernel store holds the window's rows in the same order as
+    # ``window``.
+    window_store = resolve_kernel(kernel).record_store(tables)
+    window: list[tuple[int, int]] = []
+    confirmed: list[int] = []
+    pending: list[int] = list(range(len(frame)))
 
     while pending:
-        overflow: list[tuple[Record, tuple[tuple[float, ...], tuple[int, ...]]]] = []
-        sequence = 0
+        overflow: list[int] = []
         first_overflow_sequence: int | None = None
-        for candidate, encoded in pending:
-            sequence += 1
+        for sequence, row in enumerate(pending, start=1):
             stats.points_examined += 1
-            dominated, evicted = window_store.dominance_masks(*encoded, counter=stats)
+            dominated, evicted = window_store.dominance_masks(to[row], codes[row], counter=stats)
             if dominated:
                 # Window members form an antichain, so a dominated candidate
                 # cannot evict anyone: the window is unchanged.
@@ -83,85 +78,25 @@ def _bnl_skyline_kernel(dataset, window_size, kernel) -> SkylineResult:
             if any(evicted):
                 keep = [not flag for flag in evicted]
                 window_store.compress(keep)
-                window_meta = [entry for entry, k in zip(window_meta, keep) if k]
-            if window_size is None or len(window_meta) < window_size:
-                window_store.append(*encoded)
-                window_meta.append((sequence, candidate))
+                window = [entry for entry, k in zip(window, keep) if k]
+            if window_size is None or len(window) < window_size:
+                window_store.append(to[row], codes[row])
+                window.append((sequence, row))
             else:
                 if first_overflow_sequence is None:
                     first_overflow_sequence = sequence
-                overflow.append((candidate, encoded))
+                overflow.append(row)
 
-        carried: list[tuple[Record, tuple[tuple[float, ...], tuple[int, ...]]]] = []
-        for inserted_at, resident in window_meta:
+        carried: list[int] = []
+        for inserted_at, row in window:
             if first_overflow_sequence is None or inserted_at < first_overflow_sequence:
-                confirmed.append(resident)
+                confirmed.append(row)
                 clock.record_result()
             else:
-                carried.append((resident, encoder.encode(resident)))
-        window_meta = []
+                carried.append(row)
+        window = []
         window_store.compress([False] * len(window_store))
         pending = carried + overflow
 
     clock.finish()
-    skyline_ids = sorted(record.id for record in confirmed)
-    return SkylineResult(skyline_ids=skyline_ids, stats=stats, progress=clock.progress)
-
-
-def _bnl_skyline_predicate(dataset, window_size, dominates) -> SkylineResult:
-    """Reference path: record-at-a-time window scans with a custom predicate."""
-    stats = SkylineStats()
-    clock = RunClock(stats)
-
-    # Window entries carry the sequence number at which they entered the
-    # window.  A window record can only be confirmed at the end of a pass if
-    # it entered *before* the first record of that pass was pushed to the
-    # overflow file — otherwise it has not been compared against every
-    # deferred record and must be carried into the next pass as a candidate.
-    window: list[tuple[int, Record]] = []
-    confirmed: list[Record] = []
-    pending: list[Record] = list(dataset.records)
-
-    while pending:
-        overflow: list[Record] = []
-        sequence = 0
-        first_overflow_sequence: int | None = None
-        for candidate in pending:
-            sequence += 1
-            stats.points_examined += 1
-            dominated = False
-            survivors: list[tuple[int, Record]] = []
-            for entry in window:
-                resident = entry[1]
-                stats.dominance_checks += 1
-                if dominates(resident, candidate):
-                    dominated = True
-                    survivors.append(entry)
-                    continue
-                stats.dominance_checks += 1
-                if dominates(candidate, resident):
-                    continue  # resident evicted
-                survivors.append(entry)
-            window = survivors
-            if dominated:
-                continue
-            if window_size is None or len(window) < window_size:
-                window.append((sequence, candidate))
-            else:
-                if first_overflow_sequence is None:
-                    first_overflow_sequence = sequence
-                overflow.append(candidate)
-
-        carried: list[Record] = []
-        for inserted_at, resident in window:
-            if first_overflow_sequence is None or inserted_at < first_overflow_sequence:
-                confirmed.append(resident)
-                clock.record_result()
-            else:
-                carried.append(resident)
-        window = []
-        pending = carried + overflow
-
-    clock.finish()
-    skyline_ids = sorted(record.id for record in confirmed)
-    return SkylineResult(skyline_ids=skyline_ids, stats=stats, progress=clock.progress)
+    return SkylineResult(skyline_ids=sorted(confirmed), stats=stats, progress=clock.progress)

@@ -11,9 +11,8 @@ Two relations are defined here:
   the oracle every algorithm's output is validated against.
 
 The scalar functions here define the semantics; the scan algorithms
-(BNL/SFS/LESS) evaluate the same relation in blocks through a pluggable
-:mod:`~repro.kernels` backend — :func:`record_store_for` builds the
-kernel-backed store they scan candidates against.
+(BNL/SFS/LESS) evaluate the same relation in blocks over encoded frame rows
+through the record store of a pluggable :mod:`~repro.kernels` backend.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from collections.abc import Callable, Sequence
 
 from repro.data.dataset import Record
 from repro.data.schema import Schema
-from repro.kernels import RecordStore, RecordTables, resolve_kernel
 
 
 def dominates_vectors(p: Sequence[float], q: Sequence[float]) -> bool:
@@ -86,33 +84,3 @@ def record_dominance_function(schema: Schema) -> Callable[[Record, Record], bool
 def incomparable_records(schema: Schema, a: Record, b: Record) -> bool:
     """True iff neither record dominates the other."""
     return not dominates_records(schema, a, b) and not dominates_records(schema, b, a)
-
-
-class RecordEncoder:
-    """Encode records of one schema for kernel-backed block dominance."""
-
-    __slots__ = ("schema", "tables")
-
-    def __init__(self, schema: Schema, tables: RecordTables | None = None) -> None:
-        self.schema = schema
-        self.tables = tables if tables is not None else RecordTables.from_schema(schema)
-
-    def encode(self, record: Record) -> tuple[tuple[float, ...], tuple[int, ...]]:
-        """``(canonical TO values, PO codes)`` of one record."""
-        return (
-            self.schema.canonical_to_values(record.values),
-            self.tables.encode_po(self.schema.partial_values(record.values)),
-        )
-
-
-def record_store_for(
-    schema: Schema, kernel=None, *, encoder: RecordEncoder | None = None
-) -> tuple[RecordEncoder, RecordStore]:
-    """A kernel-backed growing store evaluating ground-truth record dominance.
-
-    Returns the encoder (reusable across stores of the same schema) and an
-    empty store; scan algorithms append confirmed records and test each
-    candidate against the whole block in one kernel call.
-    """
-    encoder = encoder if encoder is not None else RecordEncoder(schema)
-    return encoder, resolve_kernel(kernel).record_store(encoder.tables)

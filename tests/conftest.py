@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import WorkloadSpec
-from repro.kernels import set_default_kernel
+from repro.kernels import available_kernels, set_default_kernel
 from repro.order.builders import airline_preference_dag, paper_example_dag
 from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import encode_domain
@@ -106,26 +106,8 @@ def small_anticorrelated_workload():
 
 
 # --------------------------------------------------------------------- #
-# Record-path reference
+# Kernels
 # --------------------------------------------------------------------- #
-@contextlib.contextmanager
-def record_path():
-    """Run bare-dataset sTSS/SFS/LESS calls through their record walk.
-
-    With NumPy importable those calls encode the dataset into a frame first;
-    without it they walk the records.  Hiding NumPy from that probe lets one
-    process compare the columnar path against the record reference.
-    """
-    import repro.core.mapping
-    import repro.skyline.less
-    import repro.skyline.sfs
-
-    with contextlib.ExitStack() as stack:
-        for module in (repro.core.mapping, repro.skyline.sfs, repro.skyline.less):
-            stack.enter_context(mock.patch.object(module, "numpy_available", lambda: False))
-        yield
-
-
 @contextlib.contextmanager
 def default_kernel(name: str):
     """Make ``name`` the process-default dominance kernel inside the block.
@@ -145,13 +127,17 @@ def default_kernel(name: str):
 # --------------------------------------------------------------------- #
 FRAME_BACKINGS = ("numpy", "tuple")
 
+#: The backings this process can encode: the NumPy one needs NumPy.
+AVAILABLE_FRAME_BACKINGS = FRAME_BACKINGS if "numpy" in available_kernels() else ("tuple",)
+
 
 @contextlib.contextmanager
 def frame_backing_of(name: str):
     """Encode frames with the named backing inside the block.
 
-    The engine and executor run on one data path, an :class:`EncodedFrame`
-    held in NumPy arrays when NumPy imports and in tuples otherwise.
+    The engine, the executor and the paper algorithms run on one data path,
+    an :class:`EncodedFrame` held in NumPy arrays when NumPy imports and in
+    tuples otherwise.
     ``"tuple"`` hides NumPy from the frame plane and from the store reader
     (stores opened in the block struct-unpack their sections instead of
     mapping them), so one process covers the fallback backing too;
@@ -161,7 +147,7 @@ def frame_backing_of(name: str):
     import repro.store.reader as reader
 
     if name == "numpy":
-        if not columns.numpy_available():
+        if columns._numpy_or_none() is None:
             pytest.skip("NumPy-backed frames need NumPy")
         yield
         return

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.data.columns import ColumnCodec, EncodedFrame
+from repro.data.dataset import Dataset
 from repro.exceptions import DatasetError
 from repro.kernels.tables import RecordTables
 from tests.conftest import assert_backing
@@ -104,12 +105,26 @@ class TestEncodedFrame:
         assert tuple(sub.row(0)[0]) == tuple(reference.row(3)[0])
 
     @pytest.mark.usefixtures("frame_backing")
-    def test_monotone_keys_match_record_key(self, small_workload):
-        from repro.skyline.sfs import depth_columns, monotone_sort_key
+    def test_monotone_keys_rank_the_record_keys(self, small_workload):
+        _assert_keys_rank_record_keys(small_workload[1])
 
-        schema, dataset = small_workload
-        frame = EncodedFrame.from_dataset(dataset)
-        keys = frame.monotone_keys(depth_columns(schema, frame))
-        key = monotone_sort_key(schema)
-        for record in dataset.records:
-            assert keys[record.id] == key(record)
+    @pytest.mark.usefixtures("frame_backing")
+    def test_monotone_keys_rank_infinite_to_values(self, flight_schema):
+        inf = float("inf")
+        rows = [(inf, 0, "a"), (inf, 1, "a"), (-inf, inf, "b"), (1, -inf, "c"),
+                (-inf, -inf, "d"), (5, 2, "a"), (inf, -inf, "b"), (0, 0, "d")]
+        _assert_keys_rank_record_keys(Dataset(flight_schema, rows))
+
+
+def _assert_keys_rank_record_keys(dataset):
+    """The frame's monotone keys order and tie rows exactly as the scalar
+    :func:`~repro.skyline.sfs.monotone_sort_key` orders and ties records."""
+    from repro.skyline.sfs import depth_columns, monotone_sort_key
+
+    frame = EncodedFrame.from_dataset(dataset)
+    keys = frame.monotone_keys(depth_columns(dataset.schema, frame))
+    scalar = [monotone_sort_key(dataset.schema)(record) for record in dataset.records]
+    for a in range(len(dataset)):
+        for b in range(len(dataset)):
+            assert (keys[a] < keys[b]) == (scalar[a] < scalar[b]), (a, b)
+            assert (keys[a] == keys[b]) == (scalar[a] == scalar[b]), (a, b)

@@ -9,8 +9,6 @@ must not depend on the backend.
 
 from __future__ import annotations
 
-import contextlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,9 +29,11 @@ from repro.kernels import available_kernels
 from repro.skyline.bbs import bbs_skyline
 from repro.skyline.bruteforce import brute_force_skyline
 from tests.conftest import (
+    AVAILABLE_FRAME_BACKINGS,
     INFINITE_TO_VALUES,
+    assert_backing,
+    frame_backing_of,
     mixed_dataset_strategy,
-    record_path,
     to_value_strategy,
 )
 
@@ -93,13 +93,17 @@ class TestPointerAnswers:
         _assert_reads_match_expansions(result, disk)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @given(dataset=mixed_dataset_strategy(max_rows=40), columnar=st.booleans())
+    @given(
+        dataset=mixed_dataset_strategy(max_rows=40),
+        backing=st.sampled_from(AVAILABLE_FRAME_BACKINGS),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_stss(self, kernel, dataset, columnar):
+    def test_stss(self, kernel, dataset, backing):
         disk = DiskSimulator()
-        frame = EncodedFrame.from_dataset(dataset) if columnar else None
-        with contextlib.nullcontext() if columnar else record_path():
+        with frame_backing_of(backing):
+            frame = EncodedFrame.from_dataset(dataset)
             result = stss_skyline(dataset, kernel=kernel, frame=frame, disk=disk)
+        assert_backing(frame, backing)
         assert frozenset(result.skyline_ids) == _truth(dataset)
         _assert_reads_match_expansions(result, disk)
 

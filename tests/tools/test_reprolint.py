@@ -236,6 +236,18 @@ class TestRecordHotPath:
         )
         assert rules_fired(report) == {"no-record-hot-path"}
 
+    def test_less_touching_records_is_flagged(self, tmp_path):
+        source = (
+            "def survivors(dataset):\n"
+            "    return [record.id for record in dataset.records]\n"
+        )
+        report = lint_sources(
+            tmp_path,
+            {"src/repro/skyline/less.py": source},
+            rules=["no-record-hot-path"],
+        )
+        assert rules_fired(report) == {"no-record-hot-path"}
+
     def test_non_hot_module_may_touch_records(self, tmp_path):
         source = (
             "def rows(dataset):\n"

@@ -28,6 +28,8 @@ HOT_MODULES = (
     "repro.engine.prefilter",
     "repro.engine.groups",
     "repro.parallel.executor",
+    "repro.skyline.bnl",
+    "repro.skyline.less",
 )
 
 RECORD_ATTRIBUTES = frozenset({"records", "record"})
