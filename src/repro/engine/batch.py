@@ -15,10 +15,11 @@ Section V of the paper, but answered for a whole set of queries at once.
   any skyline; every query then runs against the reduced rows — a row-index
   *view* over the shared frame, not a materialized copy.
 * **Per-topology result caching.**  Queries are keyed by the *semantic*
-  topology of their preference DAGs (values plus transitive-closure edges,
-  per PO attribute).  Two queries that induce the same preference relation —
-  even through differently drawn Hasse diagrams — share one skyline
-  computation, and the per-DAG interval encodings are cached the same way.
+  topology of their preference DAGs (values plus one closure bitmask per
+  value, per PO attribute).  Two queries that induce the same preference
+  relation — even through differently drawn Hasse diagrams — share one
+  skyline computation, and the per-DAG interval encodings are cached the
+  same way.
 
 Per query, the engine answers group at a time, as dTSS does (Section V):
 the reduced rows are exactly the per-group local skylines of Section V-B, so
@@ -341,6 +342,16 @@ class BatchQueryEngine:
             return self._delta.stable_id_of_row(row)
         return row if self._row_ids is None else self._row_ids[row]
 
+    def _stable_ids(self, rows: list[int]) -> list[int]:
+        """Ascending stable ids of ascending frame ``rows``."""
+        if self._delta is not None:
+            ids = map(self._delta.stable_id_of_row, rows)
+        elif self._row_ids is not None:
+            ids = map(self._row_ids.__getitem__, rows)
+        else:
+            return rows
+        return sorted(ids)
+
     # ------------------------------------------------------------------ #
     # Candidate state (initial build, mutations, compaction)
     # ------------------------------------------------------------------ #
@@ -471,7 +482,7 @@ class BatchQueryEngine:
                 computing = time.perf_counter()
                 rows, stats = self._skyline_rows(query, key)
                 query_seconds = time.perf_counter() - computing
-                skyline_ids = sorted(self._stable_id_of_row(row) for row in rows)
+                skyline_ids = self._stable_ids(rows)
                 with self._state_lock:
                     self.queries_evaluated += 1
                     self._phase_seconds["query"] += query_seconds

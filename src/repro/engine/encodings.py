@@ -1,9 +1,12 @@
 """Semantic DAG signatures and the shared per-DAG encoding cache.
 
-Queries are keyed by the *semantic* topology of their preference DAGs —
-values plus transitive-closure edges — so two specifications that imply the
-same preference relation (a Hasse diagram vs its transitive closure) share
-one cache entry.  :class:`EncodingCache` maps those signatures to
+Queries are keyed by the *semantic* topology of their preference DAGs — the
+values plus one closure bitmask per value (:attr:`PartialOrderDAG.reach_bits
+<repro.order.dag.PartialOrderDAG.reach_bits>`) — so two specifications that
+imply the same preference relation (a Hasse diagram vs its transitive
+closure, shuffled or repeated edges) share one cache entry.  The key holds
+one int per value, whatever the number of closure edges.
+:class:`EncodingCache` maps those signatures to
 :class:`~repro.order.encoding.DomainEncoding` objects under an LRU bound;
 the batch engine and every sharded-executor worker each hold one.
 """
@@ -43,16 +46,15 @@ def validate_override_domains(
                 f"{sorted(missing, key=repr)}"
             )
 
-#: Semantic signature of one preference DAG (values + closure edges).
-DagKey = tuple[tuple[Value, ...], tuple[tuple[Value, Value], ...]]
+#: Semantic signature of one preference DAG: its values in insertion order
+#: and, per value, the bitmask of the values it is preferred over or equal to
+#: (bit ``j`` stands for ``values[j]``).
+DagKey = tuple[tuple[Value, ...], tuple[int, ...]]
 
 
 def dag_signature(dag: PartialOrderDAG) -> DagKey:
-    """Semantic identity of a preference DAG: values + transitive closure."""
-    return (
-        dag.values,
-        tuple(sorted(dag.transitive_closure_edges(), key=repr)),
-    )
+    """Semantic identity of a preference DAG: values + closure bitmasks."""
+    return dag.values, dag.reach_bits
 
 
 class EncodingCache:

@@ -3,9 +3,9 @@
 Stores keep their members in amortized-doubling arrays, so appends are O(1)
 and every query is a handful of vectorized comparisons over the whole block
 instead of a Python-level loop.  Preference / t-preference matrices are
-converted to boolean ``ndarray`` once per :class:`~repro.kernels.tables`
-object and cached in its ``scratch`` dict, so all stores sharing the tables
-share the arrays.
+unpacked from the tables' row bitmasks into boolean ``ndarray`` once per
+:class:`~repro.kernels.tables` object and cached in its ``scratch`` dict, so
+all stores sharing the tables share the arrays.
 
 This module imports :mod:`numpy` at import time; the registry in
 :mod:`repro.kernels` only loads it when NumPy is installed.
@@ -24,7 +24,7 @@ from repro.kernels.base import (
     VectorStore,
     charge,
 )
-from repro.kernels.tables import RecordTables, TDominanceTables
+from repro.kernels.tables import PreferenceTable, RecordTables, TDominanceTables
 
 _INITIAL_CAPACITY = 16
 
@@ -83,13 +83,28 @@ class GrowableMatrix:
         self._buffer[: self._size] = kept
 
 
+def _pref_matrix(table: PreferenceTable) -> np.ndarray:
+    """The boolean preferred-or-equal matrix of one table: its row masks as
+    little-endian bytes, one ``unpackbits`` into a bit per column, and one
+    take of the codes' column bits (any domain width, no per-pair work)."""
+    masks, bits = table.row_masks, table.column_bits
+    # Every set bit of a row stands for some code, so the highest column bit
+    # bounds the row width.
+    row_bytes = max(bits, default=0) // 8 + 1
+    packed = np.frombuffer(
+        b"".join(mask.to_bytes(row_bytes, "little") for mask in masks), dtype=np.uint8
+    ).reshape(len(masks), row_bytes)
+    unpacked = np.unpackbits(packed, axis=1, bitorder="little")
+    # A take keeps the rows C-contiguous (``[:, bits]`` gives Fortran order),
+    # so the stores' row gathers read whole rows.
+    return unpacked.take(np.asarray(bits, dtype=np.intp), axis=1).view(bool)
+
+
 def _pref_matrices(tables: RecordTables | TDominanceTables) -> list[np.ndarray]:
     """Boolean preferred-or-equal matrices, cached on the tables object."""
     cached = tables.scratch.get("numpy_pref")
     if cached is None:
-        cached = [
-            np.array(table.pref_or_equal, dtype=bool) for table in tables.attributes
-        ]
+        cached = [_pref_matrix(table) for table in tables.attributes]
         tables.scratch["numpy_pref"] = cached
     return cached
 

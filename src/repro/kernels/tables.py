@@ -5,7 +5,8 @@ schemas, DAGs and interval encodings: they work on integer codes and boolean
 preference matrices.  This module bridges the gap once per dataset/query:
 
 * :class:`PreferenceTable` — one PO attribute: its domain values, a value-to-
-  code mapping and the dense ``pref_or_equal[better][worse]`` boolean matrix.
+  code mapping and the preferred-or-equal relation as one bitmask per code
+  (decoded into a dense ``pref_or_equal[better][worse]`` matrix on demand).
 * :class:`RecordTables` — everything needed for *ground-truth* record
   dominance over a mixed TO/PO schema (used by BNL/SFS/LESS and the
   baselines' cross-examination).
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.data.schema import Schema
 from repro.order.dag import PartialOrderDAG
@@ -34,43 +36,54 @@ Value = Hashable
 
 @dataclass(frozen=True)
 class PreferenceTable:
-    """Dense preferred-or-equal matrix of one partially ordered domain."""
+    """The preferred-or-equal relation of one partially ordered domain.
+
+    Code ``i`` is preferred over or equal to code ``j`` iff bit
+    ``column_bits[j]`` of ``row_masks[i]`` is set: one closure bitmask per
+    code plus one bit position per code, as the DAG and the encoding keep
+    them.  The dense matrix :attr:`pref_or_equal` is decoded on first read.
+    """
 
     values: tuple[Value, ...]
     code_of: dict[Value, int]
-    #: ``pref_or_equal[i][j]`` — value ``i`` is preferred over or equal to ``j``.
-    pref_or_equal: tuple[tuple[bool, ...], ...]
+    #: Per code: the bitmask of the codes it is preferred over or equal to.
+    row_masks: tuple[int, ...]
+    #: Per code: the bit that stands for it in every row mask.
+    column_bits: tuple[int, ...]
 
     @classmethod
     def from_dag(cls, dag: PartialOrderDAG) -> "PreferenceTable":
-        """Ground-truth preference matrix from DAG reachability."""
+        """Ground-truth relation from DAG reachability: codes are insertion
+        indices and each row is the DAG's closure bitmask."""
         values = dag.values
-        rows = []
-        for i, value in enumerate(values):
-            descendants = dag.descendants(value)
-            rows.append(
-                tuple(i == j or other in descendants for j, other in enumerate(values))
-            )
         return cls(
             values=values,
             code_of={value: i for i, value in enumerate(values)},
-            pref_or_equal=tuple(rows),
+            row_masks=dag.reach_bits,
+            column_bits=tuple(range(len(values))),
         )
 
     @classmethod
     def from_masks(
         cls, values: tuple[Value, ...], masks: Sequence[int], posts: Sequence[int]
     ) -> "PreferenceTable":
-        """Exact t-preference matrix of one encoded domain: row ``i`` holds,
-        per value ``j``, bit ``posts[j]`` of ``masks[i]`` (mask containment
-        coincides with reachability because the interval sets are exact;
-        every value reaches itself, so the diagonal is set)."""
+        """Exact t-preference of one encoded domain: row ``i`` is ``masks[i]``
+        and value ``j`` is bit ``posts[j]`` (mask containment coincides with
+        reachability because the interval sets are exact; every value reaches
+        itself, so the diagonal is set)."""
         return cls(
             values=values,
             code_of={value: i for i, value in enumerate(values)},
-            pref_or_equal=tuple(
-                tuple(mask >> post & 1 == 1 for post in posts) for mask in masks
-            ),
+            row_masks=tuple(masks),
+            column_bits=tuple(posts),
+        )
+
+    @cached_property
+    def pref_or_equal(self) -> tuple[tuple[bool, ...], ...]:
+        """``pref_or_equal[i][j]`` — value ``i`` is preferred over or equal to ``j``."""
+        bits = self.column_bits
+        return tuple(
+            tuple(mask >> bit & 1 == 1 for bit in bits) for mask in self.row_masks
         )
 
     @property
@@ -144,8 +157,9 @@ class TDominanceTables:
         attributes, posts, masks = [], [], []
         for encoding in encodings:
             order = encoding.order
-            posts.append(tuple(encoding.post_of(value) for value in order))
-            masks.append(tuple(encoding.reach_masks[value] for value in order))
+            post, reach = encoding.tree.post, encoding.reach_masks
+            posts.append(tuple(post[value] for value in order))
+            masks.append(tuple(reach[value] for value in order))
             attributes.append(PreferenceTable.from_masks(order, masks[-1], posts[-1]))
         bounds = [[mask_bounds(mask) for mask in row] for row in masks]
         return cls(

@@ -8,7 +8,10 @@ from ``x`` to ``y`` exists.
 
 The class below is deliberately self-contained (no networkx dependency in the
 core path) because reachability, transitive reduction and edge classification
-are on the hot path of every algorithm in the library.
+are on the hot path of every algorithm in the library.  It keeps the
+topological order its acyclicity check computes and, derived from it in one
+reverse pass, the closure as one int bitmask per value (:attr:`reach_bits
+<PartialOrderDAG.reach_bits>`); every reachability question reads those two.
 """
 
 from __future__ import annotations
@@ -19,6 +22,14 @@ from typing import Any
 from repro.exceptions import CycleError, PartialOrderError, UnknownValueError
 
 Value = Hashable
+
+
+def _bit_positions(bits: int) -> Iterator[int]:
+    """The positions of the set bits of ``bits``, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class PartialOrderDAG:
@@ -41,7 +52,7 @@ class PartialOrderDAG:
         If an edge references a value outside the domain.
     """
 
-    __slots__ = ("_values", "_index", "_succ", "_pred", "_reach_cache")
+    __slots__ = ("_values", "_index", "_succ", "_pred", "_order", "_reach_bits")
 
     def __init__(self, values: Iterable[Value], edges: Iterable[tuple[Value, Value]] = ()) -> None:
         self._values: list[Value] = []
@@ -54,32 +65,50 @@ class PartialOrderDAG:
 
         self._succ: dict[Value, list[Value]] = {v: [] for v in self._values}
         self._pred: dict[Value, list[Value]] = {v: [] for v in self._values}
-        self._reach_cache: dict[Value, frozenset[Value]] | None = None
+        # The Kahn order of the acyclicity check and the closure bitmasks
+        # derived from it; both dropped by every new edge.
+        self._order: tuple[Value, ...] | None = None
+        self._reach_bits: tuple[int, ...] | None = None
 
         for better, worse in edges:
-            self.add_edge(better, worse, _defer_cycle_check=True)
-        self._assert_acyclic()
+            self._link(better, worse)
+        self.topological_order()
 
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-    def add_edge(self, better: Value, worse: Value, *, _defer_cycle_check: bool = False) -> None:
+    def add_edge(self, better: Value, worse: Value) -> None:
         """Add a preference edge ``better -> worse``.
 
-        Adding edges invalidates any cached reachability information.
+        A new edge invalidates the cached topological order and closure.  An
+        edge that would close a cycle raises :class:`CycleError` and is not
+        kept, so the DAG is left as it was.
         """
+        if not self._link(better, worse):
+            return
+        self._order = None
+        self._reach_bits = None
+        try:
+            self.topological_order()
+        except CycleError:
+            self._succ[better].pop()
+            self._pred[worse].pop()
+            raise
+
+    def _link(self, better: Value, worse: Value) -> bool:
+        """Record the edge ``better -> worse``; False if it was already there."""
         if better not in self._index:
             raise UnknownValueError(better)
         if worse not in self._index:
             raise UnknownValueError(worse)
         if better == worse:
             raise PartialOrderError(f"self-loop on value {better!r} is not allowed")
-        if worse not in self._succ[better]:
-            self._succ[better].append(worse)
-            self._pred[worse].append(better)
-        self._reach_cache = None
-        if not _defer_cycle_check:
-            self._assert_acyclic()
+        children = self._succ[better]
+        if worse in children:
+            return False
+        children.append(worse)
+        self._pred[worse].append(better)
+        return True
 
     @classmethod
     def from_mapping(cls, successors: Mapping[Value, Iterable[Value]]) -> "PartialOrderDAG":
@@ -167,31 +196,53 @@ class PartialOrderDAG:
     # ------------------------------------------------------------------ #
     # Reachability (the ground-truth preference relation)
     # ------------------------------------------------------------------ #
+    @property
+    def reach_bits(self) -> tuple[int, ...]:
+        """The reflexive transitive closure, one bitmask per value.
+
+        Entry ``i`` belongs to the value at insertion index ``i``; its bit
+        ``j`` is set iff that value is preferred over or equal to the value
+        at index ``j``.  Computed once, in one reverse pass over the cached
+        topological order, and reused until the next :meth:`add_edge`.
+        """
+        bits = self._reach_bits
+        if bits is None:
+            index = self._index
+            reach = [0] * len(self._values)
+            for node in reversed(self.topological_order()):
+                acc = 1 << index[node]
+                for child in self._succ[node]:
+                    acc |= reach[index[child]]
+                reach[index[node]] = acc
+            bits = self._reach_bits = tuple(reach)
+        return bits
+
+    def _values_of_bits(self, bits: int) -> Iterator[Value]:
+        """The values whose index bits are set in ``bits``, in index order."""
+        values = self._values
+        return (values[position] for position in _bit_positions(bits))
+
     def descendants(self, value: Value) -> frozenset[Value]:
         """All values strictly worse than ``value`` (reachable via >=1 edge)."""
-        self._check(value)
-        cache = self._reachability()
-        return cache[value]
+        position = self.index_of(value)
+        return frozenset(
+            self._values_of_bits(self.reach_bits[position] & ~(1 << position))
+        )
 
     def ancestors(self, value: Value) -> frozenset[Value]:
         """All values strictly better than ``value``."""
-        self._check(value)
-        result: set[Value] = set()
-        stack = list(self._pred[value])
-        while stack:
-            node = stack.pop()
-            if node not in result:
-                result.add(node)
-                stack.extend(self._pred[node])
-        return frozenset(result)
+        position = self.index_of(value)
+        return frozenset(
+            other
+            for other, bits in zip(self._values, self.reach_bits)
+            if bits >> position & 1 and other != value
+        )
 
     def is_preferred(self, better: Value, worse: Value) -> bool:
         """True iff ``better`` strictly precedes ``worse`` in the partial order."""
-        self._check(better)
-        self._check(worse)
-        if better == worse:
-            return False
-        return worse in self._reachability()[better]
+        row = self.index_of(better)
+        column = self.index_of(worse)
+        return row != column and self.reach_bits[row] >> column & 1 == 1
 
     def is_preferred_or_equal(self, better: Value, worse: Value) -> bool:
         """True iff ``better`` precedes or equals ``worse``."""
@@ -212,42 +263,28 @@ class PartialOrderDAG:
             return 1
         return None
 
-    def _reachability(self) -> dict[Value, frozenset[Value]]:
-        """Strict descendants of every node, computed once and cached."""
-        if self._reach_cache is None:
-            order = self._topological_order()
-            reach: dict[Value, set[Value]] = {v: set() for v in self._values}
-            for node in reversed(order):
-                acc = reach[node]
-                for child in self._succ[node]:
-                    acc.add(child)
-                    acc |= reach[child]
-            self._reach_cache = {v: frozenset(s) for v, s in reach.items()}
-        return self._reach_cache
-
     # ------------------------------------------------------------------ #
     # Structure
     # ------------------------------------------------------------------ #
-    def _topological_order(self) -> list[Value]:
-        """Kahn topological order used internally; raises on cycles."""
-        indegree = {v: len(self._pred[v]) for v in self._values}
-        frontier = [v for v in self._values if indegree[v] == 0]
-        order: list[Value] = []
-        cursor = 0
-        while cursor < len(frontier):
-            node = frontier[cursor]
-            cursor += 1
-            order.append(node)
-            for child in self._succ[node]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    frontier.append(child)
-        if len(order) != len(self._values):
-            raise CycleError("preference graph contains a cycle")
-        return order
+    def topological_order(self) -> tuple[Value, ...]:
+        """A topological order (Kahn's algorithm, first-in first-out from the
+        roots in insertion order), cached until the next :meth:`add_edge`.
 
-    def _assert_acyclic(self) -> None:
-        self._topological_order()
+        Raises :class:`CycleError` if the graph has a cycle.
+        """
+        order = self._order
+        if order is None:
+            indegree = {v: len(self._pred[v]) for v in self._values}
+            frontier = [v for v in self._values if indegree[v] == 0]
+            for node in frontier:
+                for child in self._succ[node]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        frontier.append(child)
+            if len(frontier) != len(self._values):
+                raise CycleError("preference graph contains a cycle")
+            order = self._order = tuple(frontier)
+        return order
 
     def depths(self) -> dict[Value, int]:
         """Per node: the length (in edges) of the longest path reaching it.
@@ -256,33 +293,44 @@ class PartialOrderDAG:
         is smaller than that of every value it is preferred over.
         """
         longest = {v: 0 for v in self._values}
-        for node in self._topological_order():
+        for node in self.topological_order():
+            below = longest[node] + 1
             for child in self._succ[node]:
-                if longest[node] + 1 > longest[child]:
-                    longest[child] = longest[node] + 1
+                if below > longest[child]:
+                    longest[child] = below
         return longest
 
     def height(self) -> int:
         """Length (in edges) of the longest directed path in the DAG."""
         return max(self.depths().values(), default=0)
 
+    def _strictly_below(self, positions: Iterable[int]) -> int:
+        """Bits of the values strictly worse than some value at ``positions``."""
+        reach = self.reach_bits
+        below = 0
+        for position in positions:
+            below |= reach[position] & ~(1 << position)
+        return below
+
     def transitive_reduction(self) -> "PartialOrderDAG":
         """Return the Hasse diagram: the minimal DAG with the same reachability."""
-        reach = self._reachability()
+        index = self._index
         edges: list[tuple[Value, Value]] = []
         for u in self._values:
             direct = self._succ[u]
-            for v in direct:
-                # (u, v) is redundant if some other direct successor reaches v.
-                redundant = any(v in reach[w] for w in direct if w != v)
-                if not redundant:
-                    edges.append((u, v))
+            # (u, v) is redundant if some direct successor strictly reaches v.
+            below = self._strictly_below(index[w] for w in direct)
+            edges.extend((u, v) for v in direct if not below >> index[v] & 1)
         return PartialOrderDAG(self._values, edges)
 
     def transitive_closure_edges(self) -> list[tuple[Value, Value]]:
-        """All strict preference pairs ``(better, worse)`` implied by the DAG."""
-        reach = self._reachability()
-        return [(u, v) for u in self._values for v in sorted(reach[u], key=self.index_of)]
+        """All strict preference pairs ``(better, worse)`` implied by the DAG,
+        grouped by ``better`` and ordered by insertion index."""
+        return [
+            (u, v)
+            for position, (u, bits) in enumerate(zip(self._values, self.reach_bits))
+            for v in self._values_of_bits(bits & ~(1 << position))
+        ]
 
     def restrict(self, keep: Iterable[Value]) -> "PartialOrderDAG":
         """Induced sub-DAG on ``keep``, preserving *reachability* among kept values.
@@ -291,18 +339,17 @@ class PartialOrderDAG:
         original DAG and no kept value lies strictly between them.  The result
         is the Hasse diagram of the restricted partial order.
         """
-        kept = [v for v in self._values if v in set(keep)]
-        kept_set = set(kept)
-        reach = self._reachability()
+        keep_set = set(keep)
+        kept = [v for v in self._values if v in keep_set]
+        kept_bits = 0
+        for v in kept:
+            kept_bits |= 1 << self._index[v]
         edges: list[tuple[Value, Value]] = []
         for u in kept:
-            worse_kept = [v for v in reach[u] if v in kept_set]
-            for v in worse_kept:
-                between = any(
-                    (w in reach[u]) and (v in reach[w]) for w in worse_kept if w != v
-                )
-                if not between:
-                    edges.append((u, v))
+            position = self._index[u]
+            worse = self.reach_bits[position] & kept_bits & ~(1 << position)
+            direct = worse & ~self._strictly_below(_bit_positions(worse))
+            edges.extend((u, v) for v in self._values_of_bits(direct))
         return PartialOrderDAG(kept, edges)
 
     def relabel(self, mapping: Mapping[Value, Any]) -> "PartialOrderDAG":

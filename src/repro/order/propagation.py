@@ -21,7 +21,6 @@ from collections.abc import Hashable
 
 from repro.order.intervals import IntervalSet
 from repro.order.spanning_tree import SpanningTree
-from repro.order.toposort import topological_sort
 
 Value = Hashable
 
@@ -30,7 +29,9 @@ def propagate_masks(tree: SpanningTree) -> dict[Value, int]:
     """Compute the exact interval set of every value by propagation, as bitmasks.
 
     The computation processes values in reverse topological order (worst
-    values first).  Each value starts with its own ``[minpost, post]`` tree
+    values first), walking the order the DAG's acyclicity check already
+    cached (:meth:`~repro.order.dag.PartialOrderDAG.topological_order`), so
+    no sort runs here.  Each value starts with its own ``[minpost, post]`` tree
     interval; for every outgoing DAG edge, the child's (already final)
     interval set is added.  Tree children are included as well — their
     intervals are subsumed by the parent's tree interval whenever the child's
@@ -49,9 +50,8 @@ def propagate_masks(tree: SpanningTree) -> dict[Value, int]:
         iff ``x`` is preferred over (or equal to) ``y`` in the DAG.
     """
     dag = tree.dag
-    order = topological_sort(dag, strategy="kahn")
     result: dict[Value, int] = {}
-    for value in reversed(order):
+    for value in reversed(dag.topological_order()):
         mask = tree.interval(value).mask()
         for child in dag.successors(value):
             mask |= result[child]

@@ -163,9 +163,13 @@ def _postorder(
     minpost: dict[Value, int],
     counter: int,
 ) -> int:
-    """Iterative postorder numbering of one tree of the forest."""
+    """Iterative postorder numbering of one tree of the forest.
+
+    A subtree is numbered before its root and its first child's subtree
+    first, so a node's ``minpost`` is its first child's (its own ``post``
+    for a leaf).
+    """
     stack: list[tuple[Value, int]] = [(root, 0)]
-    pending_min: dict[Value, int] = {}
     while stack:
         node, child_index = stack[-1]
         kids = children[node]
@@ -175,14 +179,8 @@ def _postorder(
         else:
             counter += 1
             post[node] = counter
-            subtree_min = pending_min.get(node, counter)
-            minpost[node] = min(subtree_min, counter)
+            minpost[node] = minpost[kids[0]] if kids else counter
             stack.pop()
-            if stack:
-                parent_node = stack[-1][0]
-                pending_min[parent_node] = min(
-                    pending_min.get(parent_node, minpost[node]), minpost[node]
-                )
     return counter
 
 

@@ -13,9 +13,9 @@ A store is one file::
     +------------------------------------------------------------------+
 
 The JSON header carries the format version, the serialized schema (attribute
-order, TO ``best`` directions, PO DAG values + edges), per-PO ``dag_signature``
-fingerprints, the counts needed to reconstruct views, and one entry per
-section with its dtype, shape, byte offset, byte length and CRC-32.  Every
+order, TO ``best`` directions, PO DAG values + edges), the counts needed to
+reconstruct views, and one entry per section with its dtype, shape, byte
+offset, byte length and CRC-32.  Every
 section starts on a :data:`PAGE_SIZE` boundary so ``np.memmap`` views are
 page-aligned and shareable through the OS page cache across processes.
 

@@ -9,7 +9,7 @@ cases pin the verdicts of both stores to a scan of ``pref_or_equal`` and
 their charged checks to each backend's contract (the reference charges the
 comparisons it reaches, the batched backend the whole block) across:
 
-* PO domains of 1, 63, 64, 65 and 130 values;
+* PO domains of 1, 7, 63, 64, 65 and 130 values;
 * 0-3 TO and 0-2 PO attributes;
 * store sizes on both sides of one and two member chunks;
 * target chunks split by a small element budget.
@@ -20,7 +20,10 @@ negative and infinite values, rows holding both +inf and -inf (a NaN sum),
 and a store whose only dominator comes last in sum order.
 
 The NumPy record block test shares the column take; its wide-domain
-verdicts are checked here too.
+verdicts are checked here too.  Both backends read the tables' row bitmasks:
+the NumPy matrices (one ``unpackbits`` per table) and the decoded
+``pref_or_equal`` the scan uses are pinned to the scalar DAG and encoding
+relations on the same domain sizes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import random
 
 import pytest
 
-from repro.kernels import RecordTables, TDominanceTables, get_kernel
+from repro.kernels import PreferenceTable, RecordTables, TDominanceTables, get_kernel
 from repro.order.builders import random_dag
 from repro.order.encoding import encode_domain
 from repro.skyline.base import SkylineStats
@@ -149,8 +152,44 @@ def _check_mbb_candidates(rng, tables, members) -> None:
             assert stats.dominance_checks == len(member_pairs)
 
 
+DOMAIN_SIZES = (1, 7, 63, 64, 65, 130)
+
+
+@pytest.mark.parametrize("domain_size", DOMAIN_SIZES)
+def test_bitmask_matrices_match_the_scalar_relations(domain_size):
+    """Both tables' NumPy matrices and decoded ``pref_or_equal`` equal the
+    scalar relations, across one-, two- and three-word domains."""
+    dag = _dag(domain_size, domain_size)
+    encoding = encode_domain(dag)
+    truth = PreferenceTable.from_dag(dag)
+    assert truth.pref_or_equal == tuple(
+        tuple(dag.is_preferred_or_equal(x, y) for y in dag.values) for x in dag.values
+    )
+    for tables in (
+        TDominanceTables.from_encodings(1, [encoding]),
+        RecordTables.from_encodings(1, [encoding]),
+    ):
+        table = tables.attributes[0]
+        matrix = numpy_kernel._pref_matrices(tables)[0]
+        assert matrix.dtype == bool and matrix.shape == (domain_size, domain_size)
+        assert matrix.flags.c_contiguous  # the stores gather whole rows
+        expected = [
+            [
+                truth.pref_or_equal[truth.code_of[x]][truth.code_of[y]]
+                for y in table.values
+            ]
+            for x in table.values
+        ]
+        assert matrix.tolist() == expected
+        assert [list(row) for row in table.pref_or_equal] == expected
+        assert expected == [
+            [encoding.t_prefers_or_equal(x, y) for y in table.values]
+            for x in table.values
+        ]
+
+
 @pytest.mark.parametrize("store_size", [255, 256, 257, 513])
-@pytest.mark.parametrize("domain_size", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("domain_size", DOMAIN_SIZES)
 def test_wide_domains_across_member_chunks(domain_size, store_size):
     rng = random.Random(domain_size * 1000 + store_size)
     tables = _tables(2, [domain_size])
@@ -260,7 +299,7 @@ def test_small_element_budget_splits_targets(monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [None, 500])
-@pytest.mark.parametrize("domain_size", [63, 64, 65, 130])
+@pytest.mark.parametrize("domain_size", [7, 63, 64, 65, 130])
 def test_record_block_test_on_wide_domains(domain_size, budget, monkeypatch):
     """The record block test (BBS+/SDC cross-examination, the merge window)
     matches the reference on wide domains, with and without split targets."""

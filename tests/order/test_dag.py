@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import CycleError, PartialOrderError, UnknownValueError
+from repro.engine.encodings import dag_signature
 from repro.order.dag import PartialOrderDAG
 
 
@@ -139,3 +140,84 @@ class TestStructure:
         clone.add_edge("b", "c")
         assert not dag.is_preferred("b", "c")
         assert clone.is_preferred("b", "c")
+
+
+class TestCachedClosure:
+    """The cached topological order and closure bitmasks follow ``add_edge``."""
+
+    VALUES = ("a", "b", "c", "d", "e")
+    EDGES = [("a", "b"), ("a", "c"), ("b", "d")]
+
+    def fresh(self, *extra):
+        return PartialOrderDAG(self.VALUES, [*self.EDGES, *extra])
+
+    def assert_same_relation(self, dag, expected):
+        assert dag_signature(dag) == dag_signature(expected)
+        assert dag.depths() == expected.depths()
+        assert dag.topological_order() == expected.topological_order()
+        for x in self.VALUES:
+            assert dag.descendants(x) == expected.descendants(x)
+            assert dag.ancestors(x) == expected.ancestors(x)
+            for y in self.VALUES:
+                assert dag.is_preferred(x, y) == expected.is_preferred(x, y)
+
+    def read_everything(self, dag):
+        """Fill every cache the DAG keeps."""
+        dag_signature(dag)
+        dag.depths()
+        for value in self.VALUES:
+            dag.descendants(value)
+
+    def test_add_edge_refreshes_signature_and_closure(self):
+        dag = self.fresh()
+        self.read_everything(dag)
+        before = dag_signature(dag)
+        dag.add_edge("d", "e")
+        assert dag_signature(dag) != before
+        self.assert_same_relation(dag, self.fresh(("d", "e")))
+        assert dag.is_preferred("a", "e")
+        assert dag.depths()["e"] == 3
+
+    def test_implied_edge_keeps_the_signature(self):
+        dag = self.fresh()
+        before = dag_signature(dag)
+        dag.add_edge("a", "d")
+        assert dag_signature(dag) == before
+        self.assert_same_relation(dag, self.fresh(("a", "d")))
+
+    def test_duplicate_edge_changes_nothing(self):
+        dag = self.fresh()
+        self.read_everything(dag)
+        dag.add_edge("a", "b")
+        assert dag.num_edges == len(self.EDGES)
+        self.assert_same_relation(dag, self.fresh())
+
+    def test_rejected_cyclic_edge_leaves_no_stale_state(self):
+        dag = self.fresh()
+        self.read_everything(dag)
+        with pytest.raises(CycleError):
+            dag.add_edge("d", "a")
+        assert dag.edges == self.fresh().edges
+        self.assert_same_relation(dag, self.fresh())
+        # The DAG stays usable: a later valid edge still lands.
+        dag.add_edge("c", "d")
+        self.assert_same_relation(dag, self.fresh(("c", "d")))
+
+    def test_rejected_cyclic_edge_before_any_read(self):
+        dag = self.fresh()
+        with pytest.raises(CycleError):
+            dag.add_edge("b", "a")
+        self.assert_same_relation(dag, self.fresh())
+
+    def test_reach_bits_are_the_reflexive_closure(self):
+        dag = self.fresh(("d", "e"))
+        for row, x in enumerate(self.VALUES):
+            for column, y in enumerate(self.VALUES):
+                expected = dag.is_preferred_or_equal(x, y)
+                assert (dag.reach_bits[row] >> column & 1 == 1) == expected
+
+    def test_closure_edges_follow_insertion_order(self):
+        dag = self.fresh(("d", "e"))
+        assert dag.transitive_closure_edges() == [
+            ("a", "b"), ("a", "c"), ("a", "d"), ("a", "e"), ("b", "d"), ("b", "e"), ("d", "e"),
+        ]

@@ -180,6 +180,21 @@ class TestBitwiseRoundTrip:
             truth = brute_force_skyline(dataset.with_schema(effective))
             assert ids == sorted(truth.skyline_ids), name
 
+    def test_stored_row_ids_map_and_sort_the_skyline(self, workload, tmp_path):
+        """Ids persisted in descending row order: each skyline row answers
+        as its stored id, and the ids come back ascending."""
+        from repro.data.columns import EncodedFrame
+        from repro.store.writer import pack_frame
+
+        schema, dataset = workload
+        row_ids = [1000 - row for row in range(len(dataset))]
+        path = tmp_path / "reversed.rpro"
+        pack_frame(EncodedFrame.from_dataset(dataset), path, row_ids=row_ids)
+        reference = _run(BatchQueryEngine(dataset), schema)
+        via_store = _run(BatchQueryEngine(path), schema)
+        for (name, ids, _), (_, rows, _) in zip(via_store, reference):
+            assert ids == sorted(row_ids[row] for row in rows), name
+
 
 class TestStoreFacts:
     def test_describe_reports_layout(self, packed):
