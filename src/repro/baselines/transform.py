@@ -54,8 +54,6 @@ class BaselineMapping:
         self,
         dataset: Dataset,
         encodings: Sequence[DomainEncoding] | None = None,
-        *,
-        parent_choice: str = "first",
     ) -> None:
         schema = dataset.schema
         if schema.num_partial_order == 0:
@@ -64,8 +62,7 @@ class BaselineMapping:
         self.schema: Schema = schema
         if encodings is None:
             encodings = [
-                encode_domain(attribute.dag, parent_choice=parent_choice)
-                for attribute in schema.partial_order_attributes
+                encode_domain(attribute.dag) for attribute in schema.partial_order_attributes
             ]
         self.encodings: tuple[DomainEncoding, ...] = tuple(encodings)
         self.points: list[BaselinePoint] = self._build_points()

@@ -87,8 +87,6 @@ class TSSMapping:
         *,
         schema: Schema | None = None,
         frame: EncodedFrame | None = None,
-        toposort_strategy: str = "kahn",
-        parent_choice: str = "first",
     ) -> None:
         if dataset is None and frame is None:
             raise SchemaError("TSSMapping needs a dataset or an encoded frame")
@@ -100,8 +98,7 @@ class TSSMapping:
         self.schema: Schema = schema
         if encodings is None:
             encodings = [
-                encode_domain(attribute.dag, strategy=toposort_strategy, parent_choice=parent_choice)
-                for attribute in schema.partial_order_attributes
+                encode_domain(attribute.dag) for attribute in schema.partial_order_attributes
             ]
         if len(encodings) != schema.num_partial_order:
             raise SchemaError("one DomainEncoding per PO attribute is required")

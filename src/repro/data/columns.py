@@ -27,12 +27,12 @@ agree with).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Hashable, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.data.schema import Schema
 from repro.exceptions import DatasetError
+from repro.index.geometry import sweep_key
 
 if TYPE_CHECKING:  # pragma: no cover - import for type checkers only
     from repro.data.dataset import Dataset
@@ -75,6 +75,26 @@ def group_rows(matrix) -> tuple[object, list]:
     by_first = np.argsort(first_seen, kind="stable")
     runs = np.split(order, run_starts[1:])
     return matrix[first_seen[by_first]], [runs[run] for run in by_first.tolist()]
+
+
+def sweep_sums(block):
+    """Per row of a 2-D float array, the sum of :func:`~repro.index.geometry.
+    sweep_key`: its columns added left to right (0 for none), NaN read as 0.
+
+    One fixed order for every block, whatever its memory layout, so equal
+    rows get equal sums and the sums agree bitwise with the scalar key's.
+    ``np.lexsort((*block.T[::-1], sweep_sums(block)))`` is the sweep-key
+    order of the rows.  The NumPy kernel calls it whatever the frames'
+    backing, so NumPy is imported here, not probed.
+    """
+    import numpy as np
+
+    sums = np.zeros(len(block), dtype=np.float64)
+    with np.errstate(invalid="ignore"):
+        for column in range(block.shape[1]):
+            sums += block[:, column]
+    sums[np.isnan(sums)] = 0.0
+    return sums
 
 
 def ordered_rows(keys, tiebreak=None, *, uses_numpy: bool) -> list[int]:
@@ -354,45 +374,42 @@ class EncodedFrame:
         )
 
     def monotone_keys(self, depth_columns: Sequence[Sequence[float]]):
-        """The SFS presort key of every row: its rank under the scalar
-        :func:`~repro.skyline.sfs.monotone_sort_key` of its record.
+        """The SFS presort key of every row: the rank of
+        :func:`~repro.index.geometry.sweep_key` over the row's canonical TO
+        values followed by its PO depths.
 
         ``depth_columns`` holds, per PO attribute, the DAG depth of every
-        *canonical-code* value.  The scalar key is the pair (infinity
-        balance, finite sum): +inf TO values count +1 and -inf ones -1, and
-        the finite TO values and the PO depths add up in the scalar key's
-        order, so equal pairs are bitwise equal.  Rows are keyed by the dense
-        rank of their pair, so sorting, comparing and tying keys behaves
-        exactly as on the pairs themselves.
+        *canonical-code* value.  Depths grow along preference edges, so a
+        dominator's vector is no larger anywhere and the sweep key puts it
+        first.  Rows are keyed by the dense rank of their sweep key, so
+        sorting, comparing and tying keys behaves exactly as on the sweep
+        keys themselves, on both backings.
         """
         if self.uses_numpy:
             np = _numpy_or_none()
-            finite = np.isfinite(self.to)
-            sums = np.zeros(self._length, dtype=float)
-            for column in range(self.num_total_order):
-                sums += np.where(finite[:, column], self.to[:, column], 0.0)
-            for attr_index, depths in enumerate(depth_columns):
-                sums += np.asarray(depths, dtype=float)[self.codes[:, attr_index]]
-            balance = np.isposinf(self.to).sum(axis=1) - np.isneginf(self.to).sum(axis=1)
-            order = np.lexsort((sums, balance))
-            steps = np.zeros(self._length, dtype=float)
-            steps[1:] = (np.diff(sums[order]) != 0) | (np.diff(balance[order]) != 0)
-            keys = np.empty(self._length, dtype=float)
+            matrix = np.column_stack(
+                [self.to]
+                + [
+                    np.asarray(depths, dtype=np.float64)[self.codes[:, attr_index]]
+                    for attr_index, depths in enumerate(depth_columns)
+                ]
+            )
+            sums = sweep_sums(matrix)
+            order = np.lexsort((*matrix.T[::-1], sums))
+            ordered, ordered_sums = matrix[order], sums[order]
+            steps = np.zeros(self._length, dtype=np.float64)
+            steps[1:] = (ordered[1:] != ordered[:-1]).any(axis=1) | (
+                ordered_sums[1:] != ordered_sums[:-1]
+            )
+            keys = np.empty(self._length, dtype=np.float64)
             keys[order] = np.cumsum(steps)
             return keys
-        pairs = []
-        for to_row, code_row in zip(self.to, self.codes):
-            balance = 0
-            score = 0.0
-            for value in to_row:
-                if value == math.inf:
-                    balance += 1
-                elif value == -math.inf:
-                    balance -= 1
-                else:
-                    score += value
-            for depths, code in zip(depth_columns, code_row):
-                score += depths[code]
-            pairs.append((balance, score))
-        rank = {pair: float(index) for index, pair in enumerate(sorted(set(pairs)))}
-        return [rank[pair] for pair in pairs]
+        sweep = [
+            sweep_key(
+                tuple(to_row)
+                + tuple(depths[code] for depths, code in zip(depth_columns, code_row))
+            )
+            for to_row, code_row in zip(self.to, self.codes)
+        ]
+        rank = {key: float(index) for index, key in enumerate(sorted(set(sweep)))}
+        return [rank[key] for key in sweep]

@@ -33,6 +33,7 @@ from repro.data.dataset import Dataset
 from repro.dynamic.cache import QuerySpec, resolve_partial_orders
 from repro.dynamic.groups import GroupedDataset, GroupPoint, require_dataset
 from repro.exceptions import QueryError
+from repro.index.geometry import SweepKey, sweep_key
 from repro.index.pager import DiskSimulator
 from repro.kernels import TDominanceTables, resolve_kernel
 from repro.order.encoding import DomainEncoding, encode_domain
@@ -174,15 +175,16 @@ class DTSSIndex:
         """Groups sorted so that any potential dominator group comes first.
 
         If one group's PO values are preferred-or-equal to another's on every
-        PO attribute (and differ somewhere), the sum of its topological
-        ordinals is strictly smaller, so ordering groups by that sum
+        PO attribute (and differ somewhere), its vector of topological
+        ordinals is no larger anywhere and smaller somewhere, so ordering
+        groups by the :func:`~repro.index.geometry.sweep_key` of that vector
         guarantees cross-group precedence.
         """
 
-        def sort_key(key: tuple[Value, ...]) -> tuple[float, ...]:
-            total = sum(encoding.ordinal(value) for encoding, value in zip(encodings, key))
-            ordinals = tuple(encoding.ordinal(value) for encoding, value in zip(encodings, key))
-            return (float(total),) + tuple(float(o) for o in ordinals)
+        def sort_key(key: tuple[Value, ...]) -> SweepKey:
+            return sweep_key(
+                [encoding.ordinal(value) for encoding, value in zip(encodings, key)]
+            )
 
         return sorted(self.grouped.groups, key=sort_key)
 

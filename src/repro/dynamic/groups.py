@@ -19,6 +19,7 @@ from repro.core.mapping import group_distinct_rows
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.exceptions import QueryError, SchemaError
+from repro.index.geometry import sweep_key
 from repro.index.pager import DiskSimulator
 from repro.index.rtree import RTree
 from repro.kernels import resolve_kernel
@@ -125,8 +126,8 @@ class GroupedDataset:
     @staticmethod
     def _local_skyline(members: list[GroupPoint]) -> list[GroupPoint]:
         """The TO-only skyline of one group (its PO values are all identical),
-        in sum order, from the process-default kernel's ``pareto_mask``."""
-        ordered = sorted(members, key=lambda p: sum(p.to_values))
+        in sweep-key order, from the process-default kernel's ``pareto_mask``."""
+        ordered = sorted(members, key=lambda p: sweep_key(p.to_values))
         keep = resolve_kernel(None).pareto_mask([p.to_values for p in ordered])
         return [point for point, kept in zip(ordered, keep) if kept]
 

@@ -84,6 +84,9 @@ class EncodingCache:
             encoding = self._entries.get(key)
             if encoding is None:
                 encoding = encode_domain(dag)
+                # Propagate the interval masks now, so a miss pays for the
+                # whole encoding here and not in the first t-dominance test.
+                encoding.reach_masks
                 self._entries[key] = encoding
             encodings.append(encoding)
         return encodings

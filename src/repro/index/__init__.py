@@ -1,8 +1,9 @@
 """Storage and index substrate: geometry, simulated disk pages and R-trees.
 
 * :mod:`~repro.index.geometry` — axis-aligned rectangles (MBBs), L1 ``mindist``
-  to the origin (the most preferable corner of the mapped space) and point
-  containment/intersection tests.
+  to the origin (the most preferable corner of the mapped space), the
+  ``sweep_key`` every ordered scan follows, and point containment/intersection
+  tests.
 * :mod:`~repro.index.pager` — a simulated page store with IO counting and an
   LRU buffer pool, used to charge the paper's per-IO cost.
 * :mod:`~repro.index.rtree` — the pointer R-tree supporting insertion
@@ -13,13 +14,14 @@
   :class:`RTree`.
 """
 
-from repro.index.geometry import Rect, point_mindist
+from repro.index.geometry import Rect, point_mindist, sweep_key
 from repro.index.pager import BufferPool, DiskSimulator, IOStats
 from repro.index.rtree import BestFirstTraversal, NodeRef, RTree, RTreeEntry
 
 __all__ = [
     "Rect",
     "point_mindist",
+    "sweep_key",
     "DiskSimulator",
     "BufferPool",
     "IOStats",

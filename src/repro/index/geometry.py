@@ -5,7 +5,9 @@ most preferable point is the origin and smaller coordinates are better.  The
 relevant geometric primitives are therefore:
 
 * the L1 (rectilinear) ``mindist`` of a point or rectangle to the origin,
-  which drives the best-first visiting order of BBS-style algorithms, and
+  and the :func:`sweep_key` built on it, the one order in which every
+  ordered scan (BBS-style best-first traversals, the SFS/LESS presort, the
+  kernels' sum-ordered sweeps) visits points, and
 * containment / intersection tests for range queries.
 """
 
@@ -17,6 +19,26 @@ from dataclasses import dataclass
 from repro.exceptions import IndexError_
 
 Point = tuple[float, ...]
+
+#: A :func:`sweep_key`: the coordinate sum (NaN read as 0), then the vector.
+SweepKey = tuple[float, Point]
+
+
+def sweep_key(vector: Sequence[float]) -> SweepKey:
+    """Sort key under which a point only follows its dominators.
+
+    The coordinate sum, added left to right, then the vector itself,
+    compared lexicographically.  Rounding is monotone, so a dominator's sum
+    is never larger; when rounding makes the two sums equal (``1e17 + 1``
+    and ``1e17 + 2`` are both ``1e17``), the dominator is the
+    lexicographically smaller vector.  A rectangle's low corner keys no
+    later than any point inside it.  A NaN sum (the vector holds both +inf
+    and -inf) reads as 0: such a vector is only comparable with vectors
+    summing to -inf, +inf or NaN.
+    """
+    vector = tuple(vector)
+    total = sum(vector)
+    return (0.0 if total != total else total), vector
 
 
 def point_mindist(point: Sequence[float]) -> float:

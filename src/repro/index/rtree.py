@@ -32,7 +32,7 @@ from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import IndexError_
-from repro.index.geometry import Rect
+from repro.index.geometry import Rect, SweepKey, sweep_key
 from repro.index.pager import DiskSimulator
 
 Payload = Hashable
@@ -415,27 +415,21 @@ class BestFirstTraversal:
     algorithms need.
 
     A point only follows its dominators and their subtrees: entries leave
-    in ascending mindist, ties in insertion order, except that a mindist
-    that is not finite ties on the low corner, compared lexicographically,
-    and a NaN one (+inf plus -inf) reads as 0, as in the kernels' sweeps.
+    in ascending :func:`~repro.index.geometry.sweep_key` of their low
+    corner (mindist, then the corner lexicographically), ties in insertion
+    order.
     """
 
     def __init__(self, tree: RTree) -> None:
         self._tree = tree
-        self._heap: list[tuple[float, tuple[float, ...], int, object]] = []
+        self._heap: list[tuple[SweepKey, int, object]] = []
         self._counter = itertools.count()
         if len(tree) > 0:
             root = tree.root
             self._push(root.rect, root)
 
     def _push(self, rect: Rect, item: object) -> None:
-        mindist = rect.mindist()
-        tie: tuple[float, ...] = ()
-        if not math.isfinite(mindist):
-            tie = rect.low
-            if mindist != mindist:
-                mindist = 0.0
-        heapq.heappush(self._heap, (mindist, tie, next(self._counter), item))
+        heapq.heappush(self._heap, (sweep_key(rect.low), next(self._counter), item))
 
     def __bool__(self) -> bool:
         return bool(self._heap)
@@ -445,13 +439,13 @@ class BestFirstTraversal:
 
     def peek_mindist(self) -> float | None:
         """Mindist of the head entry, or None if the heap is exhausted."""
-        return self._heap[0][0] if self._heap else None
+        return self._heap[0][0][0] if self._heap else None
 
     def pop(self) -> tuple[float, NodeRef | RTreeEntry]:
         """Remove and return the pending entry with the smallest mindist."""
         if not self._heap:
             raise IndexError_("best-first traversal is exhausted")
-        mindist, _, _, item = heapq.heappop(self._heap)
+        (mindist, _), _, item = heapq.heappop(self._heap)
         return mindist, item  # type: ignore[return-value]
 
     def expand(self, node_ref: NodeRef) -> None:

@@ -17,6 +17,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.data.columns import sweep_sums
 from repro.kernels.base import (
     DominanceKernel,
     RecordStore,
@@ -159,24 +160,6 @@ def _as_to_block(rows, num_to: int) -> np.ndarray:
     # The explicit row count matters when num_to == 0 (PO-only schemas):
     # reshape(-1, 0) cannot infer it from a size-0 array.
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), num_to)
-
-
-def _sweep_sums(block: np.ndarray) -> np.ndarray:
-    """Per row, the sort key of the TO-sum sweeps: the sum of its columns
-    added left to right (0 for none), NaN read as 0.
-
-    One fixed order for every block, whatever its memory layout, so equal
-    rows get equal keys and ``a <= b`` column-wise gives ``key a <= key b``:
-    rounding is monotone.  A NaN sum marks a row holding both +inf and -inf,
-    which only compares with rows holding -inf (a sum of -inf or NaN) or
-    +inf (+inf or NaN), so any one stand-in value keeps the order.
-    """
-    sums = np.zeros(len(block), dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        for column in range(block.shape[1]):
-            sums += block[:, column]
-    sums[np.isnan(sums)] = 0.0
-    return sums
 
 
 def _target_chunks(members: int, dims: int, targets: int):
@@ -402,10 +385,10 @@ class NumpyTDominanceStore(TDominanceStore):
         """Per target: weakly t-dominated by a member?  Members in ascending
         TO-sum chunks against the open targets, kept in ascending sum order.
 
-        Sums are :func:`_sweep_sums` keys on both sides.
+        Sums are :func:`~repro.data.columns.sweep_sums` on both sides.
         """
         by_sum, member_sums = self._members_by_sum()
-        tgt_sums = _sweep_sums(tgt_to)
+        tgt_sums = sweep_sums(tgt_to)
         open_rows = np.argsort(tgt_sums, kind="stable")
         open_sums = tgt_sums[open_rows]
         out = np.zeros(len(tgt_to), dtype=bool)
@@ -435,7 +418,7 @@ class NumpyTDominanceStore(TDominanceStore):
         and their sums; merges in members appended since the last call."""
         known = len(self._by_sum)
         if known < len(self):
-            sums = _sweep_sums(self._to.view[known:])
+            sums = sweep_sums(self._to.view[known:])
             order = np.argsort(sums, kind="stable")
             sums = sums[order]
             at = np.searchsorted(self._sorted_sums, sums, side="right")
@@ -543,7 +526,7 @@ class NumpyKernel(DominanceKernel):
         # with two dominance tests — chunk vs the kept front, and chunk vs
         # itself (upper triangle; transitivity makes testing against
         # dominated chunk members harmless).
-        order = np.lexsort((*matrix.T[::-1], _sweep_sums(matrix)))
+        order = np.lexsort((*matrix.T[::-1], sweep_sums(matrix)))
         ordered = matrix[order]
         total = len(ordered)
         kept_rows = np.empty_like(matrix)

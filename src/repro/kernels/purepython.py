@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from repro.index.geometry import sweep_key
 from repro.kernels.base import (
     DominanceKernel,
     RecordStore,
@@ -51,15 +52,6 @@ def _record_dominates(
         else:
             return False
     return strictly
-
-
-def _sweep_key(vector: tuple[float, ...]) -> tuple[float, tuple[float, ...]]:
-    """Sort key under which a point only follows its dominators: the
-    coordinate sum (rounding is monotone), ties broken lexicographically.
-    A NaN sum (the row holds both +inf and -inf) reads as 0: such a row is
-    only comparable with rows summing to -inf, +inf or NaN."""
-    total = sum(vector)
-    return (0.0 if total != total else total), vector
 
 
 class PureVectorStore(VectorStore):
@@ -243,7 +235,7 @@ class PurePythonKernel(DominanceKernel):
     def pareto_mask(self, rows: Sequence[Sequence[float]]) -> list[bool]:
         # Python floats: NumPy scalars would warn on inf + -inf.
         vectors = [tuple(map(float, row)) for row in rows]
-        order = sorted(range(len(vectors)), key=lambda i: _sweep_key(vectors[i]))
+        order = sorted(range(len(vectors)), key=lambda i: sweep_key(vectors[i]))
         kept: list[tuple[float, ...]] = []
         mask = [False] * len(vectors)
         for index in order:

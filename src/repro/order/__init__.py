@@ -1,4 +1,4 @@
-"""Partial-order substrate: DAGs, topological sorts, interval encodings.
+"""Partial-order substrate: DAGs, their topological order, interval encodings.
 
 This subpackage implements everything the TSS framework needs to reason about
 partially ordered (PO) domains:
@@ -6,10 +6,14 @@ partially ordered (PO) domains:
 * :class:`~repro.order.dag.PartialOrderDAG` — a Hasse-diagram style DAG over a
   finite domain of values, with reachability (the ground-truth preference
   relation).
-* :mod:`~repro.order.toposort` — topological sorts (Kahn, DFS, deterministic
-  lexicographic variants).
-* :mod:`~repro.order.spanning_tree` — spanning-tree extraction and the
-  ``[minpost, post]`` postorder interval labelling of Agrawal et al.
+* :mod:`~repro.order.toposort` — ordinals in, and validity of, a topological
+  order; the one order itself is
+  :meth:`PartialOrderDAG.topological_order
+  <repro.order.dag.PartialOrderDAG.topological_order>` (Kahn's algorithm,
+  smallest insertion index first), cached on the DAG.
+* :mod:`~repro.order.spanning_tree` — the spanning forest (each value's
+  first predecessor is its parent) and the ``[minpost, post]`` postorder
+  interval labelling of Agrawal et al.
 * :mod:`~repro.order.intervals` — closed integer intervals and interval sets
   with merging / subsumption, and their bitmask form.
 * :mod:`~repro.order.propagation` — propagation of intervals along non-tree
@@ -39,7 +43,6 @@ from repro.order.encoding import DomainEncoding, encode_domain
 from repro.order.intervals import Interval, IntervalSet
 from repro.order.lattice import subset_lattice, lattice_domain
 from repro.order.spanning_tree import SpanningTree, extract_spanning_tree
-from repro.order.toposort import topological_sort
 from repro.order.uncovered import uncovered_levels
 
 __all__ = [
@@ -50,7 +53,6 @@ __all__ = [
     "IntervalSet",
     "SpanningTree",
     "extract_spanning_tree",
-    "topological_sort",
     "uncovered_levels",
     "subset_lattice",
     "lattice_domain",

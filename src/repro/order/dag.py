@@ -16,6 +16,7 @@ reverse pass, the closure as one int bitmask per value (:attr:`reach_bits
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Hashable, Iterable, Iterator, Mapping
 from typing import Any
 
@@ -65,8 +66,8 @@ class PartialOrderDAG:
 
         self._succ: dict[Value, list[Value]] = {v: [] for v in self._values}
         self._pred: dict[Value, list[Value]] = {v: [] for v in self._values}
-        # The Kahn order of the acyclicity check and the closure bitmasks
-        # derived from it; both dropped by every new edge.
+        # The topological order of the acyclicity check and the closure
+        # bitmasks derived from it; both dropped by every new edge.
         self._order: tuple[Value, ...] | None = None
         self._reach_bits: tuple[int, ...] | None = None
 
@@ -267,23 +268,34 @@ class PartialOrderDAG:
     # Structure
     # ------------------------------------------------------------------ #
     def topological_order(self) -> tuple[Value, ...]:
-        """A topological order (Kahn's algorithm, first-in first-out from the
-        roots in insertion order), cached until the next :meth:`add_edge`.
+        """The topological order of the DAG, cached until the next :meth:`add_edge`.
+
+        Kahn's algorithm taking, at each step, the ready value with the
+        smallest insertion index, so the order is fixed by the DAG alone:
+        every edge points forward and an antichain keeps insertion order.
+        It is the ``A_TO`` order of the TSS encoding (Section III-B).
 
         Raises :class:`CycleError` if the graph has a cycle.
         """
         order = self._order
         if order is None:
-            indegree = {v: len(self._pred[v]) for v in self._values}
-            frontier = [v for v in self._values if indegree[v] == 0]
-            for node in frontier:
+            values = self._values
+            index = self._index
+            indegree = [len(self._pred[v]) for v in values]
+            # Ascending positions: already a heap.
+            ready = [position for position, degree in enumerate(indegree) if not degree]
+            ordered: list[Value] = []
+            while ready:
+                node = values[heapq.heappop(ready)]
+                ordered.append(node)
                 for child in self._succ[node]:
-                    indegree[child] -= 1
-                    if indegree[child] == 0:
-                        frontier.append(child)
-            if len(frontier) != len(self._values):
+                    position = index[child]
+                    indegree[position] -= 1
+                    if not indegree[position]:
+                        heapq.heappush(ready, position)
+            if len(ordered) != len(values):
                 raise CycleError("preference graph contains a cycle")
-            order = self._order = tuple(frontier)
+            order = self._order = tuple(ordered)
         return order
 
     def depths(self) -> dict[Value, int]:

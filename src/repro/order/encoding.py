@@ -4,11 +4,14 @@
 attaches to a partially ordered domain:
 
 * ``A_TO`` — the totally ordered integer domain obtained by topologically
-  sorting the DAG; a value's ``ordinal`` is its 1-based position.  Because the
-  sort respects every DAG edge, visiting points in ``A_TO`` order guarantees
-  the *precedence* property.
-* ``reach_masks`` — the exact interval set of every value (spanning tree
-  ``[minpost, post]`` labels plus propagation along non-tree edges) as one
+  sorting the DAG; a value's ``ordinal`` is its 1-based position in
+  :meth:`PartialOrderDAG.topological_order
+  <repro.order.dag.PartialOrderDAG.topological_order>`, the one order the
+  library uses.  Because the sort respects every DAG edge, visiting points in
+  ``A_TO`` order guarantees the *precedence* property.
+* ``reach_masks`` — the exact interval set of every value (``[minpost,
+  post]`` labels of the spanning tree that takes each value's first
+  predecessor as its parent, plus propagation along non-tree edges) as one
   bitmask over postorder numbers, which makes the t-preference check
   *exact*: no false hits, no false misses.  ``intervals`` decodes the masks
   into :class:`~repro.order.intervals.IntervalSet` objects.
@@ -21,7 +24,7 @@ and uncovered levels).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +33,7 @@ from repro.order.dag import PartialOrderDAG
 from repro.order.intervals import Interval, IntervalSet
 from repro.order.propagation import propagate_masks
 from repro.order.spanning_tree import SpanningTree, extract_spanning_tree
-from repro.order.toposort import ordinal_map, topological_sort
+from repro.order.toposort import ordinal_map
 from repro.order.uncovered import uncovered_levels
 
 Value = Hashable
@@ -187,34 +190,11 @@ class DomainEncoding:
         return max(self.uncovered.values(), default=0)
 
 
-def encode_domain(
-    dag: PartialOrderDAG,
-    *,
-    strategy: str = "kahn",
-    parent_choice: str | Callable[[Value, tuple[Value, ...]], Value] = "first",
-) -> DomainEncoding:
+def encode_domain(dag: PartialOrderDAG) -> DomainEncoding:
     """Build the :class:`DomainEncoding` of a partially ordered domain.
 
-    Parameters
-    ----------
-    dag:
-        The Hasse diagram / preference DAG of the domain.
-    strategy:
-        Topological sort strategy (see :func:`repro.order.toposort.topological_sort`).
-    parent_choice:
-        Spanning-tree parent selection (see
-        :func:`repro.order.spanning_tree.extract_spanning_tree`).
+    ``A_TO`` is the DAG's cached :meth:`~repro.order.dag.PartialOrderDAG.
+    topological_order` and the interval labels come from its first-predecessor
+    spanning tree (:func:`~repro.order.spanning_tree.extract_spanning_tree`).
     """
-    order = tuple(topological_sort(dag, strategy=strategy))
-    tree = extract_spanning_tree(dag, parent_choice=parent_choice)
-    return DomainEncoding(dag=dag, order=order, tree=tree)
-
-
-def encode_domains(
-    dags: Iterable[PartialOrderDAG],
-    *,
-    strategy: str = "kahn",
-    parent_choice: str | Callable[[Value, tuple[Value, ...]], Value] = "first",
-) -> list[DomainEncoding]:
-    """Encode several PO domains with the same settings (one per PO attribute)."""
-    return [encode_domain(dag, strategy=strategy, parent_choice=parent_choice) for dag in dags]
+    return DomainEncoding(dag=dag, order=dag.topological_order(), tree=extract_spanning_tree(dag))

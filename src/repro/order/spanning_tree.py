@@ -13,7 +13,7 @@ propagation (:mod:`repro.order.propagation`).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from repro.exceptions import PartialOrderError
@@ -21,9 +21,6 @@ from repro.order.dag import PartialOrderDAG
 from repro.order.intervals import Interval
 
 Value = Hashable
-
-#: Parent-selection strategies for :func:`extract_spanning_tree`.
-PARENT_STRATEGIES = ("first", "last", "max_coverage")
 
 
 @dataclass(slots=True)
@@ -104,44 +101,19 @@ class SpanningTree:
         return self.interval(better).contains(self.interval(worse))
 
 
-def extract_spanning_tree(
-    dag: PartialOrderDAG,
-    parent_choice: str | Callable[[Value, tuple[Value, ...]], Value] = "first",
-) -> SpanningTree:
+def extract_spanning_tree(dag: PartialOrderDAG) -> SpanningTree:
     """Extract a spanning forest and compute the postorder interval labelling.
 
-    Parameters
-    ----------
-    dag:
-        The partial-order DAG.
-    parent_choice:
-        How to pick the single tree parent of a node with several DAG
-        predecessors: ``"first"`` (first predecessor in insertion order, the
-        deterministic default), ``"last"``, ``"max_coverage"`` (the
-        predecessor with the largest number of descendants, which tends to
-        put more preferences on tree paths), or a callable
-        ``(node, predecessors) -> chosen_parent``.
-
-    Returns
-    -------
-    SpanningTree
-        The forest plus ``post``/``minpost`` labels.
+    The tree parent of a node with several DAG predecessors is its first
+    predecessor in edge-insertion order; values with none are forest roots.
     """
-    chooser = _parent_chooser(dag, parent_choice)
-
     parent: dict[Value, Value | None] = {}
     children: dict[Value, list[Value]] = {v: [] for v in dag.values}
     for node in dag.values:
         predecessors = dag.predecessors(node)
-        if not predecessors:
-            parent[node] = None
-        else:
-            chosen = chooser(node, predecessors)
-            if chosen not in predecessors:
-                raise PartialOrderError(
-                    f"parent chooser returned {chosen!r} which is not a predecessor of {node!r}"
-                )
-            parent[node] = chosen
+        chosen = predecessors[0] if predecessors else None
+        parent[node] = chosen
+        if chosen is not None:
             children[chosen].append(node)
 
     post: dict[Value, int] = {}
@@ -183,19 +155,3 @@ def _postorder(
             stack.pop()
     return counter
 
-
-def _parent_chooser(
-    dag: PartialOrderDAG,
-    parent_choice: str | Callable[[Value, tuple[Value, ...]], Value],
-) -> Callable[[Value, tuple[Value, ...]], Value]:
-    if callable(parent_choice):
-        return parent_choice
-    if parent_choice == "first":
-        return lambda _node, preds: preds[0]
-    if parent_choice == "last":
-        return lambda _node, preds: preds[-1]
-    if parent_choice == "max_coverage":
-        return lambda _node, preds: max(preds, key=lambda p: (len(dag.descendants(p)), -dag.index_of(p)))
-    raise PartialOrderError(
-        f"unknown parent choice {parent_choice!r}; expected one of {PARENT_STRATEGIES} or a callable"
-    )

@@ -1,65 +1,22 @@
-"""Topological sorting of partial-order DAGs.
+"""Helpers over the topological order of a partial-order DAG.
 
 The TSS framework maps a partially ordered domain :math:`A_{PO}` to a totally
 ordered integer domain :math:`A_{TO}` by assigning to each value its ordinal
 number in a topological sort of the DAG (Section III-B of the paper).  Any
-admissible topological order works; this module offers several deterministic
-strategies so experiments are reproducible.
+admissible order works; the library uses one,
+:meth:`PartialOrderDAG.topological_order
+<repro.order.dag.PartialOrderDAG.topological_order>` (Kahn's algorithm,
+smallest insertion index first), cached on the DAG.  This module turns an
+order into ordinals and checks that an order is topological.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Hashable, Sequence
 
-from repro.exceptions import CycleError, PartialOrderError
 from repro.order.dag import PartialOrderDAG
 
 Value = Hashable
-
-#: Strategies accepted by :func:`topological_sort`.
-STRATEGIES = ("kahn", "dfs", "lexicographic", "by_height")
-
-
-def topological_sort(
-    dag: PartialOrderDAG,
-    strategy: str = "kahn",
-    key: Callable[[Value], object] | None = None,
-) -> list[Value]:
-    """Return the DAG values in a topological order (best values first).
-
-    Parameters
-    ----------
-    dag:
-        The partial-order DAG.
-    strategy:
-        One of ``"kahn"`` (insertion-order tie-break), ``"lexicographic"``
-        (smallest available value first, per ``key`` or natural ordering),
-        ``"dfs"`` (reverse postorder of a depth-first traversal) and
-        ``"by_height"`` (values grouped by their depth from the roots, the
-        ordering dTSS uses to visit groups level by level).
-    key:
-        Optional tie-breaking key for the ``"lexicographic"`` strategy.
-
-    Raises
-    ------
-    PartialOrderError
-        If the strategy name is unknown.
-    CycleError
-        If the graph contains a cycle (never happens for a valid DAG).
-    """
-    if strategy == "kahn":
-        return _kahn(dag, tie_key=dag.index_of)
-    if strategy == "lexicographic":
-        tie = key if key is not None else _natural_key(dag)
-        return _kahn(dag, tie_key=tie)
-    if strategy == "dfs":
-        return _dfs(dag)
-    if strategy == "by_height":
-        return _by_height(dag)
-    raise PartialOrderError(
-        f"unknown topological sort strategy {strategy!r}; expected one of {STRATEGIES}"
-    )
 
 
 def ordinal_map(order: Sequence[Value], *, start: int = 1) -> dict[Value, int]:
@@ -76,67 +33,3 @@ def is_topological(dag: PartialOrderDAG, order: Sequence[Value]) -> bool:
         return False
     position = {value: i for i, value in enumerate(order)}
     return all(position[better] < position[worse] for better, worse in dag.edges)
-
-
-def _kahn(dag: PartialOrderDAG, tie_key: Callable[[Value], object]) -> list[Value]:
-    indegree = {v: dag.in_degree(v) for v in dag.values}
-    heap: list[tuple[object, int, Value]] = []
-    for v in dag.values:
-        if indegree[v] == 0:
-            heapq.heappush(heap, (tie_key(v), dag.index_of(v), v))
-    order: list[Value] = []
-    while heap:
-        _, _, node = heapq.heappop(heap)
-        order.append(node)
-        for child in dag.successors(node):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                heapq.heappush(heap, (tie_key(child), dag.index_of(child), child))
-    if len(order) != len(dag):
-        raise CycleError("preference graph contains a cycle")
-    return order
-
-
-def _dfs(dag: PartialOrderDAG) -> list[Value]:
-    visited: set[Value] = set()
-    postorder: list[Value] = []
-
-    for root in dag.values:
-        if root in visited:
-            continue
-        # Iterative DFS with an explicit stack of (node, child iterator).
-        stack: list[tuple[Value, list[Value]]] = [(root, list(dag.successors(root)))]
-        visited.add(root)
-        while stack:
-            node, children = stack[-1]
-            while children:
-                child = children.pop(0)
-                if child not in visited:
-                    visited.add(child)
-                    stack.append((child, list(dag.successors(child))))
-                    break
-            else:
-                postorder.append(node)
-                stack.pop()
-    postorder.reverse()
-    if not is_topological(dag, postorder):  # pragma: no cover - defensive
-        raise CycleError("preference graph contains a cycle")
-    return postorder
-
-
-def _by_height(dag: PartialOrderDAG) -> list[Value]:
-    """Group values by longest distance from any root; stable within a level."""
-    depth = {v: 0 for v in dag.values}
-    for node in _kahn(dag, tie_key=dag.index_of):
-        for child in dag.successors(node):
-            depth[child] = max(depth[child], depth[node] + 1)
-    return sorted(dag.values, key=lambda v: (depth[v], dag.index_of(v)))
-
-
-def _natural_key(dag: PartialOrderDAG) -> Callable[[Value], object]:
-    """Sort by the value itself when the domain is sortable, else by index."""
-    try:
-        sorted(dag.values)  # type: ignore[type-var]
-    except TypeError:
-        return dag.index_of
-    return lambda value: value

@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections.abc import Hashable
 
 from repro.order.spanning_tree import SpanningTree
-from repro.order.toposort import topological_sort
 
 Value = Hashable
 
@@ -33,7 +32,7 @@ def uncovered_levels(tree: SpanningTree) -> dict[Value, int]:
     """
     dag = tree.dag
     levels: dict[Value, int] = {v: 0 for v in dag.values}
-    for node in topological_sort(dag, strategy="kahn"):
+    for node in dag.topological_order():
         for child in dag.successors(node):
             penalty = 0 if tree.is_tree_edge(node, child) else 1
             candidate = levels[node] + penalty

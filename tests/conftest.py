@@ -199,6 +199,24 @@ def random_dag_strategy(max_values: int = 10) -> st.SearchStrategy[PartialOrderD
 #: (+inf plus -inf), which a sum-ordered traversal must still get right.
 INFINITE_TO_VALUES = (float("-inf"), -1.0, 0.0, 1.0, 2.0, float("inf"))
 
+#: TO values whose sums round into ties: 1e17 + 1, 1e17 + 2 and 1e17 + 4 all
+#: round to 1e17, so a point can share its coordinate sum with a point it
+#: dominates, and a sum-ordered scan must still visit the dominator first.
+ROUNDING_TIE_TO_VALUES = (1.0, 2.0, 3.0, 4.0, 1e17)
+
+
+def rounding_tie_dataset(*, with_po: bool = True) -> Dataset:
+    """Two rows over :data:`ROUNDING_TIE_TO_VALUES` whose TO sums both round
+    to 1e17: row 1 dominates row 0, which comes first in the data and in
+    every tree bulk-loaded over it.  ``with_po`` adds a PO column (a
+    two-value chain) holding the same value on both rows."""
+    attributes = [TotalOrderAttribute("to0"), TotalOrderAttribute("to1")]
+    rows = [(1e17, 2.0), (1e17, 1.0)]
+    if with_po:
+        attributes.append(PartialOrderAttribute("po0", PartialOrderDAG("xy", [("x", "y")])))
+        rows = [row + ("x",) for row in rows]
+    return Dataset(Schema(attributes), rows)
+
 
 def to_value_strategy(to_values: Sequence[float] | None) -> st.SearchStrategy[float]:
     """One TO value: an integer in 0..8, or one of ``to_values`` when given."""
@@ -220,7 +238,8 @@ def mixed_dataset_strategy(
     ``min_to=0`` additionally generates PO-only schemas (zero TO columns),
     a supported configuration the columnar block helpers must handle.
     ``to_values`` draws the TO values from that set (e.g.
-    :data:`INFINITE_TO_VALUES`) instead of the integers 0..8.
+    :data:`INFINITE_TO_VALUES` or :data:`ROUNDING_TIE_TO_VALUES`) instead of
+    the integers 0..8.
     """
 
     @st.composite

@@ -118,12 +118,14 @@ class TestEncodedFrame:
 
 def _assert_keys_rank_record_keys(dataset):
     """The frame's monotone keys order and tie rows exactly as the scalar
-    :func:`~repro.skyline.sfs.monotone_sort_key` orders and ties records."""
+    :func:`~repro.skyline.sfs.monotone_sort_key` orders and ties the records'
+    values."""
     from repro.skyline.sfs import depth_columns, monotone_sort_key
 
     frame = EncodedFrame.from_dataset(dataset)
     keys = frame.monotone_keys(depth_columns(dataset.schema, frame))
-    scalar = [monotone_sort_key(dataset.schema)(record) for record in dataset.records]
+    key = monotone_sort_key(dataset.schema)
+    scalar = [key(record.values) for record in dataset.records]
     for a in range(len(dataset)):
         for b in range(len(dataset)):
             assert (keys[a] < keys[b]) == (scalar[a] < scalar[b]), (a, b)

@@ -10,7 +10,7 @@ must not depend on the backend.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.index
@@ -31,9 +31,11 @@ from repro.skyline.bruteforce import brute_force_skyline
 from tests.conftest import (
     AVAILABLE_FRAME_BACKINGS,
     INFINITE_TO_VALUES,
+    ROUNDING_TIE_TO_VALUES,
     assert_backing,
     frame_backing_of,
     mixed_dataset_strategy,
+    rounding_tie_dataset,
     to_value_strategy,
 )
 
@@ -147,6 +149,30 @@ class TestInfiniteToValues:
     def test_mixed(self, kernel, name, dataset):
         result = MIXED_ALGORITHMS[name](dataset, kernel=kernel)
         assert frozenset(result.skyline_ids) == _truth(dataset)
+
+
+class TestRoundingTieToValues:
+    """1e17 + 1 rounds to 1e17, so a point's mindist can equal that of a
+    point it dominates; the traversal must still pop the dominator first."""
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @given(dataset=to_dataset_strategy(to_values=ROUNDING_TIE_TO_VALUES))
+    @example(dataset=rounding_tie_dataset(with_po=False))
+    @settings(max_examples=40, deadline=None)
+    def test_classical_bbs(self, kernel, dataset):
+        assert frozenset(bbs_skyline(dataset, kernel=kernel).skyline_ids) == _truth(dataset)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("name", sorted(MIXED_ALGORITHMS))
+    @given(dataset=mixed_dataset_strategy(max_rows=30, to_values=ROUNDING_TIE_TO_VALUES))
+    @example(dataset=rounding_tie_dataset())
+    @settings(max_examples=25, deadline=None)
+    def test_mixed(self, kernel, name, dataset):
+        truth = _truth(dataset)
+        for backing in AVAILABLE_FRAME_BACKINGS:
+            with frame_backing_of(backing):
+                result = MIXED_ALGORITHMS[name](dataset, kernel=kernel)
+            assert frozenset(result.skyline_ids) == truth, backing
 
 
 @pytest.mark.skipif(len(KERNELS) < 2, reason="needs a second dominance kernel")

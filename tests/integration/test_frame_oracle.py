@@ -7,7 +7,9 @@ NumPy imports, tuples otherwise.  For random mixed TO/PO datasets — integer
 TO values and values holding both infinities — each must return the
 brute-force skyline id-set, and the two backings must walk the same scan:
 identical skyline ids in discovery order and identical dominance-check
-counts.  (The engine's oracle check lives in
+counts.  TO values whose sums round into ties (``1e17 + 1 == 1e17``) check
+that every sweep still visits a dominator before the points it dominates.
+(The engine's oracle check lives in
 ``tests/engine/test_oracle_differential.py``.)
 """
 
@@ -26,8 +28,10 @@ from repro.skyline.sfs import sfs_skyline
 from tests.conftest import (
     AVAILABLE_FRAME_BACKINGS,
     INFINITE_TO_VALUES,
+    ROUNDING_TIE_TO_VALUES,
     frame_backing_of,
     mixed_dataset_strategy,
+    rounding_tie_dataset,
 )
 
 KERNELS = available_kernels()
@@ -43,6 +47,10 @@ ALGORITHMS = {
 DATASETS = {
     "integer-to": mixed_dataset_strategy(max_rows=30, min_to=0),
     "infinite-to": mixed_dataset_strategy(max_rows=30, to_values=INFINITE_TO_VALUES),
+    "rounding-tie-to": st.one_of(
+        st.just(rounding_tie_dataset()),
+        mixed_dataset_strategy(max_rows=30, to_values=ROUNDING_TIE_TO_VALUES),
+    ),
 }
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import UnknownValueError
 from repro.order.builders import antichain, chain
-from repro.order.encoding import encode_domain, encode_domains
+from repro.order.encoding import encode_domain
 from repro.order.toposort import is_topological
 
 
@@ -93,7 +93,5 @@ class TestRangesAndStrata:
     def test_completely_covered_values_exist(self, example_encoding):
         assert example_encoding.is_completely_covered("a")
 
-    def test_encode_domains_helper(self, example_dag):
-        encodings = encode_domains([example_dag, chain(list("xy"))])
-        assert len(encodings) == 2
-        assert encodings[1].cardinality == 2
+    def test_order_is_the_dags_topological_order(self, example_dag):
+        assert encode_domain(example_dag).order == example_dag.topological_order()

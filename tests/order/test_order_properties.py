@@ -7,17 +7,26 @@ from repro.order.encoding import encode_domain
 from repro.order.intervals import IntervalSet, mask_bounds
 from repro.order.propagation import propagate_intervals, reachability_intervals
 from repro.order.spanning_tree import extract_spanning_tree
-from repro.order.toposort import is_topological, topological_sort
+from repro.order.toposort import is_topological
 
 from tests.conftest import random_dag_strategy
 
 
 @settings(max_examples=60, deadline=None)
 @given(dag=random_dag_strategy(max_values=12))
-def test_topological_sort_is_always_valid(dag):
-    for strategy in ("kahn", "dfs", "lexicographic", "by_height"):
-        order = topological_sort(dag, strategy=strategy)
-        assert is_topological(dag, order)
+def test_topological_order_takes_the_smallest_ready_index(dag):
+    """The order is topological and, at every step, takes the ready value
+    (all predecessors placed) with the smallest insertion index."""
+    order = dag.topological_order()
+    assert is_topological(dag, order)
+    placed: set = set()
+    for value in order:
+        ready = [
+            v for v in dag.values
+            if v not in placed and all(p in placed for p in dag.predecessors(v))
+        ]
+        assert value == min(ready, key=dag.index_of)
+        placed.add(value)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,12 +1,9 @@
 """Unit tests for spanning-tree extraction and postorder interval labelling."""
 
-import pytest
-
-from repro.exceptions import PartialOrderError
-from repro.order.builders import chain, antichain
+from repro.order.builders import antichain, chain
 from repro.order.dag import PartialOrderDAG
 from repro.order.intervals import Interval
-from repro.order.spanning_tree import extract_spanning_tree, PARENT_STRATEGIES
+from repro.order.spanning_tree import extract_spanning_tree
 
 
 class TestExtraction:
@@ -42,24 +39,11 @@ class TestExtraction:
         tree = extract_spanning_tree(dag)
         assert all(parent is None for parent in tree.parent.values())
 
-    @pytest.mark.parametrize("strategy", PARENT_STRATEGIES)
-    def test_parent_strategies_produce_valid_trees(self, example_dag, strategy):
-        tree = extract_spanning_tree(example_dag, parent_choice=strategy)
-        for child, parent in tree.parent.items():
-            if parent is not None:
-                assert parent in example_dag.predecessors(child)
-
-    def test_callable_parent_choice(self, example_dag):
-        tree = extract_spanning_tree(example_dag, parent_choice=lambda node, preds: preds[-1])
-        assert tree.parent["g"] in example_dag.predecessors("g")
-
-    def test_invalid_parent_choice_name(self, example_dag):
-        with pytest.raises(PartialOrderError):
-            extract_spanning_tree(example_dag, parent_choice="bogus")
-
-    def test_callable_returning_non_predecessor_rejected(self, example_dag):
-        with pytest.raises(PartialOrderError):
-            extract_spanning_tree(example_dag, parent_choice=lambda node, preds: "a" if node == "i" and "a" not in preds else preds[0])
+    def test_parent_is_the_first_predecessor(self, example_dag):
+        tree = extract_spanning_tree(example_dag)
+        for value in example_dag.values:
+            predecessors = example_dag.predecessors(value)
+            assert tree.parent[value] == (predecessors[0] if predecessors else None)
 
 
 class TestIntervals:

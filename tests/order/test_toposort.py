@@ -1,11 +1,10 @@
-"""Unit tests for topological sorting strategies."""
+"""Unit tests for the topological order and its helpers."""
 
 import pytest
 
-from repro.exceptions import PartialOrderError
-from repro.order.builders import chain, antichain
+from repro.order.builders import antichain, chain
 from repro.order.dag import PartialOrderDAG
-from repro.order.toposort import is_topological, ordinal_map, topological_sort, STRATEGIES
+from repro.order.toposort import is_topological, ordinal_map
 
 
 @pytest.fixture
@@ -13,44 +12,24 @@ def diamond():
     return PartialOrderDAG("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
 
 
-class TestStrategies:
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_every_strategy_produces_a_valid_order(self, example_dag, strategy):
-        order = topological_sort(example_dag, strategy=strategy)
-        assert is_topological(example_dag, order)
-
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_every_value_appears_exactly_once(self, example_dag, strategy):
-        order = topological_sort(example_dag, strategy=strategy)
-        assert sorted(order) == sorted(example_dag.values)
-
-    def test_unknown_strategy_rejected(self, diamond):
-        with pytest.raises(PartialOrderError):
-            topological_sort(diamond, strategy="magic")
-
+class TestTopologicalOrder:
     def test_chain_sorts_to_itself(self):
         dag = chain(["x", "y", "z"])
-        assert topological_sort(dag) == ["x", "y", "z"]
+        assert dag.topological_order() == ("x", "y", "z")
 
-    def test_antichain_keeps_insertion_order_with_kahn(self):
+    def test_antichain_keeps_insertion_order(self):
         dag = antichain(["c", "a", "b"])
-        assert topological_sort(dag, strategy="kahn") == ["c", "a", "b"]
+        assert dag.topological_order() == ("c", "a", "b")
 
-    def test_lexicographic_breaks_ties_by_value(self):
-        dag = antichain(["c", "a", "b"])
-        assert topological_sort(dag, strategy="lexicographic") == ["a", "b", "c"]
+    def test_ready_values_leave_by_insertion_index(self, diamond):
+        # b and c become ready together; the smaller index goes first.
+        dag = PartialOrderDAG("dcba", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+        assert dag.topological_order() == ("a", "c", "b", "d")
+        assert diamond.topological_order() == ("a", "b", "c", "d")
 
-    def test_lexicographic_with_custom_key(self, diamond):
-        order = topological_sort(diamond, strategy="lexicographic", key=lambda v: -ord(v))
-        assert is_topological(diamond, order)
-        # c comes before b because of the reversed key.
-        assert order.index("c") < order.index("b")
-
-    def test_by_height_groups_levels(self, diamond):
-        order = topological_sort(diamond, strategy="by_height")
-        assert order[0] == "a"
-        assert order[-1] == "d"
-        assert set(order[1:3]) == {"b", "c"}
+    def test_paper_example_sorts_alphabetically(self, example_dag):
+        """Figure 2(c)'s alphabetical order is the DAG's own order."""
+        assert "".join(example_dag.topological_order()) == "abcdefghi"
 
     def test_paper_example_admits_alphabetical_order(self, example_dag):
         """Figure 2(c): a < b < ... < i is an admissible topological sort."""

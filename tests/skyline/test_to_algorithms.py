@@ -87,7 +87,7 @@ class TestSFS:
         for a in flight_dataset:
             for b in flight_dataset:
                 if dominates_records(flight_schema, a, b):
-                    assert key(a) < key(b)
+                    assert key(a.values) < key(b.values)
 
     def test_is_optimally_progressive(self, to_dataset, truth):
         """Every output point is final: progress events equal the skyline size."""

@@ -248,6 +248,20 @@ class TestRecordHotPath:
         )
         assert rules_fired(report) == {"no-record-hot-path"}
 
+    def test_sfs_naming_record_is_flagged(self, tmp_path):
+        source = (
+            "from repro.data.dataset import Record\n"
+            "\n"
+            "def key(record: Record):\n"
+            "    return sum(record.values)\n"
+        )
+        report = lint_sources(
+            tmp_path,
+            {"src/repro/skyline/sfs.py": source},
+            rules=["no-record-hot-path"],
+        )
+        assert rules_fired(report) == {"no-record-hot-path"}
+
     def test_non_hot_module_may_touch_records(self, tmp_path):
         source = (
             "def rows(dataset):\n"

@@ -30,6 +30,7 @@ HOT_MODULES = (
     "repro.parallel.executor",
     "repro.skyline.bnl",
     "repro.skyline.less",
+    "repro.skyline.sfs",
 )
 
 RECORD_ATTRIBUTES = frozenset({"records", "record"})
