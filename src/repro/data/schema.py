@@ -67,6 +67,10 @@ class PartialOrderAttribute:
 
 Attribute = TotalOrderAttribute | PartialOrderAttribute
 
+#: The value types a TO value passes as without a closer look (``bool`` is
+#: an ``int`` subclass and is rejected).
+_PLAIN_NUMBERS = frozenset({int, float})
+
 
 class Schema:
     """An ordered collection of skyline attributes.
@@ -77,7 +81,7 @@ class Schema:
     dimensions per partially ordered attribute.
     """
 
-    __slots__ = ("_attributes", "_by_name")
+    __slots__ = ("_attributes", "_by_name", "_po_domains")
 
     def __init__(self, attributes: Sequence[Attribute]) -> None:
         if not attributes:
@@ -87,6 +91,14 @@ class Schema:
             raise SchemaError(f"duplicate attribute names in schema: {names}")
         self._attributes: tuple[Attribute, ...] = tuple(attributes)
         self._by_name: dict[str, int] = {a.name: i for i, a in enumerate(attributes)}
+        # Per attribute: its PO value domain, or None for a TO attribute;
+        # resolved once here rather than per attribute of every validated row.
+        self._po_domains: tuple[frozenset[Value] | None, ...] = tuple(
+            frozenset(attribute.dag.values)
+            if isinstance(attribute, PartialOrderAttribute)
+            else None
+            for attribute in attributes
+        )
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -165,18 +177,20 @@ class Schema:
             raise SchemaError(
                 f"row has {len(row)} values but the schema has {len(self._attributes)} attributes"
             )
-        for attribute, value in zip(self._attributes, row):
-            if isinstance(attribute, PartialOrderAttribute):
-                attribute.validate(value)
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise SchemaError(
-                        f"attribute {attribute.name!r} expects a number, got {value!r}"
-                    )
-                if value != value:
-                    # NaN compares false both ways: no order ranks it, and
-                    # kernels that compare it differently would disagree.
-                    raise SchemaError(f"attribute {attribute.name!r} got NaN")
+        for domain, attribute, value in zip(self._po_domains, self._attributes, row):
+            if domain is not None:
+                if value not in domain:
+                    cast(PartialOrderAttribute, attribute).validate(value)
+            elif value.__class__ not in _PLAIN_NUMBERS and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise SchemaError(
+                    f"attribute {attribute.name!r} expects a number, got {value!r}"
+                )
+            elif value != value:
+                # NaN compares false both ways: no order ranks it, and
+                # kernels that compare it differently would disagree.
+                raise SchemaError(f"attribute {attribute.name!r} got NaN")
 
     def canonical_to_values(self, row: Sequence[Value]) -> tuple[float, ...]:
         """The totally ordered values of ``row``, mapped so smaller is better."""

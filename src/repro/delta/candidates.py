@@ -54,6 +54,8 @@ class BaseCandidateTracker:
         #: Rows over all fronts — kept as a number so that readers outside
         #: the engine's write latch (``summary()``) never iterate ``fronts``.
         self.candidate_count = len(initial_rows)
+        #: :meth:`candidates`, until a front changes.
+        self._candidates: list[int] | None = sorted(initial_rows)
         self._members: dict[GroupKey, list[int]] | None = None
         self._removed: set[int] = set()
 
@@ -62,6 +64,7 @@ class BaseCandidateTracker:
 
     def _set_front(self, key: GroupKey, front: list[int]) -> None:
         self.candidate_count += len(front) - len(self.fronts.get(key, ()))
+        self._candidates = None
         if front:
             self.fronts[key] = front
         else:
@@ -131,5 +134,9 @@ class BaseCandidateTracker:
         return {key: self._recompute_front(key) for key in dirty}
 
     def candidates(self) -> list[int]:
-        """The current candidate rows, ascending (prefilter contract)."""
-        return sorted(row for front in self.fronts.values() for row in front)
+        """The current candidate rows, ascending (prefilter contract).
+
+        Kept until a front changes; callers must not modify the list."""
+        if self._candidates is None:
+            self._candidates = sorted(row for front in self.fronts.values() for row in front)
+        return self._candidates

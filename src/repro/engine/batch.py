@@ -23,16 +23,27 @@ Section V of the paper, but answered for a whole set of queries at once.
 
 Per query, the engine answers group at a time, as dTSS does (Section V):
 the reduced rows are exactly the per-group local skylines of Section V-B, so
-rows inside one group never dominate each other, and whether one group
-dominates another follows from the query's preferences on the two group
-keys alone.  :func:`~repro.engine.groups.skyline_rows` buckets the groups
-into levels (the sum of their values' DAG depths: a dominator group always
-sits on a lower level, groups on one level are incomparable) and visits the
-levels in order, checking each level's rows against the rows kept so far
-in one batched weak t-dominance call — no per-query mapping, R-tree or
-sTSS.  This is the engine's only query path.  Both caches are bounded LRU
-maps (``cache_size``) so a long-running service cannot grow memory without
-limit.
+rows inside one group never dominate each other, and a row of another group
+dominates one exactly when it is no worse on every TO attribute and its
+group's values are preferred-or-equal on every PO attribute.  Only the PO
+preferences change from query to query, so when the engine opens it indexes
+its candidates' **TO-dominance graph**
+(:func:`~repro.engine.groups.build_graph`): every ordered pair of
+candidates in different groups where the first is no worse than the second
+on every TO attribute, in int32 pair lists.  A query then checks each pair
+against its DAGs' closure bits, one lookup per pair and PO attribute, and
+drops every candidate some passing pair points at
+(:func:`~repro.engine.groups.graph_skyline_rows`) — no per-query interval
+encoding, mapping, R-tree or sTSS.  A candidate set whose graph would exceed
+:data:`~repro.engine.groups.GRAPH_PAIRS_PER_CANDIDATE` pairs per candidate
+(or whose build would pass
+:data:`~repro.engine.groups.GRAPH_COMPARISONS_PER_CANDIDATE` comparisons)
+keeps the **level sweep** (:func:`~repro.engine.groups.skyline_rows`):
+groups bucketed by the sum of their values' DAG depths, each level checked
+against the rows kept so far in one batched weak t-dominance call.
+:meth:`~BatchQueryEngine.summary` names the path in use.  Both caches are
+bounded LRU maps (``cache_size``) so a long-running service cannot grow
+memory without limit.
 
 **Live mutations** ride on the columnar delta plane
 (:mod:`repro.delta`): :meth:`BatchQueryEngine.insert` encodes new rows into
@@ -43,8 +54,9 @@ one :class:`~repro.delta.candidates.BaseCandidateTracker`, which a mutation
 updates at write time for the groups it touches only: an insert folds into
 its group's front, deleting a front row recomputes its group (resurrecting
 rows the front was masking).  Queries then read the one candidate set the
-same way whether or not the data changed, and the result cache is cleared
-only when a mutation changed a front.
+same way whether or not the data changed; a mutation that changed a front
+clears the result cache and rebuilds the graph under the write latch, so the
+graph always holds the pairs of the current candidates.
 Store-backed engines persist every mutation in a crash-safe sidecar
 :class:`~repro.store.delta.DeltaLog` and fold the delta into a fresh packed
 base once ``compact_threshold`` mutations accumulate (atomic
@@ -78,7 +90,7 @@ from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.delta.candidates import BaseCandidateTracker, GroupKey
 from repro.delta.frame import DeltaFrame, dataset_from_frame
-from repro.engine.groups import skyline_rows
+from repro.engine.groups import build_graph, graph_skyline_rows, skyline_rows
 from repro.engine.prefilter import prefilter_survivors
 from repro.engine.encodings import (
     DagKey,
@@ -274,6 +286,7 @@ class BatchQueryEngine:
         self._build_candidates()
         if store is not None:
             self._replay_delta_log()
+        self._build_graph()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -370,10 +383,31 @@ class BatchQueryEngine:
         self._tracker = BaseCandidateTracker(self._frame, self.kernel, initial_rows=rows)
         self._phase_seconds["build"] += time.perf_counter() - started
 
-    def _fronts_changed(self, dirty: Mapping[GroupKey, list[int]]) -> None:
-        """Apply a mutation's dirty fronts: drop cached skylines."""
+    def _build_graph(self) -> None:
+        """Index the current candidates' TO-dominance graph (``None`` when
+        the candidates exceed its bound, see :func:`~repro.engine.groups.
+        build_graph`).  Runs at open and under the write latch, so the graph
+        always holds the cross-group pairs of the current candidates."""
+        started = time.perf_counter()
+        tracker = self._tracker
+        self._graph = build_graph(tracker.frame, tracker.candidates(), self.kernel)
+        self._phase_seconds["build"] += time.perf_counter() - started
+
+    def _finish_write(
+        self, dirty: Mapping[GroupKey, list[int]], mutated: bool
+    ) -> None:
+        """End a write under the write latch: a changed front drops cached
+        skylines, a mutation may trigger compaction, and the graph is
+        rebuilt once if a front changed (compaction rebuilds it itself)."""
         if dirty:
             self._result_cache.clear()
+        compacted = False
+        try:
+            if mutated:
+                compacted = self._maybe_compact()
+        finally:
+            if dirty and not compacted:
+                self._build_graph()
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -425,13 +459,21 @@ class BatchQueryEngine:
             )
         stats = SkylineStats()
         tracker = self._tracker
-        rows = skyline_rows(
-            tracker.frame,
-            tracker.fronts,
-            self._encodings_for(query, key),
-            self.kernel,
-            stats,
-        )
+        graph = self._graph
+        if graph is not None:
+            dags = [
+                query.dag_overrides.get(attribute.name, attribute.dag)
+                for attribute in self.schema.partial_order_attributes
+            ]
+            rows = graph_skyline_rows(tracker.frame, graph, dags, self.kernel, stats)
+        else:
+            rows = skyline_rows(
+                tracker.frame,
+                tracker.fronts,
+                self._encodings_for(query, key),
+                self.kernel,
+                stats,
+            )
         return rows, stats
 
     @staticmethod
@@ -576,11 +618,9 @@ class BatchQueryEngine:
                 to_rows, code_rows = delta.insert_payload(ids)
                 self._log.append_inserts(ids, to_rows, code_rows)
             frame = delta.frame()
-            self._fronts_changed(
-                self._tracker.add_rows(frame, range(len(frame) - len(ids), len(frame)))
-            )
+            dirty = self._tracker.add_rows(frame, range(len(frame) - len(ids), len(frame)))
             self._note_mutation(len(ids))
-            self._maybe_compact()
+            self._finish_write(dirty, mutated=True)
             return ids
         finally:
             self._latch.release_write()
@@ -604,11 +644,10 @@ class BatchQueryEngine:
             removed, rows = delta.delete_ids(record_ids)
             if self._log is not None and removed:
                 self._log.append_deletes(removed)
-            if rows:
-                self._fronts_changed(self._tracker.remove_rows(rows))
+            dirty = self._tracker.remove_rows(rows) if rows else {}
             if removed:
                 self._note_mutation(len(removed))
-                self._maybe_compact()
+            self._finish_write(dirty, mutated=bool(removed))
             return removed
         finally:
             self._latch.release_write()
@@ -617,13 +656,16 @@ class BatchQueryEngine:
         with self._state_lock:
             self.mutations_applied += count
 
-    def _maybe_compact(self) -> None:
+    def _maybe_compact(self) -> bool:
+        """Compact once ``compact_threshold`` mutations are pending; returns
+        whether it did."""
         if (
             self._compact_threshold > 0
             and self._delta is not None
             and self._delta.mutations >= self._compact_threshold
         ):
-            self._compact_locked()
+            return bool(self._compact_locked()["compacted"])
+        return False
 
     def compact(self) -> dict:
         """Fold the delta plane into a fresh base; returns a summary dict.
@@ -700,6 +742,7 @@ class BatchQueryEngine:
         # The live rows (and so every cached skyline) are unchanged; only
         # their rows are renumbered.
         self._build_candidates()
+        self._build_graph()
         with self._state_lock:
             self.compactions += 1
         summary["seconds"] = time.perf_counter() - started
@@ -719,9 +762,21 @@ class BatchQueryEngine:
             compactions = self.compactions
             phase_seconds = dict(self._phase_seconds)
         delta = self._delta
+        graph = self._graph
         return {
             "dataset_size": self._num_rows,
             "candidates_after_prefilter": self.candidate_count,
+            # Which path answers queries over the candidates, and the
+            # graph's size when it is the graph.
+            "query_path": (
+                {"path": "levels"}
+                if graph is None
+                else {
+                    "path": "graph",
+                    "pairs": len(graph.pairs),
+                    "bytes": graph.pairs.nbytes,
+                }
+            ),
             "store": (
                 {
                     "path": self._store.path,

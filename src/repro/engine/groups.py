@@ -5,45 +5,141 @@ rows with one PO-code combination tie on every PO attribute under every
 query, and the prefilter already dropped the strictly TO-dominated ones, so
 no row is ever dominated by a row of its own group.  The
 :class:`~repro.delta.candidates.BaseCandidateTracker` keeps those fronts
-(across inserts and deletes), and :func:`skyline_rows` answers one query
-over them the way dTSS (Section V) does, dominator groups first — but a
-whole *level* of groups per kernel call rather than one group per call:
+(across inserts and deletes).  A query changes only the PO preferences
+(Section V), so two paths answer it over the fronts:
 
-* a group's level is the sum, over the PO attributes, of its value's depth
-  (longest preference path from a root) in the query's DAG.  If group ``i``
+* **The TO-dominance graph** (:func:`build_graph`, once per candidate set).
+  Which candidate is no worse than which on every TO attribute does not
+  depend on the query, so the graph lists every ordered pair ``(i, j)`` of
+  candidates in *different* groups where ``i`` weakly TO-dominates ``j``
+  (:meth:`~repro.kernels.base.DominanceKernel.to_dominance_graph`).  A
+  query marks ``j`` dominated iff some pair ``(i, j)`` passes its
+  preferred-or-equal test on every PO attribute
+  (:meth:`~repro.kernels.base.DominanceKernel.graph_dominated`): one
+  lookup per pair and attribute in the query DAGs' closure bits, renumbered
+  into the frame's code space.  No interval encoding is needed.  The pairs
+  suffice: a live row that dominates a candidate is a front row or is
+  strictly TO-dominated by one of its own group, which then dominates the
+  candidate too; and for rows of different groups weak TO dominance plus
+  preferred-or-equal everywhere is dominance, since the codes differ
+  somewhere.  Pairs inside one group are left out: the fronts keep exact
+  duplicates, which would otherwise knock each other out.
+* **The level sweep** (:func:`skyline_rows`), when the graph would exceed
+  :data:`GRAPH_PAIRS_PER_CANDIDATE` pairs per candidate or its build
+  :data:`GRAPH_COMPARISONS_PER_CANDIDATE` comparisons.  A group's level
+  is the sum, over the PO attributes, of its value's depth (longest
+  preference path from a root) in the query's DAG.  If group ``i``
   dominates group ``j`` — ``i``'s value is preferred-or-equal to ``j``'s on
   every PO attribute, and the keys differ — every depth is at most ``j``'s
   and one is smaller, so ``i`` sits on a strictly lower level: groups on one
   level are mutually incomparable, and every dominator group is final
-  before its level is visited;
-* the rows kept on the lower levels form one growing t-dominance store, and
-  a level keeps the rows that no stored row weakly t-dominates — one
+  before its level is visited.  The rows kept on the lower levels form one
+  growing t-dominance store, and a level keeps the rows that no stored row
+  weakly t-dominates — one
   :meth:`~repro.kernels.base.TDominanceStore.block_weakly_dominated` call
   per level, over a slice of the query's TO and PO-code rows, gathered once
-  in level order.  The NumPy store sweeps a large level in TO-sum order
-  (the order BBS visits points in), so it compares a stored row only with
-  the level's rows whose sum reaches its own; the call is still charged
-  every stored row × level row pair, as ``dominance_checks``.
+  in level order.  The NumPy store sweeps a large level in TO-sum order;
+  the call is still charged every stored row x level row pair, as
+  ``dominance_checks``.  Weak t-dominance by a stored row is exact
+  dominance here, for the same reason as on the graph.  Checking kept rows
+  only loses nothing: a dominated row is dominated by a kept row of a
+  group that dominates *its* group, and that group dominates the row's
+  group too (dominance between groups is transitive).
 
-Weak t-dominance by a stored row is exact dominance here: the stored row
-comes from a different group, so its PO values are preferred-or-equal
-everywhere and differ somewhere.  Checking kept rows only loses nothing: a
-dominated row is dominated by a kept row of a group that dominates *its*
-group, and that group dominates the row's group too (dominance between
-groups is transitive).  With no PO attributes every row is on level 0 and
-the answer is the single front; with no TO attributes a group falls as soon
-as any dominator group kept a row.
+With no PO attributes every candidate is in one group, the graph is empty
+and the answer is the single front; with no TO attributes every
+candidate is compared with every other, so a set of more than
+:data:`GRAPH_COMPARISONS_PER_CANDIDATE` candidates keeps the level sweep.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 from repro.data.columns import EncodedFrame
 from repro.delta.candidates import GroupKey
-from repro.kernels.tables import TDominanceTables
+from repro.kernels.base import TODominanceGraph
+from repro.kernels.tables import PreferenceTable, TDominanceTables
+from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import DomainEncoding
 from repro.skyline.base import SkylineStats
+
+#: Most graph pairs per candidate before the engine keeps the level sweep.
+#: Measured per query on 20k-row anticorrelated and independent lattice
+#: shapes (|TO| 2-4, |PO| 1-2, h 4-6), the graph beats the sweep 6-17x at
+#: 8-80 pairs per candidate, 2-3.5x at 120-160, and breaks even near
+#: 350-440.  The bound sits well below that crossover because a shape over
+#: it pays the graph's counting pass at open, in proportion to the bound:
+#: at 64 the 50k-row |PO|=2, h=8 anticorrelated shape (2,872 pairs per
+#: candidate) gives up after 25-40 ms of a 0.4-0.5 s open, and a graph
+#: within it holds about 64 x (8 + 4 x |PO|) bytes per candidate at most.
+GRAPH_PAIRS_PER_CANDIDATE = 64
+
+#: Most member x row comparisons per candidate the graph build makes before
+#: the engine keeps the level sweep.  The k-d cells make about 330 per
+#: candidate on 7,400 anticorrelated |TO|=3 candidates and 140 on 1,300
+#: |TO|=2 ones; without a bound, cells that take many members but few
+#: pairs (|TO|=0, or a large group whose rows tie on TO) would compare
+#: every candidate with every other.  1,024 is less than one level-sweep
+#: query charges per candidate on the 7,400-candidate set (about 1,360).
+GRAPH_COMPARISONS_PER_CANDIDATE = 1024
+
+
+@dataclass(frozen=True)
+class CandidateGraph:
+    """The TO-dominance graph of one candidate set."""
+
+    #: The candidate frame rows, ascending; graph row ``k`` is ``rows[k]``.
+    rows: list[int]
+    pairs: TODominanceGraph
+
+
+def build_graph(frame: EncodedFrame, rows: list[int], kernel) -> CandidateGraph | None:
+    """The TO-dominance graph of the candidate ``rows`` (ascending frame
+    rows, the union of the group fronts), or ``None`` past its bound.
+
+    The bound is :data:`GRAPH_PAIRS_PER_CANDIDATE` pairs per candidate; a
+    query's flattened preference matrices (one cell per pair of domain
+    values) count against it too.  The build also gives up past
+    :data:`GRAPH_COMPARISONS_PER_CANDIDATE` comparisons per candidate.
+    """
+    budget = GRAPH_PAIRS_PER_CANDIDATE * len(rows)
+    cardinalities = [len(domain) for domain in frame.codec.domains]
+    if sum(size * size for size in cardinalities) > budget:
+        return None
+    pairs = kernel.to_dominance_graph(
+        frame.gather_to(rows),
+        frame.remap_codes(frame.codec.code_of, rows),
+        cardinalities,
+        budget,
+        GRAPH_COMPARISONS_PER_CANDIDATE * len(rows),
+    )
+    return None if pairs is None else CandidateGraph(rows, pairs)
+
+
+def graph_skyline_rows(
+    frame: EncodedFrame,
+    graph: CandidateGraph,
+    dags: Sequence[PartialOrderDAG],
+    kernel,
+    stats: SkylineStats,
+) -> list[int]:
+    """Ascending ``frame`` rows of the skyline of ``graph`` under ``dags``.
+
+    ``dags`` holds the query's preference DAG per PO attribute.  ``stats``
+    is charged every graph pair as ``dominance_checks`` and every candidate
+    as ``points_examined``.
+    """
+    codec = frame.codec
+    prefs = []
+    for attr_index, dag in enumerate(dags):
+        table = PreferenceTable.from_dag(dag)
+        perm = codec.permutation_to(attr_index, table.code_of)
+        prefs.append(table.renumbered(perm, codec.domains[attr_index]))
+    dominated = kernel.graph_dominated(graph.pairs, prefs, stats)
+    stats.points_examined += len(graph.rows)
+    return [row for row, drop in zip(graph.rows, dominated) if not drop]
 
 
 def _levels(

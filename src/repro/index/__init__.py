@@ -14,13 +14,12 @@
   :class:`RTree`.
 """
 
-from repro.index.geometry import Rect, point_mindist, sweep_key
+from repro.index.geometry import Rect, sweep_key
 from repro.index.pager import BufferPool, DiskSimulator, IOStats
 from repro.index.rtree import BestFirstTraversal, NodeRef, RTree, RTreeEntry
 
 __all__ = [
     "Rect",
-    "point_mindist",
     "sweep_key",
     "DiskSimulator",
     "BufferPool",

@@ -4,10 +4,10 @@ Every skyline algorithm in this library works in a mapped space where the
 most preferable point is the origin and smaller coordinates are better.  The
 relevant geometric primitives are therefore:
 
-* the L1 (rectilinear) ``mindist`` of a point or rectangle to the origin,
-  and the :func:`sweep_key` built on it, the one order in which every
-  ordered scan (BBS-style best-first traversals, the SFS/LESS presort, the
-  kernels' sum-ordered sweeps) visits points, and
+* the L1 (rectilinear) ``mindist`` of a rectangle to the origin, and the
+  :func:`sweep_key` of a point built on the same sum, the one order in
+  which every ordered scan (BBS-style best-first traversals, the SFS/LESS
+  presort, the kernels' sum-ordered sweeps) visits points, and
 * containment / intersection tests for range queries.
 """
 
@@ -39,11 +39,6 @@ def sweep_key(vector: Sequence[float]) -> SweepKey:
     vector = tuple(vector)
     total = sum(vector)
     return (0.0 if total != total else total), vector
-
-
-def point_mindist(point: Sequence[float]) -> float:
-    """L1 distance of a point (with non-negative coordinates) to the origin."""
-    return float(sum(point))
 
 
 @dataclass(frozen=True, slots=True)

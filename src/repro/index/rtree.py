@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.exceptions import IndexError_
@@ -437,10 +437,6 @@ class BestFirstTraversal:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def peek_mindist(self) -> float | None:
-        """Mindist of the head entry, or None if the heap is exhausted."""
-        return self._heap[0][0][0] if self._heap else None
-
     def pop(self) -> tuple[float, NodeRef | RTreeEntry]:
         """Remove and return the pending entry with the smallest mindist."""
         if not self._heap:
@@ -459,15 +455,6 @@ class BestFirstTraversal:
             for child in node.children:
                 if child.mbr is not None:
                     self._push(child.mbr, NodeRef(rect=child.mbr, node=child))
-
-    def drain(self) -> Iterator[tuple[float, RTreeEntry]]:
-        """Yield every data entry in mindist order, expanding all nodes (no pruning)."""
-        while self._heap:
-            mindist, item = self.pop()
-            if isinstance(item, NodeRef):
-                self.expand(item)
-            else:
-                yield mindist, item
 
 
 # --------------------------------------------------------------------- #

@@ -26,6 +26,7 @@ from repro.kernels.base import (
     DominanceKernel,
     RecordStore,
     TDominanceStore,
+    TODominanceGraph,
     VectorStore,
 )
 from repro.kernels.purepython import PurePythonKernel
@@ -39,6 +40,7 @@ __all__ = [
     "RecordTables",
     "TDominanceStore",
     "TDominanceTables",
+    "TODominanceGraph",
     "VectorStore",
     "available_kernels",
     "get_kernel",

@@ -32,10 +32,108 @@ measure, not an exact trace.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from bisect import bisect_right
+from collections.abc import Callable, Sequence, Sized
+from dataclasses import dataclass
 
-from repro.kernels.tables import RecordTables, TDominanceTables
+from repro.kernels.tables import PreferenceTable, RecordTables, TDominanceTables
+
+#: Rows per k-d cell of :func:`graph_plan`.
+GRAPH_CELL_ROWS = 64
+
+
+def graph_plan(
+    columns: Sequence[Sequence[float]],
+    rows: int,
+    members_of: Callable[[list[float], int], Sized],
+    count_pairs: Callable[[list[int], Sized], int],
+    max_pairs: int,
+    max_comparisons: int,
+) -> list[tuple[list[int], list[float], int, int]] | None:
+    """The k-d tiling of :meth:`DominanceKernel.to_dominance_graph`.
+
+    ``columns`` holds a block's TO columns as lists, its ``rows`` rows in
+    ascending dimension-0 order; rows are named by position in that order.
+    The rows are tiled into cells of :data:`GRAPH_CELL_ROWS`: strips of
+    consecutive positions (about as many strips as cells per strip), each
+    sorted on dimension 1 and cut into cells.  A cell's *members* are the
+    rows no worse than its high corner: positions below its ``reach`` (the
+    rows whose dimension-0 value is at most the corner's), which the
+    backend's ``members_of(high, reach)`` filters on the other dimensions.
+    ``count_pairs(cell, members)`` returns how many pairs the cell's rows
+    take from its members (a backend may record them as it goes).
+
+    Strips and the cells in a strip go from the last one down, so the cells
+    with the most members come first and a block far over a budget gives
+    up after a few cells.
+    Returns ``(cell, high, reach, count)`` per cell with pairs, in visiting
+    order, or ``None`` as soon as the cells' members x rows comparisons
+    pass ``max_comparisons`` (checked before the cell's pairs are counted;
+    with at most one dimension a cell's members are all ``reach`` rows, so
+    the total is checked before any cell is visited) or their pairs pass
+    ``max_pairs``.
+    """
+    dims = len(columns)
+    strip = GRAPH_CELL_ROWS * max(1, math.ceil(math.sqrt(rows / GRAPH_CELL_ROWS)))
+    cells = []
+    for start in reversed(range(0, rows, strip)):
+        strip_at = list(range(start, min(start + strip, rows)))
+        if dims > 1:
+            strip_at.sort(key=columns[1].__getitem__)
+        for low in reversed(range(0, len(strip_at), GRAPH_CELL_ROWS)):
+            cell = strip_at[low : low + GRAPH_CELL_ROWS]
+            high = [max(map(column.__getitem__, cell)) for column in columns]
+            reach = bisect_right(columns[0], high[0]) if dims else rows
+            cells.append((cell, high, reach))
+    if dims < 2 and sum(len(cell) * reach for cell, _, reach in cells) > max_comparisons:
+        return None
+    plan = []
+    pairs = comparisons = 0
+    for cell, high, reach in cells:
+        members = members_of(high, reach)
+        comparisons += len(members) * len(cell)
+        if comparisons > max_comparisons:
+            return None
+        count = count_pairs(cell, members)
+        if count:
+            pairs += count
+            if pairs > max_pairs:
+                return None
+            plan.append((cell, high, reach, count))
+    return plan
+
+
+@dataclass(frozen=True)
+class TODominanceGraph:
+    """Cross-group weak TO dominance among a block of rows, as pair lists.
+
+    Pair ``k`` says row ``src[k]`` is no worse than row ``dst[k]`` on every
+    TO attribute and the two rows' PO codes differ on some attribute.
+    ``pair_codes[a][k]`` is ``code_src * C + code_dst`` on PO attribute
+    ``a`` with ``C`` values: the pair's cell in that attribute's flattened
+    ``C x C`` preference matrix.  The pairs of one
+    target are contiguous, and ``starts`` holds the index of each target's
+    first pair.  Every list is int32 (an ``array.array`` or an ``ndarray``,
+    by backend).
+    """
+
+    #: Rows of the block the pairs index.
+    num_rows: int
+    src: Sequence[int]
+    dst: Sequence[int]
+    pair_codes: tuple[Sequence[int], ...]
+    starts: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.dst)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the pair lists hold."""
+        columns = (self.src, self.dst, self.starts, *self.pair_codes)
+        return sum(len(column) * column.itemsize for column in columns)
 
 
 def charge(counter, checks: int) -> None:
@@ -242,6 +340,41 @@ class DominanceKernel(ABC):
         Used by the baselines' cross-examination, where ``dominators`` and
         ``targets`` may be the same block (strictness makes self-comparison
         harmless for distinct value combinations).
+        """
+
+    @abstractmethod
+    def to_dominance_graph(
+        self,
+        to_rows,
+        code_rows,
+        cardinalities: Sequence[int],
+        max_pairs: int,
+        max_comparisons: int,
+    ) -> TODominanceGraph | None:
+        """Every ordered pair of rows of different PO-code combinations
+        where the first is no worse than the second on every TO attribute.
+
+        ``to_rows`` / ``code_rows`` are parallel column blocks; codes lie in
+        ``range(cardinalities[a])`` per PO attribute.  Values compare with
+        ``<=`` as they are, so infinities stay exact.  Both backends walk the
+        k-d cells of :func:`graph_plan` and supply only the member filter
+        and the pair test; past ``max_pairs`` pairs or ``max_comparisons``
+        member x row comparisons the build gives up and returns ``None``.
+        """
+
+    @abstractmethod
+    def graph_dominated(
+        self,
+        graph: TODominanceGraph,
+        prefs: Sequence[PreferenceTable],
+        counter=None,
+    ) -> list[bool]:
+        """Per row of ``graph``: does some pair ``(i, row)`` pass ``prefs``?
+
+        ``prefs`` holds one preferred-or-equal relation per PO attribute, in
+        the graph's code space; a pair passes when its source code is
+        preferred over or equal to its target code on every attribute.
+        Charges one check per pair.
         """
 
     def record_block_dominated_columns(

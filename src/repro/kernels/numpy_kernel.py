@@ -22,8 +22,10 @@ from repro.kernels.base import (
     DominanceKernel,
     RecordStore,
     TDominanceStore,
+    TODominanceGraph,
     VectorStore,
     charge,
+    graph_plan,
 )
 from repro.kernels.tables import PreferenceTable, RecordTables, TDominanceTables
 
@@ -645,3 +647,101 @@ class NumpyKernel(DominanceKernel):
             _as_code_block(target_codes, num_po, len(tgt_to)),
         )
         return out.tolist()
+
+    def to_dominance_graph(
+        self,
+        to_rows,
+        code_rows,
+        cardinalities: Sequence[int],
+        max_pairs: int,
+        max_comparisons: int,
+    ) -> TODominanceGraph | None:
+        rows = len(to_rows)
+        num_po = len(cardinalities)
+        if not rows or not num_po:
+            # With no PO attribute every row is in one group: no pairs.
+            empty = np.empty(0, dtype=np.int32)
+            return TODominanceGraph(rows, empty, empty, (empty,) * num_po, empty)
+        to = np.asarray(to_rows, dtype=np.float64)
+        codes = np.asarray(code_rows, dtype=np.int32).reshape(rows, num_po)
+        dims = to.shape[1]
+        # Everything below works on positions in the dimension-0 order: one
+        # contiguous column per TO dimension and per PO attribute.
+        order = (np.argsort(to[:, 0]) if dims else np.arange(rows)).astype(np.int32)
+        columns = [np.ascontiguousarray(to[order, dim]) for dim in range(dims)]
+        code_columns = [np.ascontiguousarray(codes[order, a]) for a in range(num_po)]
+
+        def members_of(high, reach):
+            if dims < 2:
+                return np.arange(reach)
+            near = columns[1][:reach] <= high[1]
+            for dim in range(2, dims):
+                near &= columns[dim][:reach] <= high[dim]
+            return np.flatnonzero(near)
+
+        def cell_pairs(cell, members):
+            """The (members, cell) mask of the pairs: no worse on every TO
+            dimension, codes different somewhere (pairs inside one group
+            are skipped)."""
+            cell = np.asarray(cell)
+            pairs = code_columns[0][members, None] != code_columns[0][None, cell]
+            for column in code_columns[1:]:
+                pairs |= column[members, None] != column[None, cell]
+            for column in columns:
+                pairs &= column[members, None] <= column[None, cell]
+            return pairs
+
+        # Counting pass: no pair is held, so a block over a budget gives up
+        # without memory; the filling pass recomputes each cell's members
+        # and mask into exact-size arrays.
+        plan = graph_plan(
+            [column.tolist() for column in columns],
+            rows,
+            members_of,
+            lambda cell, members: int(np.count_nonzero(cell_pairs(cell, members))),
+            max_pairs,
+            max_comparisons,
+        )
+        if plan is None:
+            return None
+        found = sum(count for *_, count in plan)
+        src = np.empty(found, dtype=np.int32)
+        dst = np.empty(found, dtype=np.int32)
+        at = 0
+        for cell, high, reach, count in plan:
+            members = members_of(high, reach)
+            # The mask read out transposed, so each target's pairs come out
+            # contiguous.
+            flat = np.flatnonzero(cell_pairs(cell, members).T)
+            cell_at, member_at = np.divmod(flat, len(members))
+            src[at : at + count] = order[members[member_at]]
+            dst[at : at + count] = order[np.asarray(cell)[cell_at]]
+            at += count
+        pair_codes = []
+        for a, size in enumerate(cardinalities):
+            pair_code = codes[src, a]
+            pair_code *= size
+            pair_code += codes[dst, a]
+            pair_codes.append(pair_code)
+        first = np.ones(len(dst), dtype=bool)
+        first[1:] = dst[1:] != dst[:-1]
+        starts = np.flatnonzero(first).astype(np.int32)
+        return TODominanceGraph(rows, src, dst, tuple(pair_codes), starts)
+
+    def graph_dominated(
+        self,
+        graph: TODominanceGraph,
+        prefs: Sequence[PreferenceTable],
+        counter=None,
+    ) -> list[bool]:
+        charge(counter, len(graph))
+        dominated = np.zeros(graph.num_rows, dtype=bool)
+        if not len(graph):
+            return dominated.tolist()
+        passing = np.ones(len(graph), dtype=bool)
+        for table, codes in zip(prefs, graph.pair_codes):
+            passing &= _pref_matrix(table).ravel().take(codes)
+        # One OR per target over its contiguous pairs.
+        starts = graph.starts
+        dominated[graph.dst[starts[np.logical_or.reduceat(passing, starts)]]] = True
+        return dominated.tolist()

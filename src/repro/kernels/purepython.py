@@ -8,17 +8,21 @@ member comparisons actually reached.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
+from operator import le
 
 from repro.index.geometry import sweep_key
 from repro.kernels.base import (
     DominanceKernel,
     RecordStore,
     TDominanceStore,
+    TODominanceGraph,
     VectorStore,
     charge,
+    graph_plan,
 )
-from repro.kernels.tables import RecordTables, TDominanceTables
+from repro.kernels.tables import PreferenceTable, RecordTables, TDominanceTables
 
 
 def _dominates(p: Sequence[float], q: Sequence[float]) -> bool:
@@ -264,3 +268,64 @@ class PurePythonKernel(DominanceKernel):
             mask.append(dominated)
         charge(counter, checks)
         return mask
+
+    def to_dominance_graph(
+        self,
+        to_rows,
+        code_rows,
+        cardinalities: Sequence[int],
+        max_pairs: int,
+        max_comparisons: int,
+    ) -> TODominanceGraph | None:
+        to = [tuple(map(float, row)) for row in to_rows]
+        codes = [tuple(map(int, row)) for row in code_rows]
+        rows = len(to)
+        dims = len(to[0]) if rows else 0
+        order = sorted(range(rows), key=lambda i: to[i][0]) if dims else list(range(rows))
+        # Rows by position in the dimension-0 order, as :func:`graph_plan`
+        # names them.
+        to_at = [to[i] for i in order]
+        codes_at = [codes[i] for i in order]
+        src, dst, starts = array("i"), array("i"), array("i")
+
+        def members_of(high, reach):
+            return [i for i in range(reach) if all(map(le, to_at[i], high))]
+
+        def count_pairs(cell, members):
+            found = len(dst)
+            for j in cell:
+                to_j, codes_j = to_at[j], codes_at[j]
+                first = len(dst)
+                for i in members:
+                    if codes_at[i] != codes_j and all(map(le, to_at[i], to_j)):
+                        src.append(order[i])
+                        dst.append(order[j])
+                if len(dst) > first:
+                    starts.append(first)
+            return len(dst) - found
+
+        columns = [[row[dim] for row in to_at] for dim in range(dims)]
+        if graph_plan(columns, rows, members_of, count_pairs, max_pairs, max_comparisons) is None:
+            return None
+        pair_codes = tuple(
+            array("i", [codes[i][a] * size + codes[j][a] for i, j in zip(src, dst)])
+            for a, size in enumerate(cardinalities)
+        )
+        return TODominanceGraph(rows, src, dst, pair_codes, starts)
+
+    def graph_dominated(
+        self,
+        graph: TODominanceGraph,
+        prefs: Sequence[PreferenceTable],
+        counter=None,
+    ) -> list[bool]:
+        flat = [[flag for row in table.pref_or_equal for flag in row] for table in prefs]
+        dominated = [False] * graph.num_rows
+        stops = [*graph.starts[1:], len(graph)]
+        for start, stop in zip(graph.starts, stops):
+            dominated[graph.dst[start]] = any(
+                all(matrix[codes[k]] for matrix, codes in zip(flat, graph.pair_codes))
+                for k in range(start, stop)
+            )
+        charge(counter, len(graph))
+        return dominated

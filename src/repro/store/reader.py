@@ -314,9 +314,9 @@ class DatasetStore:
         with self._lock:
             if self._survivors is None:
                 if self._np is not None:
-                    self._survivors = [int(row) for row in self._array("survivors")]
+                    self._survivors = self._array("survivors").tolist()
                 else:
-                    self._survivors = [int(row) for row in self._unpack("survivors")]
+                    self._survivors = self._unpack("survivors")
             return list(self._survivors)
 
     def row_ids(self) -> list[int] | None:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import WorkloadSpec
+from repro.index.rtree import NodeRef
 from repro.kernels import available_kernels, set_default_kernel
 from repro.order.builders import airline_preference_dag, paper_example_dag
 from repro.order.dag import PartialOrderDAG
@@ -167,6 +168,23 @@ def frame_backing(request):
 
 def assert_backing(frame, backing: str) -> None:
     assert frame.uses_numpy == (backing == "numpy"), repr(frame)
+
+
+# --------------------------------------------------------------------- #
+# R-tree traversal
+# --------------------------------------------------------------------- #
+def drain_best_first(tree) -> list:
+    """Every data entry of ``tree`` as ``(mindist, entry)``, in the order a
+    best-first traversal that expands every node pops them."""
+    traversal = tree.best_first()
+    drained = []
+    while traversal:
+        mindist, item = traversal.pop()
+        if isinstance(item, NodeRef):
+            traversal.expand(item)
+        else:
+            drained.append((mindist, item))
+    return drained
 
 
 # --------------------------------------------------------------------- #

@@ -78,6 +78,37 @@ class TestSchema:
         with pytest.raises(SchemaError):
             mixed_schema.validate_row((True, "a", 4))
 
+    @pytest.mark.parametrize(
+        ("row", "message"),
+        [
+            ((100, "a"), "row has 2 values but the schema has 3 attributes"),
+            ((100, "a", 4, 5), "row has 4 values but the schema has 3 attributes"),
+            ((True, "a", 4), "attribute 'price' expects a number, got True"),
+            ((100, "a", False), "attribute 'rating' expects a number, got False"),
+            (("cheap", "a", 4), "attribute 'price' expects a number, got 'cheap'"),
+            ((100, "a", None), "attribute 'rating' expects a number, got None"),
+            ((float("nan"), "a", 4), "attribute 'price' got NaN"),
+            ((100, "a", float("nan")), "attribute 'rating' got NaN"),
+            ((100, "z", 4), "value 'z' not in the domain of PO attribute 'airline'"),
+            ((100, 4, 4), "value 4 not in the domain of PO attribute 'airline'"),
+            # Schema order decides which of two bad values is reported.
+            (("cheap", "z", 4), "attribute 'price' expects a number"),
+            ((100, "z", "x"), "value 'z' not in the domain"),
+        ],
+    )
+    def test_validate_row_message_per_bad_row_kind(self, mixed_schema, row, message):
+        with pytest.raises(SchemaError) as raised:
+            mixed_schema.validate_row(row)
+        assert str(raised.value).startswith(message)
+
+    def test_validate_row_accepts_number_subclasses(self, mixed_schema):
+        class Price(float):
+            pass
+
+        mixed_schema.validate_row((Price(3.5), "a", 4))
+        with pytest.raises(SchemaError, match="NaN"):
+            mixed_schema.validate_row((Price("nan"), "a", 4))
+
     def test_validate_row_rejects_nan_and_accepts_infinities(self, mixed_schema):
         nan, inf = float("nan"), float("inf")
         for row in ((nan, "a", 4), (100, "a", nan)):

@@ -8,6 +8,8 @@ from repro.core.stss import stss_skyline
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import WorkloadSpec
+from repro.engine import batch as batch_module
+from repro.engine import groups
 from repro.engine.batch import (
     BatchQuery,
     BatchQueryEngine,
@@ -15,6 +17,7 @@ from repro.engine.batch import (
     queries_from_seeds,
     random_query_preferences,
 )
+from repro.engine.groups import GRAPH_PAIRS_PER_CANDIDATE
 from repro.exceptions import QueryError
 from repro.kernels import available_kernels
 from repro.order.builders import chain, paper_example_dag
@@ -149,6 +152,52 @@ class TestValidation:
         assert summary["cache_hits"] == 1
         assert summary["dataset_size"] == len(dataset)
         assert 0 < summary["candidates_after_prefilter"] <= len(dataset)
+
+    def test_summary_reports_the_query_path(self, workload, monkeypatch):
+        schema, dataset = workload
+        queries = queries_from_seeds(schema, [1, 2, 3])
+        engine = BatchQueryEngine(dataset, compact_threshold=0)
+        graph = engine._graph
+        assert engine.summary()["query_path"] == {
+            "path": "graph",
+            "pairs": len(graph.pairs),
+            "bytes": graph.pairs.nbytes,
+        }
+        assert 0 < len(graph.pairs) <= GRAPH_PAIRS_PER_CANDIDATE * engine.candidate_count
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "GRAPH_PAIRS_PER_CANDIDATE", 0)
+            levels = BatchQueryEngine(dataset, compact_threshold=0)
+        assert levels.summary()["query_path"] == {"path": "levels"}
+        assert [result.skyline_ids for result in engine.run(queries)] == [
+            result.skyline_ids for result in levels.run(queries)
+        ]
+        # A front change rebuilds the graph the summary reports.
+        engine.delete(engine.run_query(BatchQuery("base")).skyline_ids[:3])
+        assert engine._graph is not graph
+        assert engine.summary()["query_path"]["pairs"] == len(engine._graph.pairs)
+
+    def test_one_graph_build_per_write(self, workload, monkeypatch):
+        """A front-changing write rebuilds the graph once, also when it
+        triggers compaction; a write that changes no front does not."""
+        schema, dataset = workload
+        engine = BatchQueryEngine(dataset, compact_threshold=2)
+        builds = []
+        build = batch_module.build_graph
+        monkeypatch.setattr(
+            batch_module, "build_graph", lambda *args: builds.append(1) or build(*args)
+        )
+        front = engine.run_query(BatchQuery("base")).skyline_ids
+        engine.delete(front[:1])  # changes a front, no compaction yet
+        assert (len(builds), engine.compactions) == (1, 0)
+        engine.delete(front[1:2])  # changes a front and compacts
+        assert (len(builds), engine.compactions) == (2, 1)
+        # A copy of a live skyline row, worse on every TO attribute, joins
+        # no front.
+        values = list(dataset.records[front[2]].values)
+        for index in range(schema.num_total_order):
+            values[index] += 1
+        engine.insert([values])
+        assert len(builds) == 2
 
 
 @pytest.mark.usefixtures("frame_backing")

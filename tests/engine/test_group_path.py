@@ -16,6 +16,7 @@ from repro.api import open_dataset
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import WorkloadSpec
+from repro.engine import groups
 from repro.engine.batch import BatchQuery, BatchQueryEngine, random_query_preferences
 from repro.kernels import available_kernels, get_kernel
 from repro.kernels.tables import TDominanceTables
@@ -149,7 +150,49 @@ class TestEdgeSchemas:
         ]
         _assert_exact(_schema(num_to, ABC), rows, queries, kernel, frame_backing)
 
+    def test_equal_to_rows_in_different_groups(self, kernel, frame_backing):
+        """Equal TO rows tie on TO, so only the PO keys decide between them
+        (and duplicates inside a group never knock each other out)."""
+        schema = _schema(2, ABC, chain(["x", "y"]))
+        rows = [
+            (1, 1, "a", "x"), (1, 1, "b", "x"), (1, 1, "c", "y"), (1, 1, "a", "y"),
+            (1, 1, "a", "x"), (0, 3, "c", "y"), (3, 0, "b", "y"), (0, 3, "c", "y"),
+        ]
+        queries = [
+            BatchQuery("base"),
+            BatchQuery("reversed", {"p0": chain(["c", "b", "a"]), "p1": chain(["y", "x"])}),
+            BatchQuery("antichain", {"p0": PartialOrderDAG(["a", "b", "c"], [])}),
+        ]
+        _assert_exact(schema, rows, queries, kernel, frame_backing)
+
+    def test_rounding_tie_to_values(self, kernel, frame_backing):
+        """Sums that round into ties (1e17 + 1 == 1e17 + 2) across groups:
+        only raw value comparisons tell the dominator."""
+        big = 1e17
+        rows = [
+            (big, 2.0, "b"), (big, 1.0, "a"), (1.0, big, "c"), (2.0, big, "a"),
+            (big, big, "a"), (4.0, 3.0, "c"), (3.0, 4.0, "b"),
+        ]
+        queries = [
+            BatchQuery("base"),
+            BatchQuery("reversed", {"p0": chain(["c", "b", "a"])}),
+            BatchQuery("antichain", {"p0": PartialOrderDAG(["a", "b", "c"], [])}),
+        ]
+        _assert_exact(_schema(2, ABC), rows, queries, kernel, frame_backing)
+
+    def test_one_to_attribute(self, kernel, frame_backing):
+        rng = random.Random(1)
+        rows = [(rng.randint(0, 9), rng.choice("abc"), rng.choice("xy")) for _ in range(60)]
+        queries = [
+            BatchQuery("base"),
+            BatchQuery("reversed", {"p0": chain(["c", "b", "a"])}),
+            BatchQuery("split", {"p1": PartialOrderDAG(["x", "y"], [])}),
+        ]
+        _assert_exact(_schema(1, ABC, chain(["x", "y"])), rows, queries, kernel, frame_backing)
+
     def test_one_kernel_call_per_level(self, kernel, frame_backing, monkeypatch):
+        # With no graph budget the engine takes the level sweep.
+        monkeypatch.setattr(groups, "GRAPH_PAIRS_PER_CANDIDATE", 0)
         schema = _schema(2, ABC)
         rows = [
             (0, 5, "a"), (5, 0, "a"),
@@ -171,6 +214,7 @@ class TestEdgeSchemas:
         # group path's own.
         with BatchQueryEngine(Dataset(schema, rows), kernel=kernel) as engine:
             assert_backing(engine._frame, frame_backing)
+            assert engine.summary()["query_path"] == {"path": "levels"}
             # Levels a, b, c: level a has nothing to check against, then one
             # call per level over all of its front rows.
             result = engine.run_query(BatchQuery("base"))
@@ -234,7 +278,9 @@ def _sharded_shape_case() -> tuple[Dataset, BatchQuery, list[int]]:
 @pytest.mark.parametrize("kernel", available_kernels())
 def test_batch_sharded_shape_matches_brute_force(kernel, frame_backing, monkeypatch):
     """Levels of hundreds of rows against stores of hundreds more: on the
-    NumPy kernel the larger blocks take the sorted sweep."""
+    NumPy kernel the larger blocks take the sorted sweep.  With no graph
+    budget the engine takes the level sweep."""
+    monkeypatch.setattr(groups, "GRAPH_PAIRS_PER_CANDIDATE", 0)
     dataset, query, truth = _sharded_shape_case()
     swept: list[int] = []
     if kernel == "numpy":

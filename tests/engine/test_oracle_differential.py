@@ -7,8 +7,10 @@ replay from the sidecar log).  For random mixed TO/PO datasets, random
 preference overrides and random insert/delete/compact sequences, every such
 configuration must answer each query with exactly the skyline
 :func:`brute_force_skyline` computes over the live rows under the query's
-effective schema.  One more case opens a packed |TO|=3 store with
-``workers=2``, the way the batch-sharded benchmark workload does.
+effective schema, and after every step the engine's TO-dominance graph must
+equal that of an engine opened fresh over the live rows.  One more case
+opens a packed |TO|=3 store with ``workers=2``, the way the batch-sharded
+benchmark workload does.
 """
 
 from __future__ import annotations
@@ -70,9 +72,28 @@ def _oracle(schema, live: dict[int, tuple], query: BatchQuery) -> list[int]:
     return sorted(ids[position] for position in brute_force_skyline(rows).skyline_ids)
 
 
+def _graph_pairs(engine, ids) -> set[tuple[int, int]] | None:
+    """The engine's TO-dominance graph as pairs of ``ids[frame row]``
+    (``None`` on the level path)."""
+    graph = engine._graph
+    if graph is None:
+        return None
+    rows = [ids(row) for row in graph.rows]
+    return {(rows[int(src)], rows[int(dst)]) for src, dst in zip(graph.pairs.src, graph.pairs.dst)}
+
+
 def _assert_matches_oracle(engine, schema, live, queries) -> None:
     for query in queries:
         assert engine.run_query(query).skyline_ids == _oracle(schema, live, query), query.name
+    # The graph holds exactly the pairs of the current candidates: those of
+    # an engine opened fresh over the live rows.
+    ids = sorted(live)
+    fresh = BatchQueryEngine(
+        Dataset(schema, [live[record_id] for record_id in ids]), kernel=engine.kernel
+    )
+    assert _graph_pairs(engine, engine._stable_id_of_row) == _graph_pairs(
+        fresh, ids.__getitem__
+    )
 
 
 @pytest.mark.parametrize("backing", FRAME_BACKINGS)

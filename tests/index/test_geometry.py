@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import IndexError_
-from repro.index.geometry import Rect, point_mindist
+from repro.index.geometry import Rect
 
 
 class TestRect:
@@ -31,7 +31,6 @@ class TestRect:
 
     def test_mindist_is_l1_of_lower_corner(self):
         assert Rect((1, 2), (5, 6)).mindist() == 3.0
-        assert point_mindist((1, 2, 3)) == 6.0
 
     def test_area_margin_center(self):
         rect = Rect((0, 0), (2, 3))

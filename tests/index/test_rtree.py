@@ -8,6 +8,7 @@ from repro.exceptions import IndexError_
 from repro.index.geometry import Rect
 from repro.index.pager import DiskSimulator
 from repro.index.rtree import NodeRef, RTree, RTreeEntry
+from tests.conftest import drain_best_first
 
 
 def random_points(n, dims=2, seed=0, extent=100.0):
@@ -133,13 +134,13 @@ class TestQueries:
 class TestBestFirst:
     def test_drain_yields_points_in_mindist_order(self, bulk_tree):
         points, tree = bulk_tree
-        mindists = [m for m, _ in tree.best_first().drain()]
+        mindists = [m for m, _ in drain_best_first(tree)]
         assert mindists == sorted(mindists)
         assert len(mindists) == len(points)
 
     def test_drain_matches_sorted_points(self, insert_tree):
         points, tree = insert_tree
-        order = [e.payload for _, e in tree.best_first().drain()]
+        order = [e.payload for _, e in drain_best_first(tree)]
         expected = sorted(range(len(points)), key=lambda i: sum(points[i]))
         got_keys = [sum(points[i]) for i in order]
         assert got_keys == sorted(sum(p) for p in points)
@@ -168,11 +169,6 @@ class TestBestFirst:
         with pytest.raises(IndexError_):
             traversal.pop()
 
-    def test_peek_mindist(self, bulk_tree):
-        _, tree = bulk_tree
-        traversal = tree.best_first()
-        assert traversal.peek_mindist() == tree.root.rect.mindist()
-
 
 class TestIOAccounting:
     def test_bulk_load_charges_writes(self):
@@ -191,7 +187,7 @@ class TestIOAccounting:
         points = random_points(200, seed=5)
         tree = RTree.bulk_load(2, ((p, i) for i, p in enumerate(points)), max_entries=8, disk=disk)
         disk.stats.reset()
-        list(tree.best_first().drain())
+        drain_best_first(tree)
         assert disk.stats.reads == tree.node_count()
 
     def test_range_query_charge_io_flag(self):

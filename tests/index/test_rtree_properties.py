@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.index.geometry import Rect
 from repro.index.rtree import RTree
+from tests.conftest import drain_best_first
 
 coordinate = st.integers(min_value=0, max_value=50)
 point_list = st.lists(st.tuples(coordinate, coordinate), min_size=0, max_size=60)
@@ -40,7 +41,7 @@ def test_incrementally_built_range_query_matches_linear_scan(points, corner, ext
 @given(points=point_list)
 def test_best_first_drain_is_sorted_and_complete(points):
     tree = RTree.bulk_load(2, ((p, i) for i, p in enumerate(points)), max_entries=4)
-    drained = list(tree.best_first().drain())
+    drained = drain_best_first(tree)
     mindists = [m for m, _ in drained]
     assert mindists == sorted(mindists)
     assert sorted(e.payload for _, e in drained) == list(range(len(points)))

@@ -17,6 +17,7 @@ from repro.index.pager import DiskSimulator
 from repro.index.rtree import RTree, RTreeEntry
 from repro.skyline.base import RunClock, SkylineStats
 from repro.skyline.bbs import run_bbs
+from tests.conftest import drain_best_first
 
 
 def _random_points(n, dims, seed=0):
@@ -89,7 +90,7 @@ class TestBulkLoadStructure:
                 # The cached MBR is exactly the bound of its children.
                 assert node.mbr == Rect.bounding(child.mbr for child in node.children)
         assert sorted(payloads) == list(range(n))
-        drained = [(m, e.payload) for m, e in tree.best_first().drain()]
+        drained = [(m, e.payload) for m, e in drain_best_first(tree)]
         assert [m for m, _ in drained] == sorted(m for m, _ in drained)
         assert sorted(p for _, p in drained) == list(range(n))
 
@@ -113,8 +114,8 @@ class TestBulkLoadStructure:
         first, second = _tree(points, 3), _tree(points, 3)
         assert first.height == second.height
         assert first.node_count() == second.node_count()
-        assert [(m, e.payload) for m, e in first.best_first().drain()] == [
-            (m, e.payload) for m, e in second.best_first().drain()
+        assert [(m, e.payload) for m, e in drain_best_first(first)] == [
+            (m, e.payload) for m, e in drain_best_first(second)
         ]
 
     def test_validation_errors(self):
