@@ -138,7 +138,7 @@ def _add_workload_options(parser: argparse.ArgumentParser) -> None:
         "--cache-size",
         type=int,
         default=None,
-        help="LRU bound of the per-topology result/encoding caches "
+        help="LRU bound of the per-topology result cache "
         f"(default {_default_cache_size()})",
     )
 

@@ -18,8 +18,7 @@ Section V of the paper, but answered for a whole set of queries at once.
   topology of their preference DAGs (values plus one closure bitmask per
   value, per PO attribute).  Two queries that induce the same preference
   relation — even through differently drawn Hasse diagrams — share one
-  skyline computation, and the per-DAG interval encodings are cached the
-  same way.
+  skyline computation.
 
 Per query, the engine answers group at a time, as dTSS does (Section V):
 the reduced rows are exactly the per-group local skylines of Section V-B, so
@@ -33,17 +32,17 @@ candidates in different groups where the first is no worse than the second
 on every TO attribute, in int32 pair lists.  A query then checks each pair
 against its DAGs' closure bits, one lookup per pair and PO attribute, and
 drops every candidate some passing pair points at
-(:func:`~repro.engine.groups.graph_skyline_rows`) — no per-query interval
-encoding, mapping, R-tree or sTSS.  A candidate set whose graph would exceed
+(:func:`~repro.engine.groups.graph_skyline_rows`) — no interval encoding,
+mapping, R-tree or sTSS.  A candidate set whose graph would exceed
 :data:`~repro.engine.groups.GRAPH_PAIRS_PER_CANDIDATE` pairs per candidate
 (or whose build would pass
 :data:`~repro.engine.groups.GRAPH_COMPARISONS_PER_CANDIDATE` comparisons)
 keeps the **level sweep** (:func:`~repro.engine.groups.skyline_rows`):
 groups bucketed by the sum of their values' DAG depths, each level checked
-against the rows kept so far in one batched weak t-dominance call.
-:meth:`~BatchQueryEngine.summary` names the path in use.  Both caches are
-bounded LRU maps (``cache_size``) so a long-running service cannot grow
-memory without limit.
+against the rows kept so far in one batched weak t-dominance call over the
+same closure bits.  :meth:`~BatchQueryEngine.summary` names the path in
+use.  The result cache is a bounded LRU map (``cache_size``) so a
+long-running service cannot grow memory without limit.
 
 **Live mutations** ride on the columnar delta plane
 (:mod:`repro.delta`): :meth:`BatchQueryEngine.insert` encodes new rows into
@@ -92,18 +91,12 @@ from repro.delta.candidates import BaseCandidateTracker, GroupKey
 from repro.delta.frame import DeltaFrame, dataset_from_frame
 from repro.engine.groups import build_graph, graph_skyline_rows, skyline_rows
 from repro.engine.prefilter import prefilter_survivors
-from repro.engine.encodings import (
-    DagKey,
-    EncodingCache,
-    dag_signature,
-    validate_override_domains,
-)
+from repro.engine.encodings import DagKey, dag_signature, validate_override_domains
 from repro.engine.lru import LRUDict
 from repro.exceptions import DeadlineExceededError, QueryError
 from repro.faults.registry import trip as _fault_trip
 from repro.kernels import resolve_kernel
 from repro.order.dag import PartialOrderDAG
-from repro.order.encoding import DomainEncoding
 from repro.skyline.base import SkylineStats
 
 __all__ = [
@@ -150,7 +143,7 @@ class BatchQueryResult:
         return frozenset(self.skyline_ids)
 
 
-#: Default bound of the per-topology result / encoding LRU caches.
+#: Default bound of the per-topology result LRU cache.
 DEFAULT_CACHE_SIZE = 256
 
 #: Result-cache miss marker — distinct from any cached value, so a cached
@@ -200,7 +193,7 @@ class _ReadWriteLatch:
 class BatchQueryEngine:
     """Evaluate many skyline queries over one dataset with shared work.
 
-    ``cache_size`` bounds both LRU caches (results and per-DAG encodings).
+    ``cache_size`` bounds the per-topology result LRU cache.
     ``compact_threshold`` is the number of pending delta mutations that
     triggers automatic compaction (0 disables; falls back to
     ``REPRO_COMPACT_THRESHOLD``).
@@ -240,7 +233,6 @@ class BatchQueryEngine:
         # the candidate set only, so a mutation that changed no front (and
         # compaction, which keeps every live id) leaves the cache standing.
         self._result_cache: LRUDict[TopologyKey, list[int]] = LRUDict(cache_size)
-        self._encoding_cache = EncodingCache(cache_size)
         self.queries_evaluated = 0
         self.cache_hits = 0
         self.mutations_applied = 0
@@ -425,13 +417,6 @@ class BatchQueryEngine:
             keys.append(dag_signature(dag))
         return tuple(keys)
 
-    def _encodings_for(
-        self, query: BatchQuery, key: TopologyKey
-    ) -> list[DomainEncoding]:
-        return self._encoding_cache.encodings_for(
-            self.schema.partial_order_attributes, query.dag_overrides, keys=key
-        )
-
     def _cached_result(
         self, query: BatchQuery, key: TopologyKey, started: float
     ) -> BatchQueryResult | None:
@@ -449,7 +434,7 @@ class BatchQueryEngine:
             seconds=time.perf_counter() - started,
         )
 
-    def _skyline_rows(self, query: BatchQuery, key: TopologyKey):
+    def _skyline_rows(self, query: BatchQuery):
         """The skyline as candidate frame rows, with its work counters."""
         if query.dag_overrides:
             # Domain coverage is checked up front (the shared cheap
@@ -460,20 +445,14 @@ class BatchQueryEngine:
         stats = SkylineStats()
         tracker = self._tracker
         graph = self._graph
+        dags = [
+            query.dag_overrides.get(attribute.name, attribute.dag)
+            for attribute in self.schema.partial_order_attributes
+        ]
         if graph is not None:
-            dags = [
-                query.dag_overrides.get(attribute.name, attribute.dag)
-                for attribute in self.schema.partial_order_attributes
-            ]
             rows = graph_skyline_rows(tracker.frame, graph, dags, self.kernel, stats)
         else:
-            rows = skyline_rows(
-                tracker.frame,
-                tracker.fronts,
-                self._encodings_for(query, key),
-                self.kernel,
-                stats,
-            )
+            rows = skyline_rows(tracker.frame, tracker.fronts, dags, self.kernel, stats)
         return rows, stats
 
     @staticmethod
@@ -522,7 +501,7 @@ class BatchQueryEngine:
             self._latch.acquire_read()
             try:
                 computing = time.perf_counter()
-                rows, stats = self._skyline_rows(query, key)
+                rows, stats = self._skyline_rows(query)
                 query_seconds = time.perf_counter() - computing
                 skyline_ids = self._stable_ids(rows)
                 with self._state_lock:
@@ -795,8 +774,6 @@ class BatchQueryEngine:
             "cached_topologies": len(self._result_cache),
             "cache_capacity": self.cache_size,
             "cache_evictions": self._result_cache.evictions,
-            "encoding_cache_entries": len(self._encoding_cache),
-            "encoding_cache_evictions": self._encoding_cache.evictions,
             "kernel": self.kernel.name,
             "compact_threshold": self._compact_threshold,
             "mutations_applied": mutations_applied,

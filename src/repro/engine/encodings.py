@@ -1,4 +1,4 @@
-"""Semantic DAG signatures and the shared per-DAG encoding cache.
+"""Semantic DAG signatures, override validation and the per-DAG encoding cache.
 
 Queries are keyed by the *semantic* topology of their preference DAGs — the
 values plus one closure bitmask per value (:attr:`PartialOrderDAG.reach_bits
@@ -8,7 +8,9 @@ closure, shuffled or repeated edges) share one cache entry.  The key holds
 one int per value, whatever the number of closure edges.
 :class:`EncodingCache` maps those signatures to
 :class:`~repro.order.encoding.DomainEncoding` objects under an LRU bound;
-the batch engine and every sharded-executor worker each hold one.
+only the sharded executor's workers hold one.  The batch engine keys its
+result cache by the signatures and reads the closure bits directly, so it
+builds no interval encoding.
 """
 
 from __future__ import annotations
@@ -66,21 +68,13 @@ class EncodingCache:
         self._entries: LRUDict[DagKey, DomainEncoding] = LRUDict(capacity)
 
     def encodings_for(
-        self,
-        attributes: Sequence,
-        overrides: Mapping[str, PartialOrderDAG],
-        *,
-        keys: Sequence[DagKey] | None = None,
+        self, attributes: Sequence, overrides: Mapping[str, PartialOrderDAG]
     ) -> list[DomainEncoding]:
-        """One encoding per PO attribute, honoring per-attribute overrides.
-
-        ``keys`` may supply precomputed signatures (one per attribute, in
-        order) to avoid recomputing them.
-        """
+        """One encoding per PO attribute, honoring per-attribute overrides."""
         encodings: list[DomainEncoding] = []
-        for index, attribute in enumerate(attributes):
+        for attribute in attributes:
             dag = overrides.get(attribute.name, attribute.dag)
-            key = keys[index] if keys is not None else dag_signature(dag)
+            key = dag_signature(dag)
             encoding = self._entries.get(key)
             if encoding is None:
                 encoding = encode_domain(dag)

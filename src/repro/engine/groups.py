@@ -17,7 +17,7 @@ no row is ever dominated by a row of its own group.  The
   preferred-or-equal test on every PO attribute
   (:meth:`~repro.kernels.base.DominanceKernel.graph_dominated`): one
   lookup per pair and attribute in the query DAGs' closure bits, renumbered
-  into the frame's code space.  No interval encoding is needed.  The pairs
+  into the frame's code space (:func:`query_tables`).  The pairs
   suffice: a live row that dominates a candidate is a front row or is
   strictly TO-dominated by one of its own group, which then dominates the
   candidate too; and for rows of different groups weak TO dominance plus
@@ -34,10 +34,10 @@ no row is ever dominated by a row of its own group.  The
   and one is smaller, so ``i`` sits on a strictly lower level: groups on one
   level are mutually incomparable, and every dominator group is final
   before its level is visited.  The rows kept on the lower levels form one
-  growing t-dominance store, and a level keeps the rows that no stored row
-  weakly t-dominates — one
+  growing t-dominance store over the same closure tables as the graph, and
+  a level keeps the rows that no stored row weakly t-dominates — one
   :meth:`~repro.kernels.base.TDominanceStore.block_weakly_dominated` call
-  per level, over a slice of the query's TO and PO-code rows, gathered once
+  per level, over a slice of the frame's TO and PO-code rows, gathered once
   in level order.  The NumPy store sweeps a large level in TO-sum order;
   the call is still charged every stored row x level row pair, as
   ``dominance_checks``.  Weak t-dominance by a stored row is exact
@@ -60,9 +60,8 @@ from dataclasses import dataclass
 from repro.data.columns import EncodedFrame
 from repro.delta.candidates import GroupKey
 from repro.kernels.base import TODominanceGraph
-from repro.kernels.tables import PreferenceTable, TDominanceTables
+from repro.kernels.tables import PreferenceTable, RecordTables
 from repro.order.dag import PartialOrderDAG
-from repro.order.encoding import DomainEncoding
 from repro.skyline.base import SkylineStats
 
 #: Most graph pairs per candidate before the engine keeps the level sweep.
@@ -118,6 +117,18 @@ def build_graph(frame: EncodedFrame, rows: list[int], kernel) -> CandidateGraph 
     return None if pairs is None else CandidateGraph(rows, pairs)
 
 
+def query_tables(frame: EncodedFrame, dags: Sequence[PartialOrderDAG]) -> RecordTables:
+    """The closure bits of ``dags`` (the query's DAG per PO attribute),
+    renumbered into ``frame``'s code space: the tables both paths read."""
+    codec = frame.codec
+    prefs = []
+    for attr_index, dag in enumerate(dags):
+        table = PreferenceTable.from_dag(dag)
+        perm = codec.permutation_to(attr_index, table.code_of)
+        prefs.append(table.renumbered(perm, codec.domains[attr_index]))
+    return RecordTables(frame.num_total_order, tuple(prefs))
+
+
 def graph_skyline_rows(
     frame: EncodedFrame,
     graph: CandidateGraph,
@@ -131,12 +142,7 @@ def graph_skyline_rows(
     is charged every graph pair as ``dominance_checks`` and every candidate
     as ``points_examined``.
     """
-    codec = frame.codec
-    prefs = []
-    for attr_index, dag in enumerate(dags):
-        table = PreferenceTable.from_dag(dag)
-        perm = codec.permutation_to(attr_index, table.code_of)
-        prefs.append(table.renumbered(perm, codec.domains[attr_index]))
+    prefs = query_tables(frame, dags).attributes
     dominated = kernel.graph_dominated(graph.pairs, prefs, stats)
     stats.points_examined += len(graph.rows)
     return [row for row, drop in zip(graph.rows, dominated) if not drop]
@@ -145,12 +151,12 @@ def graph_skyline_rows(
 def _levels(
     frame: EncodedFrame,
     fronts: Mapping[GroupKey, list[int]],
-    encodings: Sequence[DomainEncoding],
+    dags: Sequence[PartialOrderDAG],
 ) -> list[list[int]]:
     """The front rows bucketed by their group's level, lowest first."""
     depths = [
-        [encoding.depths[value] for value in domain]
-        for encoding, domain in zip(encodings, frame.codec.domains)
+        [depth_of[value] for value in domain]
+        for depth_of, domain in zip((dag.depths() for dag in dags), frame.codec.domains)
     ]
     by_level: dict[int, list[int]] = {}
     for key, rows in fronts.items():
@@ -162,23 +168,22 @@ def _levels(
 def skyline_rows(
     frame: EncodedFrame,
     fronts: Mapping[GroupKey, list[int]],
-    encodings: Sequence[DomainEncoding],
+    dags: Sequence[PartialOrderDAG],
     kernel,
     stats: SkylineStats,
 ) -> list[int]:
-    """Ascending ``frame`` rows of the skyline of ``fronts`` under ``encodings``.
+    """Ascending ``frame`` rows of the skyline of ``fronts`` under ``dags``.
 
-    ``fronts`` maps each PO-code combination to its group's front rows.
-    ``stats`` is charged the kernel's dominance checks and, as
-    ``points_examined``, every front row.
+    ``fronts`` maps each PO-code combination to its group's front rows;
+    ``dags`` holds the query's preference DAG per PO attribute.  ``stats``
+    is charged the kernel's dominance checks and, as ``points_examined``,
+    every front row.
     """
-    tables = TDominanceTables.from_encodings(frame.num_total_order, encodings)
-    code_maps = [table.code_of for table in tables.attributes]
-    store = kernel.tdominance_store(tables)
-    levels = _levels(frame, fronts, encodings)
+    store = kernel.tdominance_store(query_tables(frame, dags))
+    levels = _levels(frame, fronts, dags)
     order = [row for rows in levels for row in rows]
     to_block = frame.gather_to(order)
-    code_block = frame.remap_codes(code_maps, order)
+    code_block = frame.remap_codes(frame.codec.code_of, order)
     kept: list[int] = []
     start = 0
     for rows in levels:

@@ -314,7 +314,10 @@ class DominanceKernel(ABC):
     def record_store(self, tables: RecordTables) -> RecordStore: ...
 
     @abstractmethod
-    def tdominance_store(self, tables: TDominanceTables) -> TDominanceStore: ...
+    def tdominance_store(self, tables: RecordTables | TDominanceTables) -> TDominanceStore:
+        """A store over sTSS's :class:`TDominanceTables`, or over bare
+        preference tables (:class:`RecordTables`) where
+        :meth:`TDominanceStore.mbb_candidates` is never called."""
 
     # ------------------------------------------------------------------ #
     # Stateless batch operations

@@ -349,10 +349,9 @@ class NumpyTDominanceStore(TDominanceStore):
     #: Members per comparison pass of the sorted sweep.
     MEMBER_CHUNK = 256
 
-    def __init__(self, tables: TDominanceTables) -> None:
+    def __init__(self, tables: RecordTables | TDominanceTables) -> None:
         self.tables = tables
         self._pref = _pref_matrices(tables)
-        self._mbi_low, self._mbi_high = _mbi_arrays(tables)
         self._to = GrowableMatrix(tables.num_total_order, dtype=np.float64)
         self._codes = GrowableMatrix(max(1, tables.num_partial_order), dtype=np.int64)
         self._num_po = tables.num_partial_order
@@ -481,13 +480,14 @@ class NumpyTDominanceStore(TDominanceStore):
         if not len(block_to):
             return []
         block_codes = self._codes.view
+        member_low, member_high = _mbi_arrays(self.tables)
         mask = (block_to <= np.asarray(to_low, dtype=np.float64)).all(axis=1)
         for po_index in range(self._num_po):
             codes = block_codes[:, po_index]
             mbi_low, mbi_high = range_mbis[po_index]
             mask &= codes + 1 <= ordinal_low[po_index]
-            mask &= self._mbi_low[po_index][codes] <= mbi_low
-            mask &= self._mbi_high[po_index][codes] >= mbi_high
+            mask &= member_low[po_index][codes] <= mbi_low
+            mask &= member_high[po_index][codes] >= mbi_high
         return np.flatnonzero(mask).tolist()
 
 
@@ -502,7 +502,7 @@ class NumpyKernel(DominanceKernel):
     def record_store(self, tables: RecordTables) -> RecordStore:
         return NumpyRecordStore(tables)
 
-    def tdominance_store(self, tables: TDominanceTables) -> TDominanceStore:
+    def tdominance_store(self, tables: RecordTables | TDominanceTables) -> TDominanceStore:
         return NumpyTDominanceStore(tables)
 
     #: Points processed per vectorized step of :meth:`pareto_mask`.

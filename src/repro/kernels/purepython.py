@@ -152,7 +152,7 @@ class PureRecordStore(RecordStore):
 
 
 class PureTDominanceStore(TDominanceStore):
-    def __init__(self, tables: TDominanceTables) -> None:
+    def __init__(self, tables: RecordTables | TDominanceTables) -> None:
         self.tables = tables
         self._rows: list[tuple[tuple[float, ...], tuple[int, ...]]] = []
         # Per attribute, per candidate code: its pref_or_equal column.
@@ -233,7 +233,7 @@ class PurePythonKernel(DominanceKernel):
     def record_store(self, tables: RecordTables) -> RecordStore:
         return PureRecordStore(tables)
 
-    def tdominance_store(self, tables: TDominanceTables) -> TDominanceStore:
+    def tdominance_store(self, tables: RecordTables | TDominanceTables) -> TDominanceStore:
         return PureTDominanceStore(tables)
 
     def pareto_mask(self, rows: Sequence[Sequence[float]]) -> list[bool]:

@@ -8,8 +8,8 @@ preference matrices.  This module bridges the gap once per dataset/query:
   code mapping and the preferred-or-equal relation as one bitmask per code
   (decoded into a dense ``pref_or_equal[better][worse]`` matrix on demand).
 * :class:`RecordTables` — everything needed for *ground-truth* record
-  dominance over a mixed TO/PO schema (used by BNL/SFS/LESS and the
-  baselines' cross-examination).
+  dominance over a mixed TO/PO schema (used by BNL/SFS/LESS, the
+  baselines' cross-examination and the engine's per-query tables).
 * :class:`TDominanceTables` — everything needed for batched *t-dominance*
   over mapped points: t-preference matrices, postorder numbers, per-value
   interval-set masks and their minimum bounding intervals (MBIs), which
@@ -84,12 +84,19 @@ class PreferenceTable:
         """The same relation with code ``i`` standing for ``values[i]``,
         this table's code ``perm[i]`` (e.g. a frame's code space, with
         ``perm`` from :meth:`ColumnCodec.permutation_to
-        <repro.data.columns.ColumnCodec.permutation_to>`)."""
+        <repro.data.columns.ColumnCodec.permutation_to>`).
+
+        Bits of codes left out of ``perm`` (values of a query DAG outside the
+        frame's domain) are cleared from the rows, so every set bit still
+        stands for a code.
+        """
+        column_bits = tuple(self.column_bits[code] for code in perm)
+        kept = sum(1 << bit for bit in column_bits)
         return PreferenceTable(
             values=tuple(values),
             code_of={value: i for i, value in enumerate(values)},
-            row_masks=tuple(self.row_masks[code] for code in perm),
-            column_bits=tuple(self.column_bits[code] for code in perm),
+            row_masks=tuple(self.row_masks[code] & kept for code in perm),
+            column_bits=column_bits,
         )
 
     @cached_property

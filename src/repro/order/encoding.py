@@ -67,12 +67,6 @@ class DomainEncoding:
             raise UnknownValueError(ordinal)
         return self.order[ordinal - 1]
 
-    @cached_property
-    def depths(self) -> dict[Value, int]:
-        """Longest-path depth of every value in the DAG (see
-        :meth:`PartialOrderDAG.depths <repro.order.dag.PartialOrderDAG.depths>`)."""
-        return self.dag.depths()
-
     @property
     def cardinality(self) -> int:
         """Size of the domain (equals ``|A_TO|`` and ``|I1| = |I2|``)."""

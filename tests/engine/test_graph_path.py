@@ -12,8 +12,10 @@ served from the sweep.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -24,6 +26,7 @@ from repro.data.dataset import Dataset
 from repro.engine import groups
 from repro.engine.batch import BatchQuery, BatchQueryEngine
 from repro.kernels import available_kernels
+from repro.order import encoding
 from repro.order.builders import chain
 from repro.order.dag import PartialOrderDAG
 from tests.conftest import (
@@ -53,6 +56,40 @@ def _path(engine) -> str:
     return engine.summary()["query_path"]["path"]
 
 
+def _renumbered_overrides(schema, rng: random.Random) -> dict[str, PartialOrderDAG]:
+    """A random DAG per PO attribute that lists its domain in a shuffled
+    insertion order plus one value outside it, so the query's codes are a
+    permutation of the frame's and renumbering drops a value."""
+    overrides = {}
+    for attribute in schema.partial_order_attributes:
+        values = [*attribute.dag.values, "outside"]
+        ranking = values[:]
+        rng.shuffle(ranking)
+        probability = rng.random() * 0.9
+        edges = [
+            (ranking[i], ranking[j])
+            for i in range(len(ranking))
+            for j in range(i + 1, len(ranking))
+            if rng.random() < probability
+        ]
+        rng.shuffle(values)
+        overrides[attribute.name] = PartialOrderDAG(values, edges)
+    return overrides
+
+
+@contextlib.contextmanager
+def _encode_domain_spy():
+    """A mock counting every :func:`~repro.order.encoding.encode_domain`
+    call, under each name a ``repro`` module imported it by."""
+    original = encoding.encode_domain
+    spy = mock.Mock(wraps=original)
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "encode_domain", None) is original:
+                stack.enter_context(mock.patch.object(module, "encode_domain", spy))
+        yield spy
+
+
 @pytest.mark.parametrize("backing", FRAME_BACKINGS)
 @pytest.mark.parametrize("values", sorted(TO_VALUE_SETS))
 @given(data=st.data(), kernel=st.sampled_from(available_kernels()))
@@ -65,6 +102,9 @@ def test_graph_equals_levels_equals_oracle(backing, values, data, kernel):
     schema = dataset.schema
     queries = [BatchQuery("base")] + [
         BatchQuery(f"q{index}", _random_overrides(schema, rng)) for index in range(2)
+    ] + [
+        BatchQuery(f"renumbered{index}", _renumbered_overrides(schema, rng))
+        for index in range(2)
     ]
     live = {record.id: tuple(record.values) for record in dataset.records}
     with frame_backing_of(backing):
@@ -92,16 +132,26 @@ class TestGraphShapes:
     def test_graph_path_charges_pairs_and_candidates(self, kernel):
         abc = chain(["a", "b", "c"])
         rows = [(0, 5, "a"), (5, 0, "a"), (1, 6, "b"), (6, 1, "b"), (3, 3, "b"), (2, 2, "c")]
-        engine = BatchQueryEngine(Dataset(_schema(2, abc), rows), kernel=kernel)
-        pairs = len(engine._graph.pairs)
-        # (0,5,a) <= (1,6,b); (5,0,a) <= (6,1,b); (2,2,c) <= (3,3,b).
-        assert pairs == 3
-        result = engine.run_query(BatchQuery("base"))
-        assert result.skyline_ids == [0, 1, 4, 5]
-        assert result.stats.dominance_checks == pairs
-        assert result.stats.points_examined == 6
-        # No interval encoding is built on the graph path.
-        assert engine.summary()["encoding_cache_entries"] == 0
+        dataset = Dataset(_schema(2, abc), rows)
+        reversed_query = BatchQuery("reversed", {"p0": chain(["c", "b", "a"])})
+        with _encode_domain_spy() as spy:
+            engine = BatchQueryEngine(dataset, kernel=kernel)
+            pairs = len(engine._graph.pairs)
+            # (0,5,a) <= (1,6,b); (5,0,a) <= (6,1,b); (2,2,c) <= (3,3,b).
+            assert pairs == 3
+            result = engine.run_query(BatchQuery("base"))
+            assert result.skyline_ids == [0, 1, 4, 5]
+            assert result.stats.dominance_checks == pairs
+            assert result.stats.points_examined == 6
+            # Neither path builds an interval encoding.
+            level_engine = _level_engine(dataset, kernel)
+            assert _path(level_engine) == "levels"
+            for query in (BatchQuery("base"), reversed_query):
+                assert (
+                    level_engine.run_query(query).skyline_ids
+                    == engine.run_query(query).skyline_ids
+                )
+        assert spy.call_count == 0
 
 
 #: |TO|=1 over two 12-value antichains: every candidate is its group's

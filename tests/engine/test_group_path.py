@@ -13,16 +13,15 @@ import random
 import pytest
 
 from repro.api import open_dataset
+from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import WorkloadSpec
 from repro.engine import groups
 from repro.engine.batch import BatchQuery, BatchQueryEngine, random_query_preferences
 from repro.kernels import available_kernels, get_kernel
-from repro.kernels.tables import TDominanceTables
 from repro.order.builders import chain, random_dag
 from repro.order.dag import PartialOrderDAG
-from repro.order.encoding import encode_domain
 from repro.skyline.bruteforce import brute_force_skyline
 from tests.conftest import assert_backing
 
@@ -199,8 +198,9 @@ class TestEdgeSchemas:
             (1, 6, "b"), (6, 1, "b"), (3, 3, "b"),
             (2, 2, "c"), (9, 9, "c"),  # (9, 9, c) falls to the prefilter
         ]
+        dataset = Dataset(schema, rows)
         store = get_kernel(kernel).tdominance_store(
-            TDominanceTables.from_encodings(2, [encode_domain(ABC)])
+            groups.query_tables(EncodedFrame.from_dataset(dataset), [ABC])
         )
         checked: list[int] = []
         original = type(store).block_weakly_dominated
@@ -212,7 +212,7 @@ class TestEdgeSchemas:
         monkeypatch.setattr(type(store), "block_weakly_dominated", counting)
         # In process even under REPRO_WORKERS: the calls counted are the
         # group path's own.
-        with BatchQueryEngine(Dataset(schema, rows), kernel=kernel) as engine:
+        with BatchQueryEngine(dataset, kernel=kernel) as engine:
             assert_backing(engine._frame, frame_backing)
             assert engine.summary()["query_path"] == {"path": "levels"}
             # Levels a, b, c: level a has nothing to check against, then one

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.kernels import PreferenceTable, available_kernels, get_kernel
 from repro.kernels.base import graph_plan
 from repro.order.builders import random_dag
+from repro.order.dag import PartialOrderDAG
 from tests.conftest import INFINITE_TO_VALUES, ROUNDING_TIE_TO_VALUES
 
 KERNELS = available_kernels()
@@ -170,6 +171,23 @@ def test_renumbered_preferences_follow_the_codes(kernel):
     assert dominated == [
         any(renumbered.pref_or_equal[i][j] for i in range(6) if i != j) for j in range(6)
     ]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_renumbering_drops_values_outside_the_codes(kernel):
+    """A query DAG may hold values outside the frame's domain; renumbering
+    clears their bits, so a row's width is that of the kept codes (here one
+    byte for eight codes, though every row reaches the ninth value)."""
+    domain = [f"v{i}" for i in range(8)]
+    dag = PartialOrderDAG([*domain, "outside"], [(value, "outside") for value in domain])
+    table = PreferenceTable.from_dag(dag)
+    renumbered = table.renumbered(range(8), domain)
+    assert all(mask >> 8 == 0 for mask in renumbered.row_masks)
+    backend = get_kernel(kernel)
+    to = [(0.0,)] * 8
+    codes = [(code,) for code in range(8)]
+    graph = backend.to_dominance_graph(to, codes, [8], NO_BOUND, NO_BOUND)
+    assert backend.graph_dominated(graph, [renumbered]) == [False] * 8
 
 
 @pytest.mark.parametrize(("kernel", "backing"), CASES)

@@ -175,12 +175,12 @@ class TestConcurrentClients:
         windows: list[tuple[float, float]] = []
         original = engine._skyline_rows
 
-        def instrumented(query, key):
+        def instrumented(query):
             started = time.monotonic()
             # Rendezvous *inside* the timed window: both windows then contain
             # the barrier-release instant, so they provably overlap.
             rendezvous.wait()
-            computed = original(query, key)
+            computed = original(query)
             windows.append((started, time.monotonic()))
             return computed
 
