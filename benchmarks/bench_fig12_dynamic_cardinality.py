@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.experiments import dynamic_cardinality
+from repro.engine.batch import random_query_preferences
 
 
 def test_fig12_series(benchmark, bench_profile, save_table, run_once):
@@ -23,6 +24,6 @@ def test_fig12_series(benchmark, bench_profile, save_table, run_once):
 @pytest.mark.parametrize("method", ["TSS", "SDC+"])
 def test_fig12_default_setting(benchmark, dynamic_default_runner, distribution, method):
     runner = dynamic_default_runner[distribution]
-    partial_orders = runner.query_mapping(1)
+    partial_orders = random_query_preferences(runner.schema, 1)
     run = benchmark.pedantic(runner.run, args=(method, partial_orders), rounds=3, iterations=1)
     assert run.skyline_size > 0

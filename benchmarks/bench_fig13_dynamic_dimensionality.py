@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.experiments import dynamic_dimensionality
+from repro.engine.batch import random_query_preferences
 
 
 def test_fig13_series(benchmark, bench_profile, save_table, run_once):
@@ -30,6 +31,6 @@ def test_fig13_extremes(benchmark, bench_profile, dims, method):
             "independent", num_total_order=dims[0], num_partial_order=dims[1]
         )
     )
-    partial_orders = runner.query_mapping(1)
+    partial_orders = random_query_preferences(runner.schema, 1)
     run = benchmark.pedantic(runner.run, args=(method, partial_orders), rounds=1, iterations=1)
     assert run.skyline_size > 0

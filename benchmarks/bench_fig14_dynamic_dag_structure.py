@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.experiments import dynamic_dag_structure
+from repro.engine.batch import random_query_preferences
 
 
 def test_fig14_series(benchmark, bench_profile, save_table, run_once):
@@ -20,6 +21,6 @@ def test_fig14_height_extremes(benchmark, bench_profile, height, method):
     from repro.bench.runner import DynamicRunner
 
     runner = DynamicRunner(bench_profile.dynamic_spec("anticorrelated", dag_height=height))
-    partial_orders = runner.query_mapping(1)
+    partial_orders = random_query_preferences(runner.schema, 1)
     run = benchmark.pedantic(runner.run, args=(method, partial_orders), rounds=1, iterations=1)
     assert run.skyline_size > 0

@@ -30,45 +30,31 @@ from repro.kernels import get_kernel
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def bench_environment() -> dict[str, object]:
-    """Environment block stamped into every machine-readable result file."""
-    return {
-        "python": sys.version.split()[0],
-        "implementation": platform.python_implementation(),
-        "platform": platform.platform(),
-        "kernel": get_kernel().name,
-        "profile": BenchProfile.from_env().name,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    }
-
-
-def save_bench_json(name: str, payload: dict[str, object]) -> Path:
-    """Write ``BENCH_<name>.json`` under benchmarks/results/ and return it.
-
-    The fixed ``BENCH_`` prefix plus ``environment`` block is the contract
-    future PRs rely on to track the perf trajectory across commits.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    document = {"environment": bench_environment(), **payload}
-    path.write_text(json.dumps(document, indent=2, default=str) + "\n", encoding="utf-8")
-    return path
-
-
 @pytest.fixture(scope="session")
 def bench_profile() -> BenchProfile:
     return BenchProfile.from_env()
 
 
 @pytest.fixture(scope="session")
-def save_table():
-    """Persist an experiment table (text + JSON) under benchmarks/results/."""
+def save_table(bench_profile):
+    """Persist an experiment table under benchmarks/results/: the text table,
+    and ``BENCH_<experiment>.json`` with the run's environment."""
     RESULTS_DIR.mkdir(exist_ok=True)
 
     def _save(table: ExperimentTable) -> ExperimentTable:
         path = RESULTS_DIR / f"{table.experiment_id}.txt"
         path.write_text(table.to_text() + "\n", encoding="utf-8")
-        save_bench_json(table.experiment_id, {"table": table.to_json_dict()})
+        environment = {
+            "python": sys.version.split()[0],
+            "implementation": platform.python_implementation(),
+            "platform": platform.platform(),
+            "kernel": get_kernel().name,
+            "profile": bench_profile.name,
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        }
+        document = {"environment": environment, "table": table.to_json_dict()}
+        json_path = RESULTS_DIR / f"BENCH_{table.experiment_id}.json"
+        json_path.write_text(json.dumps(document, indent=2, default=str) + "\n", encoding="utf-8")
         print("\n" + table.to_text())
         return table
 

@@ -19,6 +19,7 @@ from repro.core.framework import skyline_records
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.data.workloads import DEFAULT_SCALE_FACTOR
+from repro.engine.batch import random_query_preferences
 from repro.exceptions import ExperimentError
 from repro.order.builders import airline_preference_dag, airline_preference_dag_second
 
@@ -349,7 +350,7 @@ def ablation_dtss_precompute(profile: BenchProfile | None = None) -> ExperimentT
     )
     for distribution in DISTRIBUTIONS:
         runner = DynamicRunner(profile.dynamic_spec(distribution))
-        partial_orders = runner.query_mapping(query_seed=3)
+        partial_orders = random_query_preferences(runner.schema, 3)
         base = runner.run("TSS", partial_orders)
         precomputed = runner.run("TSS+local", partial_orders)
         table.add_row(

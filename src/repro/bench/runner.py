@@ -17,7 +17,6 @@ environment allows:
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from repro.core.stss import stss_skyline
 from repro.data.workloads import WorkloadSpec
 from repro.dynamic.dtss import DTSSIndex
 from repro.dynamic.sdc_dynamic import sdc_plus_dynamic_skyline
+from repro.engine.batch import random_query_preferences
 from repro.exceptions import ExperimentError
 from repro.index.pager import DEFAULT_IO_COST_SECONDS, DiskSimulator
 from repro.order.dag import PartialOrderDAG
@@ -206,42 +206,11 @@ class DynamicRunner:
         self.io_cost_seconds = io_cost_seconds
         self.max_entries = max_entries
         self.schema, self.dataset = spec.build()
-        self.data_dags = [attribute.dag for attribute in self.schema.partial_order_attributes]
         # dTSS group structures are built offline and reused by every query.
         self._dtss_disk = DiskSimulator(io_cost_seconds=io_cost_seconds)
         self.dtss_index = DTSSIndex(
             self.dataset, max_entries=max_entries, disk=self._dtss_disk, precompute_local_skylines=False
         )
-
-    # ------------------------------------------------------------------ #
-    # Query generation
-    # ------------------------------------------------------------------ #
-    def query_partial_orders(self, query_seed: int) -> list[PartialOrderDAG]:
-        """A random dynamic preference specification over the data's PO values.
-
-        The query keeps the same value domains but re-draws the preference
-        edges: values are randomly ranked and each forward pair becomes a
-        preference with a probability calibrated to the data DAG's density.
-        """
-        orders: list[PartialOrderDAG] = []
-        for attr_index, dag in enumerate(self.data_dags):
-            rng = random.Random(query_seed * 1009 + attr_index)
-            values = list(dag.values)
-            rng.shuffle(values)
-            pairs = len(values) * (len(values) - 1) / 2 or 1.0
-            probability = min(0.5, dag.num_edges / pairs * 2.0)
-            edges = [
-                (values[i], values[j])
-                for i in range(len(values))
-                for j in range(i + 1, len(values))
-                if rng.random() < probability
-            ]
-            orders.append(PartialOrderDAG(dag.values, edges))
-        return orders
-
-    def query_mapping(self, query_seed: int) -> dict[str, PartialOrderDAG]:
-        names = [attribute.name for attribute in self.schema.partial_order_attributes]
-        return dict(zip(names, self.query_partial_orders(query_seed)))
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -257,7 +226,7 @@ class DynamicRunner:
         """Answer one dynamic query with the given method and measure it."""
         method = method.upper()
         if partial_orders is None:
-            partial_orders = self.query_mapping(query_seed)
+            partial_orders = random_query_preferences(self.schema, query_seed)
         if method in ("TSS", "TSS+LOCAL"):
             # dTSS reuses its pre-built group R-trees; only query-time IO counts.
             result = self.dtss_index.query(
@@ -286,7 +255,7 @@ class DynamicRunner:
         query_seed: int = 1,
         progress_fractions: Sequence[float] = (),
     ) -> dict[str, MeasuredRun]:
-        partial_orders = self.query_mapping(query_seed)
+        partial_orders = random_query_preferences(self.schema, query_seed)
         return {
             m: self.run(m, partial_orders, progress_fractions=progress_fractions) for m in methods
         }

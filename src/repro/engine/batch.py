@@ -799,9 +799,10 @@ def random_query_preferences(
 ) -> dict[str, PartialOrderDAG]:
     """A random dynamic preference specification over the schema's PO domains.
 
-    Mirrors the benchmark harness's query generator: each PO attribute keeps
-    its value domain but re-draws preference edges over a random ranking,
-    with a probability calibrated to the base DAG's density.
+    Each PO attribute keeps its value domain but re-draws preference edges
+    over a random ranking, with a probability calibrated to the base DAG's
+    density.  The dynamic experiments (Figures 12-14) draw their queries
+    here too.
     """
     import random
 

@@ -29,6 +29,7 @@ from repro.store.format import (
     FORMAT_VERSION,
     MAGIC,
     PAGE_SIZE,
+    SectionSpec,
     align,
     encode_schema,
 )
@@ -138,37 +139,23 @@ def pack_frame(
     # Lay the sections out page-aligned after the header.  Header length is
     # not known before the offsets are, so lay out twice: once with a
     # worst-case header page count, then with the real one.
-    def layout(header_bytes_len: int) -> list[dict]:
+    def layout(header_bytes_len: int) -> list[SectionSpec]:
         placed = []
         offset = align(len(MAGIC) + 8 + header_bytes_len)
         for name, dtype, shape, payload in sections:
-            placed.append(
-                {
-                    "name": name,
-                    "dtype": dtype,
-                    "shape": list(shape),
-                    "offset": offset,
-                    "nbytes": len(payload),
-                    "crc32": zlib.crc32(payload) & 0xFFFFFFFF,
-                }
-            )
+            crc32 = zlib.crc32(payload) & 0xFFFFFFFF
+            placed.append(SectionSpec(name, dtype, shape, offset, len(payload), crc32))
             offset = align(offset + len(payload))
         return placed
 
-    def header_json(placed: list[dict]) -> bytes:
+    def header_json(placed: list[SectionSpec]) -> bytes:
         header = {
             "format_version": FORMAT_VERSION,
             "generation": int(generation),
             **({} if next_id is None else {"next_id": int(next_id)}),
             "schema": schema_spec,
             "counts": {"rows": n, "survivors": len(survivors)},
-            "sections": {
-                entry["name"]: {
-                    key: entry[key]
-                    for key in ("dtype", "shape", "offset", "nbytes", "crc32")
-                }
-                for entry in placed
-            },
+            "sections": {spec.name: spec.to_json() for spec in placed},
         }
         return json.dumps(header, separators=(",", ":")).encode("utf-8")
 
@@ -190,10 +177,10 @@ def pack_frame(
         handle.write(struct.pack("<Q", len(encoded)))
         handle.write(encoded)
         position = len(MAGIC) + 8 + len(encoded)
-        for entry, (_, _, _, payload) in zip(placed, sections):
-            handle.write(b"\x00" * (entry["offset"] - position))
+        for spec, (_, _, _, payload) in zip(placed, sections):
+            handle.write(b"\x00" * (spec.offset - position))
             handle.write(payload)
-            position = entry["offset"] + len(payload)
+            position = spec.offset + len(payload)
         # Pad the tail to a page boundary so the last mmap view is covered.
         handle.write(b"\x00" * (align(position) - position))
         total_bytes = align(position)
@@ -206,5 +193,5 @@ def pack_frame(
         "page_size": PAGE_SIZE,
         "rows": n,
         "survivors": len(survivors),
-        "sections": {entry["name"]: entry["nbytes"] for entry in placed},
+        "sections": {spec.name: spec.nbytes for spec in placed},
     }

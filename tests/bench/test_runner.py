@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench.runner import BenchProfile, DynamicRunner, StaticRunner
 from repro.data.workloads import WorkloadSpec
+from repro.engine.batch import random_query_preferences
 from repro.exceptions import ExperimentError
 from repro.skyline.bruteforce import brute_force_skyline
 
@@ -96,17 +97,21 @@ class TestDynamicRunner:
         return DynamicRunner(TINY_DYNAMIC)
 
     def test_query_partial_orders_cover_data_domain(self, runner):
-        orders = runner.query_partial_orders(1)
-        assert len(orders) == 1
-        data_dag = runner.data_dags[0]
-        assert set(orders[0].values) == set(data_dag.values)
+        orders = random_query_preferences(runner.schema, 1)
+        (attribute,) = runner.schema.partial_order_attributes
+        assert set(orders) == {attribute.name}
+        assert set(orders[attribute.name].values) == set(attribute.dag.values)
 
     def test_query_generation_is_deterministic(self, runner):
-        assert runner.query_partial_orders(5)[0].edges == runner.query_partial_orders(5)[0].edges
+        first = random_query_preferences(runner.schema, 5)
+        second = random_query_preferences(runner.schema, 5)
+        assert {name: dag.edges for name, dag in first.items()} == {
+            name: dag.edges for name, dag in second.items()
+        }
 
     @pytest.mark.parametrize("method", ["TSS", "TSS+local", "SDC+"])
     def test_methods_agree_on_the_same_query(self, runner, method):
-        partial_orders = runner.query_mapping(2)
+        partial_orders = random_query_preferences(runner.schema, 2)
         reference = runner.run("TSS", partial_orders)
         run = runner.run(method, partial_orders)
         assert run.skyline_size == reference.skyline_size

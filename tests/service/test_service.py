@@ -226,6 +226,8 @@ class TestConcurrentClients:
                 outcomes = list(pool.map(one_client, seeds))
             for seed, response in outcomes:
                 assert response["skyline_ids"] == expected[seed]
+            # Distinct topologies: each query was evaluated, none cached.
+            assert engine.summary()["queries_evaluated"] == len(seeds)
             assert len(windows) == 2
             (a_start, a_end), (b_start, b_end) = windows
             assert a_start < b_end and b_start < a_end, "computations did not overlap"

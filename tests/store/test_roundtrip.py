@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.data.io import load_csv_dataset, save_csv_dataset
 from repro.data.workloads import WorkloadSpec
 from repro.engine.batch import (
     BatchQuery,
@@ -25,6 +26,7 @@ from repro.kernels import available_kernels
 from repro.parallel.executor import ShardedExecutor
 from repro.skyline.bruteforce import brute_force_skyline
 from repro.store import DatasetStore, pack_dataset
+from repro.store.format import SectionSpec
 from tests.conftest import assert_backing, frame_backing_of
 
 np = pytest.importorskip("numpy", reason="store round-trip baseline uses numpy")
@@ -87,6 +89,9 @@ class TestBitwiseRoundTrip:
         mapped = store.frame()
         assert np.array_equal(mapped.to, fresh.to)
         assert np.array_equal(mapped.codes, fresh.codes)
+        # Every header section entry is exactly what SectionSpec writes.
+        for name, entry in store._header["sections"].items():
+            assert SectionSpec.from_json(name, entry, path=str(path)).to_json() == entry
 
     def test_survivors_match_engine_prefilter(self, workload, packed):
         _, dataset = workload
@@ -107,7 +112,7 @@ class TestBitwiseRoundTrip:
 
     @pytest.mark.parametrize("kernel_name", available_kernels())
     def test_results_identical_to_in_memory(
-        self, workload, packed, kernel_name, frame_backing
+        self, workload, packed, kernel_name, frame_backing, tmp_path
     ):
         schema, dataset = workload
         path, _ = packed
@@ -116,6 +121,11 @@ class TestBitwiseRoundTrip:
         assert_backing(engine._frame, frame_backing)
         via_store = _run(engine, schema)
         assert via_store == reference  # ids, discovery order AND check counts
+        # Ingesting the same rows from CSV answers the same too.
+        csv_path = tmp_path / "roundtrip.csv"
+        save_csv_dataset(dataset, csv_path)
+        loaded = load_csv_dataset(csv_path, schema)
+        assert _run(BatchQueryEngine(loaded, kernel=kernel_name), schema) == reference
 
     @pytest.mark.parametrize("num_shards", [1, 2, 3, 4])
     def test_sharded_store_executor_matches_in_memory(self, workload, packed, num_shards):

@@ -8,10 +8,9 @@ the speedup but not *where* it came from.  Modules on the hot path
 (:data:`HOT_MODULES`) therefore must not touch ``.records`` / ``.record``
 attributes or name the ``Record`` class at all.
 
-The two sanctioned crossings — the ingest boundary where records are encoded
-into a frame exactly once, and the explicitly-chosen record fallback when no
-frame exists — carry line-level suppressions naming this rule, so every
-crossing is visible and justified in the source.
+The one sanctioned crossing — the ingest boundary where records are encoded
+into a frame exactly once — carries a line-level suppression naming this
+rule, so it is visible and justified in the source.
 """
 
 from __future__ import annotations
