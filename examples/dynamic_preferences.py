@@ -70,16 +70,17 @@ def main() -> None:
     dataset = build_dataset()
     index = DTSSIndex(dataset, precompute_local_skylines=True)
     cache = DynamicQueryCache(capacity=16)
+    attributes = dataset.schema.partial_order_attributes
 
     print(f"Catalogue: {len(dataset)} offers from {len(VENDORS)} vendors; "
           f"{index.grouped.num_groups} pre-built vendor groups.\n")
 
     for user, preference in user_preferences().items():
-        cached = cache.get({"vendor": preference}, ["vendor"])
+        cached = cache.get({"vendor": preference}, attributes)
         started = time.perf_counter()
         if cached is None:
             result = index.query({"vendor": preference}, use_local_skylines=True)
-            cache.put({"vendor": preference}, ["vendor"], result)
+            cache.put({"vendor": preference}, attributes, result)
         else:
             result = cached
         elapsed = time.perf_counter() - started
@@ -97,7 +98,7 @@ def main() -> None:
 
     # Asking the same question twice is free.
     repeat = user_preferences()["quality-first"]
-    assert cache.get({"vendor": repeat}, ["vendor"]) is not None
+    assert cache.get({"vendor": repeat}, attributes) is not None
     print("\nRepeated preference specifications are answered from the cache.")
 
 

@@ -15,9 +15,15 @@ processing groups in topological order against a global main-memory R-tree.
 * :mod:`~repro.dynamic.fully_dynamic` — queries that also specify an ideal
   value per TO attribute, answered by sTSS over distances to those values.
 * :mod:`~repro.dynamic.cache` — caching of past dynamic query results keyed
-  by the query's partial orders, and the one resolver every entry point
-  uses to read a query's DAGs in schema order.
+  by the resolved partial orders' topology key (plus a fully dynamic
+  query's ideal values).
 
+Every entry point reads a query's partial orders through
+:func:`~repro.engine.encodings.resolve_query_dags`, as the batch engine and
+the service do: a name → DAG mapping (omitted attributes keep the schema's
+DAG) or one DAG per PO attribute in schema order, each DAG holding its
+attribute's whole domain.  An invalid specification raises
+:class:`~repro.exceptions.QueryError` with the same message everywhere.
 Every entry point reads a record :class:`~repro.data.dataset.Dataset` and
 nothing else; an encoded frame or a live delta raises
 :class:`~repro.exceptions.QueryError`.  Record ids in the answers are the

@@ -1,57 +1,32 @@
 """Caching of past dynamic skyline query results (Section V-B).
 
 Dynamic queries that specify the same partial orders produce the same
-skyline, so their results can simply be reused.  The cache key canonicalizes
-each query DAG into its domain values plus its transitively closed preference
-pairs, which makes two specifications that imply the same preferences (e.g. a
-Hasse diagram versus its transitive closure) hit the same entry.
+skyline, so their results can simply be reused.  The cache resolves each
+query through :func:`~repro.engine.encodings.resolve_query_dags` and keys it
+on the :func:`~repro.engine.encodings.topology_key` of the resolved DAGs —
+the batch engine's key — so two specifications that imply the same
+preferences (e.g. a Hasse diagram versus its transitive closure) hit the same
+entry.  A fully dynamic query adds its ideal TO values to the key.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Sequence
 
+from repro.data.schema import PartialOrderAttribute
+from repro.engine.encodings import QuerySpec, TopologyKey, resolve_query_dags, topology_key
 from repro.engine.lru import LRUDict
-from repro.exceptions import QueryError
-from repro.order.dag import PartialOrderDAG
 from repro.skyline.base import SkylineResult
 
-Value = Hashable
-
-CacheKey = tuple[tuple[tuple[Value, ...], frozenset[tuple[Value, Value]]], ...]
-
-#: A dynamic query's preferences: PO attribute name -> DAG, or the DAGs in
-#: schema order.
-QuerySpec = Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG]
-
-
-def resolve_partial_orders(
-    partial_orders: QuerySpec, attribute_names: Sequence[str]
-) -> list[PartialOrderDAG]:
-    """The query's DAGs in schema order, one per PO attribute name."""
-    if isinstance(partial_orders, Mapping):
-        missing = [name for name in attribute_names if name not in partial_orders]
-        if missing:
-            raise QueryError(f"query does not specify a partial order for: {missing}")
-        return [partial_orders[name] for name in attribute_names]
-    dags = list(partial_orders)
-    if len(dags) != len(attribute_names):
-        raise QueryError(
-            f"query specifies {len(dags)} partial orders, schema has {len(attribute_names)}"
-        )
-    return dags
-
-
-def canonical_query_key(partial_orders: QuerySpec, attribute_names: Sequence[str]) -> CacheKey:
-    """A hashable, order-insensitive representation of one dynamic query."""
-    return tuple(
-        (tuple(sorted(dag.values, key=repr)), frozenset(dag.transitive_closure_edges()))
-        for dag in resolve_partial_orders(partial_orders, attribute_names)
-    )
+CacheKey = tuple[TopologyKey, tuple[float, ...]]
 
 
 class DynamicQueryCache:
-    """A small LRU cache of dynamic query results keyed by their partial orders."""
+    """A small LRU cache of dynamic query results keyed by their partial orders.
+
+    ``attributes`` are the schema's PO attributes; ``ideal_values`` are a
+    fully dynamic query's ideal TO values in schema order (empty otherwise).
+    """
 
     def __init__(self, capacity: int = 64) -> None:
         self._entries: LRUDict[CacheKey, SkylineResult] = LRUDict(capacity)
@@ -65,10 +40,21 @@ class DynamicQueryCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @staticmethod
+    def _key(
+        partial_orders: QuerySpec,
+        attributes: Sequence[PartialOrderAttribute],
+        ideal_values: Sequence[float],
+    ) -> CacheKey:
+        return topology_key(resolve_query_dags(attributes, partial_orders)), tuple(ideal_values)
+
     def get(
-        self, partial_orders: QuerySpec, attribute_names: Sequence[str]
+        self,
+        partial_orders: QuerySpec,
+        attributes: Sequence[PartialOrderAttribute],
+        ideal_values: Sequence[float] = (),
     ) -> SkylineResult | None:
-        result = self._entries.get(canonical_query_key(partial_orders, attribute_names))
+        result = self._entries.get(self._key(partial_orders, attributes, ideal_values))
         if result is None:
             self.misses += 1
         else:
@@ -78,10 +64,11 @@ class DynamicQueryCache:
     def put(
         self,
         partial_orders: QuerySpec,
-        attribute_names: Sequence[str],
+        attributes: Sequence[PartialOrderAttribute],
         result: SkylineResult,
+        ideal_values: Sequence[float] = (),
     ) -> None:
-        self._entries[canonical_query_key(partial_orders, attribute_names)] = result
+        self._entries[self._key(partial_orders, attributes, ideal_values)] = result
 
     @property
     def hit_rate(self) -> float:

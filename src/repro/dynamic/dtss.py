@@ -30,9 +30,8 @@ from collections.abc import Hashable, Sequence
 
 from repro.core.virtual_rtree import VirtualPointIndex
 from repro.data.dataset import Dataset
-from repro.dynamic.cache import QuerySpec, resolve_partial_orders
 from repro.dynamic.groups import GroupedDataset, GroupPoint, require_dataset
-from repro.exceptions import QueryError
+from repro.engine.encodings import QuerySpec, resolve_query_dags
 from repro.index.geometry import SweepKey, sweep_key
 from repro.index.pager import DiskSimulator
 from repro.kernels import TDominanceTables, resolve_kernel
@@ -79,10 +78,11 @@ class DTSSIndex:
         Parameters
         ----------
         partial_orders:
-            The query's preference specification: either a mapping from PO
-            attribute name to its :class:`PartialOrderDAG`, or a sequence of
-            DAGs in schema order.  Every PO value present in the data must
-            belong to the corresponding DAG.
+            The query's preference specification, read by
+            :func:`~repro.engine.encodings.resolve_query_dags`: a mapping
+            from PO attribute name to its :class:`PartialOrderDAG` (omitted
+            attributes keep the schema's DAG), or a sequence of DAGs in
+            schema order.
         use_virtual_rtree:
             Use the global main-memory R-tree ``Tm`` for t-dominance checks;
             otherwise test candidates against the process-default kernel's
@@ -95,7 +95,12 @@ class DTSSIndex:
             Use the pre-computed per-group local skylines (Section V-B)
             instead of traversing the per-group R-trees.
         """
-        encodings = self._encode_query(partial_orders)
+        encodings = tuple(
+            encode_domain(dag)
+            for dag in resolve_query_dags(
+                self.grouped.schema.partial_order_attributes, partial_orders
+            )
+        )
         grouped = self.grouped
         num_total_order = grouped.num_total_order
 
@@ -156,21 +161,6 @@ class DTSSIndex:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _encode_query(self, partial_orders: QuerySpec) -> tuple[DomainEncoding, ...]:
-        po_attributes = self.grouped.schema.partial_order_attributes
-        dags = resolve_partial_orders(partial_orders, [a.name for a in po_attributes])
-        encodings = []
-        for po_index, (attribute, dag) in enumerate(zip(po_attributes, dags)):
-            data_values = {po_values[po_index] for po_values in self.grouped.groups}
-            unknown = {value for value in data_values if value not in dag}
-            if unknown:
-                raise QueryError(
-                    f"query partial order for {attribute.name!r} is missing data values: "
-                    f"{sorted(map(repr, unknown))}"
-                )
-            encodings.append(encode_domain(dag))
-        return tuple(encodings)
-
     def _group_order(self, encodings: Sequence[DomainEncoding]) -> list[tuple[Value, ...]]:
         """Groups sorted so that any potential dominator group comes first.
 

@@ -13,55 +13,46 @@ applies.
 The implementation re-expresses the query as a *static* PO skyline problem
 over a derived dataset whose TO attributes hold the distances to the ideal
 values, and answers it with sTSS.  A small LRU cache keyed by the full query
-(ideal values + canonical partial orders) makes repeated specifications free,
-mirroring the caching discussion in the paper.
+(the resolved partial orders' topology key + the ideal values) makes
+repeated specifications free, mirroring the caching discussion in the paper.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.core.stss import stss_skyline
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
-from repro.dynamic.cache import QuerySpec, canonical_query_key, resolve_partial_orders
+from repro.dynamic.cache import DynamicQueryCache
 from repro.dynamic.groups import require_dataset
-from repro.engine.lru import LRUDict
+from repro.engine.encodings import QuerySpec, resolve_query_dags
 from repro.exceptions import QueryError
-from repro.order.dag import PartialOrderDAG
 from repro.skyline.base import SkylineResult
-
-Value = Hashable
-
-
-def _resolve_partial_orders(
-    schema: Schema, partial_orders: QuerySpec
-) -> dict[str, PartialOrderDAG]:
-    names = [a.name for a in schema.partial_order_attributes]
-    return dict(zip(names, resolve_partial_orders(partial_orders, names)))
 
 
 def _resolve_ideal_values(
     schema: Schema, ideal_values: Mapping[str, float] | Sequence[float]
-) -> dict[str, float]:
+) -> tuple[float, ...]:
+    """The query's ideal values, one per TO attribute in schema order."""
     to_attributes = schema.total_order_attributes
     if isinstance(ideal_values, Mapping):
         missing = [a.name for a in to_attributes if a.name not in ideal_values]
         if missing:
             raise QueryError(f"query does not specify an ideal value for: {missing}")
-        return {a.name: float(ideal_values[a.name]) for a in to_attributes}
-    values = list(ideal_values)
+        return tuple(float(ideal_values[a.name]) for a in to_attributes)
+    values = tuple(float(value) for value in ideal_values)
     if len(values) != len(to_attributes):
         raise QueryError(
             f"query specifies {len(values)} ideal values, schema has {len(to_attributes)} TO attributes"
         )
-    return {a.name: float(v) for a, v in zip(to_attributes, values)}
+    return values
 
 
 def distance_transformed_dataset(
     dataset: Dataset,
-    partial_orders: dict[str, PartialOrderDAG],
-    ideal_values: dict[str, float],
+    partial_orders: QuerySpec,
+    ideal_values: Mapping[str, float] | Sequence[float],
 ) -> Dataset:
     """The derived dataset whose TO attributes hold distances to the ideal values.
 
@@ -71,27 +62,25 @@ def distance_transformed_dataset(
     values but adopt the query's preference DAGs.
     """
     schema = dataset.schema
-    attributes = []
-    for attribute in schema.attributes:
-        if attribute.is_partial:
-            attributes.append(
-                PartialOrderAttribute(attribute.name, partial_orders[attribute.name])
-            )
-        else:
-            attributes.append(TotalOrderAttribute(attribute.name, best="min"))
-    derived_schema = Schema(attributes)
-
-    to_positions = set(schema.total_order_positions)
-    rows = []
-    for record in dataset.records:
-        row = []
-        for position, value in enumerate(record.values):
-            if position in to_positions:
-                name = schema.attributes[position].name
-                row.append(abs(float(value) - ideal_values[name]))
-            else:
-                row.append(value)
-        rows.append(tuple(row))
+    dags = iter(resolve_query_dags(schema.partial_order_attributes, partial_orders))
+    ideals = dict(
+        zip(schema.total_order_positions, _resolve_ideal_values(schema, ideal_values))
+    )
+    derived_schema = Schema(
+        [
+            PartialOrderAttribute(attribute.name, next(dags))
+            if attribute.is_partial
+            else TotalOrderAttribute(attribute.name, best="min")
+            for attribute in schema.attributes
+        ]
+    )
+    rows = [
+        tuple(
+            abs(float(value) - ideals[position]) if position in ideals else value
+            for position, value in enumerate(record.values)
+        )
+        for record in dataset.records
+    ]
     return Dataset(derived_schema, rows, validate=False)
 
 
@@ -102,16 +91,16 @@ def fully_dynamic_skyline(
     **stss_options,
 ) -> SkylineResult:
     """Answer one fully dynamic skyline query (preferences + ideal TO values)."""
-    dataset = require_dataset(dataset)
-    schema = dataset.schema
-    resolved_orders = _resolve_partial_orders(schema, partial_orders)
-    resolved_ideals = _resolve_ideal_values(schema, ideal_values)
-    derived = distance_transformed_dataset(dataset, resolved_orders, resolved_ideals)
+    derived = distance_transformed_dataset(
+        require_dataset(dataset), partial_orders, ideal_values
+    )
     return stss_skyline(derived, **stss_options)
 
 
 class FullyDynamicEngine:
-    """Answer fully dynamic queries over one dataset, caching repeated queries."""
+    """Answer fully dynamic queries over one dataset, caching repeated queries
+    in a :class:`~repro.dynamic.cache.DynamicQueryCache` keyed on the
+    preferences plus the ideal values."""
 
     def __init__(
         self,
@@ -122,19 +111,7 @@ class FullyDynamicEngine:
     ) -> None:
         self.dataset = require_dataset(dataset)
         self.stss_options = stss_options
-        self._cache: LRUDict[tuple, SkylineResult] = LRUDict(cache_capacity)
-        self.hits = 0
-        self.misses = 0
-
-    def _key(
-        self,
-        partial_orders: dict[str, PartialOrderDAG],
-        ideal_values: dict[str, float],
-    ) -> tuple:
-        names = [a.name for a in self.dataset.schema.partial_order_attributes]
-        order_key = canonical_query_key(partial_orders, names)
-        ideal_key = tuple(sorted(ideal_values.items()))
-        return (order_key, ideal_key)
+        self._cache = DynamicQueryCache(cache_capacity)
 
     def query(
         self,
@@ -142,21 +119,23 @@ class FullyDynamicEngine:
         ideal_values: Mapping[str, float] | Sequence[float],
     ) -> SkylineResult:
         schema = self.dataset.schema
-        resolved_orders = _resolve_partial_orders(schema, partial_orders)
-        resolved_ideals = _resolve_ideal_values(schema, ideal_values)
-        key = self._key(resolved_orders, resolved_ideals)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        result = fully_dynamic_skyline(
-            self.dataset, resolved_orders, resolved_ideals, **self.stss_options
-        )
-        self._cache[key] = result
+        attributes = schema.partial_order_attributes
+        dags = resolve_query_dags(attributes, partial_orders)
+        ideals = _resolve_ideal_values(schema, ideal_values)
+        result = self._cache.get(dags, attributes, ideals)
+        if result is None:
+            result = fully_dynamic_skyline(self.dataset, dags, ideals, **self.stss_options)
+            self._cache.put(dags, attributes, result, ideals)
         return result
 
     @property
+    def hits(self) -> int:
+        return self._cache.hits
+
+    @property
+    def misses(self) -> int:
+        return self._cache.misses
+
+    @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        return self._cache.hit_rate

@@ -24,8 +24,8 @@ from collections.abc import Hashable
 from repro.baselines.sdc_plus import sdc_plus_skyline
 from repro.baselines.transform import BaselineMapping
 from repro.data.dataset import Dataset
-from repro.dynamic.cache import QuerySpec, resolve_partial_orders
 from repro.dynamic.groups import require_dataset
+from repro.engine.encodings import QuerySpec, query_schema, resolve_query_dags
 from repro.index.pager import DiskSimulator
 from repro.order.encoding import encode_domain
 from repro.skyline.base import SkylineResult
@@ -50,16 +50,11 @@ def sdc_plus_dynamic_skyline(
 ) -> SkylineResult:
     """Answer one dynamic skyline query by rebuilding SDC+ from scratch."""
     dataset = require_dataset(dataset)
-    schema = dataset.schema
-    po_attributes = schema.partial_order_attributes
-    dags = resolve_partial_orders(partial_orders, [a.name for a in po_attributes])
+    dags = resolve_query_dags(dataset.schema.partial_order_attributes, partial_orders)
 
     # Re-specify the schema with the query DAGs so actual-dominance checks use
     # the query's preferences, then recompute the interval mapping.
-    query_schema = schema.replace_partial_order(
-        {attribute.name: dag for attribute, dag in zip(po_attributes, dags)}
-    )
-    query_dataset = dataset.with_schema(query_schema, validate=False)
+    query_dataset = dataset.with_schema(query_schema(dataset.schema, dags), validate=False)
     encodings = [encode_domain(dag) for dag in dags]
 
     # Rebuild everything the query invalidated: the interval mapping, the

@@ -91,9 +91,16 @@ from repro.delta.candidates import BaseCandidateTracker, GroupKey
 from repro.delta.frame import DeltaFrame, dataset_from_frame
 from repro.engine.groups import build_graph, graph_skyline_rows, skyline_rows
 from repro.engine.prefilter import prefilter_survivors
-from repro.engine.encodings import DagKey, dag_signature, validate_override_domains
+from repro.engine.encodings import (
+    DagKey,
+    QuerySpec,
+    TopologyKey,
+    dag_signature,
+    resolve_query_dags,
+    topology_key,
+)
 from repro.engine.lru import LRUDict
-from repro.exceptions import DeadlineExceededError, QueryError
+from repro.exceptions import DeadlineExceededError
 from repro.faults.registry import trip as _fault_trip
 from repro.kernels import resolve_kernel
 from repro.order.dag import PartialOrderDAG
@@ -111,20 +118,17 @@ __all__ = [
     "random_query_preferences",
 ]
 
-#: Signature of a whole query: one DagKey per PO attribute, in schema order.
-TopologyKey = tuple[DagKey, ...]
-
-
 @dataclass(frozen=True)
 class BatchQuery:
-    """One skyline query of a batch: a name plus per-attribute DAG overrides.
+    """One skyline query of a batch: a name plus its preference DAGs.
 
-    An empty ``dag_overrides`` mapping asks for the skyline under the
-    dataset's own (base) preferences.
+    ``dag_overrides`` is read by :func:`~repro.engine.encodings.resolve_query_dags`:
+    a name → DAG mapping (an empty one asks for the dataset's own base
+    preferences) or one DAG per PO attribute in schema order.
     """
 
     name: str
-    dag_overrides: Mapping[str, PartialOrderDAG] = field(default_factory=dict)
+    dag_overrides: QuerySpec = field(default_factory=dict)
 
 
 @dataclass
@@ -404,19 +408,6 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------ #
     # Query execution
     # ------------------------------------------------------------------ #
-    def topology_key(self, query: BatchQuery) -> TopologyKey:
-        po_names = {a.name for a in self.schema.partial_order_attributes}
-        unknown = set(query.dag_overrides) - po_names
-        if unknown:
-            raise QueryError(
-                f"query {query.name!r} overrides non-PO attributes: {sorted(unknown)}"
-            )
-        keys: list[DagKey] = []
-        for attribute in self.schema.partial_order_attributes:
-            dag = query.dag_overrides.get(attribute.name, attribute.dag)
-            keys.append(dag_signature(dag))
-        return tuple(keys)
-
     def _cached_result(
         self, query: BatchQuery, key: TopologyKey, started: float
     ) -> BatchQueryResult | None:
@@ -434,21 +425,12 @@ class BatchQueryEngine:
             seconds=time.perf_counter() - started,
         )
 
-    def _skyline_rows(self, query: BatchQuery):
-        """The skyline as candidate frame rows, with its work counters."""
-        if query.dag_overrides:
-            # Domain coverage is checked up front (the shared cheap
-            # equivalent of full row validation).
-            validate_override_domains(
-                self.schema.partial_order_attributes, query.dag_overrides
-            )
+    def _skyline_rows(self, dags: tuple[PartialOrderDAG, ...]):
+        """The skyline under resolved query DAGs as candidate frame rows,
+        with its work counters."""
         stats = SkylineStats()
         tracker = self._tracker
         graph = self._graph
-        dags = [
-            query.dag_overrides.get(attribute.name, attribute.dag)
-            for attribute in self.schema.partial_order_attributes
-        ]
         if graph is not None:
             rows = graph_skyline_rows(tracker.frame, graph, dags, self.kernel, stats)
         else:
@@ -485,7 +467,8 @@ class BatchQueryEngine:
         all-or-nothing, a deadlined query never returns a partial skyline.
         """
         started = time.perf_counter()
-        key = self.topology_key(query)
+        dags = resolve_query_dags(self.schema.partial_order_attributes, query.dag_overrides)
+        key = topology_key(dags)
         hit = self._cached_result(query, key, started)
         if hit is not None:
             return hit
@@ -501,7 +484,7 @@ class BatchQueryEngine:
             self._latch.acquire_read()
             try:
                 computing = time.perf_counter()
-                rows, stats = self._skyline_rows(query)
+                rows, stats = self._skyline_rows(dags)
                 query_seconds = time.perf_counter() - computing
                 skyline_ids = self._stable_ids(rows)
                 with self._state_lock:

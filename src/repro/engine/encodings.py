@@ -1,62 +1,106 @@
-"""Semantic DAG signatures, override validation and the per-DAG encoding cache.
+"""Query preferences: the one resolver, the semantic key and the encoding cache.
 
-Queries are keyed by the *semantic* topology of their preference DAGs — the
+A dynamic query (Section V of the paper) gives one partial order per PO
+attribute.  :func:`resolve_query_dags` is the one place that reads such a
+specification — a name → DAG mapping whose omitted attributes keep the
+schema's DAG, or one DAG per PO attribute in schema order — and decides
+whether it is valid.  Every entry point calls it: the batch engine, the
+sharded executor, the service (through the engine) and the
+:mod:`repro.dynamic` plane.  A DAG must hold every value of its attribute's
+domain; it may hold values outside it.  Anything else is a
+:class:`~repro.exceptions.QueryError` raised here.
+
+Queries are keyed by the *semantic* topology of their resolved DAGs — the
 values plus one closure bitmask per value (:attr:`PartialOrderDAG.reach_bits
 <repro.order.dag.PartialOrderDAG.reach_bits>`) — so two specifications that
 imply the same preference relation (a Hasse diagram vs its transitive
 closure, shuffled or repeated edges) share one cache entry.  The key holds
-one int per value, whatever the number of closure edges.
-:class:`EncodingCache` maps those signatures to
+one int per value, whatever the number of closure edges; the engine's result
+cache and :class:`~repro.dynamic.cache.DynamicQueryCache` both use it.
+:class:`EncodingCache` maps DAG signatures to
 :class:`~repro.order.encoding.DomainEncoding` objects under an LRU bound;
-only the sharded executor's workers hold one.  The batch engine keys its
-result cache by the signatures and reads the closure bits directly, so it
-builds no interval encoding.
+only the sharded executor's workers hold one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from repro.engine.lru import LRUDict
 from repro.exceptions import QueryError
 from repro.order.dag import PartialOrderDAG
 from repro.order.encoding import DomainEncoding, encode_domain
 
+if TYPE_CHECKING:
+    from repro.data.schema import PartialOrderAttribute, Schema
+
 Value = Hashable
 
+#: A query's preferences: PO attribute name -> DAG (omitted attributes keep
+#: the schema's DAG), or one DAG per PO attribute in schema order.
+QuerySpec = Mapping[str, PartialOrderDAG] | Sequence[PartialOrderDAG]
 
-def validate_override_domains(
-    attributes: Sequence, overrides: Mapping[str, PartialOrderDAG]
-) -> None:
-    """Reject overrides of unknown attributes or with shrunk value domains.
 
-    The shared query-validation invariant of the batch engine and the
-    sharded executor: dynamic preferences re-rank a domain, they never
-    change it.  Checking domain coverage up front is the cheap equivalent
-    of full row re-validation, so both paths can swap schemas with
-    ``validate=False``.
+def resolve_query_dags(
+    attributes: Sequence[PartialOrderAttribute], spec: QuerySpec
+) -> tuple[PartialOrderDAG, ...]:
+    """The query's DAGs in schema order, or a :class:`QueryError`.
+
+    ``attributes`` are the schema's PO attributes.  A DAG must cover its
+    attribute's domain; values outside the domain are allowed.
     """
-    known = {attribute.name: attribute for attribute in attributes}
-    unknown = set(overrides) - set(known)
-    if unknown:
-        raise QueryError(f"query overrides non-PO attributes: {sorted(unknown)}")
-    for name, dag in overrides.items():
-        missing = set(known[name].domain) - set(dag.values)
+    if isinstance(spec, Mapping):
+        unknown = set(spec).difference(attribute.name for attribute in attributes)
+        if unknown:
+            raise QueryError(f"query names unknown PO attributes: {sorted(unknown)}")
+        dags = tuple(spec.get(attribute.name, attribute.dag) for attribute in attributes)
+    else:
+        dags = tuple(spec)
+        if len(dags) != len(attributes):
+            raise QueryError(
+                f"query gives {len(dags)} partial orders, "
+                f"schema has {len(attributes)} PO attributes"
+            )
+    for attribute, dag in zip(attributes, dags):
+        if dag is attribute.dag:
+            continue
+        missing = set(attribute.domain).difference(dag.values)
         if missing:
             raise QueryError(
-                f"override for {name!r} is missing domain values: "
+                f"partial order for {attribute.name!r} is missing domain values: "
                 f"{sorted(missing, key=repr)}"
             )
+    return dags
+
+
+def query_schema(schema: Schema, dags: Sequence[PartialOrderDAG]) -> Schema:
+    """``schema`` with its PO attributes re-specified by resolved query DAGs."""
+    replacements = {
+        attribute.name: dag
+        for attribute, dag in zip(schema.partial_order_attributes, dags)
+        if dag is not attribute.dag
+    }
+    return schema.replace_partial_order(replacements) if replacements else schema
+
 
 #: Semantic signature of one preference DAG: its values in insertion order
 #: and, per value, the bitmask of the values it is preferred over or equal to
 #: (bit ``j`` stands for ``values[j]``).
 DagKey = tuple[tuple[Value, ...], tuple[int, ...]]
 
+#: Signature of a whole query: one DagKey per PO attribute, in schema order.
+TopologyKey = tuple[DagKey, ...]
+
 
 def dag_signature(dag: PartialOrderDAG) -> DagKey:
     """Semantic identity of a preference DAG: values + closure bitmasks."""
     return dag.values, dag.reach_bits
+
+
+def topology_key(dags: Sequence[PartialOrderDAG]) -> TopologyKey:
+    """Semantic identity of a whole query, from its resolved DAGs."""
+    return tuple(dag_signature(dag) for dag in dags)
 
 
 class EncodingCache:
@@ -67,13 +111,10 @@ class EncodingCache:
     def __init__(self, capacity: int) -> None:
         self._entries: LRUDict[DagKey, DomainEncoding] = LRUDict(capacity)
 
-    def encodings_for(
-        self, attributes: Sequence, overrides: Mapping[str, PartialOrderDAG]
-    ) -> list[DomainEncoding]:
-        """One encoding per PO attribute, honoring per-attribute overrides."""
+    def encodings_for(self, dags: Sequence[PartialOrderDAG]) -> list[DomainEncoding]:
+        """One encoding per resolved query DAG, in the same order."""
         encodings: list[DomainEncoding] = []
-        for attribute in attributes:
-            dag = overrides.get(attribute.name, attribute.dag)
+        for dag in dags:
             key = dag_signature(dag)
             encoding = self._entries.get(key)
             if encoding is None:

@@ -15,7 +15,7 @@ synchronize only around the merge:
   TO-only schemas).  With ``workers >= 1`` the phase runs on a persistent
   :mod:`multiprocessing` pool whose workers hold the shards in process-local
   state: shards are shipped once at pool startup, and per query only the
-  preference-DAG overrides travel.  Each worker keeps a per-topology interval
+  query's preference DAGs travel.  Each worker keeps a per-topology interval
   encoding cache, mirroring the batch engine's.
 * **Merge phase** — a sort-merge of the local skylines over the monotone SFS
   sort key, run columnar over the executor's frame.  Dominance implies a
@@ -49,7 +49,6 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.config import resolve_workers
@@ -58,10 +57,12 @@ from repro.data.columns import EncodedFrame, ordered_rows
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.engine.encodings import (
-    DagKey,
     EncodingCache,
-    dag_signature,
-    validate_override_domains,
+    QuerySpec,
+    TopologyKey,
+    query_schema,
+    resolve_query_dags,
+    topology_key,
 )
 from repro.engine.lru import LRUDict
 from repro.exceptions import DeadlineExceededError, QueryError
@@ -137,24 +138,18 @@ class _WorkerState:
         self._encoding_cache = EncodingCache(encoding_cache_size)
 
     def local_skyline(
-        self, shard_index: int, overrides: Mapping[str, PartialOrderDAG]
+        self, shard_index: int, dags: tuple[PartialOrderDAG, ...]
     ) -> list[int]:
-        """Local skyline ids (shard-local positions) of one shard."""
+        """Local skyline ids (shard-local positions) of one shard under the
+        query's resolved DAGs."""
         frame = self.shard_data[shard_index]
         if not len(frame):
             return []
         if self.schema.num_partial_order:
-            schema = (
-                self.schema.replace_partial_order(dict(overrides))
-                if overrides
-                else self.schema
-            )
             result = stss_skyline(
                 None,
-                encodings=self._encoding_cache.encodings_for(
-                    self.schema.partial_order_attributes, overrides
-                ),
-                schema=schema,
+                encodings=self._encoding_cache.encodings_for(dags),
+                schema=query_schema(self.schema, dags),
                 frame=frame,
                 max_entries=self.max_entries,
                 kernel=self.kernel,
@@ -181,15 +176,15 @@ def _init_worker(
 
 
 def _worker_local_skyline(
-    task: tuple[int, dict[str, PartialOrderDAG]],
+    task: tuple[int, tuple[PartialOrderDAG, ...]],
 ) -> tuple[int, list[int]]:
-    shard_index, overrides = task
+    shard_index, dags = task
     # Inside the pool worker: ``raise`` surfaces through apply_async as the
     # remote exception, ``exit`` kills this very process — both feed the
     # parent's self-healing ladder (respawn once, then inline).
     _fault_trip("pool.worker_task")
     assert _WORKER_STATE is not None, "worker pool used before initialization"
-    return shard_index, _WORKER_STATE.local_skyline(shard_index, overrides)
+    return shard_index, _WORKER_STATE.local_skyline(shard_index, dags)
 
 
 class _PoolFailure(Exception):
@@ -362,7 +357,7 @@ class ShardedExecutor:
         self.inline_fallbacks = 0
         self.last_pool_failure: str | None = None
         self._inline_state: _WorkerState | None = None
-        self._merge_tables: LRUDict[tuple[DagKey, ...], _MergeArtifacts]
+        self._merge_tables: LRUDict[TopologyKey, _MergeArtifacts]
         self._merge_tables = LRUDict(encoding_cache_size)
 
     # ------------------------------------------------------------------ #
@@ -406,7 +401,7 @@ class ShardedExecutor:
 
         Each worker is a single-process pool that receives *only its own
         shards* (fixed round-robin shard-to-worker assignment) exactly once,
-        through the pool initializer — per query only the DAG overrides
+        through the pool initializer — per query only the query's DAGs
         travel.  Forking is only safe while the process is single-threaded
         (forking a multithreaded process can clone held locks into the
         child), so callers that spin up threads or an event loop — the query
@@ -473,14 +468,9 @@ class ShardedExecutor:
     # ------------------------------------------------------------------ #
     # Query execution
     # ------------------------------------------------------------------ #
-    def _validate_overrides(self, overrides: Mapping[str, PartialOrderDAG]) -> None:
-        # Shard workers skip row re-validation (validate=False); the shared
-        # up-front check is the cheap equivalent.
-        validate_override_domains(self.schema.partial_order_attributes, overrides)
-
     def local_phase(
         self,
-        overrides: dict[str, PartialOrderDAG],
+        dag_overrides: QuerySpec,
         *,
         deadline: float | None = None,
     ) -> list[list[int]]:
@@ -499,9 +489,8 @@ class ShardedExecutor:
         raise :class:`~repro.exceptions.QueryError` /
         :class:`~repro.exceptions.DeadlineExceededError` as ever.
         """
-        tasks = [
-            (index, overrides) for index, shard in enumerate(self.shards) if len(shard)
-        ]
+        dags = resolve_query_dags(self.schema.partial_order_attributes, dag_overrides)
+        tasks = [(index, dags) for index, shard in enumerate(self.shards) if len(shard)]
         if self.workers >= 1 and not self._degraded:
             self.start()
             try:
@@ -532,9 +521,9 @@ class ShardedExecutor:
         pids = list(self._worker_pids)
         pending = [
             pools[self._owner_of(index)].apply_async(
-                _worker_local_skyline, ((index, task_overrides),)
+                _worker_local_skyline, ((index, dags),)
             )
-            for index, task_overrides in tasks
+            for index, dags in tasks
         ]
         timeout_at = (
             None
@@ -619,24 +608,14 @@ class ShardedExecutor:
                     *self._worker_initargs(range(len(self.shards)))
                 )
             state = self._inline_state
-        return [
-            (index, state.local_skyline(index, task_overrides))
-            for index, task_overrides in tasks
-        ]
+        return [(index, state.local_skyline(index, dags)) for index, dags in tasks]
 
-    def _merge_artifacts(
-        self, overrides: dict[str, PartialOrderDAG]
-    ) -> _MergeArtifacts:
+    def _merge_artifacts(self, dags: tuple[PartialOrderDAG, ...]) -> _MergeArtifacts:
         """Per-topology ground-truth tables and key gathers for the merge."""
-        key = tuple(
-            dag_signature(overrides.get(attribute.name, attribute.dag))
-            for attribute in self.schema.partial_order_attributes
-        )
+        key = topology_key(dags)
         cached = self._merge_tables.get(key)
         if cached is None:
-            schema = (
-                self.schema.replace_partial_order(overrides) if overrides else self.schema
-            )
+            schema = query_schema(self.schema, dags)
             tables = RecordTables.from_schema(schema)
             cached = _MergeArtifacts(
                 tables,
@@ -649,7 +628,7 @@ class ShardedExecutor:
     def merge_phase(
         self,
         local_ids: list[list[int]],
-        overrides: dict[str, PartialOrderDAG],
+        dag_overrides: QuerySpec,
         counter=None,
     ) -> tuple[list[int], int]:
         """Cross-examine local skylines; returns (survivor ids, batch count).
@@ -673,7 +652,9 @@ class ShardedExecutor:
         # cross-examine: its members are the global skyline verbatim.
         if sum(1 for ids in local_ids if ids) <= 1:
             return sorted(record_id for ids in local_ids for record_id in ids), 0
-        artifacts = self._merge_artifacts(overrides)
+        artifacts = self._merge_artifacts(
+            resolve_query_dags(self.schema.partial_order_attributes, dag_overrides)
+        )
         frame = self._frame
         stream_ids = [record_id for ids in local_ids for record_id in ids]
         sub = frame.take(stream_ids)
@@ -728,23 +709,29 @@ class ShardedExecutor:
 
     def query(
         self,
-        dag_overrides: Mapping[str, PartialOrderDAG] | None = None,
+        dag_overrides: QuerySpec | None = None,
         *,
         name: str = "query",
         deadline: float | None = None,
     ) -> ShardedQueryResult:
-        """Compute the skyline under (possibly overridden) preferences.
+        """Compute the skyline under the query's preferences.
 
-        Returns parent-dataset record ids, identical to what a single-process
-        sTSS run over the whole dataset would report.  ``deadline`` is an
-        absolute :func:`time.monotonic` timestamp checked during the local
-        phase's pool wait and again at the merge boundary.
+        ``dag_overrides`` is read by
+        :func:`~repro.engine.encodings.resolve_query_dags` (``None`` asks for
+        the base preferences).  Returns parent-dataset record ids, identical
+        to what a single-process sTSS run over the whole dataset would
+        report.  ``deadline`` is an absolute :func:`time.monotonic` timestamp
+        checked during the local phase's pool wait and again at the merge
+        boundary.
         """
-        overrides = dict(dag_overrides or {})
-        self._validate_overrides(overrides)
+        # Shard workers skip row re-validation (validate=False); resolving
+        # the DAGs up front is the cheap equivalent.
+        dags = resolve_query_dags(
+            self.schema.partial_order_attributes, dag_overrides or {}
+        )
         started = time.perf_counter()
         local_started = time.monotonic()
-        local_ids = self.local_phase(overrides, deadline=deadline)
+        local_ids = self.local_phase(dags, deadline=deadline)
         local_done = time.perf_counter()
         local_window = (local_started, time.monotonic())
         if deadline is not None and time.monotonic() >= deadline:
@@ -752,7 +739,7 @@ class ShardedExecutor:
                 "query deadline exceeded before the cross-shard merge phase"
             )
         counter = _MergeCounter()
-        skyline_ids, batches = self.merge_phase(local_ids, overrides, counter)
+        skyline_ids, batches = self.merge_phase(local_ids, dags, counter)
         finished = time.perf_counter()
         with self._lock:
             self.queries_answered += 1

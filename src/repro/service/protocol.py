@@ -28,9 +28,8 @@ Each request and each response is one JSON object on one line (UTF-8,
 
 Responses always carry ``ok``; failures carry ``error`` and never tear the
 connection down.  PO domain values must be JSON scalars (the synthetic
-workloads use integer bitmasks); an override must keep its attribute's value
-domain — dynamic preference queries re-rank an existing domain, they do not
-change it.
+workloads use integer bitmasks); the engine reads ``overrides`` like any other
+query's preferences (:func:`~repro.engine.encodings.resolve_query_dags`).
 
 Protocol v3 adds the fault-tolerance fields:
 
@@ -159,32 +158,25 @@ def encode_overrides(
     return {name: encode_dag(dag) for name, dag in overrides.items()}
 
 
-def decode_overrides(
-    payload: object, schema: Schema
-) -> dict[str, PartialOrderDAG]:
-    """Parse and validate the ``overrides`` field of a query request.
+def decode_overrides(payload: object) -> dict[str, PartialOrderDAG]:
+    """Parse the ``overrides`` field of a query request.
 
-    Checks attribute names against the schema and requires each override to
-    keep the attribute's value domain.
+    Checks shape only (a mapping of names to DAG objects); which attributes
+    the names denote and whether each DAG is valid for its attribute is
+    decided by the engine's
+    :func:`~repro.engine.encodings.resolve_query_dags`, whose typed errors
+    relay back over the wire.
     """
     if payload is None:
         return {}
     if not isinstance(payload, Mapping):
         raise QueryError("'overrides' must map PO attribute names to DAG objects")
-    po_attributes = {a.name: a for a in schema.partial_order_attributes}
     overrides: dict[str, PartialOrderDAG] = {}
     for name, dag_payload in payload.items():
-        attribute = po_attributes.get(name)
-        if attribute is None:
-            raise QueryError(
-                f"unknown PO attribute {name!r}; known: {sorted(po_attributes)}"
-            )
-        dag = decode_dag(dag_payload)
-        if set(dag.values) != set(attribute.domain):
-            raise QueryError(
-                f"override for {name!r} must keep the attribute's value domain"
-            )
-        overrides[name] = dag
+        try:
+            overrides[name] = decode_dag(dag_payload)
+        except QueryError as error:
+            raise QueryError(f"override for {name!r}: {error}") from error
     return overrides
 
 

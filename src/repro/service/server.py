@@ -230,12 +230,12 @@ class QueryService:
         if seed is not None and overrides_payload is not None:
             raise QueryError("a query takes 'seed' or 'overrides', not both")
         if seed is not None:
-            if not isinstance(seed, int):
+            if isinstance(seed, bool) or not isinstance(seed, int):
                 raise QueryError("'seed' must be an integer")
             overrides = random_query_preferences(self.schema, seed)
             default_name = f"q{seed}"
         else:
-            overrides = protocol.decode_overrides(overrides_payload, self.schema)
+            overrides = protocol.decode_overrides(overrides_payload)
             default_name = "query" if overrides else "base"
         name = request.get("name")
         if name is not None and not isinstance(name, str):

@@ -120,6 +120,13 @@ class TestDynamicRunner:
         results = runner.compare(("SDC+", "TSS"), query_seed=4)
         assert results["SDC+"].io_count > results["TSS"].io_count
 
+    def test_local_skylines_are_built_before_any_query(self):
+        # Built offline, like the group R-trees: the first TSS+local query's
+        # clock must not pay for them.
+        grouped = DynamicRunner(TINY_DYNAMIC).dtss_index.grouped
+        assert grouped.local_skylines is not None
+        assert set(grouped.local_skylines) == set(grouped.groups)
+
     def test_unknown_method(self, runner):
         with pytest.raises(ExperimentError):
             runner.run("quantum")

@@ -173,11 +173,11 @@ class TestIndexReuse:
 
 
 class TestValidation:
-    def test_missing_attribute_raises(self, workload):
+    def test_omitted_attributes_keep_the_schema_dag(self, workload):
         _, dataset = workload
-        index = DTSSIndex(dataset)
-        with pytest.raises(QueryError):
-            index.query({})
+        assert frozenset(DTSSIndex(dataset).query({}).skyline_ids) == frozenset(
+            brute_force_skyline(dataset).skyline_ids
+        )
 
     def test_wrong_number_of_sequence_orders(self, workload):
         schema, dataset = workload

@@ -88,8 +88,8 @@ class TestFullyDynamicSkyline:
 
     def test_validation_errors(self, tickets):
         orders = {"airline": airline_preference_dag()}
-        with pytest.raises(QueryError):
-            fully_dynamic_skyline(tickets, {}, {"price": 0.0, "stops": 0.0})
+        with pytest.raises(QueryError, match="unknown PO attributes"):
+            fully_dynamic_skyline(tickets, {"nope": airline_preference_dag()}, [0.0, 0.0])
         with pytest.raises(QueryError):
             fully_dynamic_skyline(tickets, orders, {"price": 0.0})
         with pytest.raises(QueryError):

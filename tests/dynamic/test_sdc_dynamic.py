@@ -61,10 +61,11 @@ class TestCorrectness:
             sdc_plus_dynamic_skyline(dataset, query).skyline_ids
         )
 
-    def test_missing_attribute_raises(self, workload):
+    def test_omitted_attributes_keep_the_schema_dag(self, workload):
         _, dataset = workload
-        with pytest.raises(QueryError):
-            sdc_plus_dynamic_skyline(dataset, {})
+        assert frozenset(sdc_plus_dynamic_skyline(dataset, {}).skyline_ids) == frozenset(
+            brute_force_skyline(dataset).skyline_ids
+        )
 
     def test_wrong_sequence_length_raises(self, workload, query):
         _, dataset = workload

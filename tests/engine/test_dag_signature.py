@@ -6,7 +6,6 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 
-from repro.data.schema import PartialOrderAttribute
 from repro.engine.encodings import EncodingCache, dag_signature
 from repro.order.builders import paper_example_dag
 from repro.order.dag import PartialOrderDAG
@@ -121,8 +120,8 @@ def test_threads_sharing_one_dag_get_one_key():
 def test_a_cache_miss_propagates_the_interval_masks():
     """A miss builds the whole encoding, masks included, so the encoding
     span measures interval propagation; a hit returns the same object."""
-    attributes = [PartialOrderAttribute("po", paper_example_dag())]
+    dags = (paper_example_dag(),)
     cache = EncodingCache(4)
-    (encoding,) = cache.encodings_for(attributes, {})
+    (encoding,) = cache.encodings_for(dags)
     assert "reach_masks" in vars(encoding)
-    assert cache.encodings_for(attributes, {})[0] is encoding
+    assert cache.encodings_for(dags)[0] is encoding

@@ -135,6 +135,13 @@ class TestSingleClient:
             assert bad["ok"] is False
             assert client.ping()["pong"] is True
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "1"])
+    def test_a_seed_must_be_an_integer(self, running_service, seed):
+        _, host, port = running_service
+        with ServiceClient(host, port) as client:
+            bad = client.request({"op": "query", "seed": seed})
+            assert bad == {"ok": False, "error": "'seed' must be an integer"}
+
 
 class TestConcurrentClients:
     def test_shared_cache_across_clients(self, running_service):
@@ -316,11 +323,10 @@ class TestProtocol:
         with pytest.raises(QueryError):
             decode_dag(payload)
 
-    def test_overrides_must_keep_domain(self, workload):
-        schema, _ = workload
-        attribute = schema.partial_order_attributes[0]
+    def test_override_shape_errors_name_the_attribute(self):
         from repro.exceptions import QueryError
 
-        shrunk = {"values": list(attribute.domain)[:-1], "edges": []}
-        with pytest.raises(QueryError):
-            decode_overrides({attribute.name: shrunk}, schema)
+        with pytest.raises(QueryError, match="override for 'po1'"):
+            decode_overrides({"po1": {"values": []}})
+        with pytest.raises(QueryError, match="'overrides' must map"):
+            decode_overrides([])
