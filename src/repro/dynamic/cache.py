@@ -5,17 +5,19 @@ skyline, so their results can simply be reused.  The cache resolves each
 query through :func:`~repro.engine.encodings.resolve_query_dags` and keys it
 on the :func:`~repro.engine.encodings.topology_key` of the resolved DAGs —
 the batch engine's key — so two specifications that imply the same
-preferences (e.g. a Hasse diagram versus its transitive closure) hit the same
-entry.  A fully dynamic query adds its ideal TO values to the key.
+preferences (e.g. a Hasse diagram versus its transitive closure, or the same
+values listed in another order) hit the same entry.  A fully dynamic query
+adds its ideal TO values to the key.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.data.schema import PartialOrderAttribute
 from repro.engine.encodings import QuerySpec, TopologyKey, resolve_query_dags, topology_key
 from repro.engine.lru import LRUDict
+from repro.order.dag import PartialOrderDAG
 from repro.skyline.base import SkylineResult
 
 CacheKey = tuple[TopologyKey, tuple[float, ...]]
@@ -41,12 +43,21 @@ class DynamicQueryCache:
         return len(self._entries)
 
     @staticmethod
-    def _key(
+    def _resolve(
         partial_orders: QuerySpec,
         attributes: Sequence[PartialOrderAttribute],
         ideal_values: Sequence[float],
-    ) -> CacheKey:
-        return topology_key(resolve_query_dags(attributes, partial_orders)), tuple(ideal_values)
+    ) -> tuple[tuple[PartialOrderDAG, ...], CacheKey]:
+        dags = resolve_query_dags(attributes, partial_orders)
+        return dags, (topology_key(dags), tuple(ideal_values))
+
+    def _lookup(self, key: CacheKey) -> SkylineResult | None:
+        result = self._entries.get(key)
+        if result is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return result
 
     def get(
         self,
@@ -54,12 +65,7 @@ class DynamicQueryCache:
         attributes: Sequence[PartialOrderAttribute],
         ideal_values: Sequence[float] = (),
     ) -> SkylineResult | None:
-        result = self._entries.get(self._key(partial_orders, attributes, ideal_values))
-        if result is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return result
+        return self._lookup(self._resolve(partial_orders, attributes, ideal_values)[1])
 
     def put(
         self,
@@ -68,7 +74,22 @@ class DynamicQueryCache:
         result: SkylineResult,
         ideal_values: Sequence[float] = (),
     ) -> None:
-        self._entries[self._key(partial_orders, attributes, ideal_values)] = result
+        self._entries[self._resolve(partial_orders, attributes, ideal_values)[1]] = result
+
+    def answer(
+        self,
+        partial_orders: QuerySpec,
+        attributes: Sequence[PartialOrderAttribute],
+        compute: Callable[[tuple[PartialOrderDAG, ...]], SkylineResult],
+        ideal_values: Sequence[float] = (),
+    ) -> SkylineResult:
+        """The cached result, or ``compute(resolved DAGs)`` stored under the
+        query's key: one resolve and one key per query."""
+        dags, key = self._resolve(partial_orders, attributes, ideal_values)
+        result = self._lookup(key)
+        if result is None:
+            result = self._entries[key] = compute(dags)
+        return result
 
     @property
     def hit_rate(self) -> float:

@@ -28,6 +28,7 @@ from repro.dynamic.cache import DynamicQueryCache
 from repro.dynamic.groups import require_dataset
 from repro.engine.encodings import QuerySpec, resolve_query_dags
 from repro.exceptions import QueryError
+from repro.order.dag import PartialOrderDAG
 from repro.skyline.base import SkylineResult
 
 
@@ -62,13 +63,23 @@ def distance_transformed_dataset(
     values but adopt the query's preference DAGs.
     """
     schema = dataset.schema
-    dags = iter(resolve_query_dags(schema.partial_order_attributes, partial_orders))
-    ideals = dict(
-        zip(schema.total_order_positions, _resolve_ideal_values(schema, ideal_values))
+    return _derived_dataset(
+        dataset,
+        resolve_query_dags(schema.partial_order_attributes, partial_orders),
+        _resolve_ideal_values(schema, ideal_values),
     )
+
+
+def _derived_dataset(
+    dataset: Dataset, dags: Sequence[PartialOrderDAG], ideal_values: Sequence[float]
+) -> Dataset:
+    """:func:`distance_transformed_dataset` for resolved DAGs and ideal values."""
+    schema = dataset.schema
+    dag_of = iter(dags)
+    ideals = dict(zip(schema.total_order_positions, ideal_values))
     derived_schema = Schema(
         [
-            PartialOrderAttribute(attribute.name, next(dags))
+            PartialOrderAttribute(attribute.name, next(dag_of))
             if attribute.is_partial
             else TotalOrderAttribute(attribute.name, best="min")
             for attribute in schema.attributes
@@ -119,14 +130,15 @@ class FullyDynamicEngine:
         ideal_values: Mapping[str, float] | Sequence[float],
     ) -> SkylineResult:
         schema = self.dataset.schema
-        attributes = schema.partial_order_attributes
-        dags = resolve_query_dags(attributes, partial_orders)
         ideals = _resolve_ideal_values(schema, ideal_values)
-        result = self._cache.get(dags, attributes, ideals)
-        if result is None:
-            result = fully_dynamic_skyline(self.dataset, dags, ideals, **self.stss_options)
-            self._cache.put(dags, attributes, result, ideals)
-        return result
+        return self._cache.answer(
+            partial_orders,
+            schema.partial_order_attributes,
+            lambda dags: stss_skyline(
+                _derived_dataset(self.dataset, dags, ideals), **self.stss_options
+            ),
+            ideals,
+        )
 
     @property
     def hits(self) -> int:

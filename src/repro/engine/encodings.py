@@ -1,25 +1,24 @@
 """Query preferences: the one resolver, the semantic key and the encoding cache.
 
 A dynamic query (Section V of the paper) gives one partial order per PO
-attribute.  :func:`resolve_query_dags` is the one place that reads such a
-specification — a name → DAG mapping whose omitted attributes keep the
-schema's DAG, or one DAG per PO attribute in schema order — and decides
-whether it is valid.  Every entry point calls it: the batch engine, the
-sharded executor, the service (through the engine) and the
-:mod:`repro.dynamic` plane.  A DAG must hold every value of its attribute's
-domain; it may hold values outside it.  Anything else is a
-:class:`~repro.exceptions.QueryError` raised here.
+attribute: a name → DAG mapping whose omitted attributes keep the schema's
+DAG, or one DAG per PO attribute in schema order.  :func:`resolve_query_dags`
+is the one place that reads and checks such a specification, for every entry
+point (the batch engine, the sharded executor, the service through the
+engine, the :mod:`repro.dynamic` plane).  A DAG must hold its attribute's
+whole domain and may hold values outside it; a resolved DAG holds exactly
+the domain, in the domain's order, so what a query costs downstream is
+bounded by the schema.
 
 Queries are keyed by the *semantic* topology of their resolved DAGs — the
 values plus one closure bitmask per value (:attr:`PartialOrderDAG.reach_bits
 <repro.order.dag.PartialOrderDAG.reach_bits>`) — so two specifications that
-imply the same preference relation (a Hasse diagram vs its transitive
-closure, shuffled or repeated edges) share one cache entry.  The key holds
-one int per value, whatever the number of closure edges; the engine's result
-cache and :class:`~repro.dynamic.cache.DynamicQueryCache` both use it.
-:class:`EncodingCache` maps DAG signatures to
-:class:`~repro.order.encoding.DomainEncoding` objects under an LRU bound;
-only the sharded executor's workers hold one.
+imply the same preferences over the domain (a Hasse diagram vs its
+transitive closure, another edge or value order, detours through outside
+values) share one entry in the engine's result cache and in
+:class:`~repro.dynamic.cache.DynamicQueryCache`.  :class:`EncodingCache`
+maps DAG signatures to :class:`~repro.order.encoding.DomainEncoding` objects
+under an LRU bound; only the sharded executor's workers hold one.
 """
 
 from __future__ import annotations
@@ -47,8 +46,9 @@ def resolve_query_dags(
 ) -> tuple[PartialOrderDAG, ...]:
     """The query's DAGs in schema order, or a :class:`QueryError`.
 
-    ``attributes`` are the schema's PO attributes.  A DAG must cover its
-    attribute's domain; values outside the domain are allowed.
+    ``attributes`` are the schema's PO attributes.  A DAG that does not list
+    exactly its attribute's domain in order is replaced by its
+    :meth:`~repro.order.dag.PartialOrderDAG.restrict` to the domain.
     """
     if isinstance(spec, Mapping):
         unknown = set(spec).difference(attribute.name for attribute in attributes)
@@ -62,16 +62,19 @@ def resolve_query_dags(
                 f"query gives {len(dags)} partial orders, "
                 f"schema has {len(attributes)} PO attributes"
             )
+    resolved = []
     for attribute, dag in zip(attributes, dags):
-        if dag is attribute.dag:
-            continue
-        missing = set(attribute.domain).difference(dag.values)
-        if missing:
-            raise QueryError(
-                f"partial order for {attribute.name!r} is missing domain values: "
-                f"{sorted(missing, key=repr)}"
-            )
-    return dags
+        domain = attribute.domain
+        if dag is not attribute.dag and dag.values != domain:
+            missing = [value for value in domain if value not in dag]
+            if missing:
+                raise QueryError(
+                    f"partial order for {attribute.name!r} is missing domain values: "
+                    f"{sorted(missing, key=repr)}"
+                )
+            dag = dag.restrict(domain)
+        resolved.append(dag)
+    return tuple(resolved)
 
 
 def query_schema(schema: Schema, dags: Sequence[PartialOrderDAG]) -> Schema:

@@ -16,8 +16,8 @@ no row is ever dominated by a row of its own group.  The
   query marks ``j`` dominated iff some pair ``(i, j)`` passes its
   preferred-or-equal test on every PO attribute
   (:meth:`~repro.kernels.base.DominanceKernel.graph_dominated`): one
-  lookup per pair and attribute in the query DAGs' closure bits, renumbered
-  into the frame's code space (:func:`query_tables`).  The pairs
+  lookup per pair and attribute in the query DAGs' closure bits, which
+  index the frame's codes (:func:`query_tables`).  The pairs
   suffice: a live row that dominates a candidate is a front row or is
   strictly TO-dominated by one of its own group, which then dominates the
   candidate too; and for rows of different groups weak TO dominance plus
@@ -118,15 +118,12 @@ def build_graph(frame: EncodedFrame, rows: list[int], kernel) -> CandidateGraph 
 
 
 def query_tables(frame: EncodedFrame, dags: Sequence[PartialOrderDAG]) -> RecordTables:
-    """The closure bits of ``dags`` (the query's DAG per PO attribute),
-    renumbered into ``frame``'s code space: the tables both paths read."""
-    codec = frame.codec
-    prefs = []
-    for attr_index, dag in enumerate(dags):
-        table = PreferenceTable.from_dag(dag)
-        perm = codec.permutation_to(attr_index, table.code_of)
-        prefs.append(table.renumbered(perm, codec.domains[attr_index]))
-    return RecordTables(frame.num_total_order, tuple(prefs))
+    """The closure bits of ``dags`` (the query's resolved DAG per PO
+    attribute): the tables both paths read.  A resolved DAG lists its
+    attribute's domain in the domain's order, which is ``frame``'s code
+    order, so its closure bits index the frame's codes as they are."""
+    tables = tuple(PreferenceTable.from_dag(dag) for dag in dags)
+    return RecordTables(frame.num_total_order, tables)
 
 
 def graph_skyline_rows(

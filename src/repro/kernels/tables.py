@@ -78,27 +78,6 @@ class PreferenceTable:
             column_bits=tuple(posts),
         )
 
-    def renumbered(
-        self, perm: Sequence[int], values: Sequence[Value]
-    ) -> "PreferenceTable":
-        """The same relation with code ``i`` standing for ``values[i]``,
-        this table's code ``perm[i]`` (e.g. a frame's code space, with
-        ``perm`` from :meth:`ColumnCodec.permutation_to
-        <repro.data.columns.ColumnCodec.permutation_to>`).
-
-        Bits of codes left out of ``perm`` (values of a query DAG outside the
-        frame's domain) are cleared from the rows, so every set bit still
-        stands for a code.
-        """
-        column_bits = tuple(self.column_bits[code] for code in perm)
-        kept = sum(1 << bit for bit in column_bits)
-        return PreferenceTable(
-            values=tuple(values),
-            code_of={value: i for i, value in enumerate(values)},
-            row_masks=tuple(self.row_masks[code] & kept for code in perm),
-            column_bits=column_bits,
-        )
-
     @cached_property
     def pref_or_equal(self) -> tuple[tuple[bool, ...], ...]:
         """``pref_or_equal[i][j]`` — value ``i`` is preferred over or equal to ``j``."""

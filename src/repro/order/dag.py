@@ -208,15 +208,22 @@ class PartialOrderDAG:
         """
         bits = self._reach_bits
         if bits is None:
-            index = self._index
-            reach = [0] * len(self._values)
-            for node in reversed(self.topological_order()):
-                acc = 1 << index[node]
-                for child in self._succ[node]:
-                    acc |= reach[index[child]]
-                reach[index[node]] = acc
-            bits = self._reach_bits = tuple(reach)
+            bits = self._reach_bits = self._closure(
+                {value: 1 << position for position, value in enumerate(self._values)}
+            )
         return bits
+
+    def _closure(self, bit_of: Mapping[Value, int]) -> tuple[int, ...]:
+        """Per value (by insertion index): the OR of ``bit_of`` over the
+        values it is preferred over or equal to, in one reverse pass."""
+        index = self._index
+        reach = [0] * len(self._values)
+        for node in reversed(self.topological_order()):
+            acc = bit_of.get(node, 0)
+            for child in self._succ[node]:
+                acc |= reach[index[child]]
+            reach[index[node]] = acc
+        return tuple(reach)
 
     def _values_of_bits(self, bits: int) -> Iterator[Value]:
         """The values whose index bits are set in ``bits``, in index order."""
@@ -345,24 +352,27 @@ class PartialOrderDAG:
         ]
 
     def restrict(self, keep: Iterable[Value]) -> "PartialOrderDAG":
-        """Induced sub-DAG on ``keep``, preserving *reachability* among kept values.
+        """Induced sub-DAG on the values of ``keep`` that this DAG holds, in
+        ``keep``'s order, preserving *reachability* among them.
 
         An edge ``x -> y`` is added when ``x`` is preferred over ``y`` in the
-        original DAG and no kept value lies strictly between them.  The result
-        is the Hasse diagram of the restricted partial order.
+        original DAG and no kept value lies strictly between them: the Hasse
+        diagram of the restricted order.  Its closure bitmasks hold the kept
+        values only, so the work grows with ``len(self) * len(kept)`` bits.
         """
-        keep_set = set(keep)
-        kept = [v for v in self._values if v in keep_set]
-        kept_bits = 0
-        for v in kept:
-            kept_bits |= 1 << self._index[v]
+        kept = [value for value in dict.fromkeys(keep) if value in self._index]
+        reach = self._closure({value: 1 << position for position, value in enumerate(kept)})
+        closure = tuple(reach[self._index[value]] for value in kept)
         edges: list[tuple[Value, Value]] = []
-        for u in kept:
-            position = self._index[u]
-            worse = self.reach_bits[position] & kept_bits & ~(1 << position)
-            direct = worse & ~self._strictly_below(_bit_positions(worse))
-            edges.extend((u, v) for v in self._values_of_bits(direct))
-        return PartialOrderDAG(kept, edges)
+        for position, (better, bits) in enumerate(zip(kept, closure)):
+            worse = bits & ~(1 << position)
+            below = 0
+            for other in _bit_positions(worse):
+                below |= closure[other] & ~(1 << other)
+            edges.extend((better, kept[other]) for other in _bit_positions(worse & ~below))
+        restricted = PartialOrderDAG(kept, edges)
+        restricted._reach_bits = closure
+        return restricted
 
     def relabel(self, mapping: Mapping[Value, Any]) -> "PartialOrderDAG":
         """Return a copy with every value replaced through ``mapping``."""

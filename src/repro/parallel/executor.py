@@ -489,7 +489,16 @@ class ShardedExecutor:
         raise :class:`~repro.exceptions.QueryError` /
         :class:`~repro.exceptions.DeadlineExceededError` as ever.
         """
-        dags = resolve_query_dags(self.schema.partial_order_attributes, dag_overrides)
+        return self._local_phase(self._resolve(dag_overrides), deadline)
+
+    def _resolve(self, dag_overrides: QuerySpec | None) -> tuple[PartialOrderDAG, ...]:
+        spec = {} if dag_overrides is None else dag_overrides
+        return resolve_query_dags(self.schema.partial_order_attributes, spec)
+
+    def _local_phase(
+        self, dags: tuple[PartialOrderDAG, ...], deadline: float | None
+    ) -> list[list[int]]:
+        """:meth:`local_phase` for resolved query DAGs."""
         tasks = [(index, dags) for index, shard in enumerate(self.shards) if len(shard)]
         if self.workers >= 1 and not self._degraded:
             self.start()
@@ -646,15 +655,18 @@ class ShardedExecutor:
         a record's dominator was itself eliminated, transitivity hands the
         verdict to the eliminator.
         """
-        if counter is None:
-            counter = _MergeCounter()
+        counter = _MergeCounter() if counter is None else counter
+        return self._merge_phase(local_ids, self._resolve(dag_overrides), counter)
+
+    def _merge_phase(
+        self, local_ids: list[list[int]], dags: tuple[PartialOrderDAG, ...], counter
+    ) -> tuple[list[int], int]:
+        """:meth:`merge_phase` for resolved query DAGs."""
         # With at most one non-empty local skyline there is nothing to
         # cross-examine: its members are the global skyline verbatim.
         if sum(1 for ids in local_ids if ids) <= 1:
             return sorted(record_id for ids in local_ids for record_id in ids), 0
-        artifacts = self._merge_artifacts(
-            resolve_query_dags(self.schema.partial_order_attributes, dag_overrides)
-        )
+        artifacts = self._merge_artifacts(dags)
         frame = self._frame
         stream_ids = [record_id for ids in local_ids for record_id in ids]
         sub = frame.take(stream_ids)
@@ -726,12 +738,10 @@ class ShardedExecutor:
         """
         # Shard workers skip row re-validation (validate=False); resolving
         # the DAGs up front is the cheap equivalent.
-        dags = resolve_query_dags(
-            self.schema.partial_order_attributes, dag_overrides or {}
-        )
+        dags = self._resolve(dag_overrides)
         started = time.perf_counter()
         local_started = time.monotonic()
-        local_ids = self.local_phase(dags, deadline=deadline)
+        local_ids = self._local_phase(dags, deadline)
         local_done = time.perf_counter()
         local_window = (local_started, time.monotonic())
         if deadline is not None and time.monotonic() >= deadline:
@@ -739,7 +749,7 @@ class ShardedExecutor:
                 "query deadline exceeded before the cross-shard merge phase"
             )
         counter = _MergeCounter()
-        skyline_ids, batches = self.merge_phase(local_ids, dags, counter)
+        skyline_ids, batches = self._merge_phase(local_ids, dags, counter)
         finished = time.perf_counter()
         with self._lock:
             self.queries_answered += 1

@@ -33,6 +33,37 @@ class TestCacheKey:
         cache.put({"p": hasse}, attributes, make_result([1]))
         assert cache.get({"p": closure}, attributes).skyline_ids == [1]
 
+    def test_value_order_does_not_matter(self, hasse_and_closure):
+        hasse, _ = hasse_and_closure
+        attributes = po_attributes("abc")
+        cache = DynamicQueryCache()
+        cache.put({"p": hasse}, attributes, make_result([1]))
+        reversed_values = PartialOrderDAG("cba", [("b", "c"), ("a", "b")])
+        assert cache.get({"p": reversed_values}, attributes).skyline_ids == [1]
+
+    def test_outside_values_that_imply_the_same_order_hit(self, hasse_and_closure):
+        hasse, _ = hasse_and_closure
+        attributes = po_attributes("abc")
+        cache = DynamicQueryCache()
+        cache.put({"p": hasse}, attributes, make_result([1]))
+        detour = PartialOrderDAG("abcz", [("a", "z"), ("z", "b"), ("b", "c")])
+        assert cache.get({"p": detour}, attributes).skyline_ids == [1]
+
+    def test_answer_computes_once_per_key(self, hasse_and_closure):
+        hasse, closure = hasse_and_closure
+        attributes = po_attributes("abc")
+        cache = DynamicQueryCache()
+        seen = []
+
+        def compute(dags):
+            seen.append(dags)
+            return make_result([len(seen)])
+
+        assert cache.answer({"p": hasse}, attributes, compute).skyline_ids == [1]
+        assert cache.answer([closure], attributes, compute).skyline_ids == [1]
+        assert len(seen) == 1 and seen[0][0] is hasse
+        assert (cache.hits, cache.misses) == (1, 1)
+
     def test_different_preferences_miss(self, hasse_and_closure):
         hasse, _ = hasse_and_closure
         attributes = po_attributes("abc")

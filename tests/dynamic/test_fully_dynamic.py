@@ -126,6 +126,8 @@ class TestFullyDynamicEngine:
         engine.query({"airline": hasse}, ideals)
         engine.query({"airline": closure}, ideals)
         assert engine.hits == 1
+        engine.query({"airline": PartialOrderDAG("dcba", [("b", "c"), ("a", "b")])}, ideals)
+        assert engine.hits == 2
 
     def test_cache_eviction(self, tickets):
         engine = FullyDynamicEngine(tickets, cache_capacity=1)

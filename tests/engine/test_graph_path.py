@@ -58,8 +58,8 @@ def _path(engine) -> str:
 
 def _renumbered_overrides(schema, rng: random.Random) -> dict[str, PartialOrderDAG]:
     """A random DAG per PO attribute that lists its domain in a shuffled
-    insertion order plus one value outside it, so the query's codes are a
-    permutation of the frame's and renumbering drops a value."""
+    insertion order plus one value outside it, so resolution must put the
+    domain back in the frame's code order and drop the outside value."""
     overrides = {}
     for attribute in schema.partial_order_attributes:
         values = [*attribute.dag.values, "outside"]

@@ -1,5 +1,7 @@
 """Unit tests for ``resolve_query_dags``: the one reader of query preferences."""
 
+import tracemalloc
+
 import pytest
 
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
@@ -30,13 +32,42 @@ def test_omitted_attributes_keep_the_schema_dag(attributes):
 
 
 def test_a_sequence_is_taken_as_schema_order(attributes):
-    p_dag, q_dag = PartialOrderDAG("cba", []), PartialOrderDAG("yx", [])
-    assert resolve_query_dags(attributes, [p_dag, q_dag]) == (p_dag, q_dag)
+    p_dag, q_dag = PartialOrderDAG("abc", [("b", "a")]), PartialOrderDAG("xy", [("y", "x")])
+    dags = resolve_query_dags(attributes, [p_dag, q_dag])
+    assert dags[0] is p_dag and dags[1] is q_dag
 
 
-def test_values_outside_the_domain_are_allowed(attributes):
-    wider = PartialOrderDAG("abcz", [("z", "a")])
-    assert resolve_query_dags(attributes, {"p": wider})[0] is wider
+def test_another_value_order_is_put_in_domain_order(attributes):
+    shuffled = PartialOrderDAG("cba", [("c", "a")])
+    resolved = resolve_query_dags(attributes, {"p": shuffled})[0]
+    assert resolved.values == ("a", "b", "c") and resolved.edges == [("c", "a")]
+    in_order = resolve_query_dags(attributes, {"p": PartialOrderDAG("abc", [("c", "a")])})
+    assert topology_key((resolved, attributes[1].dag)) == topology_key(in_order)
+
+
+def test_values_outside_the_domain_are_projected_away(attributes):
+    wider = PartialOrderDAG("abcz", [("c", "z"), ("z", "a")])
+    resolved = resolve_query_dags(attributes, {"p": wider})[0]
+    assert resolved.values == ("a", "b", "c")
+    # The preference implied through the outside value survives.
+    assert resolved.edges == [("c", "a")]
+
+
+def test_outside_values_cost_no_quadratic_closure(attributes):
+    """A DAG padded with many outside values resolves in domain-sized memory:
+    its own closure (``n**2 / 2`` bits, 50 MB here) is never built."""
+    outside = list(range(20_000))
+    chain = ["c", *outside, "a"]
+    padded = PartialOrderDAG(["a", "b", "c", *outside], list(zip(chain, chain[1:])))
+    tracemalloc.start()
+    try:
+        resolved = resolve_query_dags(attributes, {"p": padded})
+        topology_key(resolved)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert resolved[0].edges == [("c", "a")]
+    assert peak < 5_000_000
 
 
 def test_unknown_names_are_rejected(attributes):

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.kernels import PreferenceTable, available_kernels, get_kernel
 from repro.kernels.base import graph_plan
 from repro.order.builders import random_dag
-from repro.order.dag import PartialOrderDAG
 from tests.conftest import INFINITE_TO_VALUES, ROUNDING_TIE_TO_VALUES
 
 KERNELS = available_kernels()
@@ -147,47 +146,6 @@ def test_graph_dominated_matches_definition(
     counter = Counter()
     assert backend.graph_dominated(graph, prefs, counter) == expected
     assert counter.dominance_checks == len(graph)
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_renumbered_preferences_follow_the_codes(kernel):
-    """A table renumbered into another code space answers the same pairs."""
-    dag = random_dag(6, edge_probability=0.5, seed=4)
-    table = PreferenceTable.from_dag(dag)
-    values = list(dag.values)
-    random.Random(2).shuffle(values)
-    perm = [table.code_of[value] for value in values]
-    renumbered = table.renumbered(perm, values)
-    for i, better in enumerate(values):
-        for j, worse in enumerate(values):
-            expected = table.pref_or_equal[table.code_of[better]][table.code_of[worse]]
-            assert renumbered.pref_or_equal[i][j] == expected
-    # One pair per (better, worse) code pair of the renumbered space.
-    to = [(0.0,)] * 6
-    codes = [(code,) for code in range(6)]
-    backend = get_kernel(kernel)
-    graph = backend.to_dominance_graph(to, codes, [6], NO_BOUND, NO_BOUND)
-    dominated = backend.graph_dominated(graph, [renumbered])
-    assert dominated == [
-        any(renumbered.pref_or_equal[i][j] for i in range(6) if i != j) for j in range(6)
-    ]
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_renumbering_drops_values_outside_the_codes(kernel):
-    """A query DAG may hold values outside the frame's domain; renumbering
-    clears their bits, so a row's width is that of the kept codes (here one
-    byte for eight codes, though every row reaches the ninth value)."""
-    domain = [f"v{i}" for i in range(8)]
-    dag = PartialOrderDAG([*domain, "outside"], [(value, "outside") for value in domain])
-    table = PreferenceTable.from_dag(dag)
-    renumbered = table.renumbered(range(8), domain)
-    assert all(mask >> 8 == 0 for mask in renumbered.row_masks)
-    backend = get_kernel(kernel)
-    to = [(0.0,)] * 8
-    codes = [(code,) for code in range(8)]
-    graph = backend.to_dominance_graph(to, codes, [8], NO_BOUND, NO_BOUND)
-    assert backend.graph_dominated(graph, [renumbered]) == [False] * 8
 
 
 @pytest.mark.parametrize(("kernel", "backing"), CASES)

@@ -135,6 +135,25 @@ class TestSingleClient:
             assert bad["ok"] is False
             assert client.ping()["pong"] is True
 
+    def test_outside_values_cost_a_domain_sized_key(self, running_service, workload):
+        """A client that pads an override with thousands of values outside
+        the domain gets the answer of the domain-only DAG it implies, from the
+        same cache entry: the engine keys and answers the domain alone."""
+        schema, _ = workload
+        _, host, port = running_service
+        attribute = schema.partial_order_attributes[0]
+        top, bottom = attribute.domain[0], attribute.domain[-1]
+        outside = [-value for value in range(1, 20_001)]
+        chain = [top, *outside, bottom]
+        padded = PartialOrderDAG([*attribute.domain, *outside], list(zip(chain, chain[1:])))
+        narrow = PartialOrderDAG(attribute.domain, [(top, bottom)])
+        with ServiceClient(host, port) as client:
+            wide = client.query(overrides={attribute.name: padded})
+            assert wide["ok"] is True
+            same = client.query(overrides={attribute.name: narrow})
+            assert same["from_cache"] is True
+            assert same["skyline_ids"] == wide["skyline_ids"]
+
     @pytest.mark.parametrize("seed", [True, 1.5, "1"])
     def test_a_seed_must_be_an_integer(self, running_service, seed):
         _, host, port = running_service
