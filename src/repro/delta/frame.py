@@ -15,21 +15,25 @@ A :class:`DeltaFrame` layers mutations over an immutable base
 
 Stable ids are the contract with callers: base row ``r`` answers to id
 ``base_ids[r]`` (identity when ``base_ids`` is ``None``), inserts are
-numbered from :attr:`next_id` upward, and ids are never reused.  Compaction
+numbered from :attr:`next_id` upward, and ids are never reused.  The delta
+frame is the one owner of that ``row -> id`` mapping.  Compaction
 (:meth:`live_frame_and_ids`) folds the live rows into a fresh base frame
 whose ``row -> id`` mapping keeps every surviving id; the delta over that new
 base must be handed the old :attr:`next_id` (the allocation high-water mark),
-since the highest ids may have been deleted and folded away.
+since the highest ids may have been deleted and folded away.  The live rows
+keep their order in the new base, so compaction only renumbers rows
+(:meth:`compacted_rows`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Hashable, Sequence
 
 from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema
-from repro.exceptions import QueryError
+from repro.exceptions import DatasetError, QueryError
 
 Value = Hashable
 
@@ -39,33 +43,29 @@ def decode_frame_rows(frame: EncodedFrame) -> list[tuple]:
 
     The inverse of :meth:`EncodedFrame.from_dataset`: canonical TO values are
     mapped back through each attribute's direction (max-attributes were
-    negated) and PO codes decoded through the codec's domains.
+    negated) and PO codes decoded through the codec's domains.  Each column
+    leaves the frame as one list (one ``tolist()`` when NumPy-backed).
     """
-    schema = frame.schema
-    codec = frame.codec
-    indices = range(len(frame))
+    def column(block, index: int) -> list:
+        if frame.uses_numpy:
+            return block[:, index].tolist()
+        return [row[index] for row in block]
+
     columns: list[list] = []
     to_index = 0
     po_index = 0
-    for attribute in schema.attributes:
+    for attribute in frame.schema.attributes:
         if attribute.is_partial:
-            domain = codec.domains[po_index]
-            if frame.uses_numpy:
-                columns.append([domain[int(frame.codes[r, po_index])] for r in indices])
-            else:
-                columns.append([domain[frame.codes[r][po_index]] for r in indices])
+            domain = frame.codec.domains[po_index]
+            columns.append([domain[code] for code in column(frame.codes, po_index)])
             po_index += 1
         else:
-            if frame.uses_numpy:
-                values = [float(frame.to[r, to_index]) for r in indices]
-            else:
-                values = [frame.to[r][to_index] for r in indices]
+            values = column(frame.to, to_index)
             if attribute.best == "max":
                 values = [-value for value in values]
             columns.append(values)
             to_index += 1
-    length = len(columns[0]) if columns else 0
-    return [tuple(column[i] for column in columns) for i in range(length)]
+    return list(zip(*columns))
 
 
 def dataset_from_frame(frame: EncodedFrame) -> Dataset:
@@ -259,6 +259,30 @@ class DeltaFrame:
             return self.stable_id_of_base_row(row)
         return self._insert_ids[row - num_base]
 
+    def stable_ids(self, rows: list[int]) -> list[int]:
+        """Ascending stable ids of ascending :meth:`frame` ``rows`` —
+        ``rows`` itself while the ids are the rows (identity base ids, no
+        insert)."""
+        if self.base_ids is None and not self._insert_ids:
+            return rows
+        return sorted(map(self.stable_id_of_row, rows))
+
+    def compacted_rows(self, rows: Sequence[int]) -> list[int]:
+        """The rows that live ``rows`` of :meth:`frame` become in the
+        compacted base: their positions in :meth:`live_rows`.  Order is
+        kept, since compaction keeps the live rows in row order.  A dead or
+        unknown row raises :class:`~repro.exceptions.DatasetError`: it has no
+        position to take."""
+        dead = self.dead_rows()
+        length = len(self.base) + len(self._insert_ids)
+        compacted = []
+        for row in rows:
+            index = bisect_left(dead, row)
+            if not 0 <= row < length or (index < len(dead) and dead[index] == row):
+                raise DatasetError(f"row {row} is not live; it cannot be renumbered")
+            compacted.append(row - index)
+        return compacted
+
     def frame(self) -> EncodedFrame:
         """The base rows followed by every buffered insert, as one frame.
 
@@ -311,4 +335,6 @@ class DeltaFrame:
         ``ids[r]`` is the new base's ``row -> stable id`` mapping.
         """
         rows = self.live_rows()
-        return self.frame().take(rows), [self.stable_id_of_row(row) for row in rows]
+        base_ids = range(len(self.base)) if self.base_ids is None else self.base_ids
+        ids = [*base_ids, *self._insert_ids]
+        return self.frame().take(rows), [ids[row] for row in rows]

@@ -56,10 +56,17 @@ rows the front was masking).  Queries then read the one candidate set the
 same way whether or not the data changed; a mutation that changed a front
 clears the result cache and rebuilds the graph under the write latch, so the
 graph always holds the pairs of the current candidates.
-Store-backed engines persist every mutation in a crash-safe sidecar
-:class:`~repro.store.delta.DeltaLog` and fold the delta into a fresh packed
-base once ``compact_threshold`` mutations accumulate (atomic
-``os.replace``; ids survive via the store's ``row_ids`` section).
+The delta frame is the one owner of row identity (the ``row -> stable id``
+mapping and the id high-water mark), and the tracker the one owner of the
+candidates.  Store-backed engines persist every mutation in a crash-safe
+sidecar :class:`~repro.store.delta.DeltaLog`.  Once ``compact_threshold``
+mutations accumulate, the delta is folded into a fresh base (for a store, a
+freshly packed file swapped in by an atomic ``os.replace``; ids survive via
+its ``row_ids`` section).  Compaction only renumbers: the live rows keep
+their order in the new base, so each candidate's new row is its position
+among them, the tracked fronts carry over as they are and so do the graph's
+pairs, which index candidate positions.  It runs no prefilter and builds no
+graph.
 
 The engine is a concurrency-safe façade: :meth:`BatchQueryEngine.run_query`
 may be called from many threads at once.  Queries synchronize on a
@@ -89,7 +96,12 @@ from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.delta.candidates import BaseCandidateTracker, GroupKey
 from repro.delta.frame import DeltaFrame, dataset_from_frame
-from repro.engine.groups import build_graph, graph_skyline_rows, skyline_rows
+from repro.engine.groups import (
+    CandidateGraph,
+    build_graph,
+    graph_skyline_rows,
+    skyline_rows,
+)
 from repro.engine.prefilter import prefilter_survivors
 from repro.engine.encodings import (
     DagKey,
@@ -223,14 +235,7 @@ class BatchQueryEngine:
         elif isinstance(dataset, DatasetStore):
             store = dataset
         self._store = store
-        if store is not None:
-            dataset = None
-            self.schema = store.schema
-            self._num_rows = store.num_rows
-        else:
-            self.schema = dataset.schema
-            self._num_rows = len(dataset)
-        self._dataset = dataset
+        self.schema = store.schema if store is not None else dataset.schema
         self.kernel = resolve_kernel(kernel)
         self.cache_size = cache_size
         # Skylines as sorted stable ids, per topology.  A skyline depends on
@@ -260,26 +265,25 @@ class BatchQueryEngine:
         # The columnar data plane: the dataset encoded once (NumPy-backed, or
         # tuple-backed without NumPy); queries then read it through row-index
         # views (never a materialized survivor copy).  With a store the frame
-        # is the packed one (mapped or loaded, never re-encoded).
+        # is the packed one (mapped or loaded, never re-encoded), and its
+        # candidates are its packed prefilter pass, its ids those compaction
+        # persisted.
         started = time.perf_counter()
-        self._frame: EncodedFrame = (
-            store.frame() if store is not None else EncodedFrame.from_dataset(dataset)
-        )
+        frame = store.frame() if store is not None else EncodedFrame.from_dataset(dataset)
         self._phase_seconds["encode"] += time.perf_counter() - started
-        # Stable ``base row -> record id`` mapping (None = identity) and the
-        # id allocation high-water mark (None = one past the largest base
-        # id).  A store packed by compaction carries both; fresh data starts
-        # identity.
-        self._row_ids = store.row_ids() if store is not None else None
-        self._next_id = store.next_id if store is not None else None
-        # The delta plane: built lazily on the first mutation (or delta-log
-        # replay); ``None`` means the base rows are every row.
-        self._delta: DeltaFrame | None = None
+        started = time.perf_counter()
+        if store is not None:
+            self._adopt_base(frame, store.survivors(), store.row_ids(), store.next_id)
+        else:
+            candidates = prefilter_survivors(self.schema, None, frame, self.kernel)
+            self._adopt_base(frame, candidates, None, None)
+            self._dataset = dataset
+        self._phase_seconds["build"] += time.perf_counter() - started
+        # The sidecar log: created by the first mutation (or found at open).
         self._log = None
         # Set when the sidecar log needed quarantine at open (see
         # :meth:`DeltaLog.recover <repro.store.delta.DeltaLog.recover>`).
         self._delta_recovery: dict | None = None
-        self._build_candidates()
         if store is not None:
             self._replay_delta_log()
         self._build_graph()
@@ -301,7 +305,7 @@ class BatchQueryEngine:
         """The engine's base rows as records (decoded from the frame on
         first access when the engine was not built from a dataset)."""
         if self._dataset is None:
-            self._dataset = dataset_from_frame(self._frame)
+            self._dataset = dataset_from_frame(self._delta.base)
         return self._dataset
 
     @property
@@ -320,22 +324,8 @@ class BatchQueryEngine:
         self.close()
 
     # ------------------------------------------------------------------ #
-    # Shared dominance work
+    # Candidate state (open, mutations, compaction)
     # ------------------------------------------------------------------ #
-    def _prefilter_survivors(self) -> list[int]:
-        """Keep only each PO-combination group's TO-Pareto front.
-
-        Query-independent: within a group the PO attributes tie under every
-        preference DAG, so a record strictly TO-dominated by a group sibling
-        is dominated under every query.  Delegates to
-        :func:`repro.engine.prefilter.prefilter_survivors` — the very same
-        code the store writer runs at pack time, so packed survivor lists
-        can never drift from a fresh engine's.
-        """
-        return prefilter_survivors(
-            self.schema, None, self._frame, self.kernel
-        )
-
     @property
     def candidate_count(self) -> int:
         """Records that can appear in some query's skyline (after prefilter)."""
@@ -344,40 +334,23 @@ class BatchQueryEngine:
     @property
     def _candidate_ids(self) -> list[int]:
         """Stable record ids of the candidate rows (compat/introspection)."""
-        return [self._stable_id_of_row(row) for row in self._tracker.candidates()]
+        return [self._delta.stable_id_of_row(row) for row in self._tracker.candidates()]
 
-    def _stable_id_of_row(self, row: int) -> int:
-        if self._delta is not None:
-            return self._delta.stable_id_of_row(row)
-        return row if self._row_ids is None else self._row_ids[row]
-
-    def _stable_ids(self, rows: list[int]) -> list[int]:
-        """Ascending stable ids of ascending frame ``rows``."""
-        if self._delta is not None:
-            ids = map(self._delta.stable_id_of_row, rows)
-        elif self._row_ids is not None:
-            ids = map(self._row_ids.__getitem__, rows)
-        else:
-            return rows
-        return sorted(ids)
-
-    # ------------------------------------------------------------------ #
-    # Candidate state (initial build, mutations, compaction)
-    # ------------------------------------------------------------------ #
-    def _build_candidates(self) -> None:
-        """Track the base frame's candidate rows as per-PO-group fronts.
-
-        With a store, the candidates are its packed prefilter pass (validated
-        at pack time against both backends): one mmap'd section.
-        """
-        started = time.perf_counter()
-        rows = (
-            self._store.survivors()
-            if self._store is not None
-            else self._prefilter_survivors()
-        )
-        self._tracker = BaseCandidateTracker(self._frame, self.kernel, initial_rows=rows)
-        self._phase_seconds["build"] += time.perf_counter() - started
+    def _adopt_base(
+        self,
+        frame: EncodedFrame,
+        candidates: list[int],
+        row_ids: Sequence[int] | None,
+        next_id: int | None,
+    ) -> None:
+        """Make ``frame`` the base, at open and after compaction: a fresh
+        delta frame over it, with the ``row -> stable id`` mapping
+        ``row_ids`` (``None`` = identity) and the id high-water mark
+        ``next_id``, and the tracker over its ``candidates`` rows (each
+        PO group's TO-Pareto front, ascending)."""
+        self._delta = DeltaFrame(frame, base_ids=row_ids, next_id=next_id)
+        self._tracker = BaseCandidateTracker(frame, self.kernel, initial_rows=candidates)
+        self._dataset = None
 
     def _build_graph(self) -> None:
         """Index the current candidates' TO-dominance graph (``None`` when
@@ -393,17 +366,13 @@ class BatchQueryEngine:
         self, dirty: Mapping[GroupKey, list[int]], mutated: bool
     ) -> None:
         """End a write under the write latch: a changed front drops cached
-        skylines, a mutation may trigger compaction, and the graph is
-        rebuilt once if a front changed (compaction rebuilds it itself)."""
+        skylines and rebuilds the graph, then a mutation may trigger
+        compaction (which carries the graph over)."""
         if dirty:
             self._result_cache.clear()
-        compacted = False
-        try:
-            if mutated:
-                compacted = self._maybe_compact()
-        finally:
-            if dirty and not compacted:
-                self._build_graph()
+            self._build_graph()
+        if mutated and 0 < self._compact_threshold <= self._delta.mutations:
+            self._compact_locked()
 
     # ------------------------------------------------------------------ #
     # Query execution
@@ -486,7 +455,7 @@ class BatchQueryEngine:
                 computing = time.perf_counter()
                 rows, stats = self._skyline_rows(dags)
                 query_seconds = time.perf_counter() - computing
-                skyline_ids = self._stable_ids(rows)
+                skyline_ids = self._delta.stable_ids(rows)
                 with self._state_lock:
                     self.queries_evaluated += 1
                     self._phase_seconds["query"] += query_seconds
@@ -509,18 +478,15 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------ #
     # Live mutations (the delta plane)
     # ------------------------------------------------------------------ #
-    def _ensure_delta(self) -> DeltaFrame:
-        if self._delta is None:
-            self._delta = DeltaFrame(
-                self._frame, base_ids=self._row_ids, next_id=self._next_id
-            )
-            if self._store is not None and self._log is None:
-                from repro.store.delta import DeltaLog, delta_log_path
+    def _ensure_log(self) -> None:
+        """Create the sidecar log of a store-backed engine on its first
+        mutation, so a read-only open writes no file."""
+        if self._store is not None and self._log is None:
+            from repro.store.delta import DeltaLog, delta_log_path
 
-                self._log = DeltaLog.ensure(
-                    delta_log_path(self._store.path), self._store.generation
-                )
-        return self._delta
+            self._log = DeltaLog.ensure(
+                delta_log_path(self._store.path), self._store.generation
+            )
 
     def _replay_delta_log(self) -> None:
         """Recover pending mutations from the store's sidecar log (at open).
@@ -544,7 +510,7 @@ class BatchQueryEngine:
         self._log = log
         if not log.entries:
             return
-        delta = self._ensure_delta()
+        delta = self._delta
         for entry in log.entries:
             if entry[0] == "insert":
                 for record_id, to_values, codes in zip(entry[1], entry[2], entry[3]):
@@ -554,7 +520,7 @@ class BatchQueryEngine:
         # One fold of the surviving inserts, then every tombstone: the fronts
         # of the live rows, whatever order the log interleaved them in.
         self._tracker.add_rows(
-            delta.frame(), [row for row in delta.live_rows() if row >= self._num_rows]
+            delta.frame(), [row for row in delta.live_rows() if row >= len(delta.base)]
         )
         dead = delta.dead_rows()
         if dead:
@@ -574,15 +540,22 @@ class BatchQueryEngine:
             return []
         self._latch.acquire_write()
         try:
-            delta = self._ensure_delta()
+            self._ensure_log()
+            delta = self._delta
             ids = delta.insert_rows(rows)
-            if self._log is not None:
-                to_rows, code_rows = delta.insert_payload(ids)
-                self._log.append_inserts(ids, to_rows, code_rows)
-            frame = delta.frame()
-            dirty = self._tracker.add_rows(frame, range(len(frame) - len(ids), len(frame)))
-            self._note_mutation(len(ids))
-            self._finish_write(dirty, mutated=True)
+            try:
+                if self._log is not None:
+                    to_rows, code_rows = delta.insert_payload(ids)
+                    self._log.append_inserts(ids, to_rows, code_rows)
+            finally:
+                # The delta holds the rows even when the append raised, and
+                # compaction persists the tracker's candidates: keep it in step.
+                frame = delta.frame()
+                dirty = self._tracker.add_rows(
+                    frame, range(len(frame) - len(ids), len(frame))
+                )
+                self._note_mutation(len(ids))
+                self._finish_write(dirty, mutated=True)
             return ids
         finally:
             self._latch.release_write()
@@ -602,14 +575,18 @@ class BatchQueryEngine:
             return []
         self._latch.acquire_write()
         try:
-            delta = self._ensure_delta()
+            self._ensure_log()
+            delta = self._delta
             removed, rows = delta.delete_ids(record_ids)
-            if self._log is not None and removed:
-                self._log.append_deletes(removed)
-            dirty = self._tracker.remove_rows(rows) if rows else {}
-            if removed:
-                self._note_mutation(len(removed))
-            self._finish_write(dirty, mutated=bool(removed))
+            try:
+                if self._log is not None and removed:
+                    self._log.append_deletes(removed)
+            finally:
+                # As in insert: the tombstones stand even if the append raised.
+                dirty = self._tracker.remove_rows(rows) if rows else {}
+                if removed:
+                    self._note_mutation(len(removed))
+                self._finish_write(dirty, mutated=bool(removed))
             return removed
         finally:
             self._latch.release_write()
@@ -617,17 +594,6 @@ class BatchQueryEngine:
     def _note_mutation(self, count: int) -> None:
         with self._state_lock:
             self.mutations_applied += count
-
-    def _maybe_compact(self) -> bool:
-        """Compact once ``compact_threshold`` mutations are pending; returns
-        whether it did."""
-        if (
-            self._compact_threshold > 0
-            and self._delta is not None
-            and self._delta.mutations >= self._compact_threshold
-        ):
-            return bool(self._compact_locked()["compacted"])
-        return False
 
     def compact(self) -> dict:
         """Fold the delta plane into a fresh base; returns a summary dict.
@@ -646,15 +612,19 @@ class BatchQueryEngine:
 
     def _compact_locked(self) -> dict:
         delta = self._delta
-        if delta is None or not delta.mutations:
+        if not delta.mutations:
             return {"compacted": False, "reason": "no pending mutations"}
+        started = time.perf_counter()
         live_frame, row_ids = delta.live_frame_and_ids()
+        # The live rows keep their order, so the candidates only renumber:
+        # the fronts carry over, and so do the graph's pairs (they index
+        # positions in the candidate list).
+        candidates = delta.compacted_rows(self._tracker.candidates())
         summary: dict[str, object] = {
             "compacted": True,
             "rows": len(row_ids),
             "folded_mutations": delta.mutations,
         }
-        started = time.perf_counter()
         if self._store is not None:
             from repro.store.delta import DeltaLog, delta_log_path
             from repro.store.reader import DatasetStore
@@ -666,7 +636,7 @@ class BatchQueryEngine:
             pack_frame(
                 live_frame,
                 tmp_path,
-                kernel=self.kernel,
+                survivors=candidates,
                 row_ids=row_ids,
                 generation=generation,
                 next_id=delta.next_id,
@@ -685,26 +655,14 @@ class BatchQueryEngine:
                 self._log = DeltaLog.ensure(
                     delta_log_path(store.path), generation
                 )
-            reopened = DatasetStore.open(store.path)
-            self._store = reopened
-            self._num_rows = reopened.num_rows
-            self._row_ids = reopened.row_ids()
-            self._next_id = reopened.next_id
-            self._frame = reopened.frame()
+            self._store = DatasetStore.open(store.path)
+            live_frame = self._store.frame()
             summary["generation"] = generation
-            summary["path"] = reopened.path
-        else:
-            identity = row_ids == list(range(len(row_ids)))
-            self._row_ids = None if identity else row_ids
-            self._next_id = delta.next_id
-            self._num_rows = len(row_ids)
-            self._frame = live_frame
-        self._dataset = None
-        self._delta = None
-        # The live rows (and so every cached skyline) are unchanged; only
-        # their rows are renumbered.
-        self._build_candidates()
-        self._build_graph()
+            summary["path"] = self._store.path
+        graph = self._graph
+        self._adopt_base(live_frame, candidates, row_ids, delta.next_id)
+        if graph is not None:
+            self._graph = CandidateGraph(self._tracker.candidates(), graph.pairs)
         with self._state_lock:
             self.compactions += 1
         summary["seconds"] = time.perf_counter() - started
@@ -726,7 +684,7 @@ class BatchQueryEngine:
         delta = self._delta
         graph = self._graph
         return {
-            "dataset_size": self._num_rows,
+            "dataset_size": len(delta.base),
             "candidates_after_prefilter": self.candidate_count,
             # Which path answers queries over the candidates, and the
             # graph's size when it is the graph.
@@ -764,7 +722,7 @@ class BatchQueryEngine:
             "delta_log_recovery": self._delta_recovery,
             "delta": (
                 None
-                if delta is None
+                if not delta.mutations
                 else {
                     "inserts": delta.num_inserts,
                     "live_inserts": delta.live_insert_count,

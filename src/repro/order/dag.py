@@ -64,7 +64,9 @@ class PartialOrderDAG:
             self._index[value] = len(self._values)
             self._values.append(value)
 
-        self._succ: dict[Value, list[Value]] = {v: [] for v in self._values}
+        # Successors as insertion-ordered dicts: edge order (the spanning
+        # tree takes the first predecessor) and O(1) duplicate tests.
+        self._succ: dict[Value, dict[Value, None]] = {v: {} for v in self._values}
         self._pred: dict[Value, list[Value]] = {v: [] for v in self._values}
         # The topological order of the acyclicity check and the closure
         # bitmasks derived from it; both dropped by every new edge.
@@ -92,7 +94,7 @@ class PartialOrderDAG:
         try:
             self.topological_order()
         except CycleError:
-            self._succ[better].pop()
+            self._succ[better].popitem()
             self._pred[worse].pop()
             raise
 
@@ -107,7 +109,7 @@ class PartialOrderDAG:
         children = self._succ[better]
         if worse in children:
             return False
-        children.append(worse)
+        children[worse] = None
         self._pred[worse].append(better)
         return True
 

@@ -29,6 +29,7 @@ import zlib
 
 from repro.data.columns import ColumnCodec, EncodedFrame
 from repro.data.dataset import Dataset
+from repro.delta.frame import dataset_from_frame
 from repro.exceptions import StoreError
 from repro.faults.registry import trip as _fault_trip
 from repro.store.format import (
@@ -325,20 +326,20 @@ class DatasetStore:
         Written by delta-plane compaction (:func:`~repro.store.writer.
         pack_frame` with ``row_ids``) so surviving records keep the ids
         clients hold across compactions; stores packed straight from a
-        dataset omit the section.
+        dataset omit the section.  Cached; callers must not modify the list.
         """
         with self._lock:
             if self._row_ids is _UNSET:
                 if "row_ids" not in self._sections:
                     self._row_ids = None
                 elif self._np is not None:
-                    self._row_ids = [int(i) for i in self._array("row_ids")]
+                    self._row_ids = self._array("row_ids").tolist()
                 else:
-                    self._row_ids = [int(i) for i in self._unpack("row_ids")]
-            return None if self._row_ids is None else list(self._row_ids)
+                    self._row_ids = self._unpack("row_ids")
+            return self._row_ids
 
     def dataset(self) -> Dataset:
-        """The original records, materialized from the frame (cached).
+        """The original records, decoded from the frame (cached).
 
         Canonical TO floats are negated back for ``best='max'`` attributes
         (binary round-trip exact) and PO codes decoded through the codec, so
@@ -346,35 +347,5 @@ class DatasetStore:
         """
         with self._lock:
             if self._dataset is None:
-                self._dataset = self._materialize_dataset()
+                self._dataset = dataset_from_frame(self.frame())
             return self._dataset
-
-    def _materialize_dataset(self) -> Dataset:
-        frame = self.frame()
-        schema = self.schema
-        codec = frame.codec
-        columns: list[list] = []
-        to_index = 0
-        po_index = 0
-        for attribute in schema.attributes:
-            if attribute.is_partial:
-                domain = codec.domains[po_index]
-                if frame.uses_numpy:
-                    codes = frame.codes[:, po_index]
-                    columns.append([domain[int(code)] for code in codes])
-                else:
-                    columns.append(
-                        [domain[row[po_index]] for row in frame.codes]
-                    )
-                po_index += 1
-            else:
-                if frame.uses_numpy:
-                    values = frame.to[:, to_index].tolist()
-                else:
-                    values = [row[to_index] for row in frame.to]
-                if attribute.best == "max":
-                    values = [-value for value in values]
-                columns.append(values)
-                to_index += 1
-        rows = [tuple(column[r] for column in columns) for r in range(self.num_rows)]
-        return Dataset(schema, rows, validate=False)

@@ -1,14 +1,17 @@
 """Pack an encoded dataset into a single mmap-able store file.
 
 Packing performs, once, exactly the work a fresh process would otherwise
-repeat on every start: encode the dataset into an
-:class:`~repro.data.columns.EncodedFrame` and run the query-independent
-per-PO-group TO-Pareto prefilter.  Both are written as page-aligned
-little-endian array sections (see :mod:`repro.store.format`) so loaders
-reconstruct the same objects as zero-copy ``np.memmap`` views — or, without
-NumPy, by reading the very same bytes into tuple-backed columns.  The writer
-works under both backends: the frame arrays are backend-agnostic and the
-prefilter's survivor list is pinned to agree across kernels.
+repeat on every start: :func:`pack_dataset` encodes the dataset into an
+:class:`~repro.data.columns.EncodedFrame` and runs the query-independent
+per-PO-group TO-Pareto prefilter, and :func:`pack_frame` writes the frame and
+the prefilter's survivor rows.  Delta-plane compaction calls
+:func:`pack_frame` directly with the engine's tracked candidates, which equal
+a fresh prefilter's survivors, so it re-filters nothing.  Both are written as
+page-aligned little-endian array sections (see :mod:`repro.store.format`) so
+loaders reconstruct the same objects as zero-copy ``np.memmap`` views — or,
+without NumPy, by reading the very same bytes into tuple-backed columns.  The
+writer works under both backends: the frame arrays are backend-agnostic and
+the prefilter's survivor list is pinned to agree across kernels.
 
 Stores packed by older builds also carry a base-topology mapping and an
 array-encoded R-tree; loaders verify those sections' checksums at open and ignore them.
@@ -85,32 +88,34 @@ def pack_dataset(
     :class:`~repro.exceptions.StoreError` for schemas whose PO domains are
     not JSON-serializable (e.g. frozenset lattices).
     """
-    return pack_frame(EncodedFrame.from_dataset(dataset), path, kernel=kernel)
+    frame = EncodedFrame.from_dataset(dataset)
+    survivors = prefilter_survivors(frame.schema, None, frame, resolve_kernel(kernel))
+    return pack_frame(frame, path, survivors=survivors)
 
 
 def pack_frame(
     frame: EncodedFrame,
     path,
     *,
-    kernel=None,
+    survivors,
     row_ids=None,
     generation: int = 0,
     next_id: int | None = None,
 ) -> dict:
-    """Prefilter and write an encoded frame to ``path``.
+    """Write an encoded frame and its prefilter ``survivors`` to ``path``.
 
-    The frame-first entry point :func:`pack_dataset` delegates to — and the
-    one delta-plane compaction uses, since a compacted live frame has no
-    record dataset behind it.  ``row_ids`` optionally persists a stable
-    ``row -> record id`` mapping (omitted = identity), ``generation`` a
-    monotone compaction counter and ``next_id`` the id allocation high-water
-    mark (omitted = one past the largest row id); all three are
-    backward-compatible additions readers may ignore.
+    ``survivors`` are the ascending rows of every PO group's TO-Pareto front
+    (:func:`~repro.engine.prefilter.prefilter_survivors`); they are written
+    as given.  :func:`pack_dataset` passes a fresh prefilter's, delta-plane
+    compaction the candidates its tracker kept exact — a compacted live
+    frame has no record dataset behind it.  ``row_ids`` optionally persists
+    a stable ``row -> record id`` mapping (omitted = identity),
+    ``generation`` a monotone compaction counter and ``next_id`` the id
+    allocation high-water mark (omitted = one past the largest row id); all
+    three are backward-compatible additions readers may ignore.
     """
     schema = frame.schema
     schema_spec = encode_schema(schema)
-    kernel = resolve_kernel(kernel)
-    survivors = prefilter_survivors(schema, None, frame, kernel)
     n = len(frame)
 
     sections: list[tuple[str, str, tuple[int, ...], bytes]] = [

@@ -110,6 +110,43 @@ class TestAppendCrashMatrix:
                 assert _pending(reopened) == 0
                 assert skyline == baseline
 
+    @pytest.mark.parametrize("op", ["insert", "delete"])
+    @pytest.mark.parametrize("stage", ["pre", "post"])
+    def test_append_fault_then_compaction_persists_the_live_rows(
+        self, packed, op, stage
+    ):
+        # The delta keeps the mutation whatever the append did, and
+        # compaction writes the tracker's candidates as the store's
+        # survivors: the tracker must follow the delta past the fault, or
+        # the rewritten store would miss (or misnumber) a candidate.
+        path, dataset = packed
+        victim = _baseline(path)[0]
+        faults_registry.install(f"delta.log_append:raise:stage={stage},times=1")
+        with BatchQueryEngine(path, compact_threshold=0) as engine:
+            with pytest.raises(StoreError, match="injected fault"):
+                if op == "insert":
+                    engine.insert([_dominant_row(dataset)])
+                else:
+                    engine.delete([victim])
+            faults_registry.uninstall()
+            expected = engine.run_query(BatchQuery("base")).skyline_ids
+            if op == "insert":
+                assert len(dataset) in expected
+            else:
+                assert victim not in expected
+            assert engine.compact()["compacted"]
+            live = engine.dataset
+
+        fresh = BatchQueryEngine(live, compact_threshold=0)
+        with BatchQueryEngine(path, compact_threshold=0) as reopened:
+            assert _pending(reopened) == 0
+            assert reopened._tracker.fronts == fresh._tracker.fronts
+            assert reopened._tracker.candidates() == fresh._tracker.candidates()
+            ids = reopened._delta.base_ids
+            rows = fresh.run_query(BatchQuery("base")).skyline_ids
+            assert reopened.run_query(BatchQuery("base")).skyline_ids == expected
+            assert sorted(ids[row] for row in rows) == sorted(expected)
+
     def test_corrupted_write_becomes_a_torn_tail(self, packed):
         # stage=write flips a payload byte *after* the frame checksum was
         # computed — a bad disk write.  The append itself succeeds, but the

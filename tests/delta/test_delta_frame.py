@@ -8,7 +8,7 @@ from repro.data.columns import EncodedFrame
 from repro.data.dataset import Dataset
 from repro.data.schema import PartialOrderAttribute, Schema, TotalOrderAttribute
 from repro.delta.frame import DeltaFrame, dataset_from_frame
-from repro.exceptions import QueryError
+from repro.exceptions import DatasetError, QueryError
 from repro.order.builders import chain
 from tests.conftest import assert_backing
 
@@ -90,6 +90,36 @@ class TestLiveViews:
         assert len(frame) == 4
         assert frame.uses_numpy == base.uses_numpy
         assert dataset_from_frame(frame).records[-1].values == (5.0, 4, "b")
+
+    def test_compacted_rows_are_positions_among_the_live_rows(self, base):
+        delta = DeltaFrame(base, base_ids=[10, 20, 30, 40])
+        delta.insert_rows([(5.0, 4, "b"), (6.0, 5, "c")])
+        delta.delete_ids([10, 30, 41])
+        live = delta.live_rows()
+        assert live == [1, 3, 5]
+        assert delta.compacted_rows(live) == [0, 1, 2]
+        assert delta.compacted_rows([3, 5]) == [1, 2]
+        _, ids = delta.live_frame_and_ids()
+        assert ids == [20, 40, 42]
+
+    def test_compacted_rows_refuses_rows_that_are_not_live(self, base):
+        delta = DeltaFrame(base)
+        delta.insert_rows([(5.0, 4, "b")])
+        delta.delete_ids([1, 4])
+        assert delta.compacted_rows([0, 2, 3]) == [0, 1, 2]
+        for row in (1, 4, 5, -1):
+            with pytest.raises(DatasetError, match="not live"):
+                delta.compacted_rows([0, row])
+
+    def test_stable_ids_of_identity_rows_are_the_rows(self, base):
+        delta = DeltaFrame(base)
+        rows = [0, 2]
+        assert delta.stable_ids(rows) is rows
+        ids = delta.insert_rows([(5.0, 4, "b")])
+        assert delta.stable_ids([2, 4]) == [2, ids[0]]
+        # Ids persisted in descending row order come back ascending.
+        reversed_ids = DeltaFrame(base, base_ids=[40, 30, 20, 10])
+        assert reversed_ids.stable_ids([0, 2, 3]) == [10, 20, 40]
 
     def test_base_rows_and_inserts_share_one_row_space(self, base):
         delta = DeltaFrame(base, base_ids=[10, 20, 30, 40])

@@ -111,7 +111,7 @@ class TestCandidateSetAndCache:
         engine = BatchQueryEngine(
             Dataset(SMALL_SCHEMA, SMALL_ROWS), kernel=kernel, compact_threshold=0
         )
-        assert_backing(engine._frame, frame_backing)
+        assert_backing(engine._delta.base, frame_backing)
         return engine
 
     def test_dominating_insert_evicts_front_rows(self, kernel, frame_backing):
@@ -174,7 +174,7 @@ class TestCompaction:
     def test_explicit_compact_preserves_results_and_ids(self, workload, frame_backing):
         schema, dataset = workload
         with BatchQueryEngine(dataset) as engine:
-            assert_backing(engine._frame, frame_backing)
+            assert_backing(engine._delta.base, frame_backing)
             new_id = engine.insert([_dominant_row(dataset)])[0]
             engine.delete([0, 1])
             before = engine.run_query(BatchQuery("base")).skyline_ids
@@ -183,7 +183,7 @@ class TestCompaction:
             assert summary["rows"] == len(dataset) - 1  # +1 insert, -2 deletes
             assert engine.run_query(BatchQuery("base")).skyline_ids == before
             assert engine.summary()["delta"] is None
-            assert_backing(engine._frame, frame_backing)
+            assert_backing(engine._delta.base, frame_backing)
             # Stable ids survive the fold: the insert keeps its id, and
             # further mutations see it.
             assert engine.delete([new_id]) == [new_id]

@@ -127,10 +127,10 @@ class TestStoreBackedDeltaEqualsRebuild:
         # Threshold of 9 makes the 14-step schedule cross one compaction.
         options = dict(compact_threshold=9)
         with BatchQueryEngine(path, **options) as engine:
-            assert_backing(engine._frame, frame_backing)
+            assert_backing(engine._delta.base, frame_backing)
             _mutate_and_check(engine, schema, live, rng, 14, queries, {})
             assert engine.compactions >= 1
-            assert_backing(engine._frame, frame_backing)  # the reopened store
+            assert_backing(engine._delta.base, frame_backing)  # the reopened store
             expected = {q.name: engine.run_query(q).skyline_ids for q in queries}
         # A reopen (log replay over the compacted base) answers identically.
         with BatchQueryEngine(path, **options) as reopened:

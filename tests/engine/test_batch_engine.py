@@ -71,7 +71,7 @@ class TestAgainstPerQuerySTSS:
     def test_base_query_matches_brute_force(self, workload, frame_backing):
         _, dataset = workload
         engine = BatchQueryEngine(dataset)
-        assert_backing(engine._frame, frame_backing)
+        assert_backing(engine._delta.base, frame_backing)
         result = engine.run_query(BatchQuery("base"))
         truth = frozenset(brute_force_skyline(dataset).skyline_ids)
         assert result.skyline_set == truth

@@ -179,7 +179,7 @@ def test_shape_over_the_bound_is_served_from_levels(kernel, frame_backing, monke
     schema, rows, queries, truths = _over_bound_case()
     dataset = Dataset(schema, rows)
     engine = BatchQueryEngine(dataset, kernel=kernel)
-    assert_backing(engine._frame, frame_backing)
+    assert_backing(engine._delta.base, frame_backing)
     assert engine.summary()["query_path"] == {"path": "levels"}
     assert [engine.run_query(query).skyline_ids for query in queries] == truths
     # With room for it, the same candidates get a graph past the bound.
@@ -224,7 +224,7 @@ def test_dominant_group_without_to_is_served_from_levels(kernel, frame_backing, 
         (BatchQuery("antichain", {"p0": PartialOrderDAG(values, [])}), list(range(1121))),
     ]
     engine = BatchQueryEngine(dataset, kernel=kernel)
-    assert_backing(engine._frame, frame_backing)
+    assert_backing(engine._delta.base, frame_backing)
     assert _path(engine) == "levels"
     for query, truth in queries:
         assert engine.run_query(query).skyline_ids == truth, query.name

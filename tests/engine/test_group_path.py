@@ -51,7 +51,7 @@ def _truth(schema: Schema, live: dict[int, tuple], query: BatchQuery) -> list[in
 def _assert_exact(schema, rows, queries, kernel, backing):
     live = dict(enumerate(rows))
     with BatchQueryEngine(Dataset(schema, rows), kernel=kernel) as engine:
-        assert_backing(engine._frame, backing)
+        assert_backing(engine._delta.base, backing)
         for query in queries:
             assert engine.run_query(query).skyline_ids == _truth(schema, live, query), (
                 query.name
@@ -125,7 +125,7 @@ class TestEdgeSchemas:
         )
         live = dict(enumerate(rows))
         with open_dataset(Dataset(schema, rows), kernel=kernel) as engine:
-            assert_backing(engine._frame, frame_backing)
+            assert_backing(engine._delta.base, frame_backing)
             for query in queries:
                 answer = engine.run_query(query).skyline_ids
                 assert answer == _truth(schema, live, query), query.name
@@ -213,7 +213,7 @@ class TestEdgeSchemas:
         # In process even under REPRO_WORKERS: the calls counted are the
         # group path's own.
         with BatchQueryEngine(dataset, kernel=kernel) as engine:
-            assert_backing(engine._frame, frame_backing)
+            assert_backing(engine._delta.base, frame_backing)
             assert engine.summary()["query_path"] == {"path": "levels"}
             # Levels a, b, c: level a has nothing to check against, then one
             # call per level over all of its front rows.
@@ -294,6 +294,6 @@ def test_batch_sharded_shape_matches_brute_force(kernel, frame_backing, monkeypa
 
         monkeypatch.setattr(NumpyTDominanceStore, "_sorted_sweep", counting)
     with BatchQueryEngine(dataset, kernel=kernel) as engine:
-        assert_backing(engine._frame, frame_backing)
+        assert_backing(engine._delta.base, frame_backing)
         assert engine.run_query(query).skyline_ids == truth
     assert bool(swept) == (kernel == "numpy")

@@ -91,7 +91,7 @@ def _assert_matches_oracle(engine, schema, live, queries) -> None:
     fresh = BatchQueryEngine(
         Dataset(schema, [live[record_id] for record_id in ids]), kernel=engine.kernel
     )
-    assert _graph_pairs(engine, engine._stable_id_of_row) == _graph_pairs(
+    assert _graph_pairs(engine, engine._delta.stable_id_of_row) == _graph_pairs(
         fresh, ids.__getitem__
     )
 

@@ -42,6 +42,37 @@ class TestConstruction:
         with pytest.raises(CycleError):
             dag.add_edge("b", "a")
 
+    def test_rejected_edge_is_forgotten(self):
+        dag = PartialOrderDAG(["a", "b"], [("a", "b")])
+        for _ in range(2):  # not mistaken for a parallel edge the second time
+            with pytest.raises(CycleError):
+                dag.add_edge("b", "a")
+        assert dag.edges == [("a", "b")]
+        assert dag.successors("b") == ()
+
+    def test_large_star_builds_in_linear_time(self):
+        # A list membership test per edge made this quadratic: about n**2 / 2
+        # value comparisons for an n-leaf star (a minute for 100,000 edges).
+        comparisons = 0
+
+        class Counted:
+            def __init__(self, key):
+                self.key = key
+
+            def __hash__(self):
+                return hash(self.key)
+
+            def __eq__(self, other):
+                nonlocal comparisons
+                comparisons += 1
+                return self.key == other.key
+
+        n = 2_000
+        values = [Counted(key) for key in range(n + 1)]
+        dag = PartialOrderDAG(values, [(values[0], leaf) for leaf in values[1:]])
+        assert dag.num_edges == n and dag.predecessors(values[7]) == (values[0],)
+        assert comparisons <= 4 * n
+
     def test_len_contains_iter(self):
         dag = PartialOrderDAG(["a", "b"], [("a", "b")])
         assert len(dag) == 2

@@ -118,7 +118,7 @@ class TestBitwiseRoundTrip:
         path, _ = packed
         reference = _run(BatchQueryEngine(dataset, kernel=kernel_name), schema)
         engine = BatchQueryEngine(path, kernel=kernel_name)
-        assert_backing(engine._frame, frame_backing)
+        assert_backing(engine._delta.base, frame_backing)
         via_store = _run(engine, schema)
         assert via_store == reference  # ids, discovery order AND check counts
         # Ingesting the same rows from CSV answers the same too.
@@ -194,12 +194,16 @@ class TestBitwiseRoundTrip:
         """Ids persisted in descending row order: each skyline row answers
         as its stored id, and the ids come back ascending."""
         from repro.data.columns import EncodedFrame
+        from repro.engine.prefilter import prefilter_survivors
+        from repro.kernels import resolve_kernel
         from repro.store.writer import pack_frame
 
         schema, dataset = workload
         row_ids = [1000 - row for row in range(len(dataset))]
         path = tmp_path / "reversed.rpro"
-        pack_frame(EncodedFrame.from_dataset(dataset), path, row_ids=row_ids)
+        frame = EncodedFrame.from_dataset(dataset)
+        survivors = prefilter_survivors(schema, None, frame, resolve_kernel(None))
+        pack_frame(frame, path, survivors=survivors, row_ids=row_ids)
         reference = _run(BatchQueryEngine(dataset), schema)
         via_store = _run(BatchQueryEngine(path), schema)
         for (name, ids, _), (_, rows, _) in zip(via_store, reference):
@@ -244,6 +248,6 @@ class TestStoreFacts:
         monkeypatch.setattr(repro.core.stss, "stss_skyline", forbidden)
         monkeypatch.setattr(repro.skyline.sfs, "sfs_skyline", forbidden)
         with BatchQueryEngine(path) as engine:
-            assert_backing(engine._frame, frame_backing)
+            assert_backing(engine._delta.base, frame_backing)
             answers = [engine.run_query(query).skyline_ids for query in queries]
         assert answers == reference
